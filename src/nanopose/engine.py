@@ -3,12 +3,29 @@
 The integer path runs convolutions over 8-bit activation codes and signed
 8-bit weight codes with 32-bit accumulators, requantizes through the fused
 per-channel integer affine, and leaves the head output as raw 32-bit fixed
-point.  Work may be split across threads by output row chunks; chunk
-ownership is disjoint and integer addition is associative, so the result is
-identical for every worker count.
+point.
+
+Each convolution is im2col plus one GEMM, and the head is one matrix-vector
+product.  With uint8 activations and int8 weights both run in float64
+through BLAS and are still exact: every product and partial sum is an
+integer with |acc| <= 255 * 128 * K over K = in_ch * kh * kw taps, which
+stays below 2^53 for any K under 2.7e11 (the reference variants reach
+K = 1152 in a conv and 7680 in the head, so |acc| < 2^28).  The bound
+follows from the operand dtypes, so it costs nothing per call; operands
+whose dtypes could exceed it are multiplied in int64 instead.  Every
+accumulator is still checked against the int32 range.
+
+infer_int prepares a program on its first call for a QuantizedGraph and
+keeps it on the graph: the validated int8 weight codes in layer shape and
+the requant multiplier and bias as int64 vectors shaped for broadcasting.
+The program is rebuilt when the graph, a weight tensor or its payload, a
+requant parameter object or any of its fields, an accumulator scale or the
+output scales have been replaced (checked by identity).  The weight and
+requant arrays it was built from are made read-only, so an in-place edit
+raises instead of leaving the program stale.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +40,13 @@ from .qtensor import (
     act_qparams,
     full_weight_codes,
     int_affine_requant,
+    requant_vector,
 )
 
 IMAGE_EPS = 1.0 / 255.0
+
+# float64 holds every integer of magnitude below 2**53 exactly
+_F64_EXACT = 2**53
 
 
 def image_qparams() -> QuantParams:
@@ -41,103 +62,152 @@ class InferenceResult:
 
 def _acc_range_check(acc: np.ndarray, limit_bits: int):
     lo, hi = -(2 ** (limit_bits - 1)), 2 ** (limit_bits - 1) - 1
-    if acc.size and (acc.min() < lo or acc.max() > hi):
-        raise AccumulatorOverflowError(
-            f"accumulator range [{acc.min()}, {acc.max()}] exceeds {limit_bits}-bit"
-        )
+    if acc.size:
+        amin, amax = int(acc.min()), int(acc.max())
+        if amin < lo or amax > hi:
+            raise AccumulatorOverflowError(
+                f"accumulator range [{amin}, {amax}] exceeds {limit_bits}-bit"
+            )
 
 
-def _conv_rows(padded: np.ndarray, wmat: np.ndarray, kernel, stride, r0, r1, ow):
-    """Accumulate output rows [r0, r1) from the padded input (int64)."""
-    kh, kw = kernel
-    sh, sw = stride
-    sub = padded[:, r0 * sh : (r1 - 1) * sh + kh, :]
-    win = np.lib.stride_tricks.sliding_window_view(sub, (kh, kw), axis=(1, 2))
-    win = win[:, ::sh, ::sw]                       # (C, rows, ow, kh, kw)
-    rows = win.shape[1]
-    patches = win.transpose(1, 2, 0, 3, 4).reshape(rows * ow, -1)
-    return wmat @ patches.T                         # (out_ch, rows*ow)
+@functools.cache
+def _gemm_dtype(x_dtype, w_dtype, taps: int):
+    """float64 when every partial sum of `taps` products is an exact integer
+    there, given the operand dtypes' ranges; int64 otherwise."""
+    bound = taps
+    for dt in (x_dtype, w_dtype):
+        info = np.iinfo(dt)
+        bound *= max(-int(info.min), int(info.max))
+    return np.float64 if bound < _F64_EXACT else np.int64
 
 
-def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding, n_workers: int = 1,
+def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding,
                acc_bits: int = 32) -> np.ndarray:
-    """Direct integer convolution; returns int32 accumulators (C_out, H, W)."""
+    """Integer convolution as im2col plus one GEMM; returns int32
+    accumulators (C_out, H, W)."""
     c, h, wdt = x.shape
     oc, ic, kh, kw = w_codes.shape
+    sh, sw = stride
     ph, pw = padding
     oh, ow = G.conv_out_hw(h, wdt, (kh, kw), stride, padding)
-    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=np.int64)
+    dtype = _gemm_dtype(x.dtype, w_codes.dtype, ic * kh * kw)
+    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=dtype)
     padded[:, ph : ph + h, pw : pw + wdt] = x
-    wmat = w_codes.reshape(oc, -1).astype(np.int64)
-
-    out = np.empty((oc, oh, ow), dtype=np.int64)
-    if n_workers <= 1 or oh < 2 * n_workers:
-        out[:] = _conv_rows(padded, wmat, (kh, kw), stride, 0, oh, ow).reshape(oc, oh, ow)
-    else:
-        bounds = np.linspace(0, oh, n_workers + 1, dtype=int)
-        chunks = [(r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:]) if r1 > r0]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futs = [
-                pool.submit(_conv_rows, padded, wmat, (kh, kw), stride, r0, r1, ow)
-                for r0, r1 in chunks
-            ]
-            for (r0, r1), fut in zip(chunks, futs):
-                out[:, r0:r1, :] = fut.result().reshape(oc, r1 - r0, ow)
-    _acc_range_check(out, acc_bits)
-    return out.astype(np.int32)
+    # one strided copy per kernel tap; rows ordered (c, u, v) like the weights
+    cols = np.empty((c, kh, kw, oh, ow), dtype=dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = padded[:, u : u + sh * (oh - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
+    acc = w_codes.reshape(oc, -1).astype(dtype) @ cols.reshape(c * kh * kw, oh * ow)
+    _acc_range_check(acc, acc_bits)
+    return acc.astype(np.int32).reshape(oc, oh, ow)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    c, h, w = x.shape
-    h2, w2 = h - h % 2, w - w % 2
-    v = x[:, :h2, :w2].reshape(c, h2 // 2, 2, w2 // 2, 2)
-    return v.max(axis=(2, 4))
+    """2x2 / stride-2 max-pool over (C, H, W); an odd last row or column is dropped."""
+    h2, w2 = x.shape[1] - x.shape[1] % 2, x.shape[2] - x.shape[2] % 2
+    rows = np.maximum(x[:, 0:h2:2, :w2], x[:, 1:h2:2, :w2])
+    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
-def infer_int(qg, image: QTensor, n_workers: int = 1, record_activations: bool = False,
-              acc_bits: int = 32) -> InferenceResult:
+@dataclass
+class _Step:
+    layer: G.LayerSpec
+    qp: QuantParams = None       # scale of the step's output (conv, requant, fc)
+    codes: np.ndarray = None     # int8 weight codes in layer shape (conv, fc)
+    mult: np.ndarray = None      # int64 requant vectors, (C, 1, 1) or (1, 1, 1)
+    bias: np.ndarray = None
+    shift: int = 0
+
+
+@dataclass
+class _Program:
+    sources: list                # what the steps were built from, compared by identity
+    steps: list
+
+
+def _sources(qg) -> list:
+    out = [qg.graph, qg.out_eps, *qg.acc_eps.values()]
+    for qt in qg.weights.values():
+        out += (qt, qt.data, qt.qp)
+    for rp in qg.requant.values():
+        out += (rp, rp.mult, rp.shift, rp.bias, rp.alpha)
+    return out
+
+
+def _freeze(arr) -> None:
+    if isinstance(arr, np.ndarray):
+        arr.flags.writeable = False
+
+
+def _prepare(qg, sources: list) -> _Program:
+    steps = []
+    for l in qg.graph.layers:
+        if l.kind == G.DROPOUT:
+            continue
+        st = _Step(layer=l)
+        if l.kind in (G.CONV, G.FC):
+            qt = qg.weights[l.name]
+            shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
+            st.codes = full_weight_codes(qt).reshape(shape)
+            _freeze(qt.data)
+        if l.kind == G.CONV:
+            st.qp = accumulator_qparams(qg.acc_eps[l.name])
+        elif l.kind == G.REQUANT:
+            rp = qg.requant[l.name]
+            st.mult = requant_vector(rp.mult, "scale_num", l.out_ch, 3)
+            st.bias = requant_vector(rp.bias, "bias", l.out_ch, 3)
+            st.shift = rp.shift
+            st.qp = act_qparams(rp.alpha)
+            _freeze(rp.mult)
+            _freeze(rp.bias)
+        elif l.kind == G.FC:
+            st.qp = accumulator_qparams(float(qg.out_eps[0]))
+        steps.append(st)
+    if not any(st.layer.kind == G.FC for st in steps):
+        raise SchemaError("graph has no fully connected head")
+    return _Program(sources=sources, steps=steps)
+
+
+def _program(qg) -> _Program:
+    """The graph's prepared program, rebuilt if any source was replaced."""
+    sources = _sources(qg)
+    prog = qg.program
+    if (prog is None or len(prog.sources) != len(sources)
+            or any(a is not b for a, b in zip(prog.sources, sources))):
+        prog = qg.program = _prepare(qg, sources)
+    return prog
+
+
+def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
     """Run the quantized graph entirely in the integer domain."""
     g = qg.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
     acts = {} if record_activations else None
-    x = image.data.astype(np.int64)
-    eps = image.qp.eps
-    raw = None
-    for l in g.layers:
+    x = image.data
+    qp = image.qp
+    for st in _program(qg).steps:
+        l = st.layer
         if l.kind == G.CONV:
-            codes = full_weight_codes(qg.weights[l.name]).astype(np.int64)
-            codes = codes.reshape(l.out_ch, l.in_ch, *l.kernel)
-            x = conv2d_int(x, codes, l.stride, l.padding, n_workers=n_workers, acc_bits=acc_bits)
-            eps = qg.acc_eps[l.name]
-            snapshot_qp = accumulator_qparams(eps)
+            x = conv2d_int(x, st.codes, l.stride, l.padding)
+            qp = st.qp
         elif l.kind == G.REQUANT:
-            rp = qg.requant[l.name]
-            qt = int_affine_requant(
-                QTensor(np.asarray(x, dtype=np.int32), accumulator_qparams(eps)),
-                rp.mult, rp.shift, rp.bias, out_qp=act_qparams(rp.alpha),
-            )
-            x, eps = qt.data, qt.qp.eps
-            snapshot_qp = qt.qp
+            x = int_affine_requant(QTensor(x, qp), st.mult, st.shift, st.bias, out_qp=st.qp).data
+            qp = st.qp
         elif l.kind == G.POOL:
             x = maxpool2x2(x)
-            snapshot_qp = QuantParams(eps, 256, False)
-        elif l.kind == G.DROPOUT:
-            continue
+            qp = QuantParams(qp.eps, 256, False)
         elif l.kind == G.FC:
-            codes = full_weight_codes(qg.weights[l.name]).astype(np.int64)
-            flat = x.reshape(-1).astype(np.int64)
-            acc = codes @ flat
-            _acc_range_check(acc, acc_bits)
-            raw = acc.astype(np.int32)
-            snapshot_qp = accumulator_qparams(float(qg.out_eps[0]))
-            x = raw
+            flat = x.reshape(-1)
+            dtype = _gemm_dtype(flat.dtype, st.codes.dtype, l.in_ch)
+            acc = st.codes.astype(dtype) @ flat.astype(dtype)
+            _acc_range_check(acc, 32)
+            x = raw = acc.astype(np.int32)
+            qp = st.qp
         if record_activations:
-            arr = np.asarray(x)
             dtype = np.int32 if l.kind in (G.CONV, G.FC) else np.uint8
-            acts[l.name] = QTensor(arr.astype(dtype), snapshot_qp)
-    if raw is None:
-        raise SchemaError("graph has no fully connected head")
+            acts[l.name] = QTensor(x.astype(dtype), qp)
     pose = qg.out_eps * raw.astype(np.float64)
     return InferenceResult(raw=raw, pose=pose, activations=acts)
 

@@ -10,6 +10,7 @@ still fit an 8-bit signed integer.  Activations are unsigned with
 zero_base 0; accumulators are 32-bit signed.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,15 @@ def act_qparams(alpha: float) -> QuantParams:
     return QuantParams(eps=act_eps(alpha), levels=256, signed=False)
 
 
+@functools.cache
+def _dtype_within(dtype, lo: int, hi: int) -> bool:
+    """Whether every value of an integer dtype lies in [lo, hi]."""
+    if dtype.kind not in "iu":
+        return False
+    info = np.iinfo(dtype)
+    return lo <= info.min and info.max <= hi
+
+
 @dataclass
 class QTensor:
     """Integer tensor payload plus its quantization parameters."""
@@ -82,6 +92,8 @@ class QTensor:
         if int(np.prod(self.shape)) != self.data.size:
             raise ValueError(f"shape {self.shape} does not match payload size {self.data.size}")
         lo, hi = self.qp.qmin, self.qp.qmax
+        if _dtype_within(self.data.dtype, lo, hi):
+            return
         if self.data.size and (self.data.min() < lo or self.data.max() > hi):
             raise ValueError(
                 f"codes [{self.data.min()}, {self.data.max()}] exceed range [{lo}, {hi}]"
@@ -166,40 +178,37 @@ def full_weight_codes(w_star: QTensor) -> np.ndarray:
     return full.astype(np.int8)
 
 
-def _shift_toward_zero(v: np.ndarray, shift: int) -> np.ndarray:
-    neg = v < 0
-    out = np.empty_like(v)
-    out[~neg] = v[~neg] >> shift
-    out[neg] = -((-v[neg]) >> shift)
-    return out
+def requant_vector(values, name: str, channels: int, ndim: int) -> np.ndarray:
+    """Validate a 32-bit per-channel (or scalar) requant parameter and return
+    it as int64, shaped (channels or 1, 1, ...) to broadcast over ndim axes."""
+    arr = np.asarray(values, dtype=np.int64).reshape(-1)
+    if arr.size not in (1, channels):
+        raise RequantParameterError(f"{name} length {arr.size} != channel count {channels}")
+    if arr.min() < INT32_MIN or arr.max() > INT32_MAX:
+        raise RequantParameterError(f"{name} does not fit 32-bit")
+    return arr.reshape((arr.size,) + (1,) * (ndim - 1))
 
 
 def int_affine_requant(acc: QTensor, scale_num, shift: int, bias, out_qp: QuantParams = None) -> QTensor:
     """Fused integer batch-norm plus activation quantization.
 
-    out = clamp((scale_num * acc + bias) >> shift, 0, 255) per channel, with
-    a round-toward-zero shift.  scale_num and bias are 32-bit per-channel
-    parameters (scalars broadcast); the clamp at 0 subsumes the ReLU.
-    out_qp, when given, carries the scale of the produced activation codes.
+    out = clamp((scale_num * acc + bias) >> shift, 0, 255) per channel.  The
+    shift floors; truncation toward zero would differ only on negative
+    values, which the clamp at 0 maps to 0 either way.  scale_num and bias
+    are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
+    subsumes the ReLU.  out_qp, when given, carries the scale of the
+    produced activation codes.
     """
     if not 0 <= shift <= 31:
         raise RequantParameterError(f"shift {shift} outside [0, 31]")
-    data = acc.data.astype(np.int64)
-    channels = acc.shape[0]
-    scale = np.atleast_1d(np.asarray(scale_num, dtype=np.int64))
-    bias = np.atleast_1d(np.asarray(bias, dtype=np.int64))
-    if bias.size not in (1, channels):
-        raise RequantParameterError(f"bias length {bias.size} != channel count {channels}")
-    if scale.size not in (1, channels):
-        raise RequantParameterError(f"scale length {scale.size} != channel count {channels}")
-    for name, arr in (("scale_num", scale), ("bias", bias)):
-        if arr.min() < INT32_MIN or arr.max() > INT32_MAX:
-            raise RequantParameterError(f"{name} does not fit 32-bit")
-    bshape = (channels,) + (1,) * (data.ndim - 1)
-    v = scale.reshape(bshape if scale.size > 1 else (1,) * data.ndim) * data
-    v = v + bias.reshape(bshape if bias.size > 1 else (1,) * data.ndim)
-    v = _shift_toward_zero(v, shift)
-    out = np.clip(v, 0, 255).astype(np.uint8)
+    channels, ndim = acc.shape[0], acc.data.ndim
+    scale = requant_vector(scale_num, "scale_num", channels, ndim)
+    bias = requant_vector(bias, "bias", channels, ndim)
+    # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow
+    v = np.multiply(acc.data, scale)
+    v += bias
+    v >>= shift
+    out = np.clip(v, 0, 255, out=v).astype(np.uint8)
     if out_qp is None:
         out_qp = QuantParams(acc.qp.eps, 256, False)
     return QTensor(data=out, qp=out_qp, shape=acc.shape)

@@ -61,6 +61,8 @@ class QuantizedGraph:
     requant: dict = field(default_factory=dict)   # requant name -> RequantParams
     acc_eps: dict = field(default_factory=dict)   # conv name -> eps_in * eps_w
     out_eps: np.ndarray = None                    # per output variable (4,)
+    # engine.infer_int's prepared program, built on first inference
+    program: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
@@ -210,6 +212,13 @@ def save_qgraph(qg: QuantizedGraph, path: str) -> None:
         json.dump(doc, f, indent=2)
 
 
+def _layer(g: G.NetGraph, name: str, path: str) -> G.LayerSpec:
+    try:
+        return g.layer(name)
+    except KeyError:
+        raise SchemaError(f"{path}: no layer {name!r} in the graph") from None
+
+
 def load_qgraph(path: str) -> QuantizedGraph:
     base = os.path.dirname(os.path.abspath(path))
     with open(path) as f:
@@ -225,19 +234,30 @@ def load_qgraph(path: str) -> QuantizedGraph:
         input_qp=QuantParams(eps=doc["input_eps"], levels=256, signed=False),
         out_eps=np.asarray(doc["out_eps"], dtype=np.float64),
     )
+    heads = [l for l in g.layers if l.kind == G.FC]
+    if heads and qg.out_eps.shape != (heads[-1].out_ch,):
+        raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
+                          f"({heads[-1].out_ch},)")
     for name, fn in doc["weights"].items():
         qt = tensorfile.read_qtensor(os.path.join(base, fn))
-        l = g.layer(name)
+        l = _layer(g, name, path)
         shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
         if tuple(qt.data.shape) != shape:
             raise SchemaError(f"{fn}: payload shape {qt.data.shape} != layer shape {shape}")
         qg.weights[name] = qt
     for name, d in doc["requant"].items():
-        qg.requant[name] = RequantParams(
+        rp = RequantParams(
             mult=np.asarray(d["mult"], dtype=np.int64),
             shift=int(d["shift"]),
             bias=np.asarray(d["bias"], dtype=np.int64),
             alpha=float(d["alpha"]),
         )
+        channels = _layer(g, name, path).out_ch
+        for field_name in ("mult", "bias"):
+            n = getattr(rp, field_name).size
+            if n not in (1, channels):
+                raise SchemaError(f"{path}: requant {name} {field_name} length {n} is "
+                                  f"neither 1 nor the channel count {channels}")
+        qg.requant[name] = rp
     qg.acc_eps = {k: float(v) for k, v in doc["acc_eps"].items()}
     return qg

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nanopose
 from nanopose.cli import (
     EXIT_CONSTRAINT,
     EXIT_NOT_FOUND,
@@ -74,6 +76,40 @@ class TestQuantizeInfer:
         bad.write_text("{\"format\": \"wrong\"}")
         code = run_cli(["infer", "--qgraph", str(bad), "--image", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_SCHEMA
+
+
+def _cut_mult(doc):
+    doc["requant"]["act1"]["mult"] = doc["requant"]["act1"]["mult"][:2]
+
+
+def _cut_bias(doc):
+    doc["requant"]["b2a1"]["bias"] = doc["requant"]["b2a1"]["bias"] * 2
+
+
+def _cut_out_eps(doc):
+    doc["out_eps"] = doc["out_eps"][:1]
+
+
+class TestTamperedQgraph:
+    """A qgraph whose requant vectors or output scales do not fit the graph is
+    rejected when loaded: exit 4 with a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps])
+    def test_infer_exit_4(self, tmp_path, qgraph_file, tamper):
+        doc = json.loads(qgraph_file.read_text())
+        tamper(doc)
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        img = frame_pgm(tmp_path)
+        src = os.path.dirname(os.path.dirname(nanopose.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run(
+            [sys.executable, "-m", "nanopose.cli", "infer", "--qgraph", str(bad),
+             "--image", str(img), "--out", str(tmp_path / "pose.csv")],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == EXIT_SCHEMA, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "error[schema]" in res.stderr
 
 
 class TestPlanSweep:

@@ -11,6 +11,7 @@ from oracles import (
     make_chain_graph,
     naive_conv2d_int,
     naive_float_forward,
+    naive_pool2x2,
     run_int_reference,
 )
 
@@ -42,13 +43,16 @@ class TestConvKernel:
             want = naive_conv2d_int(x, wgt, (s, s), (k // 2, k // 2))
             assert (got == want).all()
 
-    def test_worker_counts_bit_exact(self):
-        rng = np.random.default_rng(1)
-        x = rng.integers(0, 256, (3, 40, 24)).astype(np.int64)
-        wgt = rng.integers(-127, 128, (8, 3, 3, 3)).astype(np.int64)
-        ref = engine.conv2d_int(x, wgt, (1, 1), (1, 1), n_workers=1)
-        for n in (2, 3, 4, 8):
-            assert (engine.conv2d_int(x, wgt, (1, 1), (1, 1), n_workers=n) == ref).all()
+    def test_worst_case_operands_exact(self):
+        # largest conv K the variants use (128 channels, 3x3 = 1152 taps) at
+        # the extreme codes: |acc| = 255 * 128 * 1152 in the float64 GEMM
+        x = np.full((128, 5, 6), 255, dtype=np.uint8)
+        wgt = np.full((2, 128, 3, 3), -128, dtype=np.int8)
+        got = engine.conv2d_int(x, wgt, (1, 1), (1, 1))
+        want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (1, 1))
+        assert got.dtype == np.int32
+        assert (got == want).all()
+        assert got.min() == -255 * 128 * 1152
 
     def test_accumulator_overflow_checked(self):
         x = np.full((1, 4, 4), 255, dtype=np.int64)
@@ -113,19 +117,67 @@ class TestInferInt:
         with pytest.raises(SchemaError):
             engine.infer_int(qg, bad)
 
-    def test_repeat_and_parallel_determinism(self):
+    def test_repeat_determinism(self):
         g, net, qg, rng = converted_toy(5, spatial=(16, 16))
         codes = random_image_codes(rng, g.input_shape)
         img = QTensor(codes, engine.image_qparams())
         ref = engine.infer_int(qg, img).raw
-        for n in (1, 2, 4):
-            assert (engine.infer_int(qg, img, n_workers=n).raw == ref).all()
+        for _ in range(3):
+            assert (engine.infer_int(qg, img).raw == ref).all()
 
     def test_pose_equals_eps_times_raw(self):
         g, net, qg, rng = converted_toy(6)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
         res = engine.infer_int(qg, img)
         assert np.allclose(res.pose, qg.out_eps * res.raw)
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("h,w", [(6, 8), (7, 9), (6, 9), (7, 8), (1, 5)])
+    def test_matches_naive(self, h, w):
+        x = np.random.default_rng(h * 10 + w).integers(0, 256, (3, h, w)).astype(np.uint8)
+        got = engine.maxpool2x2(x)
+        want = naive_pool2x2(x)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert (got == want).all()
+
+
+class TestPreparedProgram:
+    def test_weight_codes_prepared_once(self, monkeypatch):
+        g, net, qg, rng = converted_toy(7)
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        calls = []
+        real = engine.full_weight_codes
+        monkeypatch.setattr(engine, "full_weight_codes", lambda qt: calls.append(qt) or real(qt))
+        first = engine.infer_int(qg, img).raw
+        assert len(calls) == len(qg.weights)
+        second = engine.infer_int(qg, img).raw
+        assert len(calls) == len(qg.weights)
+        assert (first == second).all()
+
+    def test_replaced_requant_bias_is_used(self):
+        g, net, qg, rng = converted_toy(8)
+        codes = random_image_codes(rng, g.input_shape)
+        img = QTensor(codes, engine.image_qparams())
+        before = engine.infer_int(qg, img).raw
+        name = next(iter(qg.requant))
+        rp = qg.requant[name]
+        rp.bias = rp.bias + (1 << rp.shift) * 40
+        res = engine.infer_int(qg, img, record_activations=True)
+        ref = run_int_reference(qg, codes)
+        for layer, qt in res.activations.items():
+            assert (qt.data.astype(np.int64) == ref[layer]).all(), layer
+        assert not (res.raw == before).all()
+
+    def test_in_place_weight_edit_raises(self):
+        g, net, qg, rng = converted_toy(9)
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        engine.infer_int(qg, img)
+        payload = qg.weights[next(iter(qg.weights))].data
+        with pytest.raises(ValueError):
+            payload[(0,) * payload.ndim] = 1
+        with pytest.raises(ValueError):
+            next(iter(qg.requant.values())).mult[0] = 1
 
 
 class TestInferFloat:
