@@ -14,7 +14,7 @@ from .engine import InferenceResult, infer_int, infer_float, crop_center
 from .planner import MemoryHierarchy, DeploymentPlan, plan, tile_layer, memory_report
 from .costmodel import OperatingPoint, CostParams, CostEstimate, estimate, sweep, calibrate_params
 from .pose import Pose, to_odometry, wrap_angle
-from .kalman import Kalman1D, kf_step
+from .kalman import Kalman1D
 from .control import ControlConfig, velocity_command, step_dynamics
 from .simulate import NoiseModel, run_experiment
 from .metrics import metrics, rsquared
@@ -28,7 +28,7 @@ __all__ = [
     "MemoryHierarchy", "DeploymentPlan", "plan", "tile_layer", "memory_report",
     "OperatingPoint", "CostParams", "CostEstimate", "estimate", "sweep", "calibrate_params",
     "Pose", "to_odometry", "wrap_angle",
-    "Kalman1D", "kf_step",
+    "Kalman1D",
     "ControlConfig", "velocity_command", "step_dynamics",
     "NoiseModel", "run_experiment",
     "metrics", "rsquared",

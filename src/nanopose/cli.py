@@ -267,6 +267,8 @@ def _load_sim_config(path):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     doc = {k: v for k, v in doc.items() if not k.startswith("_")}
     noise_std = doc.pop("noise_std", None)
     ctl_fields = {k: doc.pop(k) for k in list(doc)
@@ -280,12 +282,12 @@ def _load_sim_config(path):
 
 def cmd_simulate(args):
     noise = S.noise_for(args.net, seed=args.seed)
-    rate = args.rate or S.RATE_HZ[args.net]
+    rate = S.RATE_HZ[args.net] if args.rate is None else args.rate
     control_cfg = sim_cfg = None
     if args.config:
         control_cfg, sim_cfg, noise_std = _load_sim_config(args.config)
         if noise_std is not None:
-            noise = S.NoiseModel(std=tuple(noise_std), seed=args.seed)
+            noise = S.NoiseModel(std=noise_std, seed=args.seed)
     log = S.run_experiment(noise, rate, control_cfg=control_cfg, sim_cfg=sim_cfg)
     m = run_metrics(log)
     write_csv(args.out, S.log_csv(log), seed=args.seed)

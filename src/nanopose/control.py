@@ -10,12 +10,27 @@ whose horizontal acceleration is limited by the 12-degree pitch ceiling
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
+from .errors import SchemaError
 from .pose import Pose, wrap_angle
 
 G_ACCEL = 9.81
 PITCH_LIMIT_DEG = 12.0
+
+
+def finite_real(v) -> bool:
+    """True for a finite real number; bools are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def require_positive(cfg, *names):
+    """Raise SchemaError unless each named field of cfg is finite and > 0."""
+    for name in names:
+        v = getattr(cfg, name)
+        if not (finite_real(v) and v > 0):
+            raise SchemaError(f"{type(cfg).__name__}.{name} must be finite and > 0, got {v!r}")
 
 
 @dataclass
@@ -27,6 +42,9 @@ class ControlConfig:
     a_max: float = G_ACCEL * math.sin(math.radians(PITCH_LIMIT_DEG))
     t_v: float = 0.3                   # velocity tracking time constant, s
     t_omega: float = 0.15              # yaw-rate tracking time constant, s
+
+    def __post_init__(self):
+        require_positive(self, *self.__dataclass_fields__)
 
 
 @dataclass

@@ -71,11 +71,3 @@ class Kalman1D:
 
     def variance(self) -> float:
         return self.p00
-
-
-def kf_step(ks: Kalman1D, obs, dt: float) -> Kalman1D:
-    """One predict step plus an update when an observation is present."""
-    ks.predict(dt)
-    if obs is not None:
-        ks.update(obs)
-    return ks

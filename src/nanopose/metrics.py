@@ -53,7 +53,7 @@ def _distance_at(log: TrajectoryLog, t: float) -> float:
     )
 
 
-def metrics(log: TrajectoryLog, phase0_end: float = 5.0) -> Metrics:
+def metrics(log: TrajectoryLog) -> Metrics:
     if not log.rows:
         raise SchemaError("empty trajectory log")
     e_xy = log.column("e_xy")
@@ -76,7 +76,7 @@ def metrics(log: TrajectoryLog, phase0_end: float = 5.0) -> Metrics:
         median_e_theta_deg=float(np.degrees(np.median(e_th))),
         p95_e_theta_deg=float(np.degrees(np.percentile(e_th, 95))),
         r2=r2,
-        phase0_final_distance=_distance_at(log, phase0_end),
+        phase0_final_distance=_distance_at(log, log.script.phase_end(0)),
         max_cmd_speed=log.max_cmd_speed,
         max_cmd_omega=log.max_cmd_omega,
         max_accel=log.max_accel,

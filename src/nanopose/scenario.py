@@ -1,16 +1,28 @@
 """Scripted subject motion for the tracking experiment.
 
-Eight phases over 50 s: stand, walk forward and back (2.4 m in 6 s each),
-sidestep left and right (2.4 m in 7 s each) without turning, a quarter
-circle of radius 2.4 m walked facing the path tangent, a 180-degree
-in-place clockwise rotation in 8 s, and a final stand.  The subject starts
-at the origin facing +x ("top of the map"); the drone starts 3.6 m in
-front, aimed 30 degrees off the subject so it must yaw left to center them.
+A script is a sequence of phases.  A phase is a body-frame velocity
+(``forward``, ``left``, m/s) and yaw rate (``yaw_rate``, rad/s,
+counter-clockwise positive) held for ``duration`` seconds, starting where
+the previous phase ended.  Without a yaw rate the subject walks a straight
+line; with one it walks an arc, and an arc with zero speed is an in-place
+turn.  The script works out each phase's start time and start pose once,
+by running the phases to their ends.  The last phase holds past the end of
+the script, so a script that ends standing keeps the subject still.
+
+The default script runs eight phases over 50 s: stand, walk forward and
+back (2.4 m in 6 s each), sidestep left and right (2.4 m in 7 s each)
+without turning, a quarter circle of radius 2.4 m walked facing the path
+tangent, a 180-degree in-place clockwise rotation in 8 s, and a final
+stand.  The subject starts at the origin facing +x ("top of the map"); the
+drone starts 3.6 m in front, aimed 30 degrees off the subject so it must
+yaw left to center them.
 """
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
+from .errors import SchemaError
 from .pose import Pose, wrap_angle
 
 WALK_DIST = 2.4
@@ -19,35 +31,76 @@ SEPARATION = 3.6
 HEADING_OFFSET = math.radians(30.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Phase:
     name: str
     duration: float
+    forward: float = 0.0    # m/s along the subject's facing axis
+    left: float = 0.0       # m/s to the subject's left
+    yaw_rate: float = 0.0   # rad/s
+
+    def state(self, start: Pose, tau: float):
+        """Pose and world-frame velocity (vx, vy, vz, omega) tau seconds
+        after starting from `start`."""
+        u, w, om = self.forward, self.left, self.yaw_rate
+        th0 = start.theta
+        if om == 0.0:
+            c, s = math.cos(th0), math.sin(th0)
+            vx, vy = u * c - w * s, u * s + w * c
+            return Pose(start.x + vx * tau, start.y + vy * tau, start.z, th0), (vx, vy, 0.0, 0.0)
+        th = th0 + om * tau
+        c, s = math.cos(th), math.sin(th)
+        c0, s0 = math.cos(th0), math.sin(th0)
+        pose = Pose(start.x + (u * (s - s0) + w * (c - c0)) / om,
+                    start.y + (u * (c0 - c) + w * (s - s0)) / om,
+                    start.z, wrap_angle(th))
+        return pose, (u * c - w * s, u * s + w * c, 0.0, om)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioScript:
     phases: tuple
     drone_start: Pose
     subject_start: Pose
+    # derived once from the phases: start time and start pose of each phase
+    starts: tuple = field(init=False, repr=False, compare=False)
+    start_poses: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        phases = tuple(self.phases)
+        if not phases or not all(p.duration > 0 for p in phases):
+            raise SchemaError("a scenario script needs phases, each with a duration > 0")
+        t, pose = 0.0, self.subject_start
+        starts, start_poses = [], []
+        for p in phases:
+            starts.append(t)
+            start_poses.append(pose)
+            t += p.duration
+            pose, _ = p.state(pose, p.duration)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "start_poses", tuple(start_poses))
 
     @property
     def total_duration(self) -> float:
-        return sum(p.duration for p in self.phases)
+        return self.phase_end(-1)
 
     def phase_end(self, index: int) -> float:
-        return sum(p.duration for p in self.phases[: index + 1])
+        return self.starts[index] + self.phases[index].duration
 
 
 def default_script() -> ScenarioScript:
+    t_walk, t_side, t_arc, t_spin = 6.0, 7.0, 6.0, 8.0   # phase durations, s
+    arc_rate = (math.pi / 2.0) / t_arc
     phases = (
         Phase("stand", 5.0),
-        Phase("forward", 6.0),
-        Phase("backward", 6.0),
-        Phase("side_left", 7.0),
-        Phase("side_right", 7.0),
-        Phase("quarter_circle", 6.0),
-        Phase("spin_180", 8.0),
+        Phase("forward", t_walk, forward=WALK_DIST / t_walk),
+        Phase("backward", t_walk, forward=-WALK_DIST / t_walk),
+        Phase("side_left", t_side, left=WALK_DIST / t_side),
+        Phase("side_right", t_side, left=-WALK_DIST / t_side),
+        # facing the tangent of a circle of radius R: forward speed R * omega
+        Phase("quarter_circle", t_arc, forward=CIRCLE_RADIUS * arc_rate, yaw_rate=arc_rate),
+        Phase("spin_180", t_spin, yaw_rate=-math.pi / t_spin),
         Phase("stand", 5.0),
     )
     # drone ahead of the subject along its facing axis, yawed 30 deg short
@@ -57,7 +110,7 @@ def default_script() -> ScenarioScript:
                           subject_start=Pose(0.0, 0.0, 0.0, 0.0))
 
 
-def subject_state_at(t: float, script: ScenarioScript = None):
+def subject_state_at(t: float, script: ScenarioScript):
     """Ground-truth subject pose and velocity at time t.
 
     Returns (Pose, (vx, vy, vz, omega)).  Motion is piecewise analytic, so
@@ -65,37 +118,14 @@ def subject_state_at(t: float, script: ScenarioScript = None):
     """
     if t < 0:
         t = 0.0
-    v_fwd = WALK_DIST / 6.0
-    v_side = WALK_DIST / 7.0
-    arc_rate = (math.pi / 2.0) / 6.0
-    arc_speed = CIRCLE_RADIUS * arc_rate
-    spin_rate = -math.pi / 8.0
-
-    if t < 5.0:
-        return Pose(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
-    if t < 11.0:
-        return Pose(v_fwd * (t - 5.0), 0.0, 0.0, 0.0), (v_fwd, 0.0, 0.0, 0.0)
-    if t < 17.0:
-        return Pose(WALK_DIST - v_fwd * (t - 11.0), 0.0, 0.0, 0.0), (-v_fwd, 0.0, 0.0, 0.0)
-    if t < 24.0:
-        return Pose(0.0, v_side * (t - 17.0), 0.0, 0.0), (0.0, v_side, 0.0, 0.0)
-    if t < 31.0:
-        return Pose(0.0, WALK_DIST - v_side * (t - 24.0), 0.0, 0.0), (0.0, -v_side, 0.0, 0.0)
-    if t < 37.0:
-        a = arc_rate * (t - 31.0)
-        pose = Pose(CIRCLE_RADIUS * math.sin(a), CIRCLE_RADIUS * (1.0 - math.cos(a)), 0.0, a)
-        vel = (arc_speed * math.cos(a), arc_speed * math.sin(a), 0.0, arc_rate)
-        return pose, vel
-    if t < 45.0:
-        th = wrap_angle(math.pi / 2.0 + spin_rate * (t - 37.0))
-        return Pose(CIRCLE_RADIUS, CIRCLE_RADIUS, 0.0, th), (0.0, 0.0, 0.0, spin_rate)
-    return Pose(CIRCLE_RADIUS, CIRCLE_RADIUS, 0.0, -math.pi / 2.0), (0.0, 0.0, 0.0, 0.0)
+    i = bisect_right(script.starts, t) - 1
+    return script.phases[i].state(script.start_poses[i], t - script.starts[i])
 
 
-def target_pose_at(t: float, delta: float) -> Pose:
+def target_pose_at(t: float, delta: float, script: ScenarioScript) -> Pose:
     """Drone pose the controller is asked to reach: delta ahead of the
     subject, facing back at them."""
-    sp, _ = subject_state_at(t)
+    sp, _ = subject_state_at(t, script)
     return Pose(
         sp.x + delta * math.cos(sp.theta),
         sp.y + delta * math.sin(sp.theta),

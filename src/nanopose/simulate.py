@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlConfig, DroneState, SubjectEstimate, step_dynamics, velocity_command
+from .control import (ControlConfig, DroneState, SubjectEstimate, finite_real, require_positive,
+                      step_dynamics, velocity_command)
 from .errors import SchemaError
 from .kalman import Kalman1D
 from .pose import Pose, to_drone, to_odometry, wrap_angle
@@ -36,12 +37,14 @@ RATE_HZ = {"160x32": 48.0, "160x16": 111.0, "80x32": 135.0, "mocap": 30.0}
 
 @dataclass
 class NoiseModel:
-    std: tuple
+    std: tuple                    # (x, y, z, theta)
     seed: int = 0
 
     def __post_init__(self):
-        if any(s < 0 for s in self.std):
-            raise SchemaError("noise std must be non-negative")
+        if not (isinstance(self.std, (tuple, list)) and len(self.std) == 4
+                and all(finite_real(s) and s >= 0 for s in self.std)):
+            raise SchemaError(f"noise std must be 4 finite values >= 0, got {self.std!r}")
+        self.std = tuple(self.std)
 
 
 def noise_for(variant: str, seed: int = 0) -> NoiseModel:
@@ -54,6 +57,11 @@ def noise_for(variant: str, seed: int = 0) -> NoiseModel:
 class SimConfig:
     q_accel_var: float = 1.0      # Kalman white-acceleration variance
     duration: float = None        # defaults to the script length
+
+    def __post_init__(self):
+        require_positive(self, "q_accel_var")
+        if self.duration is not None:
+            require_positive(self, "duration")
 
 
 LOG_COLUMNS = (
@@ -76,6 +84,7 @@ class TrajectoryLog:
     max_accel: float
     rate_hz: float
     seed: int
+    script: ScenarioScript
 
     def column(self, name: str) -> np.ndarray:
         i = self.columns.index(name)
@@ -88,8 +97,8 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     cfg = control_cfg or ControlConfig()
     sim = sim_cfg or SimConfig()
     script = script or default_script()
-    if inference_rate <= 0:
-        raise SchemaError("inference rate must be positive")
+    if not (finite_real(inference_rate) and inference_rate > 0):
+        raise SchemaError(f"inference rate must be finite and > 0, got {inference_rate!r}")
     rng = np.random.default_rng(noise.seed)
     duration = sim.duration if sim.duration is not None else script.total_duration
 
@@ -120,7 +129,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
     def log_row(t):
         sp, _ = subject_state_at(t, script)
-        tgt = target_pose_at(t, cfg.delta)
+        tgt = target_pose_at(t, cfg.delta, script)
         e_xy = math.hypot(drone.x - tgt.x, drone.y - tgt.y)
         e_th = abs(wrap_angle(drone.theta - tgt.theta))
         est = estimate_pose() or (math.nan,) * 4
@@ -173,15 +182,12 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
                     vel=tuple(f.v for f in filters),
                 )
                 cmd_v, cmd_w = velocity_command(readout_pose, est, cfg)
-                assert all(abs(v) <= cfg.v_max + 1e-9 for v in cmd_v)
-                assert abs(cmd_w) <= cfg.omega_max + 1e-9
                 max_cmd_speed = max(max_cmd_speed, max(abs(v) for v in cmd_v))
                 max_cmd_omega = max(max_cmd_omega, abs(cmd_w))
             pending = capture(t_ev)
             obs_index += 1
             next_obs_t = obs_index * obs_period
         ah = step_dynamics(drone, cmd_v, cmd_w, dt, cfg)
-        assert ah <= cfg.a_max + 1e-9
         max_accel = max(max_accel, ah)
         if tick % readout_every == 0:
             readout_pose = drone.pose()
@@ -190,7 +196,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     return TrajectoryLog(
         columns=LOG_COLUMNS, rows=rows, observations=observations,
         max_cmd_speed=max_cmd_speed, max_cmd_omega=max_cmd_omega, max_accel=max_accel,
-        rate_hz=inference_rate, seed=noise.seed,
+        rate_hz=inference_rate, seed=noise.seed, script=script,
     )
 
 

@@ -172,6 +172,30 @@ class TestSimulate:
                         "--out", str(tmp_path / "t2.csv")])
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("rate", ["0", "nan", "inf"])
+    def test_bad_rate_exit_4(self, tmp_path, capsys, rate):
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--net", "mocap", "--rate", rate, "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"tau": 0}, {"t_v": -0.3}, {"delta": "far"}, {"a_max": True},
+        {"q_accel_var": float("inf")}, {"duration": float("nan")},
+        {"noise_std": [0.1, 0.2]}, {"noise_std": [0.1, 0.1, 0.1, -0.1]}, {"noise_std": 0.3},
+        [1, 2],
+    ], ids=json.dumps)
+    def test_bad_config_values_exit_4(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--net", "mocap", "--config", str(cfg),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_mocap_beats_noisy(self, tmp_path):
         import re
 

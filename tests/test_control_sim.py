@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nanopose.control import ControlConfig, DroneState, SubjectEstimate, step_dynamics, velocity_command
+from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
-from nanopose.pose import Pose
-from nanopose.scenario import default_script, subject_state_at, target_pose_at
-from nanopose.simulate import RATE_HZ, noise_for, run_experiment
+from nanopose.pose import Pose, wrap_angle
+from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at, target_pose_at
+from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
 
 CFG = ControlConfig()
 
@@ -96,26 +97,37 @@ class TestScenario:
         assert default_script().total_duration == 50.0
 
     def test_phase_geometry(self):
-        p, v = subject_state_at(0.0)
+        s = default_script()
+        p, v = subject_state_at(0.0, s)
         assert p.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-        p, _ = subject_state_at(11.0)  # forward done
+        p, _ = subject_state_at(11.0, s)  # forward done
         assert p.x == pytest.approx(2.4)
-        p, _ = subject_state_at(24.0)  # side-left done, orientation unchanged
+        p, _ = subject_state_at(24.0, s)  # side-left done, orientation unchanged
         assert (p.y, p.theta) == (pytest.approx(2.4), 0.0)
-        p, _ = subject_state_at(37.0)  # quarter circle done, facing map-left
+        p, _ = subject_state_at(37.0, s)  # quarter circle done, facing map-left
         assert p.x == pytest.approx(2.4)
         assert p.y == pytest.approx(2.4)
         assert p.theta == pytest.approx(math.pi / 2)
-        p, _ = subject_state_at(45.0)  # in-place 180 done, facing map-right
+        p, _ = subject_state_at(45.0, s)  # in-place 180 done, facing map-right
         assert p.theta == pytest.approx(-math.pi / 2)
 
     def test_velocity_consistent_with_position(self):
+        s = default_script()
         for t in (6.0, 14.0, 20.0, 27.0, 33.0, 40.0):
             h = 1e-6
-            p0, v = subject_state_at(t - h)
-            p1, _ = subject_state_at(t + h)
+            p0, v = subject_state_at(t - h, s)
+            p1, _ = subject_state_at(t + h, s)
             assert (p1.x - p0.x) / (2 * h) == pytest.approx(v[0], abs=1e-4)
             assert (p1.y - p0.y) / (2 * h) == pytest.approx(v[1], abs=1e-4)
+
+    def test_pose_continuous_at_phase_boundaries(self):
+        s = default_script()
+        for i in range(len(s.phases) - 1):
+            b = s.phase_end(i)
+            before, _ = subject_state_at(math.nextafter(b, 0.0), s)
+            at, _ = subject_state_at(b, s)
+            assert abs(before.x - at.x) <= 1e-12 and abs(before.y - at.y) <= 1e-12
+            assert abs(wrap_angle(before.theta - at.theta)) <= 1e-12
 
     def test_initial_offset_30_degrees(self):
         s = default_script()
@@ -124,7 +136,7 @@ class TestScenario:
         assert min(off, 2 * math.pi - off) == pytest.approx(math.radians(30.0))
 
     def test_target_pose_faces_subject(self):
-        tgt = target_pose_at(0.0, 1.3)
+        tgt = target_pose_at(0.0, 1.3, default_script())
         assert tgt.x == pytest.approx(1.3)
         assert abs(tgt.theta) == pytest.approx(math.pi)
 
@@ -143,7 +155,6 @@ class TestRunExperiment:
         assert m.median_e_theta_deg < 5.0
 
     def test_stationary_subject_error_to_zero(self):
-        from nanopose.simulate import SimConfig
         # freeze the script in phase 0 by shortening the run
         log = run_experiment(noise_for("mocap", seed=2), 30.0, sim_cfg=SimConfig(duration=5.0))
         c = log.columns
@@ -168,3 +179,41 @@ class TestRunExperiment:
         log = run_experiment(noise_for("80x32", seed=6), RATE_HZ["80x32"])
         th = log.column("drone_theta")
         assert (np.abs(th) <= math.pi + 1e-12).all()
+
+
+class TestCustomScript:
+    """A script the caller builds drives the subject, the target and the
+    phase-0 distance; nothing falls back to the default script."""
+
+    def script(self):
+        d = default_script()
+        return ScenarioScript(phases=(Phase("stand", 2.0), Phase("forward", 3.0, forward=0.5)),
+                              drone_start=d.drone_start, subject_start=d.subject_start)
+
+    def test_motion_follows_script(self):
+        s = self.script()
+        assert s.total_duration == 5.0 and s.phase_end(0) == 2.0
+        assert subject_state_at(1.0, s)[0].x == 0.0
+        p, v = subject_state_at(4.0, s)
+        assert p.x == pytest.approx(1.0) and v[0] == pytest.approx(0.5)
+        assert target_pose_at(4.0, 1.3, s).x == pytest.approx(2.3)
+
+    def test_rejects_empty_or_zero_length_phases(self):
+        d = default_script()
+        for phases in ((), (Phase("stand", 2.0), Phase("forward", 0.0, forward=0.5))):
+            with pytest.raises(SchemaError):
+                ScenarioScript(phases=phases, drone_start=d.drone_start, subject_start=d.subject_start)
+
+    def test_run_logs_script(self):
+        s = self.script()
+        log = run_experiment(noise_for("mocap", seed=0), RATE_HZ["mocap"], script=s)
+        assert log.script is s
+        t, sub_x = log.column("t"), log.column("sub_x")
+        assert t[-1] == pytest.approx(5.0)
+        assert np.allclose(sub_x, np.maximum(t - 2.0, 0.0) * 0.5, atol=1e-12)
+        gap_x = log.column("drone_x") - sub_x
+        gap_y = log.column("drone_y") - log.column("sub_y")
+        # the subject faces +x throughout, so the target is delta further along x
+        assert np.allclose(log.column("e_xy"), np.hypot(gap_x - CFG.delta, gap_y), atol=1e-12)
+        i = int(np.argmin(np.abs(t - s.phase_end(0))))
+        assert metrics(log).phase0_final_distance == pytest.approx(math.hypot(gap_x[i], gap_y[i]))

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nanopose.kalman import Kalman1D, kf_step
+from nanopose.kalman import Kalman1D
 from nanopose.pose import Pose, to_drone, to_odometry, wrap_angle
+
+
+def kf_step(kf: Kalman1D, obs: float, dt: float):
+    """One predict step followed by an update."""
+    kf.predict(dt)
+    kf.update(obs)
 
 
 class TestPose:
