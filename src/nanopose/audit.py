@@ -13,6 +13,9 @@ from . import graph as G
 from .planner import STREAMED, DeploymentPlan
 
 
+_COMPUTE = (G.CONV, G.POOL, G.FC)
+
+
 @dataclass
 class AuditReport:
     ok: bool
@@ -40,12 +43,19 @@ def _tile_bytes_from_geometry(layer: G.LayerSpec, tile) -> int:
 
 def audit_plan(p: DeploymentPlan) -> AuditReport:
     problems = []
+    layers = {l.name: l for l in p.graph.layers}
 
-    # 1. every tile honors the double-buffered L1 bound and the stored bytes
+    # 1. every tile honors the double-buffered L1 bound and the stored bytes,
+    #    and every conv, pool and fc layer is scheduled
+    for l in p.graph.layers:
+        if l.kind in _COMPUTE and not p.schedule.get(l.name):
+            problems.append(f"{l.name}: no tiles scheduled")
     for name, tiles in p.schedule.items():
-        layer = p.graph.layer(name)
-        oc = layer.out_ch if layer.kind == G.FC else layer.out_shape[0]
-        oh = 1 if layer.kind == G.FC else layer.out_shape[1]
+        layer = layers.get(name)
+        if layer is None:
+            problems.append(f"{name}: scheduled but not in the graph")
+            continue
+        oc, oh = layer.out_shape[:2]
         cover = np.zeros((oc, oh), dtype=np.int32)
         for t in tiles:
             need = _tile_bytes_from_geometry(layer, t)
@@ -64,31 +74,51 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
             dup = int((cover > 1).sum())
             problems.append(f"{name}: output coverage broken ({missed} cells uncovered, {dup} overlapped)")
 
-    # 2. L2 occupancy recomputed from graph shapes
+    # 2. stages run the graph's conv, pool and fc layers once each, in order;
+    #    their figures and L2 occupancy are recomputed from graph shapes
+    staged = [x for n in p.nodes for x in n.layer_names]
+    if (not all(n.layer_names for n in p.nodes) or any(x not in layers for x in staged)
+            or [x for x in staged if layers[x].kind in _COMPUTE]
+            != [l.name for l in p.graph.layers if l.kind in _COMPUTE]):
+        problems.append(f"stages {[n.layer_names for n in p.nodes]} do not run the graph's "
+                        f"conv, pool and fc layers in order")
+        return AuditReport(ok=False, problems=problems)
+    if len(p.occupancy) != len(p.nodes):
+        problems.append(f"{len(p.occupancy)} occupancy rows for {len(p.nodes)} stages")
     total_w = sum(l.weight_count() for l in p.graph.layers)
-    node_w = {n.name: n.weight_bytes for n in p.nodes}
+    flagged = {v.split(":", 1)[0] for v in p.violations}
     for i, (n, row) in enumerate(zip(p.nodes, p.occupancy)):
-        in_b = int(np.prod(p.graph.layer(n.layer_names[0]).in_shape))
-        last = p.graph.layer(n.layer_names[-1])
-        out_b = int(np.prod(last.out_shape)) * (4 if last.kind == G.FC else 1)
+        group = [layers[x] for x in n.layer_names]
+        first = group[0]
+        derived = (first.kind, sum(l.macs() for l in group), sum(l.weight_count() for l in group),
+                   first.out_shape[1], first.weight_count() // first.out_ch)
+        if (n.kind, n.macs, n.weight_bytes, n.out_rows, n.dot_len) != derived:
+            problems.append(f"{n.name}: stage kind, macs, weights, rows or dot length differ "
+                            f"from the graph's {derived}")
+        if row.node != n.name:
+            problems.append(f"occupancy row {i} is for {row.node}, stage is {n.name}")
+        in_b = int(np.prod(first.in_shape))
+        out_b = int(np.prod(group[-1].out_shape)) * (4 if group[-1].kind == G.FC else 1)
         if (row.input_bytes, row.output_bytes) != (in_b, out_b):
             problems.append(f"{n.name}: occupancy buffers {row.input_bytes}/{row.output_bytes} "
                             f"!= graph-derived {in_b}/{out_b}")
         if p.policy == STREAMED:
             expect_next = p.nodes[i + 1].weight_bytes if i + 1 < len(p.nodes) else 0
-            if row.weights_next != expect_next:
-                problems.append(f"{n.name}: streamed next-weights {row.weights_next} != {expect_next}")
+            if (row.weights_current, row.weights_next) != (n.weight_bytes, expect_next):
+                problems.append(f"{n.name}: streamed current/next weights {row.weights_current}/"
+                                f"{row.weights_next} != {n.weight_bytes}/{expect_next}")
             total = row.code + n.weight_bytes + expect_next + in_b + out_b
         else:
             if row.weights_resident != total_w:
                 problems.append(f"{n.name}: resident weights {row.weights_resident} != {total_w}")
             total = row.code + total_w + in_b + out_b
-        if total > p.mem.l2_bytes and f"{n.name}:" not in " ".join(p.violations):
+        if total > p.mem.l2_bytes and n.name not in flagged:
             problems.append(f"{n.name}: L2 occupancy {total} > {p.mem.l2_bytes} not flagged by planner")
 
     # 3. weight conservation: stage weights add up to the L3 total
-    if sum(node_w.values()) != p.l3_weight_bytes or p.l3_weight_bytes != total_w:
-        problems.append(f"weight totals disagree: nodes {sum(node_w.values())}, "
+    node_w = sum(n.weight_bytes for n in p.nodes)
+    if node_w != p.l3_weight_bytes or p.l3_weight_bytes != total_w:
+        problems.append(f"weight totals disagree: nodes {node_w}, "
                         f"plan {p.l3_weight_bytes}, graph {total_w}")
 
     return AuditReport(ok=not problems, problems=problems)

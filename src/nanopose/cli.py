@@ -9,6 +9,7 @@ artifact, 5 violated resource constraint, 1 anything else.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -25,7 +26,8 @@ from . import simulate as S
 from . import tensorfile
 from .metrics import metrics as run_metrics, metrics_csv
 from .audit import audit_plan
-from .errors import ConstraintError, NanoposeError, SchemaError
+from .control import ControlConfig
+from .errors import ConstraintError, NanoposeError, SchemaError, parse_doc
 from .floatnet import random_float_net
 from .pose import Pose
 from .qtensor import QTensor
@@ -46,41 +48,21 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def provenance_lines(seed=None, inputs=()):
-    lines = [f"nanopose {__version__}"]
-    if seed is not None:
-        lines.append(f"seed={seed}")
-    for path in inputs:
-        lines.append(f"input {os.path.basename(path)} sha256={_sha256(path)}")
-    return lines
-
-
-def provenance_dict(seed=None, inputs=()):
-    d = {"tool": f"nanopose {__version__}"}
-    if seed is not None:
-        d["seed"] = seed
-    d["inputs"] = {os.path.basename(p): _sha256(p) for p in inputs}
-    return d
-
-
 def write_csv(path, body, seed=None, inputs=()):
-    header = "".join(f"# {line}\n" for line in provenance_lines(seed, inputs))
+    """Write a CSV artifact under a `#` provenance header."""
+    lines = [f"nanopose {__version__}"] + [f"seed={seed}"] * (seed is not None)
+    lines += [f"input {os.path.basename(p)} sha256={_sha256(p)}" for p in inputs]
     with open(path, "w") as f:
-        f.write(header + body)
+        f.write("".join(f"# {line}\n" for line in lines) + body)
 
 
 def write_json(path, doc, seed=None, inputs=()):
-    doc = dict(doc)
-    doc["_provenance"] = provenance_dict(seed, inputs)
+    """Write a JSON artifact with a `_provenance` record added."""
+    prov = {"tool": f"nanopose {__version__}", **({"seed": seed} if seed is not None else {}),
+            "inputs": {os.path.basename(p): _sha256(p) for p in inputs}}
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        json.dump(dict(doc, _provenance=prov), f, indent=2)
         f.write("\n")
-
-
-def _require(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return path
 
 
 def cmd_analyze(args):
@@ -103,18 +85,25 @@ def cmd_analyze(args):
         write_csv(args.out, body)
     if args.graph_out:
         with open(args.graph_out, "w") as f:
-            f.write(G.to_json(g))
+            json.dump(G.to_doc(g), f, indent=2)
     return EXIT_OK
 
 
-def _load_graph(path):
-    with open(_require(path)) as f:
-        return G.from_json(f.read())
+def _load_options(path, fields) -> dict:
+    """The settings of one JSON option file.  Keys starting with `_` (such
+    as provenance) are dropped; any other key outside `fields` is an error."""
+    with open(path, "rb") as f:
+        doc = {k: v for k, v in parse_doc(f.read(), path).items() if not k.startswith("_")}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {unknown}; expect some of {sorted(fields)}")
+    return doc
 
 
 def cmd_quantize(args):
     if args.graph:
-        g = _load_graph(args.graph)
+        with open(args.graph, "rb") as f:
+            g = G.from_doc(parse_doc(f.read(), args.graph, "nanopose-graph"))
     else:
         g = G.build_variant(args.net)
     inputs = [p for p in (args.graph,) if p]
@@ -122,7 +111,7 @@ def cmd_quantize(args):
         net = random_float_net(g, seed=0)
         for l in g.layers:
             if l.kind in (G.CONV, G.FC):
-                path = _require(os.path.join(args.weights, f"{l.name}.qtns"))
+                path = os.path.join(args.weights, f"{l.name}.qtns")
                 data, _, _ = tensorfile.read_tensor(path)
                 net.weights[l.name] = np.asarray(data, dtype=np.float64).reshape(net.weights[l.name].shape)
                 inputs.append(path)
@@ -130,7 +119,7 @@ def cmd_quantize(args):
         net = random_float_net(g, seed=args.seed)
     if args.calib:
         imgs = []
-        for fn in sorted(os.listdir(_require(args.calib))):
+        for fn in sorted(os.listdir(args.calib)):
             if fn.endswith(".pgm"):
                 from .pgm import read_pgm
                 px = read_pgm(os.path.join(args.calib, fn))
@@ -143,10 +132,7 @@ def cmd_quantize(args):
                 for _ in range(args.calib_size)]
     alphas = Q.calibrate(net, Q.CalibrationSet(imgs))
     qg = Q.convert(net, alphas)
-    Q.save_qgraph(qg, args.out)
-    with open(args.out) as f:
-        doc = json.load(f)
-    write_json(args.out, doc, seed=args.seed, inputs=inputs)
+    write_json(args.out, Q.qgraph_doc(qg, args.out), seed=args.seed, inputs=inputs)
     print(f"wrote {args.out} (+{len(qg.weights)} weight tensors)")
     return EXIT_OK
 
@@ -154,8 +140,8 @@ def cmd_quantize(args):
 def cmd_infer(args):
     from .pgm import read_pgm
 
-    qg = Q.load_qgraph(_require(args.qgraph))
-    px = read_pgm(_require(args.image))
+    qg = Q.load_qgraph(args.qgraph)
+    px = read_pgm(args.image)
     _, h, w = qg.graph.input_shape
     if px.shape == (h, w):
         img = QTensor(px.reshape(1, h, w), engine.image_qparams())
@@ -173,30 +159,16 @@ def cmd_infer(args):
     return EXIT_OK
 
 
-def _load_mem(path):
-    if not path:
-        return P.GAP8
-    with open(_require(path)) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: {e}") from e
-    try:
-        return P.MemoryHierarchy(**{k: doc[k] for k in
-                                    ("l1_bytes", "l2_bytes", "l3_bytes", "code_budget_l2") if k in doc})
-    except TypeError as e:
-        raise SchemaError(f"{path}: {e}") from e
-
-
 def cmd_plan(args):
     if args.qgraph:
-        src = Q.load_qgraph(_require(args.qgraph))
+        src = Q.load_qgraph(args.qgraph)
         inputs = [args.qgraph]
     else:
         src = G.build_variant(args.net)
         inputs = []
-    mem = _load_mem(args.mem)
+    mem = P.GAP8
     if args.mem:
+        mem = P.MemoryHierarchy(**_load_options(args.mem, P.MemoryHierarchy.__dataclass_fields__))
         inputs.append(args.mem)
     policy = {"streamed": P.STREAMED, "resident": P.RESIDENT}.get(args.policy, args.policy)
     p = P.plan(src, mem, policy, fuse_pool=not args.no_fuse_pool)
@@ -214,23 +186,15 @@ def cmd_plan(args):
 
 
 def cmd_sweep(args):
-    with open(_require(args.plan)) as f:
+    with open(args.plan, "rb") as f:
         p = P.plan_from_json(f.read())
-    inputs = [args.plan]
+    rep = audit_plan(p)
+    if not rep.ok:
+        raise SchemaError(f"{args.plan}: plan failed its audit: " + "; ".join(rep.problems))
+    inputs, params = [args.plan], None
     if args.params:
-        with open(_require(args.params)) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{args.params}: {e}") from e
-        doc = {k: v for k, v in doc.items() if not k.startswith("_")}
-        try:
-            params = C.CostParams(**doc)
-        except TypeError as e:
-            raise SchemaError(f"{args.params}: {e}") from e
+        params = C.CostParams(**_load_options(args.params, C.CostParams.__dataclass_fields__))
         inputs.append(args.params)
-    else:
-        params = C.CostParams()
     result = C.sweep(p, params=params)
     write_csv(args.out, C.sweep_csv(result), inputs=inputs)
     be, bt = result.best_energy, result.best_throughput
@@ -245,49 +209,19 @@ def cmd_calibrate(args):
     targets = [(plans[tag], C.operating_point(*f), fps, mw)
                for tag, f, fps, mw in C.REFERENCE_POINTS]
     params, residuals, info = C.calibrate_params(targets)
-    doc = {k: v for k, v in params.__dict__.items()}
-    doc["_fit"] = dict(residuals=[float(r) for r in residuals], **info)
-    write_json(args.out, doc)
+    write_json(args.out, dict(vars(params), _fit=dict(residuals=[float(r) for r in residuals], **info)))
     print(f"fitted parameters -> {args.out}; max |residual| = {np.abs(residuals).max():.4f}")
     return EXIT_OK
 
 
-def _load_sim_config(path):
-    """Controller/simulation overrides from one JSON document.
-
-    Recognized keys: ControlConfig fields (delta, tau, v_max, omega_max,
-    a_max, t_v, t_omega), SimConfig fields (q_accel_var, duration), and
-    noise_std (4 values replacing the variant preset).
-    """
-    from .control import ControlConfig
-    from .simulate import SimConfig
-
-    with open(_require(path)) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    doc = {k: v for k, v in doc.items() if not k.startswith("_")}
-    noise_std = doc.pop("noise_std", None)
-    ctl_fields = {k: doc.pop(k) for k in list(doc)
-                  if k in ControlConfig.__dataclass_fields__}
-    sim_fields = {k: doc.pop(k) for k in list(doc)
-                  if k in SimConfig.__dataclass_fields__}
-    if doc:
-        raise SchemaError(f"{path}: unknown config keys {sorted(doc)}")
-    return ControlConfig(**ctl_fields), SimConfig(**sim_fields), noise_std
-
-
 def cmd_simulate(args):
-    noise = S.noise_for(args.net, seed=args.seed)
+    ctl, sim = ControlConfig.__dataclass_fields__, S.SimConfig.__dataclass_fields__
+    doc = _load_options(args.config, (*ctl, *sim, "noise_std")) if args.config else {}
+    noise = (S.NoiseModel(std=doc["noise_std"], seed=args.seed) if "noise_std" in doc
+             else S.noise_for(args.net, seed=args.seed))
     rate = S.RATE_HZ[args.net] if args.rate is None else args.rate
-    control_cfg = sim_cfg = None
-    if args.config:
-        control_cfg, sim_cfg, noise_std = _load_sim_config(args.config)
-        if noise_std is not None:
-            noise = S.NoiseModel(std=noise_std, seed=args.seed)
+    control_cfg = ControlConfig(**{k: v for k, v in doc.items() if k in ctl})
+    sim_cfg = S.SimConfig(**{k: v for k, v in doc.items() if k in sim})
     log = S.run_experiment(noise, rate, control_cfg=control_cfg, sim_cfg=sim_cfg)
     m = run_metrics(log)
     write_csv(args.out, S.log_csv(log), seed=args.seed)
@@ -302,9 +236,14 @@ def cmd_simulate(args):
 def cmd_augment(args):
     from .pgm import read_pgm, write_pgm
 
-    px = read_pgm(_require(args.image))
-    x, y, z, theta = (float(v) for v in args.label.split(","))
-    li = A.LabeledImage(px, Pose(x, y, z, theta))
+    px = read_pgm(args.image)
+    try:
+        label = [float(v) for v in args.label.split(",")]
+    except ValueError:
+        label = []
+    if len(label) != 4 or not all(map(math.isfinite, label)):
+        raise SchemaError(f"--label must be four finite numbers x,y,z,theta, got {args.label!r}")
+    li = A.LabeledImage(px, Pose(*label))
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     rows = ["file,x,y,z,theta"]
@@ -394,7 +333,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         print(f"nanopose: error[not-found]: {e}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except SchemaError as e:

@@ -10,27 +10,13 @@ whose horizontal acceleration is limited by the 12-degree pitch ceiling
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import SchemaError
+from .errors import require_positive
 from .pose import Pose, wrap_angle
 
 G_ACCEL = 9.81
 PITCH_LIMIT_DEG = 12.0
-
-
-def finite_real(v) -> bool:
-    """True for a finite real number; bools are not numbers here."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def require_positive(cfg, *names):
-    """Raise SchemaError unless each named field of cfg is finite and > 0."""
-    for name in names:
-        v = getattr(cfg, name)
-        if not (finite_real(v) and v > 0):
-            raise SchemaError(f"{type(cfg).__name__}.{name} must be finite and > 0, got {v!r}")
 
 
 @dataclass
@@ -57,15 +43,23 @@ def _clamp(v, lim):
     return lim if v > lim else (-lim if v < -lim else v)
 
 
+def target_pose(subject: Pose, delta: float) -> Pose:
+    """The pose delta ahead of the subject along its facing axis, facing
+    back at it: where the controller sends the drone."""
+    return Pose(
+        subject.x + delta * math.cos(subject.theta),
+        subject.y + delta * math.sin(subject.theta),
+        subject.z,
+        wrap_angle(subject.theta + math.pi),
+    )
+
+
 def velocity_command(drone: Pose, subject: SubjectEstimate, cfg: ControlConfig):
     """Target linear velocity and yaw rate for the current estimates."""
-    ex, ey = math.cos(subject.pose.theta), math.sin(subject.pose.theta)
-    tx = subject.pose.x + ex * cfg.delta
-    ty = subject.pose.y + ey * cfg.delta
-    tz = subject.pose.z
-    vx = _clamp((tx - drone.x) / cfg.tau + subject.vel[0], cfg.v_max)
-    vy = _clamp((ty - drone.y) / cfg.tau + subject.vel[1], cfg.v_max)
-    vz = _clamp((tz - drone.z) / cfg.tau + subject.vel[2], cfg.v_max)
+    tgt = target_pose(subject.pose, cfg.delta)
+    vx = _clamp((tgt.x - drone.x) / cfg.tau + subject.vel[0], cfg.v_max)
+    vy = _clamp((tgt.y - drone.y) / cfg.tau + subject.vel[1], cfg.v_max)
+    vz = _clamp((tgt.z - drone.z) / cfg.tau + subject.vel[2], cfg.v_max)
     dx = subject.pose.x - drone.x
     dy = subject.pose.y - drone.y
     if dx * dx + dy * dy < 1e-12:

@@ -13,12 +13,12 @@ This is a fitted model, not an emulator: silicon measurements enter only as
 calibration targets.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import FitError, SchemaError
+from .errors import FitError, SchemaError, finite_real, require_positive
 from .planner import RESIDENT, DeploymentPlan
 
 # minimum VDD enabling a frequency (either domain), 0.05 V steps; transcribed
@@ -81,11 +81,13 @@ class CostParams:
     cl_base_activity: float = 0.2          # cluster activity floor while computing
     fc_idle_activity: float = 0.3          # FC activity while not driving DMA
 
-    def validate(self):
-        vals = asdict(self)
-        if any(v <= 0 for k, v in vals.items() if isinstance(v, float) and "activity" not in k):
-            raise SchemaError("cost parameters must be positive")
-        return self
+    def __post_init__(self):
+        fractions = ("cl_base_activity", "fc_idle_activity")
+        require_positive(self, *(k for k in self.__dataclass_fields__ if k not in fractions))
+        for k in fractions:
+            v = getattr(self, k)
+            if not (finite_real(v) and 0.0 <= v <= 1.0):
+                raise SchemaError(f"CostParams.{k} must be a fraction in [0, 1], got {v!r}")
 
 
 @dataclass
@@ -118,9 +120,7 @@ def stage_utilization(node, params: CostParams):
 
 
 def estimate(plan: DeploymentPlan, op: OperatingPoint, params: CostParams = None) -> CostEstimate:
-    params = (params or CostParams()).validate()
-    if op.f_fc <= 0 or op.f_cl <= 0:
-        raise SchemaError("zero frequency")
+    params = params or CostParams()
     f_fc = op.f_fc * 1e6
     f_cl = op.f_cl * 1e6
     streamed = plan.policy != RESIDENT
@@ -172,6 +172,7 @@ class SweepResult:
 
 def sweep(plan: DeploymentPlan, grid=None, params: CostParams = None) -> SweepResult:
     grid = grid or default_grid()
+    params = params or CostParams()
     rows = [estimate(plan, op, params) for op in grid]
     return SweepResult(
         rows=rows,

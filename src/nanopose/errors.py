@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the rules that turn
+malformed input into SchemaError.
 
 Keeping these in one place lets the CLI map error classes to stable exit
-codes without importing every module.
+codes without importing every module.  Every JSON document is read by
+`parse_doc`, and each decoder runs under `decoding`.
 """
+
+import json
+import math
+import numbers
+from contextlib import contextmanager
 
 
 class NanoposeError(Exception):
@@ -60,3 +67,60 @@ class PlanConstraintError(ConstraintError):
 
 class FitError(NanoposeError):
     """Cost-model parameter calibration failed."""
+
+
+def parse_doc(text, where: str, fmt: str = None) -> dict:
+    """Parse one JSON document (str or UTF-8 bytes) that must be an object,
+    and, when fmt is given, a version 1 document of that format."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:   # malformed, too deeply nested or not UTF-8
+        raise SchemaError(f"{where}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    if fmt is not None and (doc.get("format"), doc.get("version")) != (fmt, 1):
+        raise SchemaError(f"{where}: not a version 1 {fmt} document")
+    return doc
+
+
+@contextmanager
+def decoding(where: str):
+    """Turn a missing key or a mistyped value met while decoding into SchemaError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise SchemaError(f"{where}: missing or mistyped field: {e}") from e
+
+
+def finite_real(v) -> bool:
+    """True for a finite real number; bools are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def require_positive(obj, *names):
+    """Raise SchemaError unless each named field of obj is finite and > 0."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (finite_real(v) and v > 0):
+            raise SchemaError(f"{type(obj).__name__}.{name} must be finite and > 0, got {v!r}")
+
+
+def as_int(v, lo: int = 0) -> int:
+    """A document integer >= lo; ValueError otherwise."""
+    if type(v) is not int or v < lo:   # bool is not an integer here
+        raise ValueError(f"expected an integer >= {lo}, got {v!r}")
+    return v
+
+
+def as_str(v) -> str:
+    """A document string; ValueError otherwise."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
+def as_ints(v, n: int, lo: int = 0) -> tuple:
+    """A document list of n integers >= lo, as a tuple."""
+    if not (isinstance(v, (list, tuple)) and len(v) == n and all(type(x) is int and x >= lo for x in v)):
+        raise ValueError(f"expected {n} integers >= {lo}, got {v!r}")
+    return tuple(v)

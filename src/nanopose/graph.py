@@ -6,20 +6,17 @@ three variants named by input width and base channel count: 160x32, 160x16,
 and 80x32.
 """
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, as_int, as_ints, as_str, decoding
 
 CONV = "conv2d"
 POOL = "maxpool"
 REQUANT = "requant_act"
 FC = "fully_connected"
 DROPOUT = "dropout_noop"
-
-KINDS = (CONV, POOL, REQUANT, FC, DROPOUT)
 
 VARIANTS = ("160x32", "160x16", "80x32")
 
@@ -82,24 +79,33 @@ def conv_out_hw(h, w, kernel, stride, padding):
 
 
 def infer_shapes(g: NetGraph) -> NetGraph:
-    """Fill every layer's in/out shape by walking the chain."""
+    """Check the chain's structure and fill every layer's in/out shape."""
+    if not g.layers:
+        raise SchemaError("empty graph")
+    if len({l.name for l in g.layers}) != len(g.layers):
+        raise SchemaError("layer names are not unique")
     shape = tuple(g.input_shape)
+    prev = None
     for l in g.layers:
+        # quantization folds each conv's batch-norm into the activation
+        # stage right after it
+        if (l.kind == REQUANT) != (prev == CONV):
+            raise SchemaError(f"{l.name}: each conv needs an activation stage right after it, "
+                              f"and only a conv may precede one")
+        prev = l.kind
         l.in_shape = shape
         c, h, w = shape
         if l.kind == CONV:
             if l.in_ch != c:
                 raise SchemaError(f"{l.name}: in_ch {l.in_ch} != incoming channels {c}")
-            oh, ow = conv_out_hw(h, w, l.kernel, l.stride, l.padding)
-            if oh <= 0 or ow <= 0:
-                raise SchemaError(f"{l.name}: spatial dimension collapsed to {oh}x{ow}")
-            shape = (l.out_ch, oh, ow)
+            shape = (l.out_ch, *conv_out_hw(h, w, l.kernel, l.stride, l.padding))
         elif l.kind == POOL:
-            oh, ow = h // l.stride[0], w // l.stride[1]
-            if oh <= 0 or ow <= 0:
-                raise SchemaError(f"{l.name}: spatial dimension collapsed to {oh}x{ow}")
+            # the engine and the oracles implement 2x2 / stride-2 pooling only
+            if tuple(l.kernel) != (2, 2) or tuple(l.stride) != (2, 2):
+                raise SchemaError(f"{l.name}: pooling must be 2x2 with stride 2, got "
+                                  f"kernel {tuple(l.kernel)} stride {tuple(l.stride)}")
             l.in_ch = l.out_ch = c
-            shape = (c, oh, ow)
+            shape = (c, h // 2, w // 2)
         elif l.kind in (REQUANT, DROPOUT):
             l.in_ch = l.out_ch = c
         elif l.kind == FC:
@@ -109,6 +115,8 @@ def infer_shapes(g: NetGraph) -> NetGraph:
             shape = (l.out_ch, 1, 1)
         else:
             raise SchemaError(f"unknown layer kind {l.kind!r}")
+        if shape[1] <= 0 or shape[2] <= 0:
+            raise SchemaError(f"{l.name}: spatial dimension collapsed to {shape[1]}x{shape[2]}")
         l.out_shape = shape
     return g
 
@@ -172,7 +180,7 @@ def analyze(g: NetGraph) -> GraphStats:
     the input image, all weights, and every intermediate activation buffer
     at one byte per element (four for the 32-bit head outputs).
     """
-    validate(g)
+    infer_shapes(g)
     macs = sum(l.macs() for l in g.layers)
     params = sum(l.weight_count() for l in g.layers)
     memory = int(np.prod(g.input_shape)) + params + sum(_buffer_bytes(l) for l in g.layers)
@@ -197,56 +205,27 @@ def layer_table(g: NetGraph):
     return rows
 
 
-def validate(g: NetGraph) -> None:
-    if not g.layers:
-        raise SchemaError("empty graph")
-    shape = tuple(g.input_shape)
-    for l in g.layers:
-        if l.kind not in KINDS:
-            raise SchemaError(f"unknown layer kind {l.kind!r}")
-        if l.in_shape is None or l.out_shape is None:
-            raise SchemaError(f"{l.name}: shapes not inferred")
-        if tuple(l.in_shape) != shape:
-            raise SchemaError(f"{l.name}: in_shape {l.in_shape} != previous out_shape {shape}")
-        shape = tuple(l.out_shape)
-
-
-def to_json(g: NetGraph) -> str:
-    doc = {
+def to_doc(g: NetGraph) -> dict:
+    """The graph as a nanopose-graph document (a dict ready for json)."""
+    return {
         "format": "nanopose-graph",
         "version": 1,
         "variant": g.variant,
         "input_shape": list(g.input_shape),
-        "layers": [asdict(l) for l in g.layers],
+        "layers": [dict(vars(l)) for l in g.layers],
     }
-    return json.dumps(doc, indent=2)
 
 
-def from_json(text: str) -> NetGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"graph document is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("format") != "nanopose-graph":
-        raise SchemaError("not a nanopose-graph document")
-    try:
+def from_doc(doc: dict) -> NetGraph:
+    """Decode a nanopose-graph document.  Layer shapes are derived again
+    from the layer parameters, so the stored ones are not read."""
+    with decoding("graph document"):
         layers = [
-            LayerSpec(
-                kind=d["kind"],
-                name=d["name"],
-                in_ch=d["in_ch"],
-                out_ch=d["out_ch"],
-                kernel=tuple(d["kernel"]),
-                stride=tuple(d["stride"]),
-                padding=tuple(d["padding"]),
-                in_shape=tuple(d["in_shape"]) if d.get("in_shape") else None,
-                out_shape=tuple(d["out_shape"]) if d.get("out_shape") else None,
-            )
+            LayerSpec(kind=d["kind"], name=as_str(d["name"]), in_ch=as_int(d["in_ch"], 1),
+                      out_ch=as_int(d["out_ch"], 1), kernel=as_ints(d["kernel"], 2, 1),
+                      stride=as_ints(d["stride"], 2, 1), padding=as_ints(d["padding"], 2))
             for d in doc["layers"]
         ]
-        g = NetGraph(layers=layers, input_shape=tuple(doc["input_shape"]), variant=doc.get("variant", ""))
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"graph document missing field: {e}") from e
-    infer_shapes(g)
-    validate(g)
-    return g
+        g = NetGraph(layers=layers, input_shape=as_ints(doc["input_shape"], 3, 1),
+                     variant=as_str(doc.get("variant", "")))
+    return infer_shapes(g)

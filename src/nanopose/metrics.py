@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .simulate import TrajectoryLog
+from .simulate import READOUT_HZ, TrajectoryLog
 
 
 def rsquared(y_true, y_pred) -> float:
@@ -36,14 +36,17 @@ class Metrics:
     median_e_theta_deg: float
     p95_e_theta_deg: float
     r2: dict                      # per observed variable, drone frame
-    phase0_final_distance: float  # drone-subject distance at the end of phase 0
+    phase0_final_distance: float  # drone-subject distance as phase 0 ends; NaN if the run ends first
     max_cmd_speed: float
     max_cmd_omega: float
     max_accel: float
 
 
 def _distance_at(log: TrajectoryLog, t: float) -> float:
+    """Drone-subject distance at the log row nearest t; NaN if the log ends before t."""
     ts = log.column("t")
+    if ts[-1] < t - 0.5 / READOUT_HZ:
+        return math.nan
     i = int(np.argmin(np.abs(ts - t)))
     row = log.rows[i]
     c = log.columns

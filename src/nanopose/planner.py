@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import graph as G
-from .errors import PlanConstraintError, SchemaError, UntileableLayerError
+from .errors import (PlanConstraintError, SchemaError, UntileableLayerError, as_int,
+                     as_str, decoding, parse_doc)
 
 STREAMED = "streamed_l3"
 RESIDENT = "resident_l2"
@@ -27,13 +28,12 @@ class MemoryHierarchy:
     l2_bytes: int = 512 * 1024
     l3_bytes: int = 8 * 1024 * 1024
     code_budget_l2: int = 80 * 1024
-    dma_channels: str = "autonomous uDMA between L3/L2; cluster DMA between L2/L1"
 
     def __post_init__(self):
-        if not self.l1_bytes < self.l2_bytes < self.l3_bytes:
-            raise SchemaError("memory hierarchy must satisfy l1 < l2 < l3")
-        if not self.code_budget_l2 < self.l2_bytes:
-            raise SchemaError("code budget must be below l2")
+        if not (all(type(v) is int and v > 0 for v in vars(self).values())
+                and self.l1_bytes < self.l2_bytes < self.l3_bytes and self.code_budget_l2 < self.l2_bytes):
+            raise SchemaError(f"memory sizes must be positive integers with l1 < l2 < l3 and code "
+                              f"budget < l2, got {vars(self)}")
 
 
 GAP8 = MemoryHierarchy()
@@ -235,7 +235,7 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     if not g.layers:
         return DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=[], occupancy=[],
                               schedule={}, l3_weight_bytes=0)
-    G.validate(g)
+    G.infer_shapes(g)
     nodes = build_nodes(g, fuse_pool=fuse_pool)
     total_w = sum(n.weight_bytes for n in nodes)
 
@@ -250,18 +250,13 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
 
     occupancy = []
     violations = []
+    streamed = policy == STREAMED
     for i, n in enumerate(nodes):
-        if policy == STREAMED:
-            w_next = nodes[i + 1].weight_bytes if i + 1 < len(nodes) else 0
-            row = OccupancyRow(node=n.name, code=mem.code_budget_l2,
-                               weights_current=n.weight_bytes, weights_next=w_next,
-                               weights_resident=0,
-                               input_bytes=n.in_bytes, output_bytes=n.out_bytes)
-        else:
-            row = OccupancyRow(node=n.name, code=mem.code_budget_l2,
-                               weights_current=0, weights_next=0,
-                               weights_resident=total_w,
-                               input_bytes=n.in_bytes, output_bytes=n.out_bytes)
+        w_next = nodes[i + 1].weight_bytes if streamed and i + 1 < len(nodes) else 0
+        row = OccupancyRow(node=n.name, code=mem.code_budget_l2,
+                           weights_current=n.weight_bytes if streamed else 0, weights_next=w_next,
+                           weights_resident=0 if streamed else total_w,
+                           input_bytes=n.in_bytes, output_bytes=n.out_bytes)
         occupancy.append(row)
         if row.total > mem.l2_bytes:
             violations.append(f"{n.name}: L2 occupancy {row.total} > {mem.l2_bytes}")
@@ -329,55 +324,59 @@ def plan_to_json(p: DeploymentPlan) -> str:
         "format": "nanopose-plan",
         "version": 1,
         "policy": p.policy,
-        "mem": {k: getattr(p.mem, k) for k in
-                ("l1_bytes", "l2_bytes", "l3_bytes", "code_budget_l2")},
-        "graph": json.loads(G.to_json(p.graph)),
+        "mem": asdict(p.mem),
+        "graph": G.to_doc(p.graph),
         "nodes": [asdict(n) for n in p.nodes],
         "occupancy": memory_report(p),
         "l3_weight_bytes": p.l3_weight_bytes,
         "violations": p.violations,
         "schedule": {
-            name: [
-                dict(out_rows=t.out_rows, out_ch=t.out_ch, in_rows=t.in_rows,
-                     in_bytes=t.in_bytes, weight_bytes=t.weight_bytes,
-                     out_bytes=t.out_bytes, l1_bytes=t.l1_bytes)
-                for t in tiles
-            ]
+            name: [dict({k: v for k, v in vars(t).items() if k != "layer"}, l1_bytes=t.l1_bytes)
+                   for t in tiles]
             for name, tiles in p.schedule.items()
         },
     }
     return json.dumps(doc, indent=2)
 
 
-def plan_from_json(text: str) -> DeploymentPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"plan document is not valid JSON: {e}") from e
-    if doc.get("format") != "nanopose-plan":
-        raise SchemaError("not a nanopose-plan document")
-    g = G.from_json(json.dumps(doc["graph"]))
-    mem = MemoryHierarchy(**doc["mem"])
-    nodes = [PlanNode(**d) for d in doc["nodes"]]
-    schedule = {
-        name: [
-            Tile(layer=name, out_rows=tuple(t["out_rows"]), out_ch=tuple(t["out_ch"]),
-                 in_rows=tuple(t["in_rows"]), in_bytes=t["in_bytes"],
-                 weight_bytes=t["weight_bytes"], out_bytes=t["out_bytes"])
-            for t in tiles
+def _tile(name: str, t: dict) -> Tile:
+    # one check per tile: a plan holds hundreds of them
+    r, c, i = t["out_rows"], t["out_ch"], t["in_rows"]
+    v = (*r, *c, *i, t["in_bytes"], t["weight_bytes"], t["out_bytes"])
+    if not (len(r) == len(c) == len(i) == 2 and all(type(x) is int for x in v) and min(v) >= 0):
+        raise ValueError(f"tile of {name} is not made of non-negative integers: {t!r}")
+    return Tile(name, v[0:2], v[2:4], v[4:6], *v[6:])
+
+
+def plan_from_json(text) -> DeploymentPlan:
+    """Decode a plan document.  Derived fields (occupancy totals, tile L1
+    bytes) are not read; `audit.audit_plan` checks the rest against the
+    graph."""
+    doc = parse_doc(text, "plan document", "nanopose-plan")
+    with decoding("plan document"):
+        policy = doc["policy"]
+        if policy not in POLICIES:
+            raise SchemaError(f"plan document: unknown policy {policy!r}")
+        nodes = [
+            PlanNode(name=as_str(d["name"]), kind=as_str(d["kind"]),
+                     layer_names=[as_str(x) for x in d["layer_names"]],
+                     **{k: as_int(d[k]) for k in ("macs", "weight_bytes", "in_bytes", "out_bytes",
+                                                  "out_rows", "dot_len")})
+            for d in doc["nodes"]
         ]
-        for name, tiles in doc["schedule"].items()
-    }
-    occupancy = []
-    for d in doc["occupancy"]:
-        occupancy.append(OccupancyRow(
-            node=d["layer"], code=d["code"],
-            weights_current=d.get("weights_current", 0),
-            weights_next=d.get("weights_next", 0),
-            weights_resident=d.get("weights_resident", 0),
-            input_bytes=d["input"], output_bytes=d["output"],
-        ))
-    return DeploymentPlan(graph=g, mem=mem, policy=doc["policy"], nodes=nodes,
-                          occupancy=occupancy, schedule=schedule,
-                          l3_weight_bytes=doc["l3_weight_bytes"],
-                          violations=list(doc.get("violations", [])))
+        schedule = {
+            name: [_tile(name, t) for t in tiles]
+            for name, tiles in doc["schedule"].items()
+        }
+        # a policy's report leaves out the other policy's weight columns
+        occupancy = [
+            OccupancyRow(node=as_str(d["layer"]), code=as_int(d["code"]),
+                         input_bytes=as_int(d["input"]), output_bytes=as_int(d["output"]),
+                         **{k: as_int(d.get(k, 0)) for k in ("weights_current", "weights_next", "weights_resident")})
+            for d in doc["occupancy"]
+        ]
+        return DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
+                              policy=policy, nodes=nodes, occupancy=occupancy, schedule=schedule,
+                              l3_weight_bytes=as_int(doc["l3_weight_bytes"]),
+                              violations=[as_str(v) for v in doc.get("violations", [])])
+

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, graph as G, tensorfile
-from .errors import ConversionError, DeadActivationError, SchemaError
+from .errors import (ConversionError, DeadActivationError, SchemaError, as_int, as_str,
+                     decoding, finite_real, parse_doc)
 from .floatnet import FloatNet
 from .qtensor import (
     INT32_MAX,
@@ -109,20 +110,18 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
     g = net.graph
     qg = QuantizedGraph(graph=g, input_qp=engine.image_qparams())
     eps_in = qg.input_qp.eps
-    pending_conv = None  # (name, acc_eps) awaiting its activation stage
+    # the graph puts each activation stage right after its conv
     for l in g.layers:
-        if l.kind == G.CONV:
+        if l.kind in (G.CONV, G.FC):
             w = net.weights[l.name]
             # Extend the range to include zero so the full signed codes stay
             # inside 8 bits even for one-sided weight distributions.
             eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
             qg.weights[l.name], _ = decompose_weights(w, eps_w)
-            qg.acc_eps[l.name] = eps_in * eps_w
-            pending_conv = (l.name, eps_in * eps_w)
+            acc_eps = qg.acc_eps[l.name] = eps_in * eps_w
+            if l.kind == G.FC:
+                qg.out_eps = np.full(l.out_ch, acc_eps, dtype=np.float64)
         elif l.kind == G.REQUANT:
-            if pending_conv is None:
-                raise ConversionError(l.name, "activation stage without a preceding conv")
-            _, acc_eps = pending_conv
             alpha = alphas[l.name]
             eps_out = act_eps(alpha)
             bn = net.bn[l.name]
@@ -132,13 +131,6 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
             mult, shift, bias = fit_requant_scale(scales, offsets, l.name)
             qg.requant[l.name] = RequantParams(mult=mult, shift=shift, bias=bias, alpha=alpha)
             eps_in = eps_out
-            pending_conv = None
-        elif l.kind == G.FC:
-            w = net.weights[l.name]
-            eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
-            qg.weights[l.name], _ = decompose_weights(w, eps_w)
-            qg.acc_eps[l.name] = eps_in * eps_w
-            qg.out_eps = np.full(l.out_ch, eps_in * eps_w, dtype=np.float64)
     if qg.out_eps is None:
         raise ConversionError("fc", "graph has no fully connected head")
     return qg
@@ -182,18 +174,21 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     return np.asarray(bound, dtype=np.float64)
 
 
-def save_qgraph(qg: QuantizedGraph, path: str) -> None:
-    """Write the graph JSON with weight payloads as sibling QTNS files."""
+def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
+    """Write the weight payloads as QTNS files beside `path` and return the
+    nanopose-qgraph document that names them."""
     base = os.path.dirname(os.path.abspath(path))
     os.makedirs(base, exist_ok=True)
     doc = {
         "format": "nanopose-qgraph",
         "version": 1,
-        "graph": json.loads(G.to_json(qg.graph)),
+        "graph": G.to_doc(qg.graph),
         "input_eps": qg.input_qp.eps,
         "out_eps": [float(v) for v in qg.out_eps],
         "weights": {},
-        "requant": {},
+        "requant": {name: {"mult": [int(v) for v in rp.mult], "shift": rp.shift,
+                           "bias": [int(v) for v in rp.bias], "alpha": rp.alpha}
+                    for name, rp in qg.requant.items()},
         "acc_eps": {k: float(v) for k, v in qg.acc_eps.items()},
     }
     stem = os.path.splitext(os.path.basename(path))[0]
@@ -201,63 +196,67 @@ def save_qgraph(qg: QuantizedGraph, path: str) -> None:
         fn = f"{stem}_{name}.qtns"
         tensorfile.write_qtensor(os.path.join(base, fn), qt)
         doc["weights"][name] = fn
-    for name, rp in qg.requant.items():
-        doc["requant"][name] = {
-            "mult": [int(v) for v in rp.mult],
-            "shift": rp.shift,
-            "bias": [int(v) for v in rp.bias],
-            "alpha": rp.alpha,
-        }
+    return doc
+
+
+def save_qgraph(qg: QuantizedGraph, path: str) -> None:
+    """Write the graph JSON with weight payloads as sibling QTNS files."""
+    doc = qgraph_doc(qg, path)   # creates the directory
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
 
 
-def _layer(g: G.NetGraph, name: str, path: str) -> G.LayerSpec:
-    try:
-        return g.layer(name)
-    except KeyError:
-        raise SchemaError(f"{path}: no layer {name!r} in the graph") from None
+def _eps(v) -> float:
+    if not (finite_real(v) and v > 0):
+        raise ValueError(f"expected a scale that is finite and > 0, got {v!r}")
+    return float(v)
+
+
+def _int_vector(v) -> np.ndarray:
+    a = np.asarray(v)
+    if a.ndim != 1 or a.dtype.kind != "i":
+        raise ValueError(f"expected a list of integers, got {v!r}")
+    return a.astype(np.int64)
 
 
 def load_qgraph(path: str) -> QuantizedGraph:
+    """Read a qgraph written by save_qgraph, with its QTNS payloads.
+
+    Every conv and fc layer needs weights and an accumulator scale, and every
+    activation stage its requant parameters, each sized to its layer.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}: {e}") from e
-    if doc.get("format") != "nanopose-qgraph":
-        raise SchemaError(f"{path}: not a nanopose-qgraph document")
-    g = G.from_json(json.dumps(doc["graph"]))
-    qg = QuantizedGraph(
-        graph=g,
-        input_qp=QuantParams(eps=doc["input_eps"], levels=256, signed=False),
-        out_eps=np.asarray(doc["out_eps"], dtype=np.float64),
-    )
-    heads = [l for l in g.layers if l.kind == G.FC]
-    if heads and qg.out_eps.shape != (heads[-1].out_ch,):
-        raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
-                          f"({heads[-1].out_ch},)")
-    for name, fn in doc["weights"].items():
-        qt = tensorfile.read_qtensor(os.path.join(base, fn))
-        l = _layer(g, name, path)
-        shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-        if tuple(qt.data.shape) != shape:
-            raise SchemaError(f"{fn}: payload shape {qt.data.shape} != layer shape {shape}")
-        qg.weights[name] = qt
-    for name, d in doc["requant"].items():
-        rp = RequantParams(
-            mult=np.asarray(d["mult"], dtype=np.int64),
-            shift=int(d["shift"]),
-            bias=np.asarray(d["bias"], dtype=np.int64),
-            alpha=float(d["alpha"]),
+    with open(path, "rb") as f:
+        doc = parse_doc(f.read(), path, "nanopose-qgraph")
+    with decoding(path):
+        g = G.from_doc(doc["graph"])
+        qg = QuantizedGraph(
+            graph=g,
+            input_qp=QuantParams(eps=_eps(doc["input_eps"]), levels=256, signed=False),
+            out_eps=np.array([_eps(v) for v in doc["out_eps"]], dtype=np.float64),
+            acc_eps={k: _eps(v) for k, v in doc["acc_eps"].items()},
         )
-        channels = _layer(g, name, path).out_ch
-        for field_name in ("mult", "bias"):
-            n = getattr(rp, field_name).size
-            if n not in (1, channels):
-                raise SchemaError(f"{path}: requant {name} {field_name} length {n} is "
-                                  f"neither 1 nor the channel count {channels}")
-        qg.requant[name] = rp
-    qg.acc_eps = {k: float(v) for k, v in doc["acc_eps"].items()}
+        weights, requant = doc["weights"], doc["requant"]
+        if (set(weights) != {l.name for l in g.layers if l.kind in (G.CONV, G.FC)}
+                or set(requant) != {l.name for l in g.layers if l.kind == G.REQUANT}):
+            raise SchemaError(f"{path}: weights or requant entries do not match the graph's layers")
+        for l in g.layers:
+            if l.kind in (G.CONV, G.FC):
+                qt = tensorfile.read_qtensor(os.path.join(base, as_str(weights[l.name])))
+                shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
+                if tuple(qt.data.shape) != shape or l.name not in qg.acc_eps:
+                    raise SchemaError(f"{path}: {l.name} needs an accumulator scale and "
+                                      f"weights of shape {shape}, got {qt.data.shape}")
+                qg.weights[l.name] = qt
+            if l.kind == G.FC and qg.out_eps.shape != (l.out_ch,):
+                raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
+                                  f"({l.out_ch},)")
+            if l.kind == G.REQUANT:
+                d = requant[l.name]
+                rp = RequantParams(mult=_int_vector(d["mult"]), shift=as_int(d["shift"]),
+                                   bias=_int_vector(d["bias"]), alpha=_eps(d["alpha"]))
+                if {rp.mult.size, rp.bias.size} - {1, l.out_ch}:
+                    raise SchemaError(f"{path}: requant {l.name} mult/bias lengths {rp.mult.size}/"
+                                      f"{rp.bias.size} are neither 1 nor the channel count {l.out_ch}")
+                qg.requant[l.name] = rp
     return qg

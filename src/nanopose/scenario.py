@@ -121,14 +121,3 @@ def subject_state_at(t: float, script: ScenarioScript):
     i = bisect_right(script.starts, t) - 1
     return script.phases[i].state(script.start_poses[i], t - script.starts[i])
 
-
-def target_pose_at(t: float, delta: float, script: ScenarioScript) -> Pose:
-    """Drone pose the controller is asked to reach: delta ahead of the
-    subject, facing back at them."""
-    sp, _ = subject_state_at(t, script)
-    return Pose(
-        sp.x + delta * math.cos(sp.theta),
-        sp.y + delta * math.sin(sp.theta),
-        sp.z,
-        wrap_angle(sp.theta + math.pi),
-    )

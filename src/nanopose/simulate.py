@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (ControlConfig, DroneState, SubjectEstimate, finite_real, require_positive,
-                      step_dynamics, velocity_command)
-from .errors import SchemaError
+from .control import (ControlConfig, DroneState, SubjectEstimate, step_dynamics, target_pose,
+                      velocity_command)
+from .errors import SchemaError, finite_real, require_positive
 from .kalman import Kalman1D
 from .pose import Pose, to_drone, to_odometry, wrap_angle
-from .scenario import ScenarioScript, default_script, subject_state_at, target_pose_at
+from .scenario import ScenarioScript, default_script, subject_state_at
 
 DYNAMICS_HZ = 500.0
 READOUT_HZ = 100.0
@@ -129,7 +129,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
     def log_row(t):
         sp, _ = subject_state_at(t, script)
-        tgt = target_pose_at(t, cfg.delta, script)
+        tgt = target_pose(sp, cfg.delta)
         e_xy = math.hypot(drone.x - tgt.x, drone.y - tgt.y)
         e_th = abs(wrap_angle(drone.theta - tgt.theta))
         est = estimate_pose() or (math.nan,) * 4

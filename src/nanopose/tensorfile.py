@@ -54,6 +54,8 @@ def read_tensor(path):
         raw = f.read()
     if raw[:4] != MAGIC:
         raise SchemaError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 6 or len(raw) < 6 + 4 * raw[5]:
+        raise SchemaError(f"{path}: {len(raw)} bytes end inside the header")
     code, rank = struct.unpack_from("<BB", raw, 4)
     if code not in _CODE_TO_DTYPE:
         raise SchemaError(f"{path}: unknown dtype code {code}")

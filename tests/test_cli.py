@@ -90,11 +90,20 @@ def _cut_out_eps(doc):
     doc["out_eps"] = doc["out_eps"][:1]
 
 
-class TestTamperedQgraph:
-    """A qgraph whose requant vectors or output scales do not fit the graph is
-    rejected when loaded: exit 4 with a one-line message, no traceback."""
+def _drop_weights(doc):
+    del doc["weights"]
 
-    @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps])
+
+def _pool_3x3(doc):
+    next(d for d in doc["graph"]["layers"] if d["kind"] == "maxpool")["kernel"] = [3, 3]
+
+
+class TestTamperedQgraph:
+    """A qgraph whose requant vectors or output scales do not fit the graph,
+    that lacks its weights or whose pooling is not 2x2 is rejected when
+    loaded: exit 4 with a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps, _drop_weights, _pool_3x3])
     def test_infer_exit_4(self, tmp_path, qgraph_file, tamper):
         doc = json.loads(qgraph_file.read_text())
         tamper(doc)
@@ -112,6 +121,15 @@ class TestTamperedQgraph:
         assert "error[schema]" in res.stderr
 
 
+PLAN_TAMPERS = {
+    "node-without-macs": lambda d: d["nodes"][0].pop("macs"),
+    "string-l1-bytes": lambda d: d["mem"].update(l1_bytes="64k"),
+    "occupancy-cut-to-3-rows": lambda d: d.update(occupancy=d["occupancy"][:3]),
+    "layer-missing-from-schedule": lambda d: d["schedule"].pop("b2c1"),
+    "zeroed-current-weights": lambda d: d["occupancy"][2].update(weights_current=0),
+}
+
+
 class TestPlanSweep:
     def test_plan_and_sweep(self, tmp_path):
         plan_json = tmp_path / "plan.json"
@@ -125,6 +143,55 @@ class TestPlanSweep:
         rows = [l for l in sweep_csv.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "f_fc,f_cl,vdd,fps,mW_fc,mW_cl,mJ_frame"
         assert len(rows) == 71
+
+    @pytest.mark.parametrize("tamper", list(PLAN_TAMPERS.values()), ids=list(PLAN_TAMPERS))
+    def test_bad_plan_exit_4(self, tmp_path, capsys, tamper):
+        plan_json = tmp_path / "plan.json"
+        assert run_cli(["plan", "--net", "80x32", "--out", str(plan_json)]) == 0
+        doc = json.loads(plan_json.read_text())
+        tamper(doc)
+        plan_json.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"eta_peak": "x"}, {"eta_peak": 0}, {"eta_peak": float("nan")},
+        {"cl_base_activity": 7}, {"no_such_coefficient": 1.0}, [1.0],
+    ], ids=json.dumps)
+    def test_bad_params_exit_4(self, tmp_path, capsys, doc):
+        plan_json = tmp_path / "plan.json"
+        assert run_cli(["plan", "--net", "80x32", "--out", str(plan_json)]) == 0
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--plan", str(plan_json), "--params", str(params),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "{\"l1_bytes\": 1", "\xff"],
+                             ids=["deeply-nested", "truncated", "not-utf8"])
+    def test_unreadable_option_file_exit_4(self, tmp_path, capsys, text):
+        mem = tmp_path / "mem.json"
+        mem.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "p.json"
+        assert run_cli(["plan", "--net", "80x32", "--mem", str(mem), "--out", str(out)]) == EXIT_SCHEMA
+        assert "error[schema]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"l1_bytes": 0.5}, {"code_budget_l2": 0}, {"dma_channels": "2"}],
+                             ids=json.dumps)
+    def test_bad_mem_exit_4(self, tmp_path, capsys, doc):
+        mem = tmp_path / "mem.json"
+        mem.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        assert run_cli(["plan", "--net", "80x32", "--mem", str(mem), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_infeasible_resident_exit_5(self, tmp_path):
         mem = tmp_path / "mem.json"
@@ -196,6 +263,13 @@ class TestSimulate:
         assert "error[schema]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_short_run_has_no_phase0_distance(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration": 2.0}))   # phase 0 ends at 5 s
+        assert run_cli(["simulate", "--net", "mocap", "--seed", "0", "--config", str(cfg),
+                        "--out", str(tmp_path / "t.csv")]) == 0
+        assert "phase-0 distance nan m" in capsys.readouterr().out
+
     def test_mocap_beats_noisy(self, tmp_path):
         import re
 
@@ -219,7 +293,7 @@ class TestQuantizeWithArtifacts:
         graph_json = tmp_path / "g.json"
         assert run_cli(["analyze", "--net", "80x32", "--graph-out", str(graph_json)]) == 0
 
-        g = G.from_json(graph_json.read_text())
+        g = G.from_doc(json.loads(graph_json.read_text()))
         net = random_float_net(g, seed=11)
         wdir = tmp_path / "w"
         wdir.mkdir()
@@ -252,6 +326,14 @@ class TestAugmentCmd:
         assert len(list(out.glob("*.pgm"))) == 5
         labels = (out / "labels.csv").read_text()
         assert "aug_0004.pgm" in labels
+
+    @pytest.mark.parametrize("label", ["1,2", "1,2,3,4,5", "a,b,c,d", "1,2,nan,0"])
+    def test_bad_label_exit_4(self, tmp_path, capsys, label):
+        img = frame_pgm(tmp_path, size=160)
+        out = tmp_path / "aug"
+        assert run_cli(["augment", "--image", str(img), "--label", label, "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
 
 
 class TestEntryPoint:

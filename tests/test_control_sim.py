@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nanopose.control import ControlConfig, DroneState, SubjectEstimate, step_dynamics, velocity_command
+from nanopose.control import (ControlConfig, DroneState, SubjectEstimate, step_dynamics, target_pose,
+                              velocity_command)
 from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
-from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at, target_pose_at
+from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at
 from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
 
 CFG = ControlConfig()
@@ -136,7 +137,7 @@ class TestScenario:
         assert min(off, 2 * math.pi - off) == pytest.approx(math.radians(30.0))
 
     def test_target_pose_faces_subject(self):
-        tgt = target_pose_at(0.0, 1.3, default_script())
+        tgt = target_pose(subject_state_at(0.0, default_script())[0], 1.3)
         assert tgt.x == pytest.approx(1.3)
         assert abs(tgt.theta) == pytest.approx(math.pi)
 
@@ -196,7 +197,7 @@ class TestCustomScript:
         assert subject_state_at(1.0, s)[0].x == 0.0
         p, v = subject_state_at(4.0, s)
         assert p.x == pytest.approx(1.0) and v[0] == pytest.approx(0.5)
-        assert target_pose_at(4.0, 1.3, s).x == pytest.approx(2.3)
+        assert target_pose(p, 1.3).x == pytest.approx(2.3)
 
     def test_rejects_empty_or_zero_length_phases(self):
         d = default_script()

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from nanopose import graph as G
-from nanopose.errors import SchemaError
+from nanopose.errors import SchemaError, parse_doc
 
 
 def enumerate_stats(input_hw, c):
@@ -131,13 +133,27 @@ class TestAnalyze:
 class TestJson:
     def test_roundtrip(self):
         g = G.build_variant("80x32")
-        g2 = G.from_json(G.to_json(g))
+        g2 = G.from_doc(parse_doc(json.dumps(G.to_doc(g)), "g.json", "nanopose-graph"))
         assert g2.variant == g.variant
         assert [l.name for l in g2.layers] == [l.name for l in g.layers]
         assert G.analyze(g2) == G.analyze(g)
 
     def test_bad_document(self):
         with pytest.raises(SchemaError):
-            G.from_json("{}")
+            parse_doc("{}", "g.json", "nanopose-graph")
         with pytest.raises(SchemaError):
-            G.from_json("not json")
+            parse_doc("not json", "g.json", "nanopose-graph")
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("pool1", "kernel", [3, 3]),
+        ("pool1", "stride", [1, 1]),
+        ("b1c1", "stride", [0, 2]),
+        ("b1c1", "kernel", "3x3"),
+        ("b1c1", "in_ch", None),
+        ("b2c1", "name", "b1c1"),
+    ])
+    def test_bad_layer_rejected(self, name, field, value):
+        doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
+        next(d for d in doc["layers"] if d["name"] == name)[field] = value
+        with pytest.raises(SchemaError):
+            G.from_doc(doc)

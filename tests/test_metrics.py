@@ -5,7 +5,7 @@ import pytest
 
 from nanopose.errors import SchemaError
 from nanopose.metrics import metrics, metrics_csv, rsquared
-from nanopose.simulate import RATE_HZ, noise_for, run_experiment
+from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
 
 
 class TestRsquared:
@@ -55,3 +55,12 @@ class TestRunMetrics:
         clean = metrics(run_experiment(noise_for("mocap", seed=1), 48.0))
         noisy = metrics(run_experiment(noise_for("160x32", seed=1), 48.0))
         assert noisy.r2["x"] < clean.r2["x"]
+
+    def test_phase0_distance_absent_when_run_ends_first(self):
+        # phase 0 of the default script ends at 5 s
+        short = metrics(run_experiment(noise_for("mocap", seed=0), RATE_HZ["mocap"],
+                                       sim_cfg=SimConfig(duration=2.0)))
+        assert math.isnan(short.phase0_final_distance)
+        full = metrics(run_experiment(noise_for("mocap", seed=0), RATE_HZ["mocap"],
+                                      sim_cfg=SimConfig(duration=5.0)))
+        assert math.isfinite(full.phase0_final_distance)

@@ -120,6 +120,12 @@ class TestPlan:
         with pytest.raises(SchemaError):
             plan(G.build_variant("160x16"), GAP8, "magic")
 
+    @pytest.mark.parametrize("mem", [dict(l1_bytes=0.5), dict(l3_bytes=8.0 * 2**20), dict(l3_bytes="8M"),
+                                     dict(code_budget_l2=0)])
+    def test_memory_sizes_are_positive_integers(self, mem):
+        with pytest.raises(SchemaError):
+            MemoryHierarchy(**mem)
+
     def test_empty_graph_empty_plan(self):
         g = G.NetGraph(layers=[], input_shape=(1, 4, 4))
         p = plan(g, GAP8, STREAMED)
@@ -194,6 +200,39 @@ class TestAudit:
         p.occupancy[2].weights_next += 7
         rep = audit_plan(p)
         assert not rep.ok
+
+    def test_detects_truncated_occupancy(self):
+        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
+        p.occupancy = p.occupancy[:3]
+        assert not audit_plan(p).ok
+
+    def test_detects_unscheduled_layer(self):
+        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
+        del p.schedule["b2c1"]
+        rep = audit_plan(p)
+        assert any("b2c1: no tiles" in s for s in rep.problems)
+
+    def test_detects_zeroed_current_weights(self):
+        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
+        p.occupancy[2].weights_current = 0
+        assert not audit_plan(p).ok
+
+    def test_detects_tampered_stage_figures(self):
+        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
+        p.nodes[1].macs += 1
+        assert not audit_plan(p).ok
+
+    def test_unknown_scheduled_layer_is_a_problem(self):
+        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
+        p.schedule["nope"] = p.schedule["conv1"]
+        assert not audit_plan(p).ok
+
+    def test_violations_matched_by_exact_name(self):
+        tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
+        p = plan(G.build_variant("160x32"), tiny, STREAMED, strict=False)
+        assert audit_plan(p).ok
+        p.violations = ["x" + v for v in p.violations]   # "xconv1: ..." names no stage
+        assert not audit_plan(p).ok
 
 
 class TestPlanJson:

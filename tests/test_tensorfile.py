@@ -65,3 +65,13 @@ def test_truncated_rejected(tmp_path):
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(SchemaError, match="size"):
         read_tensor(p)
+
+
+@pytest.mark.parametrize("size", [5, 6, 9])
+def test_short_header_rejected(tmp_path, size):
+    # a 2-D tensor's header is 14 bytes: magic, dtype, rank, two u32 dims
+    p = tmp_path / "t.qtns"
+    write_tensor(p, np.zeros((4, 4), dtype=np.uint8))
+    p.write_bytes(p.read_bytes()[:size])
+    with pytest.raises(SchemaError, match="header"):
+        read_tensor(p)
