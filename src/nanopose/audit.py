@@ -1,8 +1,8 @@
 """Independent verification of deployment plans.
 
-The audit recomputes every byte count from the layer geometry and the tile
-slices alone; it shares no sizing code with the planner, so a planner bug
-cannot hide itself.
+The audit recomputes every byte count and input row range from the layer
+geometry and the tile slices alone; it shares no sizing code with the
+planner, so a planner bug cannot hide itself.
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +22,13 @@ class AuditReport:
     problems: list = field(default_factory=list)
 
 
-def _tile_bytes_from_geometry(layer: G.LayerSpec, tile) -> int:
-    """Recompute the double-buffered bytes of one tile from first principles."""
+def _tile_from_geometry(layer: G.LayerSpec, tile):
+    """Recompute one tile's input rows (with halo, clamped to the input) and
+    its double-buffered bytes from first principles."""
     r0, r1 = tile.out_rows
     c0, c1 = tile.out_ch
     if layer.kind == G.FC:
+        rows = (0, 1)
         in_b = layer.in_ch
         w_b = (c1 - c0) * layer.in_ch
         out_b = (c1 - c0) * 4
@@ -35,18 +37,19 @@ def _tile_bytes_from_geometry(layer: G.LayerSpec, tile) -> int:
         _, _, ow = layer.out_shape
         lo = max(0, r0 * layer.stride[0] - layer.padding[0])
         hi = min(ih, (r1 - 1) * layer.stride[0] - layer.padding[0] + layer.kernel[0])
+        rows = (lo, hi)
         in_b = ic * (hi - lo) * iw
         w_b = (c1 - c0) * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
         out_b = (c1 - c0) * (r1 - r0) * ow
-    return 2 * (in_b + w_b + out_b)
+    return rows, 2 * (in_b + w_b + out_b)
 
 
 def audit_plan(p: DeploymentPlan) -> AuditReport:
     problems = []
     layers = {l.name: l for l in p.graph.layers}
 
-    # 1. every tile honors the double-buffered L1 bound and the stored bytes,
-    #    and every conv, pool and fc layer is scheduled
+    # 1. every tile honors the double-buffered L1 bound, the stored bytes and
+    #    input rows, and every conv, pool and fc layer is scheduled
     for l in p.graph.layers:
         if l.kind in _COMPUTE and not p.schedule.get(l.name):
             problems.append(f"{l.name}: no tiles scheduled")
@@ -58,11 +61,14 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         oc, oh = layer.out_shape[:2]
         cover = np.zeros((oc, oh), dtype=np.int32)
         for t in tiles:
-            need = _tile_bytes_from_geometry(layer, t)
+            rows, need = _tile_from_geometry(layer, t)
             if need > p.mem.l1_bytes:
                 problems.append(f"{name}: tile {t.out_rows}x{t.out_ch} needs {need} B > L1 {p.mem.l1_bytes}")
             if t.l1_bytes != need:
                 problems.append(f"{name}: tile reports {t.l1_bytes} B, geometry gives {need}")
+            if tuple(t.in_rows) != rows:
+                problems.append(f"{name}: tile {t.out_rows}x{t.out_ch} stores input rows "
+                                f"{tuple(t.in_rows)}, geometry gives {rows}")
             r0, r1 = t.out_rows
             c0, c1 = t.out_ch
             if not (0 <= r0 < r1 <= oh and 0 <= c0 < c1 <= oc):

@@ -113,7 +113,11 @@ def cmd_quantize(args):
             if l.kind in (G.CONV, G.FC):
                 path = os.path.join(args.weights, f"{l.name}.qtns")
                 data, _, _ = tensorfile.read_tensor(path)
-                net.weights[l.name] = np.asarray(data, dtype=np.float64).reshape(net.weights[l.name].shape)
+                w = net.weights[l.name]
+                if data.size != w.size:
+                    raise SchemaError(f"{path}: {data.size} weights, layer {l.name} needs "
+                                      f"{w.size} {w.shape}")
+                net.weights[l.name] = np.asarray(data, dtype=np.float64).reshape(w.shape)
                 inputs.append(path)
     else:
         net = random_float_net(g, seed=args.seed)

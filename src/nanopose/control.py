@@ -88,8 +88,8 @@ class DroneState:
 def step_dynamics(state: DroneState, v_cmd, omega_cmd: float, dt: float, cfg: ControlConfig):
     """Integrate one tick of the first-order response proxy.
 
-    Returns the horizontal acceleration magnitude actually applied, so
-    callers can assert the pitch-derived bound.
+    Returns the horizontal acceleration magnitude actually applied, which
+    the clamp below holds at or under the pitch-derived bound a_max.
     """
     if dt > 0.010:
         raise ValueError(f"dynamics tick {dt} s exceeds 10 ms")

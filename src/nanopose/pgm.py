@@ -37,14 +37,15 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    try:
-        w, h, maxval = (int(v) for v in fields)
-    except ValueError as e:
-        raise SchemaError(f"{path}: malformed PGM header") from e
+    # ASCII decimal digits only: int() would also take signs and underscores
+    if not all(v.isdigit() for v in fields):
+        raise SchemaError(f"{path}: malformed PGM header")
+    w, h, maxval = (int(v) for v in fields)
     if maxval != 255:
         raise SchemaError(f"{path}: only maxval 255 supported, got {maxval}")
+    if w == 0 or h == 0:
+        raise SchemaError(f"{path}: image size {w}x{h} is empty")
     pos += 1  # single whitespace after maxval
-    data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
-    if data.size != h * w:
-        raise SchemaError(f"{path}: truncated payload")
-    return data.reshape(h, w).copy()
+    if len(raw) - pos < h * w:
+        raise SchemaError(f"{path}: truncated payload ({max(len(raw) - pos, 0)} of {h * w} bytes)")
+    return np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos).reshape(h, w).copy()

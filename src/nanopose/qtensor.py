@@ -140,9 +140,11 @@ def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
 
     Returns (w_star, w_star_min) where full integer codes are
     w_star_min + w_star = floor(w / eps_w), so eps_w * (w_star_min + w_star)
-    reconstructs each weight to within eps_w.  The base point is the code of
-    min(w_min, 0); anchoring at zero keeps the full codes inside the signed
-    8-bit range even when the weight distribution is one-sided.
+    reconstructs each weight to within eps_w: the floor puts every code in
+    (w/eps_w - 1, w/eps_w + FLOOR_GUARD], and with |code| <= 128 float
+    rounding moves that by far less than the guard.  The base point is the
+    code of min(w_min, 0); anchoring at zero keeps the full codes inside the
+    signed 8-bit range even when the weight distribution is one-sided.
     """
     w = np.asarray(w, dtype=np.float64)
     check_finite(w)
@@ -159,10 +161,6 @@ def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
         raise DegenerateLayerError(
             f"full weight codes [{full.min()}, {full.max()}] exceed signed 8-bit"
         )
-    recon = eps_w * codes.astype(np.float64)
-    err = np.abs(recon - w).max() if w.size else 0.0
-    if err > eps_w:
-        raise AssertionError(f"reconstruction error {err} exceeds eps_w {eps_w}")
     # Offsets live in [0, 127] and fit an int8 payload; the base point rides
     # in zero_base so dequantize() reconstructs eps_w * (w_star_min + w_star).
     qp = QuantParams(eps=eps_w, levels=128, signed=False, zero_base=w_star_min)

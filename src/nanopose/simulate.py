@@ -23,6 +23,7 @@ from .scenario import ScenarioScript, default_script, subject_state_at
 
 DYNAMICS_HZ = 500.0
 READOUT_HZ = 100.0
+EVENT_SLACK = 1e-12   # s; an event due within this of a tick fires on it
 
 # per-variant observation noise (std, derived from deployed-model mean
 # squared error) and high-level loop rates
@@ -91,6 +92,21 @@ class TrajectoryLog:
         return np.asarray([r[i] for r in self.rows], dtype=np.float64)
 
 
+def _event_count(n_ticks: int, dt: float, period: float) -> int:
+    """Observation events a run of n_ticks dynamics ticks fires, under the
+    event loop's own rule: event k >= 1 is due at tick time t when
+    k*period <= t + EVENT_SLACK."""
+    if n_ticks == 0:
+        return 0
+    horizon = n_ticks * dt + EVENT_SLACK
+    k = int(horizon / period)
+    while (k + 1) * period <= horizon:
+        k += 1
+    while k > 0 and k * period > horizon:
+        k -= 1
+    return k
+
+
 def run_experiment(noise: NoiseModel, inference_rate: float,
                    control_cfg: ControlConfig = None, sim_cfg: SimConfig = None,
                    script: ScenarioScript = None) -> TrajectoryLog:
@@ -102,22 +118,29 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     rng = np.random.default_rng(noise.seed)
     duration = sim.duration if sim.duration is not None else script.total_duration
 
+    dt = 1.0 / DYNAMICS_HZ
+    n_ticks = int(round(duration * DYNAMICS_HZ))
+    readout_every = int(round(DYNAMICS_HZ / READOUT_HZ))
+    obs_period = 1.0 / inference_rate
+    delta = cfg.delta
+    std_x, std_y, std_z, std_th = noise.std
+    # One noise row per capture: one at t = 0 and one per observation event.
+    # A single draw yields the same stream as one draw of 4 per capture.
+    # Rows stay Python floats so the whole loop runs on float arithmetic.
+    eps = rng.standard_normal((1 + _event_count(n_ticks, dt, obs_period), 4)).tolist()
+
     drone = DroneState(*script.drone_start.as_tuple())
     filters = [
         Kalman1D(q=sim.q_accel_var, r=s * s, angular=(i == 3))
         for i, s in enumerate(noise.std)
     ]
+    kx, ky, kz, kth = filters
     kf_time = None
-
-    dt = 1.0 / DYNAMICS_HZ
-    n_ticks = int(round(duration * DYNAMICS_HZ))
-    readout_every = int(round(DYNAMICS_HZ / READOUT_HZ))
-    obs_period = 1.0 / inference_rate
 
     cmd_v = (0.0, 0.0, 0.0)
     cmd_w = 0.0
-    readout_pose = drone.pose()
-    pending = None               # measurement captured one period ago
+    readout = script.drone_start.as_tuple()      # drone pose at the last 100 Hz readout
+    est_cmd = (math.nan,) * 4 + cmd_v + (cmd_w,)  # filter estimate and command, as logged
     next_obs_t = obs_period
     obs_index = 1
 
@@ -128,69 +151,58 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     max_accel = 0.0
 
     def log_row(t):
-        sp, _ = subject_state_at(t, script)
-        tgt = target_pose(sp, cfg.delta)
-        e_xy = math.hypot(drone.x - tgt.x, drone.y - tgt.y)
-        e_th = abs(wrap_angle(drone.theta - tgt.theta))
-        est = estimate_pose() or (math.nan,) * 4
-        rows.append((
-            t, sp.x, sp.y, sp.z, sp.theta,
-            drone.x, drone.y, drone.z, drone.theta,
-            *est, *cmd_v, cmd_w, e_xy, e_th,
-        ))
+        sp = subject_state_at(t, script)[0]
+        tgt = target_pose(sp, delta)
+        x, y, th = drone.x, drone.y, drone.theta
+        rows.append((t, sp.x, sp.y, sp.z, sp.theta, x, y, drone.z, th) + est_cmd
+                    + (math.hypot(x - tgt.x, y - tgt.y), abs(wrap_angle(th - tgt.theta))))
 
-    def estimate_pose():
-        if not filters[0].initialized:
-            return None
-        return tuple(f.p for f in filters)
-
-    def capture(t):
-        sp, _ = subject_state_at(t, script)
-        rel = to_drone(sp, drone.pose())
-        truth = rel.as_tuple()
-        eps = rng.standard_normal(4)
+    def capture(t, e):
+        rel = to_drone(subject_state_at(t, script)[0], drone.pose())
         obs = (
-            rel.x + eps[0] * noise.std[0],
-            rel.y + eps[1] * noise.std[1],
-            rel.z + eps[2] * noise.std[2],
-            wrap_angle(rel.theta + eps[3] * noise.std[3]),
+            rel.x + e[0] * std_x,
+            rel.y + e[1] * std_y,
+            rel.z + e[2] * std_z,
+            wrap_angle(rel.theta + e[3] * std_th),
         )
-        observations.append((t, obs, truth))
+        observations.append((t, obs, rel.as_tuple()))
         return obs
 
     log_row(0.0)
-    pending = capture(0.0)
-    t = 0.0
+    pending = capture(0.0, eps[0])              # measurement captured one period ago
     for tick in range(1, n_ticks + 1):
         t = tick * dt
         # observation/control events due by now
-        while next_obs_t <= t + 1e-12:
+        while next_obs_t <= t + EVENT_SLACK:
             t_ev = next_obs_t
-            if pending is not None:
-                obs_odom = to_odometry(Pose(*pending), readout_pose)
-                vals = obs_odom.as_tuple()
-                step = t_ev - kf_time if kf_time is not None else None
-                for i, f in enumerate(filters):
-                    if not f.initialized:
-                        f.start(vals[i])
-                    else:
-                        f.predict(step)
-                        f.update(vals[i])
-                kf_time = t_ev
-                est = SubjectEstimate(
-                    pose=Pose(*(f.p for f in filters)),
-                    vel=tuple(f.v for f in filters),
-                )
-                cmd_v, cmd_w = velocity_command(readout_pose, est, cfg)
-                max_cmd_speed = max(max_cmd_speed, max(abs(v) for v in cmd_v))
-                max_cmd_omega = max(max_cmd_omega, abs(cmd_w))
-            pending = capture(t_ev)
+            readout_pose = Pose(*readout)
+            vals = to_odometry(Pose(*pending), readout_pose).as_tuple()
+            if kf_time is None:
+                for f, v in zip(filters, vals):
+                    f.start(v)
+            else:
+                step = t_ev - kf_time
+                for f, v in zip(filters, vals):
+                    f.predict(step)
+                    f.update(v)
+            kf_time = t_ev
+            p = (kx.p, ky.p, kz.p, kth.p)
+            est = SubjectEstimate(pose=Pose(*p), vel=(kx.v, ky.v, kz.v, kth.v))
+            cmd_v, cmd_w = velocity_command(readout_pose, est, cfg)
+            est_cmd = p + cmd_v + (cmd_w,)
+            for v in cmd_v:
+                if abs(v) > max_cmd_speed:
+                    max_cmd_speed = abs(v)
+            if abs(cmd_w) > max_cmd_omega:
+                max_cmd_omega = abs(cmd_w)
+            pending = capture(t_ev, eps[obs_index])
             obs_index += 1
             next_obs_t = obs_index * obs_period
         ah = step_dynamics(drone, cmd_v, cmd_w, dt, cfg)
-        max_accel = max(max_accel, ah)
+        if ah > max_accel:
+            max_accel = ah
         if tick % readout_every == 0:
-            readout_pose = drone.pose()
+            readout = (drone.x, drone.y, drone.z, drone.theta)
             log_row(t)
 
     return TrajectoryLog(

@@ -13,6 +13,7 @@ The format is bit-exact across platforms; float tensors carry eps=1.0 and
 zero_base=0 in the trailer.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -62,7 +63,7 @@ def read_tensor(path):
     dims = struct.unpack_from(f"<{rank}I", raw, 6)
     dtype = np.dtype(_CODE_TO_DTYPE[code]).newbyteorder("<")
     start = 6 + 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)   # a Python int: a corrupt rank or dim cannot overflow it
     nbytes = count * dtype.itemsize
     if len(raw) != start + nbytes + 12:
         raise SchemaError(f"{path}: size mismatch (got {len(raw)}, expected {start + nbytes + 12})")

@@ -190,7 +190,7 @@ def test_criterion_5_control_loop_properties():
         assert m_clean.median_e_theta_deg < 5.0
 
         # (c) clamps and the pitch-derived acceleration bound, every tick
-        #     (run_experiment also asserts these in-loop)
+        #     (the log's maxima cover every command and dynamics tick)
         def check_limits(log):
             assert log.max_cmd_speed <= cfg.v_max + 1e-9
             assert log.max_cmd_omega <= cfg.omega_max + 1e-9

@@ -150,3 +150,12 @@ class TestPgm:
         p.write_bytes(b"P6\n1 1\n255\nabc")
         with pytest.raises(SchemaError):
             read_pgm(p)
+
+    @pytest.mark.parametrize("raw", [b"P5\n-1 -1\n255\n", b"P5\n0 4\n255\n",
+                                     b"P5\n99999999 99999999\n255\n", b"P5\n4 2\n255\n1234567",
+                                     b"P5\n+4 1_0\n2_55\n" + bytes(40)])
+    def test_rejects_bad_header_or_short_payload(self, tmp_path, raw):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(SchemaError):
+            read_pgm(p)

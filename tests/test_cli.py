@@ -316,6 +316,17 @@ class TestQuantizeWithArtifacts:
         assert doc["format"] == "nanopose-qgraph"
         assert "_provenance" in doc and doc["_provenance"]["inputs"]
 
+    def test_weights_of_wrong_size_exit_4(self, tmp_path, capsys):
+        from nanopose import tensorfile
+
+        wdir = tmp_path / "w"
+        wdir.mkdir()
+        tensorfile.write_tensor(wdir / "conv1.qtns", np.ones((3, 3), dtype=np.float32))
+        code = run_cli(["quantize", "--net", "80x32", "--weights", str(wdir),
+                        "--out", str(tmp_path / "q.json")])
+        assert code == EXIT_SCHEMA
+        assert "conv1" in capsys.readouterr().err
+
 
 class TestAugmentCmd:
     def test_augment_writes_samples(self, tmp_path):

@@ -9,7 +9,7 @@ from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
 from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at
-from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
+from nanopose.simulate import EVENT_SLACK, RATE_HZ, SimConfig, _event_count, noise_for, run_experiment
 
 CFG = ControlConfig()
 
@@ -148,6 +148,36 @@ class TestRunExperiment:
         b = run_experiment(noise_for("80x32", seed=5), RATE_HZ["80x32"])
         assert a.rows == b.rows
         assert a.observations == b.observations
+
+    # metrics of the event loop before it ran on plain floats; the rewrite
+    # must reproduce them (the 7.3 s run is not a whole number of periods)
+    PINNED = [
+        ("mocap", 0, None, 0.017159863586173375, 0.002961721878401491, 1501),
+        ("80x32", 5, None, 0.17843640755745516, 0.0888370410229391, 6751),
+        ("160x32", 3, 7.3, 0.21937974516044798, 0.07662872164355175, 351),
+    ]
+
+    @pytest.mark.parametrize("variant,seed,duration,e_xy,e_theta,n_obs", PINNED)
+    def test_metrics_pinned(self, variant, seed, duration, e_xy, e_theta, n_obs):
+        log = run_experiment(noise_for(variant, seed=seed), RATE_HZ[variant],
+                             sim_cfg=SimConfig(duration=duration))
+        m = metrics(log)
+        assert m.median_e_xy == pytest.approx(e_xy, rel=1e-9)
+        assert m.median_e_theta_rad == pytest.approx(e_theta, rel=1e-9)
+        assert (m.max_cmd_speed, m.max_cmd_omega) == (CFG.v_max, CFG.omega_max)
+        assert m.max_accel == pytest.approx(CFG.a_max, rel=1e-9)
+        assert len(log.observations) == n_obs
+
+    @pytest.mark.parametrize("rate", [30.0, 48.0, 111.0, 135.0, 1000.0, 7.0 / 3.0])
+    @pytest.mark.parametrize("n_ticks", [0, 1, 999, 1000, 3650, 25000])
+    def test_event_count_matches_the_loop_rule(self, rate, n_ticks):
+        # the events run_experiment's tick loop fires, which sizes its noise draw
+        dt, period = 1.0 / 500.0, 1.0 / rate
+        k = 1
+        for tick in range(1, n_ticks + 1):
+            while k * period <= tick * dt + EVENT_SLACK:
+                k += 1
+        assert _event_count(n_ticks, dt, period) == k - 1
 
     def test_mocap_converges_and_regulates(self):
         log = run_experiment(noise_for("mocap", seed=1), RATE_HZ["mocap"])

@@ -1,11 +1,14 @@
-"""Fuzz every JSON document the CLI reads.
+"""Fuzz every JSON document and binary artifact the CLI reads.
 
-Each example takes a valid graph, qgraph, plan, --mem, --params or --config
-document, drops one key at a random path or replaces its value with null, a
-string, a list or an object, and runs the subcommand that reads it through
-`cli.main` in-process.  No exception may escape and the exit code must be a
-documented one.  Exit 0 stays allowed: derived fields, such as a layer's
-stored shapes or a tile's `l1_bytes`, are not read on load.
+Each JSON example takes a valid graph, qgraph, plan, --mem, --params or
+--config document, drops one key at a random path or replaces its value with
+null, a string, a list or an object, and runs the subcommand that reads it
+through `cli.main` in-process.  Each binary example truncates a valid PGM
+frame or QTNS weight file, or flips bits of one header byte.  No exception
+may escape and the exit code must be a documented one.  Exit 0 stays
+allowed: derived fields, such as a layer's stored shapes or a tile's
+`l1_bytes`, are not read on load, and a flipped digit can leave a valid
+header.
 """
 
 import json
@@ -40,6 +43,9 @@ def docs(tmp_path_factory):
     assert run(["calibrate-cost", "--out", d / "params.json"]) == 0
     frame = d / "frame.pgm"
     write_pgm(frame, np.random.default_rng(0).integers(0, 256, (48, 80)).astype(np.uint8))
+    # a full-size camera frame, which infer center-crops and halves
+    camera = d / "camera.pgm"
+    write_pgm(camera, np.random.default_rng(1).integers(0, 256, (96, 160)).astype(np.uint8))
     mem = dict(l1_bytes=65536, l2_bytes=524288, l3_bytes=8388608, code_budget_l2=81920)
     config = dict(delta=1.3, tau=0.5, t_v=0.3, q_accel_var=1.0, duration=0.5,
                   noise_std=[0.1, 0.1, 0.05, 0.3])
@@ -47,7 +53,14 @@ def docs(tmp_path_factory):
     def read(path):
         return json.loads(path.read_text())
 
+    weights = d / "q" / "qgraph_conv1.qtns"
     return {
+        "pgm": (camera.read_bytes(), camera,
+                ["infer", "--qgraph", d / "q" / "qgraph.json", "--image", camera,
+                 "--out", out / "pose.csv"]),
+        "qtns": (weights.read_bytes(), weights,
+                 ["infer", "--qgraph", d / "q" / "qgraph.json", "--image", frame,
+                  "--out", out / "pose.csv"]),
         "graph": (read(d / "graph.json"), d / "mutant_graph.json",
                   ["quantize", "--graph", d / "mutant_graph.json", "--calib-size", 1,
                    "--out", out / "q.json"]),
@@ -102,3 +115,29 @@ def test_mutated_document_exits_cleanly(docs, kind):
         assert run(argv) in EXITS
 
     check()
+
+
+# header bytes: "P5\n160 96\n255\n"; magic, dtype, rank and four u32 dims
+HEADER_BYTES = {"pgm": 14, "qtns": 22}
+
+
+def damaged(valid: bytes, header: int):
+    """Truncations at several lengths, then each header byte with its low
+    bit, its high bit or all of its bits flipped."""
+    n = len(valid)
+    for cut in sorted({0, 1, 2, 3, 5, 8, header - 1, header, header + 1, n // 2, n - 13, n - 1}):
+        yield valid[:cut]
+    for i in range(header):
+        for mask in (0x01, 0x80, 0xFF):
+            yield valid[:i] + bytes([valid[i] ^ mask]) + valid[i + 1:]
+
+
+@pytest.mark.parametrize("kind", list(HEADER_BYTES))
+def test_damaged_binary_exits_cleanly(docs, kind):
+    valid, target, argv = docs[kind]
+    try:
+        for mutant in damaged(valid, HEADER_BYTES[kind]):
+            target.write_bytes(mutant)
+            assert run(argv) in EXITS, mutant[:HEADER_BYTES[kind]]
+    finally:
+        target.write_bytes(valid)

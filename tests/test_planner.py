@@ -195,6 +195,13 @@ class TestAudit:
         assert not rep.ok
         assert any("coverage" in s for s in rep.problems)
 
+    def test_detects_tampered_input_rows(self):
+        p = plan(G.build_variant("80x32"), GAP8, STREAMED)
+        assert p.schedule["conv1"][0].in_rows == (0, 45)
+        p.schedule["conv1"][0].in_rows = (40, 41)
+        rep = audit_plan(p)
+        assert any("conv1" in s and "input rows (40, 41)" in s for s in rep.problems), rep.problems
+
     def test_detects_tampered_occupancy(self):
         p = plan(G.build_variant("160x16"), GAP8, STREAMED)
         p.occupancy[2].weights_next += 7

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,3 +78,17 @@ def test_short_header_rejected(tmp_path, size):
     p.write_bytes(p.read_bytes()[:size])
     with pytest.raises(SchemaError, match="header"):
         read_tensor(p)
+
+
+def test_corrupt_rank_reports_true_size(tmp_path):
+    # rank 255 reads 255 payload words as dims; their product overflows int64
+    p = tmp_path / "t.qtns"
+    write_tensor(p, np.ones((64, 600), dtype=np.int8))
+    raw = bytearray(p.read_bytes())
+    raw[5] = 255
+    p.write_bytes(bytes(raw))
+    with pytest.raises(SchemaError, match="size mismatch") as e:
+        read_tensor(p)
+    dims = struct.unpack_from("<255I", raw, 6)     # 64, 600, then 0x01010101 words
+    expected = int(str(e.value).rsplit("expected ", 1)[1].rstrip(")"))
+    assert expected == 6 + 4 * 255 + math.prod(dims) + 12
