@@ -121,10 +121,13 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         if total > p.mem.l2_bytes and n.name not in flagged:
             problems.append(f"{n.name}: L2 occupancy {total} > {p.mem.l2_bytes} not flagged by planner")
 
-    # 3. weight conservation: stage weights add up to the L3 total
+    # 3. weight conservation: stage weights add up to the L3 total, which
+    #    fits L3
     node_w = sum(n.weight_bytes for n in p.nodes)
     if node_w != p.l3_weight_bytes or p.l3_weight_bytes != total_w:
         problems.append(f"weight totals disagree: nodes {node_w}, "
                         f"plan {p.l3_weight_bytes}, graph {total_w}")
+    if total_w > p.mem.l3_bytes and "L3" not in flagged:
+        problems.append(f"L3: weights {total_w} > {p.mem.l3_bytes} not flagged by planner")
 
     return AuditReport(ok=not problems, problems=problems)

@@ -84,8 +84,7 @@ def cmd_analyze(args):
         body += f"total,,,,{s.macs},{s.params},{s.memory_bytes}\n"
         write_csv(args.out, body)
     if args.graph_out:
-        with open(args.graph_out, "w") as f:
-            json.dump(G.to_doc(g), f, indent=2)
+        write_json(args.graph_out, G.to_doc(g))
     return EXIT_OK
 
 
@@ -179,8 +178,7 @@ def cmd_plan(args):
     rep = audit_plan(p)
     if not rep.ok:
         raise ConstraintError("plan failed its audit: " + "; ".join(rep.problems))
-    with open(args.out, "w") as f:
-        f.write(P.plan_to_json(p))
+    write_json(args.out, P.plan_doc(p), inputs=inputs)
     if args.report:
         write_csv(args.report, P.report_csv(p), inputs=inputs)
     print(P.report_table(p))

@@ -97,7 +97,6 @@ class LayerCost:
     dma_cycles: float       # fabric-controller cycles for next-stage weights
     idle_cycles: float      # cluster cycles stalled on the stream
     wall_s: float
-    spatial_util: float
 
 
 @dataclass
@@ -141,7 +140,7 @@ def estimate(plan: DeploymentPlan, op: OperatingPoint, params: CostParams = None
         idle_cycles = max(0.0, wall - compute_t) * f_cl
         per_layer.append(LayerCost(
             name=n.name, compute_cycles=compute_cycles, dma_cycles=dma_cycles,
-            idle_cycles=idle_cycles, wall_s=wall, spatial_util=u_rows,
+            idle_cycles=idle_cycles, wall_s=wall,
         ))
         total_wall += wall
         activity = params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows

@@ -15,14 +15,12 @@ follows from the operand dtypes, so it costs nothing per call; operands
 whose dtypes could exceed it are multiplied in int64 instead.  Every
 accumulator is still checked against the int32 range.
 
-infer_int prepares a program on its first call for a QuantizedGraph and
-keeps it on the graph: the validated int8 weight codes in layer shape and
-the requant multiplier and bias as int64 vectors shaped for broadcasting.
-The program is rebuilt when the graph, a weight tensor or its payload, a
-requant parameter object or any of its fields, an accumulator scale or the
-output scales have been replaced (checked by identity).  The weight and
-requant arrays it was built from are made read-only, so an in-place edit
-raises instead of leaving the program stale.
+infer_int runs a QuantizedGraph as it is held: the graph keeps each
+layer's weights as full signed int8 codes in layer shape (the on-disk
+offset form is decoded by quantizer.load_qgraph), and the requant
+parameters are validated on every call.  Nothing is cached between calls,
+so an edit to a weight code or a requant parameter takes effect on the
+next frame.
 """
 
 import functools
@@ -38,9 +36,7 @@ from .qtensor import (
     QuantParams,
     accumulator_qparams,
     act_qparams,
-    full_weight_codes,
-    int_affine_requant,
-    requant_vector,
+    requant_codes,
 )
 
 IMAGE_EPS = 1.0 / 255.0
@@ -110,73 +106,12 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
-@dataclass
-class _Step:
-    layer: G.LayerSpec
-    qp: QuantParams = None       # scale of the step's output (conv, requant, fc)
-    codes: np.ndarray = None     # int8 weight codes in layer shape (conv, fc)
-    mult: np.ndarray = None      # int64 requant vectors, (C, 1, 1) or (1, 1, 1)
-    bias: np.ndarray = None
-    shift: int = 0
-
-
-@dataclass
-class _Program:
-    sources: list                # what the steps were built from, compared by identity
-    steps: list
-
-
-def _sources(qg) -> list:
-    out = [qg.graph, qg.out_eps, *qg.acc_eps.values()]
-    for qt in qg.weights.values():
-        out += (qt, qt.data, qt.qp)
-    for rp in qg.requant.values():
-        out += (rp, rp.mult, rp.shift, rp.bias, rp.alpha)
-    return out
-
-
-def _freeze(arr) -> None:
-    if isinstance(arr, np.ndarray):
-        arr.flags.writeable = False
-
-
-def _prepare(qg, sources: list) -> _Program:
-    steps = []
-    for l in qg.graph.layers:
-        if l.kind == G.DROPOUT:
-            continue
-        st = _Step(layer=l)
-        if l.kind in (G.CONV, G.FC):
-            qt = qg.weights[l.name]
-            shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-            st.codes = full_weight_codes(qt).reshape(shape)
-            _freeze(qt.data)
-        if l.kind == G.CONV:
-            st.qp = accumulator_qparams(qg.acc_eps[l.name])
-        elif l.kind == G.REQUANT:
-            rp = qg.requant[l.name]
-            st.mult = requant_vector(rp.mult, "scale_num", l.out_ch, 3)
-            st.bias = requant_vector(rp.bias, "bias", l.out_ch, 3)
-            st.shift = rp.shift
-            st.qp = act_qparams(rp.alpha)
-            _freeze(rp.mult)
-            _freeze(rp.bias)
-        elif l.kind == G.FC:
-            st.qp = accumulator_qparams(float(qg.out_eps[0]))
-        steps.append(st)
-    if not any(st.layer.kind == G.FC for st in steps):
-        raise SchemaError("graph has no fully connected head")
-    return _Program(sources=sources, steps=steps)
-
-
-def _program(qg) -> _Program:
-    """The graph's prepared program, rebuilt if any source was replaced."""
-    sources = _sources(qg)
-    prog = qg.program
-    if (prog is None or len(prog.sources) != len(sources)
-            or any(a is not b for a, b in zip(prog.sources, sources))):
-        prog = qg.program = _prepare(qg, sources)
-    return prog
+def _weight_codes(qg, layer: G.LayerSpec) -> np.ndarray:
+    qt = qg.weights[layer.name]
+    if qt.qp.zero_base:
+        raise SchemaError(f"{layer.name}: weights carry zero_base {qt.qp.zero_base}; the "
+                          f"integer engine runs full codes with zero_base 0")
+    return qt.data
 
 
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
@@ -187,27 +122,38 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
     acts = {} if record_activations else None
     x = image.data
     qp = image.qp
-    for st in _program(qg).steps:
-        l = st.layer
+    raw = None
+    for l in g.layers:
         if l.kind == G.CONV:
-            x = conv2d_int(x, st.codes, l.stride, l.padding)
-            qp = st.qp
+            x = conv2d_int(x, _weight_codes(qg, l), l.stride, l.padding)
         elif l.kind == G.REQUANT:
-            x = int_affine_requant(QTensor(x, qp), st.mult, st.shift, st.bias, out_qp=st.qp).data
-            qp = st.qp
+            rp = qg.requant[l.name]
+            x = requant_codes(x, rp.mult, rp.shift, rp.bias)
         elif l.kind == G.POOL:
             x = maxpool2x2(x)
-            qp = QuantParams(qp.eps, 256, False)
         elif l.kind == G.FC:
+            codes = _weight_codes(qg, l)
             flat = x.reshape(-1)
-            dtype = _gemm_dtype(flat.dtype, st.codes.dtype, l.in_ch)
-            acc = st.codes.astype(dtype) @ flat.astype(dtype)
+            dtype = _gemm_dtype(flat.dtype, codes.dtype, l.in_ch)
+            acc = codes.astype(dtype) @ flat.astype(dtype)
             _acc_range_check(acc, 32)
             x = raw = acc.astype(np.int32)
-            qp = st.qp
+        else:
+            continue
         if record_activations:
+            # scales are built only when recorded: per frame they are measurable
+            if l.kind == G.CONV:
+                qp = accumulator_qparams(qg.acc_eps[l.name])
+            elif l.kind == G.REQUANT:
+                qp = act_qparams(qg.requant[l.name].alpha)
+            elif l.kind == G.POOL:
+                qp = QuantParams(qp.eps, 256, False)
+            else:
+                qp = accumulator_qparams(float(qg.out_eps[0]))
             dtype = np.int32 if l.kind in (G.CONV, G.FC) else np.uint8
             acts[l.name] = QTensor(x.astype(dtype), qp)
+    if raw is None:
+        raise SchemaError("graph has no fully connected head")
     pose = qg.out_eps * raw.astype(np.float64)
     return InferenceResult(raw=raw, pose=pose, activations=acts)
 

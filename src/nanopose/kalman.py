@@ -68,6 +68,3 @@ class Kalman1D:
 
     def positive_definite(self) -> bool:
         return self.p00 > 0.0 and (self.p00 * self.p11 - self.p01 * self.p01) > 0.0
-
-    def variance(self) -> float:
-        return self.p00

@@ -227,8 +227,9 @@ def build_nodes(g: G.NetGraph, fuse_pool: bool = True) -> list:
 
 
 def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
-         fuse_pool: bool = True, strict: bool = True) -> DeploymentPlan:
-    """Produce a complete deployment plan or report why none exists."""
+         fuse_pool: bool = True) -> DeploymentPlan:
+    """Produce a complete deployment plan, or raise PlanConstraintError with
+    the plan and its violations (weights beyond L3, a stage beyond L2)."""
     g = getattr(qg_or_graph, "graph", qg_or_graph)
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
@@ -250,6 +251,8 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
 
     occupancy = []
     violations = []
+    if total_w > mem.l3_bytes:
+        violations.append(f"L3: weights {total_w} > {mem.l3_bytes}")
     streamed = policy == STREAMED
     for i, n in enumerate(nodes):
         w_next = nodes[i + 1].weight_bytes if streamed and i + 1 < len(nodes) else 0
@@ -269,7 +272,7 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
 
     p = DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=nodes, occupancy=occupancy,
                        schedule=schedule, l3_weight_bytes=total_w, violations=violations)
-    if strict and violations:
+    if violations:
         raise PlanConstraintError("; ".join(violations), plan=p, violations=violations)
     return p
 
@@ -319,8 +322,9 @@ def report_table(p: DeploymentPlan) -> str:
     return "\n".join(out)
 
 
-def plan_to_json(p: DeploymentPlan) -> str:
-    doc = {
+def plan_doc(p: DeploymentPlan) -> dict:
+    """The plan as a nanopose-plan document (a dict ready for json)."""
+    return {
         "format": "nanopose-plan",
         "version": 1,
         "policy": p.policy,
@@ -336,7 +340,10 @@ def plan_to_json(p: DeploymentPlan) -> str:
             for name, tiles in p.schedule.items()
         },
     }
-    return json.dumps(doc, indent=2)
+
+
+def plan_to_json(p: DeploymentPlan) -> str:
+    return json.dumps(plan_doc(p), indent=2)
 
 
 def _tile(name: str, t: dict) -> Tile:

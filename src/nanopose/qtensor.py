@@ -11,11 +11,11 @@ zero_base 0; accumulators are 32-bit signed.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccumulatorOverflowError, DegenerateLayerError, RequantParameterError
+from .errors import DegenerateLayerError, RequantParameterError
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -37,8 +37,8 @@ class QuantParams:
     """Scale and integer range of a quantized tensor.
 
     eps:       real value of one integer step (> 0).
-    levels:    number of representable levels (256 activations, 128 weights,
-               2**32 accumulators).
+    levels:    number of representable levels (256 activations and full
+               weight codes, 128 stored weight offsets, 2**32 accumulators).
     signed:    whether stored codes are signed.
     zero_base: integer added to stored codes on dequantization; the minimum
                weight code for decomposed weights, 0 for activations.
@@ -84,13 +84,8 @@ class QTensor:
 
     data: np.ndarray
     qp: QuantParams
-    shape: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.shape is None:
-            self.shape = tuple(self.data.shape)
-        if int(np.prod(self.shape)) != self.data.size:
-            raise ValueError(f"shape {self.shape} does not match payload size {self.data.size}")
         lo, hi = self.qp.qmin, self.qp.qmax
         if _dtype_within(self.data.dtype, lo, hi):
             return
@@ -98,6 +93,10 @@ class QTensor:
             raise ValueError(
                 f"codes [{self.data.min()}, {self.data.max()}] exceed range [{lo}, {hi}]"
             )
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
 
     def dequantize(self) -> np.ndarray:
         return self.qp.eps * (self.qp.zero_base + self.data.astype(np.float64))
@@ -164,16 +163,28 @@ def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
     # Offsets live in [0, 127] and fit an int8 payload; the base point rides
     # in zero_base so dequantize() reconstructs eps_w * (w_star_min + w_star).
     qp = QuantParams(eps=eps_w, levels=128, signed=False, zero_base=w_star_min)
-    qt = QTensor(data=offsets.astype(np.int8), qp=qp, shape=tuple(w.shape))
+    qt = QTensor(data=offsets.astype(np.int8), qp=qp)
     return qt, w_star_min
 
 
-def full_weight_codes(w_star: QTensor) -> np.ndarray:
-    """Signed 8-bit codes actually used by the integer engine."""
+def full_weight_codes(w_star: QTensor) -> QTensor:
+    """The signed 8-bit codes zero_base + w_star with zero_base 0: the form a
+    QuantizedGraph holds and the integer engine runs.  ValueError when they
+    leave that range."""
     full = w_star.qp.zero_base + w_star.data.astype(np.int64)
     if full.min() < -128 or full.max() > 127:
-        raise AccumulatorOverflowError("weight codes exceed signed 8-bit range")
-    return full.astype(np.int8)
+        raise ValueError(f"weight codes [{full.min()}, {full.max()}] exceed signed 8-bit")
+    return QTensor(full.astype(np.int8), QuantParams(w_star.qp.eps, 256, signed=True))
+
+
+def offset_weight_codes(qt: QTensor) -> QTensor:
+    """Inverse of full_weight_codes, split as decompose_weights splits: 7-bit
+    offsets from the base min(codes.min(), 0) in an int8 payload, the base in
+    zero_base.  Codes spanning more than 128 levels raise ValueError."""
+    codes = full_weight_codes(qt).data.astype(np.int16)
+    base = min(int(codes.min()), 0)
+    offsets = QTensor(codes - base, QuantParams(qt.qp.eps, 128, signed=False, zero_base=base))
+    return QTensor(offsets.data.astype(np.int8), offsets.qp)   # validated before the cast
 
 
 def requant_vector(values, name: str, channels: int, ndim: int) -> np.ndarray:
@@ -187,29 +198,33 @@ def requant_vector(values, name: str, channels: int, ndim: int) -> np.ndarray:
     return arr.reshape((arr.size,) + (1,) * (ndim - 1))
 
 
-def int_affine_requant(acc: QTensor, scale_num, shift: int, bias, out_qp: QuantParams = None) -> QTensor:
-    """Fused integer batch-norm plus activation quantization.
+def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
+    """Fused integer batch-norm plus activation quantization of a
+    channels-first accumulator array into uint8 codes.
 
     out = clamp((scale_num * acc + bias) >> shift, 0, 255) per channel.  The
     shift floors; truncation toward zero would differ only on negative
     values, which the clamp at 0 maps to 0 either way.  scale_num and bias
     are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
-    subsumes the ReLU.  out_qp, when given, carries the scale of the
-    produced activation codes.
+    subsumes the ReLU.
     """
     if not 0 <= shift <= 31:
         raise RequantParameterError(f"shift {shift} outside [0, 31]")
-    channels, ndim = acc.shape[0], acc.data.ndim
+    channels, ndim = acc.shape[0], acc.ndim
     scale = requant_vector(scale_num, "scale_num", channels, ndim)
     bias = requant_vector(bias, "bias", channels, ndim)
     # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow
-    v = np.multiply(acc.data, scale)
+    v = np.multiply(acc, scale)
     v += bias
     v >>= shift
-    out = np.clip(v, 0, 255, out=v).astype(np.uint8)
-    if out_qp is None:
-        out_qp = QuantParams(acc.qp.eps, 256, False)
-    return QTensor(data=out, qp=out_qp, shape=acc.shape)
+    return np.clip(v, 0, 255, out=v).astype(np.uint8)
+
+
+def int_affine_requant(acc: QTensor, scale_num, shift: int, bias, out_qp: QuantParams = None) -> QTensor:
+    """requant_codes on a quantized accumulator.  out_qp, when given,
+    carries the scale of the produced activation codes."""
+    out = requant_codes(acc.data, scale_num, shift, bias)
+    return QTensor(data=out, qp=out_qp or QuantParams(acc.qp.eps, 256, False))
 
 
 def accumulator_qparams(eps_acc: float) -> QuantParams:

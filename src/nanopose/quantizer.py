@@ -22,6 +22,8 @@ from .qtensor import (
     QuantParams,
     act_eps,
     decompose_weights,
+    full_weight_codes,
+    offset_weight_codes,
     weight_eps,
 )
 
@@ -38,10 +40,6 @@ class CalibrationSet:
         if not self.inputs:
             raise SchemaError("calibration set is empty")
 
-    @property
-    def size(self):
-        return len(self.inputs)
-
 
 @dataclass
 class RequantParams:
@@ -50,20 +48,15 @@ class RequantParams:
     bias: np.ndarray   # int32 per channel
     alpha: float       # activation clipping bound; output eps = alpha / 255
 
-    def real_scale(self) -> np.ndarray:
-        return self.mult.astype(np.float64) / float(1 << self.shift)
-
 
 @dataclass
 class QuantizedGraph:
     graph: G.NetGraph
     input_qp: QuantParams
-    weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor (w_star + base)
+    weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor of full int8 codes
     requant: dict = field(default_factory=dict)   # requant name -> RequantParams
     acc_eps: dict = field(default_factory=dict)   # conv name -> eps_in * eps_w
     out_eps: np.ndarray = None                    # per output variable (4,)
-    # engine.infer_int's prepared program, built on first inference
-    program: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
@@ -117,7 +110,7 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
             # Extend the range to include zero so the full signed codes stay
             # inside 8 bits even for one-sided weight distributions.
             eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
-            qg.weights[l.name], _ = decompose_weights(w, eps_w)
+            qg.weights[l.name] = full_weight_codes(decompose_weights(w, eps_w)[0])
             acc_eps = qg.acc_eps[l.name] = eps_in * eps_w
             if l.kind == G.FC:
                 qg.out_eps = np.full(l.out_ch, acc_eps, dtype=np.float64)
@@ -194,7 +187,7 @@ def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
     stem = os.path.splitext(os.path.basename(path))[0]
     for name, qt in qg.weights.items():
         fn = f"{stem}_{name}.qtns"
-        tensorfile.write_qtensor(os.path.join(base, fn), qt)
+        tensorfile.write_qtensor(os.path.join(base, fn), offset_weight_codes(qt))
         doc["weights"][name] = fn
     return doc
 
@@ -247,7 +240,7 @@ def load_qgraph(path: str) -> QuantizedGraph:
                 if tuple(qt.data.shape) != shape or l.name not in qg.acc_eps:
                     raise SchemaError(f"{path}: {l.name} needs an accumulator scale and "
                                       f"weights of shape {shape}, got {qt.data.shape}")
-                qg.weights[l.name] = qt
+                qg.weights[l.name] = full_weight_codes(qt)
             if l.kind == G.FC and qg.out_eps.shape != (l.out_ch,):
                 raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
                                   f"({l.out_ch},)")

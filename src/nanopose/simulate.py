@@ -83,8 +83,6 @@ class TrajectoryLog:
     max_cmd_speed: float
     max_cmd_omega: float
     max_accel: float
-    rate_hz: float
-    seed: int
     script: ScenarioScript
 
     def column(self, name: str) -> np.ndarray:
@@ -208,7 +206,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     return TrajectoryLog(
         columns=LOG_COLUMNS, rows=rows, observations=observations,
         max_cmd_speed=max_cmd_speed, max_cmd_omega=max_cmd_omega, max_accel=max_accel,
-        rate_hz=inference_rate, seed=noise.seed, script=script,
+        script=script,
     )
 
 

@@ -78,7 +78,7 @@ def run_int_reference(qg, image_codes):
     acts = {}
     for l in qg.graph.layers:
         if l.kind == G.CONV:
-            w = full_weight_codes(qg.weights[l.name]).astype(np.int64)
+            w = full_weight_codes(qg.weights[l.name]).data.astype(np.int64)
             w = w.reshape(l.out_ch, l.in_ch, *l.kernel)
             x = naive_conv2d_int(x, w, l.stride, l.padding)
         elif l.kind == G.REQUANT:
@@ -89,7 +89,7 @@ def run_int_reference(qg, image_codes):
         elif l.kind == G.DROPOUT:
             continue
         elif l.kind == G.FC:
-            w = full_weight_codes(qg.weights[l.name]).astype(np.int64)
+            w = full_weight_codes(qg.weights[l.name]).data.astype(np.int64)
             x = naive_fc_int(x.reshape(-1), w)
         acts[l.name] = np.array(x)
     return acts

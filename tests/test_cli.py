@@ -138,6 +138,7 @@ class TestPlanSweep:
                         "--out", str(plan_json), "--report", str(report)]) == 0
         doc = json.loads(plan_json.read_text())
         assert doc["policy"] == "resident_l2"
+        assert doc["_provenance"]["tool"].startswith("nanopose")
         sweep_csv = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(sweep_csv)]) == 0
         rows = [l for l in sweep_csv.read_text().splitlines() if not l.startswith("#")]
@@ -200,6 +201,32 @@ class TestPlanSweep:
         code = run_cli(["plan", "--net", "160x32", "--policy", "resident_l2",
                         "--mem", str(mem), "--out", str(tmp_path / "p.json")])
         assert code == EXIT_CONSTRAINT
+
+    SMALL_L3 = dict(l1_bytes=65536, l2_bytes=245760, l3_bytes=262144, code_budget_l2=1024)
+
+    def test_weights_beyond_l3_exit_5(self, tmp_path, capsys):
+        mem = tmp_path / "mem.json"
+        mem.write_text(json.dumps(self.SMALL_L3))
+        out = tmp_path / "p.json"
+        assert run_cli(["plan", "--net", "160x32", "--mem", str(mem), "--out", str(out)]) == EXIT_CONSTRAINT
+        assert "L3: weights 303392 > 262144" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_unflagged_l3_overflow(self, tmp_path, capsys):
+        import nanopose.graph as G
+        from nanopose import planner as P
+        from nanopose.errors import PlanConstraintError
+
+        with pytest.raises(PlanConstraintError) as ei:
+            P.plan(G.build_variant("160x32"), P.MemoryHierarchy(**self.SMALL_L3))
+        p = ei.value.plan
+        p.violations = []
+        plan_json = tmp_path / "plan.json"
+        plan_json.write_text(P.plan_to_json(p))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(out)]) == EXIT_SCHEMA
+        assert "L3: weights 303392 > 262144 not flagged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibrate_cost_feeds_sweep(self, tmp_path):
         fit = tmp_path / "fit.json"
@@ -292,6 +319,7 @@ class TestQuantizeWithArtifacts:
 
         graph_json = tmp_path / "g.json"
         assert run_cli(["analyze", "--net", "80x32", "--graph-out", str(graph_json)]) == 0
+        assert json.loads(graph_json.read_text())["_provenance"]["tool"].startswith("nanopose")
 
         g = G.from_doc(json.loads(graph_json.read_text()))
         net = random_float_net(g, seed=11)

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
-from nanopose import engine, graph as G
+from nanopose import engine, graph as G, qtensor
 from nanopose.errors import AccumulatorOverflowError, SchemaError
 from nanopose.floatnet import random_float_net
-from nanopose.qtensor import QTensor
+from nanopose.qtensor import QTensor, QuantParams
 from nanopose.quantizer import CalibrationSet, calibrate, convert
 
 from oracles import (
@@ -91,7 +93,6 @@ class TestInferInt:
         ]
         g = G.infer_shapes(G.NetGraph(layers, (1, 3, 3)))
         from nanopose.quantizer import QuantizedGraph, RequantParams
-        from nanopose.qtensor import QuantParams
 
         qg = QuantizedGraph(graph=g, input_qp=engine.image_qparams())
         qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8),
@@ -142,17 +143,22 @@ class TestMaxPool:
         assert (got == want).all()
 
 
-class TestPreparedProgram:
-    def test_weight_codes_prepared_once(self, monkeypatch):
+class TestHeldCodes:
+    """The graph holds the full weight codes the engine runs; nothing is
+    prepared or cached between calls."""
+
+    def test_inference_decodes_no_weights(self, monkeypatch):
         g, net, qg, rng = converted_toy(7)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
         calls = []
-        real = engine.full_weight_codes
-        monkeypatch.setattr(engine, "full_weight_codes", lambda qt: calls.append(qt) or real(qt))
-        first = engine.infer_int(qg, img).raw
-        assert len(calls) == len(qg.weights)
+        real = qtensor.full_weight_codes
+        for mod in (m for k, m in list(sys.modules.items()) if k.startswith("nanopose")):
+            if getattr(mod, "full_weight_codes", None) is real:
+                monkeypatch.setattr(mod, "full_weight_codes",
+                                    lambda qt: calls.append(qt) or real(qt))
+        first = engine.infer_int(qg, img, record_activations=True).raw
         second = engine.infer_int(qg, img).raw
-        assert len(calls) == len(qg.weights)
+        assert calls == []
         assert (first == second).all()
 
     def test_replaced_requant_bias_is_used(self):
@@ -169,15 +175,31 @@ class TestPreparedProgram:
             assert (qt.data.astype(np.int64) == ref[layer]).all(), layer
         assert not (res.raw == before).all()
 
-    def test_in_place_weight_edit_raises(self):
-        g, net, qg, rng = converted_toy(9)
+    def test_in_place_edits_take_effect(self):
+        g, net, qg, rng = converted_toy(8)
+        codes = random_image_codes(rng, g.input_shape)
+        img = QTensor(codes, engine.image_qparams())
+        before = engine.infer_int(qg, img, record_activations=True).activations
+        conv, act = (l.name for l in g.layers[:2])
+        w = qg.weights[conv].data
+        w[(0,) * w.ndim] = 127 if w[(0,) * w.ndim] != 127 else -128
+        rp = qg.requant[act]
+        rp.bias[-1] += (1 << rp.shift) * 40
+        res = engine.infer_int(qg, img, record_activations=True)
+        ref = run_int_reference(qg, codes)
+        for layer, qt in res.activations.items():
+            assert (qt.data.astype(np.int64) == ref[layer]).all(), layer
+        assert not (res.activations[conv].data[0] == before[conv].data[0]).all()
+        assert not (res.activations[act].data[-1] == before[act].data[-1]).all()
+
+    def test_offset_weights_rejected(self):
+        g, net, qg, rng = converted_toy(10)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
-        engine.infer_int(qg, img)
-        payload = qg.weights[next(iter(qg.weights))].data
-        with pytest.raises(ValueError):
-            payload[(0,) * payload.ndim] = 1
-        with pytest.raises(ValueError):
-            next(iter(qg.requant.values())).mult[0] = 1
+        name = next(iter(qg.weights))
+        qt = qg.weights[name]
+        qg.weights[name] = QTensor(qt.data, QuantParams(qt.qp.eps, 256, True, zero_base=-3))
+        with pytest.raises(SchemaError, match="zero_base"):
+            engine.infer_int(qg, img)
 
 
 class TestInferFloat:

@@ -116,6 +116,18 @@ class TestPlan:
         p = plan(G.build_variant("160x32"), GAP8, STREAMED)
         assert p.l3_weight_bytes == 303_392
 
+    def test_weights_beyond_l3_are_a_violation(self):
+        # every stage of 160x32 fits this L2, so L3 is the only capacity it breaks
+        mem = MemoryHierarchy(l1_bytes=65536, l2_bytes=245760, l3_bytes=262144, code_budget_l2=1024)
+        with pytest.raises(PlanConstraintError) as ei:
+            plan(G.build_variant("160x32"), mem, STREAMED)
+        p = ei.value.plan
+        assert p.violations == ["L3: weights 303392 > 262144"]
+        assert audit_plan(p).ok
+        p.violations = []   # the audit repeats the check
+        rep = audit_plan(p)
+        assert rep.problems == ["L3: weights 303392 > 262144 not flagged by planner"]
+
     def test_bad_policy(self):
         with pytest.raises(SchemaError):
             plan(G.build_variant("160x16"), GAP8, "magic")
@@ -138,8 +150,7 @@ class TestPlan:
             plan(G.build_variant("160x32"), tiny, STREAMED)
         assert ei.value.plan is not None
         assert ei.value.violations
-        p = plan(G.build_variant("160x32"), tiny, STREAMED, strict=False)
-        assert not p.feasible
+        assert not ei.value.plan.feasible
 
     def test_feasibility_monotone_in_memory(self):
         g = G.build_variant("80x32")
@@ -236,7 +247,9 @@ class TestAudit:
 
     def test_violations_matched_by_exact_name(self):
         tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
-        p = plan(G.build_variant("160x32"), tiny, STREAMED, strict=False)
+        with pytest.raises(PlanConstraintError) as ei:
+            plan(G.build_variant("160x32"), tiny, STREAMED)
+        p = ei.value.plan
         assert audit_plan(p).ok
         p.violations = ["x" + v for v in p.violations]   # "xconv1: ..." names no stage
         assert not audit_plan(p).ok

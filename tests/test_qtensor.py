@@ -122,7 +122,7 @@ class TestDecompose:
         eps = weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
         w_star, _ = decompose_weights(w, eps)
         codes = full_weight_codes(w_star)
-        assert codes.dtype == np.int8
+        assert codes.data.dtype == np.int8 and codes.qp.zero_base == 0
 
     def test_all_zero_rejected_via_eps(self):
         with pytest.raises(DegenerateLayerError):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nanopose import engine, graph as G
-from nanopose.errors import ConversionError, DeadActivationError
+from nanopose import engine, graph as G, tensorfile
+from nanopose.errors import ConversionError, DeadActivationError, SchemaError
 from nanopose.floatnet import random_float_net
 from nanopose.qtensor import QTensor, act_eps
 from nanopose.quantizer import (
@@ -127,9 +127,9 @@ class TestConvert:
         first = [l for l in g.layers if l.kind == G.CONV][0].name
         net.weights[first] = np.abs(net.weights[first])
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
-        from nanopose.qtensor import full_weight_codes
-        codes = full_weight_codes(qg.weights[first])
-        assert codes.min() >= -128 and codes.max() <= 127
+        codes = qg.weights[first]
+        assert codes.data.dtype == np.int8 and codes.qp.zero_base == 0
+        assert np.abs(codes.dequantize() - net.weights[first]).max() <= codes.qp.eps
 
 
 class TestCrossEngine:
@@ -176,3 +176,41 @@ class TestSerialization:
         a = engine.infer_int(qg, img).raw
         b = engine.infer_int(back, img).raw
         assert (a == b).all()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        g, net, imgs, _ = toy_setup(10)
+        first = [l for l in g.layers if l.kind == G.CONV][0].name
+        net.weights[first] = np.abs(net.weights[first])   # base point 0
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        save_qgraph(qg, str(tmp_path / "a" / "q.json"))
+        back = load_qgraph(str(tmp_path / "a" / "q.json"))
+        save_qgraph(back, str(tmp_path / "b" / "q.json"))
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for fn in files:
+            assert (tmp_path / "a" / fn).read_bytes() == (tmp_path / "b" / fn).read_bytes(), fn
+        for name, qt in qg.weights.items():
+            assert qt.data.dtype == np.int8 and qt.qp.zero_base == 0
+            assert (back.weights[name].data == qt.data).all()
+        _, _, base = tensorfile.read_tensor(tmp_path / "a" / f"q_{first}.qtns")
+        assert base == 0
+
+    def test_codes_wider_than_128_levels_not_saved(self, tmp_path):
+        g, net, imgs, _ = toy_setup(11)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        name = next(iter(qg.weights))
+        qg.weights[name].data.flat[:2] = (-100, 100)
+        with pytest.raises(ValueError, match="exceed range"):
+            save_qgraph(qg, str(tmp_path / "q.json"))
+
+    def test_stored_codes_beyond_int8_rejected(self, tmp_path):
+        g, net, imgs, _ = toy_setup(12)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        path = tmp_path / "q.json"
+        save_qgraph(qg, str(path))
+        name = next(iter(qg.weights))
+        qtns = tmp_path / f"q_{name}.qtns"
+        data, eps, _ = tensorfile.read_tensor(qtns)
+        tensorfile.write_tensor(qtns, data, eps=eps, zero_base=100)
+        with pytest.raises(SchemaError, match="exceed signed 8-bit"):
+            load_qgraph(str(path))
