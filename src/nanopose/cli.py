@@ -193,6 +193,9 @@ def cmd_sweep(args):
     rep = audit_plan(p)
     if not rep.ok:
         raise SchemaError(f"{args.plan}: plan failed its audit: " + "; ".join(rep.problems))
+    if p.violations:
+        raise ConstraintError(f"{args.plan}: plan cannot run on its memory hierarchy: "
+                              + "; ".join(p.violations))
     inputs, params = [args.plan], None
     if args.params:
         params = C.CostParams(**_load_options(args.params, C.CostParams.__dataclass_fields__))

@@ -9,6 +9,10 @@ per-domain dynamic terms c * V^2 * f * activity plus statics; the cluster is
 clock-gated while idle, the fabric controller runs hot only while it
 orchestrates DMA.
 
+Only the two frequencies and VDD depend on the operating point: `prepare`
+computes every other per-stage term once, `estimate` evaluates them at one
+point and `sweep` at a whole grid as arrays, with identical arithmetic.
+
 This is a fitted model, not an emulator: silicon measurements enter only as
 calibration targets.
 """
@@ -58,12 +62,10 @@ def operating_point(f_fc: float, f_cl: float) -> OperatingPoint:
     return OperatingPoint(vdd=min_vdd(max(f_fc, f_cl)), f_fc=f_fc, f_cl=f_cl)
 
 
-def default_grid():
-    grid = []
-    for f_fc in np.arange(F_STEP_MHZ, F_FC_MAX + 1, F_STEP_MHZ):
-        for f_cl in np.arange(F_STEP_MHZ, F_CL_MAX + 1, F_STEP_MHZ):
-            grid.append(operating_point(float(f_fc), float(f_cl)))
-    return grid
+# every operating point on the 25 MHz grid, at the lowest admissible VDD
+DEFAULT_GRID = tuple(operating_point(float(f_fc), float(f_cl))
+                     for f_fc in np.arange(F_STEP_MHZ, F_FC_MAX + 1, F_STEP_MHZ)
+                     for f_cl in np.arange(F_STEP_MHZ, F_CL_MAX + 1, F_STEP_MHZ))
 
 
 @dataclass
@@ -118,76 +120,123 @@ def stage_utilization(node, params: CostParams):
     return u_rows, u_dot
 
 
-def estimate(plan: DeploymentPlan, op: OperatingPoint, params: CostParams = None) -> CostEstimate:
+def prepare(plan: DeploymentPlan, params: CostParams = None) -> tuple:
+    """Per-stage (compute cycles, next-stage DMA cycles, cluster activity):
+    everything in the model that does not depend on the operating point."""
     params = params or CostParams()
-    f_fc = op.f_fc * 1e6
-    f_cl = op.f_cl * 1e6
     streamed = plan.policy != RESIDENT
-
-    per_layer = []
-    total_wall = 0.0
-    cl_energy_weight = 0.0   # sum of compute_time * activity
-    dma_time_total = 0.0
-    for i, n in enumerate(plan.nodes):
+    nodes = plan.nodes
+    stages = []
+    for i, n in enumerate(nodes):
         u_rows, u_dot = stage_utilization(n, params)
         eta = params.eta_peak * u_rows * u_dot
-        compute_cycles = n.macs / eta if n.macs else 0.0
+        next_bytes = nodes[i + 1].weight_bytes if streamed and i + 1 < len(nodes) else 0
+        stages.append((
+            n.macs / eta if n.macs else 0.0,
+            next_bytes / params.dma_bytes_per_fc_cycle,
+            params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows,
+        ))
+    return tuple(stages)
+
+
+def _stage_times(stages, f_fc, f_cl, maximum):
+    """Per-stage wall times, frame latency, cluster compute time weighted by
+    activity and DMA time, at one operating point (floats, `maximum=max`)
+    or at many (arrays of Hz, `maximum=np.maximum`).  The sums run stage by
+    stage in plan order, so both forms give bit-identical figures."""
+    walls = []
+    latency = cl_energy_weight = dma_time = 0.0
+    for compute_cycles, dma_cycles, activity in stages:
         compute_t = compute_cycles / f_cl
-        next_bytes = plan.nodes[i + 1].weight_bytes if streamed and i + 1 < len(plan.nodes) else 0
-        dma_cycles = next_bytes / params.dma_bytes_per_fc_cycle
         dma_t = dma_cycles / f_fc
-        wall = max(compute_t, dma_t)
-        idle_cycles = max(0.0, wall - compute_t) * f_cl
+        wall = maximum(compute_t, dma_t)
+        walls.append(wall)
+        latency += wall
+        cl_energy_weight += compute_t * activity
+        dma_time += dma_t
+    return walls, latency, cl_energy_weight, dma_time
+
+
+def _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, minimum):
+    """FC and cluster power (W) from `_stage_times`' sums, floats or arrays;
+    `latency` must be positive."""
+    p_cl = params.c_cl_w_per_hz_v2 * vdd2 * f_cl * (cl_energy_weight / latency) + params.static_cl_w
+    dma_frac = minimum(1.0, dma_time / latency)
+    fc_activity = dma_frac + params.fc_idle_activity * (1.0 - dma_frac)
+    p_fc = params.c_fc_w_per_hz_v2 * vdd2 * f_fc * fc_activity + params.static_fc_w
+    return p_fc, p_cl
+
+
+def _estimate(plan, stages, op, params) -> CostEstimate:
+    f_fc = op.f_fc * 1e6
+    f_cl = op.f_cl * 1e6
+    walls, latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, max)
+    if latency <= 0:
+        raise SchemaError("empty plan has no latency")
+    p_fc, p_cl = _powers(params, op.vdd**2, f_fc, f_cl, latency, cl_energy_weight, dma_time, min)
+    per_layer = []
+    for n, (compute_cycles, dma_cycles, _), wall in zip(plan.nodes, stages, walls):
         per_layer.append(LayerCost(
             name=n.name, compute_cycles=compute_cycles, dma_cycles=dma_cycles,
-            idle_cycles=idle_cycles, wall_s=wall,
+            idle_cycles=max(0.0, wall - compute_cycles / f_cl) * f_cl, wall_s=wall,
         ))
-        total_wall += wall
-        activity = params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows
-        cl_energy_weight += compute_t * activity
-        dma_time_total += dma_t
-
-    if total_wall <= 0:
-        raise SchemaError("empty plan has no latency")
-    p_cl = params.c_cl_w_per_hz_v2 * op.vdd**2 * f_cl * (cl_energy_weight / total_wall) \
-        + params.static_cl_w
-    dma_frac = min(1.0, dma_time_total / total_wall)
-    fc_activity = dma_frac + params.fc_idle_activity * (1.0 - dma_frac)
-    p_fc = params.c_fc_w_per_hz_v2 * op.vdd**2 * f_fc * fc_activity + params.static_fc_w
     power_w = p_fc + p_cl
     return CostEstimate(
-        op=op, per_layer=per_layer, latency_s=total_wall, fps=1.0 / total_wall,
+        op=op, per_layer=per_layer, latency_s=latency, fps=1.0 / latency,
         power_fc_mw=p_fc * 1e3, power_cl_mw=p_cl * 1e3, power_mw=power_w * 1e3,
-        energy_mj=power_w * total_wall * 1e3,
+        energy_mj=power_w * latency * 1e3,
     )
+
+
+def estimate(plan: DeploymentPlan, op: OperatingPoint, params: CostParams = None) -> CostEstimate:
+    params = params or CostParams()
+    return _estimate(plan, prepare(plan, params), op, params)
 
 
 @dataclass
 class SweepResult:
-    rows: list                  # CostEstimate per grid point
-    best_energy: CostEstimate
-    best_throughput: CostEstimate
+    """Figures per grid point as columns (float64 arrays in grid order)."""
+
+    grid: tuple                 # OperatingPoint per column entry
+    fps: np.ndarray
+    power_fc_mw: np.ndarray
+    power_cl_mw: np.ndarray
+    energy_mj: np.ndarray
+    best_energy: CostEstimate   # first point of least energy
+    best_throughput: CostEstimate   # first point of highest fps
 
 
 def sweep(plan: DeploymentPlan, grid=None, params: CostParams = None) -> SweepResult:
-    grid = grid or default_grid()
+    """`estimate` at every point of `grid` (default `DEFAULT_GRID`),
+    evaluated as arrays over the grid."""
+    grid = tuple(grid or DEFAULT_GRID)
     params = params or CostParams()
-    rows = [estimate(plan, op, params) for op in grid]
+    stages = prepare(plan, params)
+    f_fc = np.array([op.f_fc for op in grid]) * 1e6
+    f_cl = np.array([op.f_cl for op in grid]) * 1e6
+    vdd2 = np.array([op.vdd**2 for op in grid])
+    _, latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, np.maximum)
+    if np.any(latency <= 0):
+        raise SchemaError("empty plan has no latency")
+    p_fc, p_cl = _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, np.minimum)
+    energy_mj = (p_fc + p_cl) * latency * 1e3
+    fps = 1.0 / latency
     return SweepResult(
-        rows=rows,
-        best_energy=min(rows, key=lambda r: r.energy_mj),
-        best_throughput=max(rows, key=lambda r: r.fps),
+        grid=grid, fps=fps, power_fc_mw=p_fc * 1e3, power_cl_mw=p_cl * 1e3, energy_mj=energy_mj,
+        best_energy=_estimate(plan, stages, grid[int(np.argmin(energy_mj))], params),
+        best_throughput=_estimate(plan, stages, grid[int(np.argmax(fps))], params),
     )
 
 
+_CSV_ROW = "%g,%g,%.2f,%.3f,%.3f,%.3f,%.5f\n"
+
+
 def sweep_csv(result: SweepResult) -> str:
-    lines = ["f_fc,f_cl,vdd,fps,mW_fc,mW_cl,mJ_frame"]
-    for r in result.rows:
-        lines.append(
-            f"{r.op.f_fc:g},{r.op.f_cl:g},{r.op.vdd:.2f},{r.fps:.3f},"
-            f"{r.power_fc_mw:.3f},{r.power_cl_mw:.3f},{r.energy_mj:.5f}"
-        )
-    return "\n".join(lines) + "\n"
+    ops = [(op.f_fc, op.f_cl, op.vdd) for op in result.grid]
+    table = np.column_stack([ops, result.fps, result.power_fc_mw, result.power_cl_mw, result.energy_mj])
+    # one format call over every row; tolist() hands it Python floats
+    body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+    return "f_fc,f_cl,vdd,fps,mW_fc,mW_cl,mJ_frame\n" + body
 
 
 # Reference measurements of the deployed system used as calibration anchors:

@@ -10,6 +10,7 @@ activation pair.
 
 import json
 from dataclasses import dataclass, field, asdict
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -330,20 +331,50 @@ def plan_doc(p: DeploymentPlan) -> dict:
         "policy": p.policy,
         "mem": asdict(p.mem),
         "graph": G.to_doc(p.graph),
-        "nodes": [asdict(n) for n in p.nodes],
+        "nodes": [dict(vars(n), layer_names=list(n.layer_names)) for n in p.nodes],
         "occupancy": memory_report(p),
         "l3_weight_bytes": p.l3_weight_bytes,
         "violations": p.violations,
-        "schedule": {
-            name: [dict({k: v for k, v in vars(t).items() if k != "layer"}, l1_bytes=t.l1_bytes)
-                   for t in tiles]
-            for name, tiles in p.schedule.items()
-        },
+        "schedule": {name: [_tile_doc(t) for t in tiles] for name, tiles in p.schedule.items()},
     }
 
 
+def _tile_doc(t: Tile) -> dict:
+    d = dict(vars(t), l1_bytes=t.l1_bytes)
+    del d["layer"]   # the schedule key names it
+    return d
+
+
+_int_repr = int.__repr__   # how json writes an int
+
+
+def _indented(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for documents with string
+    keys.  The standard library drops to its pure-Python encoder whenever
+    `indent` is set; this writes strings and exact ints itself and hands
+    every other scalar to `json.dumps`."""
+    if type(obj) is str:
+        return _json_str(obj)
+    if type(obj) is int:
+        return _int_repr(obj)
+    inner = indent + "  "
+    # int leaves, most of a plan, are written inline without a call
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_str(k) + ": " + (_int_repr(v) if type(v) is int else _indented(v, inner))
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_int_repr(v) if type(v) is int else _indented(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)
+
+
 def plan_to_json(p: DeploymentPlan) -> str:
-    return json.dumps(plan_doc(p), indent=2)
+    return _indented(plan_doc(p))
 
 
 def _tile(name: str, t: dict) -> Tile:

@@ -228,6 +228,25 @@ class TestPlanSweep:
         assert "L3: weights 303392 > 262144 not flagged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_rejects_listed_violations_exit_5(self, tmp_path, capsys):
+        import nanopose.graph as G
+        from nanopose import planner as P
+        from nanopose.errors import PlanConstraintError
+
+        with pytest.raises(PlanConstraintError) as ei:
+            P.plan(G.build_variant("160x32"), P.MemoryHierarchy(l2_bytes=150 * 1024,
+                                                                code_budget_l2=80 * 1024))
+        p = ei.value.plan
+        assert len(p.violations) == 3
+        plan_json = tmp_path / "plan.json"
+        plan_json.write_text(P.plan_to_json(p))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(out)]) == EXIT_CONSTRAINT
+        err = capsys.readouterr().err
+        assert "error[constraint]" in err and "Traceback" not in err
+        assert all(v in err for v in p.violations)
+        assert not out.exists()
+
     def test_calibrate_cost_feeds_sweep(self, tmp_path):
         fit = tmp_path / "fit.json"
         assert run_cli(["calibrate-cost", "--out", str(fit)]) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class TestOperatingPoints:
             C.OperatingPoint(vdd=1.0, f_fc=250.0, f_cl=50.0)  # vdd too low
 
     def test_grid_size(self):
-        grid = C.default_grid()
+        grid = C.DEFAULT_GRID
         assert len(grid) == 10 * 7
         assert all(op.vdd >= C.min_vdd(max(op.f_fc, op.f_cl)) for op in grid)
 
@@ -87,13 +89,35 @@ class TestEstimate:
             lat[tag] = C.estimate(p, C.operating_point(100.0, 100.0)).latency_s
         assert lat["160x32"] > lat["160x16"] > lat["80x32"]
 
+    def test_empty_plan_has_no_latency(self):
+        p = plan(G.NetGraph(layers=[], input_shape=(1, 4, 4)), GAP8, STREAMED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no divide-by-zero warning on the array path
+            with pytest.raises(SchemaError, match="empty plan has no latency"):
+                C.estimate(p, C.operating_point(25.0, 25.0))
+            with pytest.raises(SchemaError, match="empty plan has no latency"):
+                C.sweep(p)
+
 
 class TestSweep:
-    def test_single_point_equals_estimate(self, plans):
+    @pytest.mark.parametrize("policy", [STREAMED, RESIDENT])
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_columns_equal_estimate(self, tag, policy):
+        p = plan(G.build_variant(tag), GAP8, policy)
+        sw = C.sweep(p)
+        assert sw.grid == C.DEFAULT_GRID
+        rows = [C.estimate(p, op) for op in C.DEFAULT_GRID]
+        for i, e in enumerate(rows):
+            assert sw.fps[i] == e.fps
+            assert sw.power_fc_mw[i] == e.power_fc_mw
+            assert sw.power_cl_mw[i] == e.power_cl_mw
+            assert sw.energy_mj[i] == e.energy_mj
+        # first of equal minima / maxima, as min() and max() pick
+        assert sw.best_energy == min(rows, key=lambda r: r.energy_mj)
+        assert sw.best_throughput == max(rows, key=lambda r: r.fps)
         op = C.operating_point(50.0, 75.0)
-        sw = C.sweep(plans["80x32"], grid=[op])
-        assert len(sw.rows) == 1
-        assert sw.rows[0].energy_mj == C.estimate(plans["80x32"], op).energy_mj
+        one = C.sweep(p, grid=[op])
+        assert one.grid == (op,) and one.energy_mj.tolist() == [rows[C.DEFAULT_GRID.index(op)].energy_mj]
 
     def test_csv_columns(self, plans):
         sw = C.sweep(plans["160x16"])

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from nanopose.planner import (
     memory_report,
     naive_l2_bytes,
     plan,
+    plan_doc,
     plan_from_json,
     plan_to_json,
     tile_layer,
@@ -263,3 +267,53 @@ class TestPlanJson:
         assert [n.name for n in q.nodes] == [n.name for n in p.nodes]
         assert memory_report(q) == memory_report(p)
         assert audit_plan(q).ok
+
+    @staticmethod
+    def written(p):
+        """plan_to_json's text, checked against the standard library's
+        encoder byte for byte."""
+        text = plan_to_json(p)
+        assert text == json.dumps(plan_doc(p), indent=2)
+        return text
+
+    @pytest.mark.parametrize("fuse_pool", [True, False])
+    @pytest.mark.parametrize("policy", [STREAMED, RESIDENT])
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_writer_bytes_match_json_dumps(self, tag, policy, fuse_pool):
+        written = split = 0
+        for kb in range(4, 125, 8):
+            try:
+                p = plan(G.build_variant(tag), MemoryHierarchy(l1_bytes=kb * 1024), policy,
+                         fuse_pool=fuse_pool)
+            except (PlanConstraintError, UntileableLayerError):
+                continue
+            text = self.written(p)
+            assert plan_to_json(plan_from_json(text)) == text
+            written += 1
+            split += any(t.out_ch[0] > 0 for tiles in p.schedule.values() for t in tiles)
+        assert split or not written, "no L1 budget split a layer's channels"
+
+    def test_writer_violations(self):
+        tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
+        with pytest.raises(PlanConstraintError) as ei:
+            plan(G.build_variant("160x32"), tiny, STREAMED)
+        text = self.written(ei.value.plan)
+        assert plan_to_json(plan_from_json(text)) == text
+
+    def test_writer_escapes_names(self):
+        g = G.build_variant("80x32")
+        names = ['quote "ä"', "back\\slash", "tab\t\u00e9", "drone \U0001f681", "del\x7f"]
+        g.layers = [dataclasses.replace(l, name=names[i] if i < len(names) else l.name)
+                    for i, l in enumerate(g.layers)]
+        p = plan(g, GAP8, STREAMED)
+        text = self.written(p)
+        assert text.isascii()
+        assert plan_to_json(plan_from_json(text)) == text
+
+    def test_writer_empty_plan(self):
+        # the graph decoder rejects an empty graph, so this plan is written
+        # but never read back
+        p = plan(G.NetGraph(layers=[], input_shape=(1, 4, 4)), GAP8, STREAMED)
+        self.written(p)
+        with pytest.raises(SchemaError, match="empty graph"):
+            plan_from_json(plan_to_json(p))
