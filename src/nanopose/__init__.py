@@ -8,7 +8,7 @@ closed-loop tracking simulation.
 __version__ = "0.1.0"
 
 from .graph import NetGraph, LayerSpec, GraphStats, analyze, build_frontnet, build_variant
-from .qtensor import QTensor, QuantParams, quantize, weight_eps, act_eps, decompose_weights, int_affine_requant
+from .qtensor import QTensor, QuantParams, quantize, weight_eps, act_eps, decompose_weights
 from .quantizer import CalibrationSet, QuantizedGraph, calibrate, convert
 from .engine import InferenceResult, infer_int, infer_float, crop_center
 from .planner import MemoryHierarchy, DeploymentPlan, plan, tile_layer, memory_report
@@ -22,7 +22,6 @@ from .metrics import metrics, rsquared
 __all__ = [
     "NetGraph", "LayerSpec", "GraphStats", "analyze", "build_frontnet", "build_variant",
     "QTensor", "QuantParams", "quantize", "weight_eps", "act_eps", "decompose_weights",
-    "int_affine_requant",
     "CalibrationSet", "QuantizedGraph", "calibrate", "convert",
     "InferenceResult", "infer_int", "infer_float", "crop_center",
     "MemoryHierarchy", "DeploymentPlan", "plan", "tile_layer", "memory_report",

@@ -16,8 +16,7 @@ whose dtypes could exceed it are multiplied in int64 instead.  Every
 accumulator is still checked against the int32 range.
 
 infer_int runs a QuantizedGraph as it is held: the graph keeps each
-layer's weights as full signed int8 codes in layer shape (the on-disk
-offset form is decoded by quantizer.load_qgraph), and the requant
+layer's weights as signed int8 codes in layer shape, and the requant
 parameters are validated on every call.  Nothing is cached between calls,
 so an edit to a weight code or a requant parameter takes effect on the
 next frame.
@@ -106,14 +105,6 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
-def _weight_codes(qg, layer: G.LayerSpec) -> np.ndarray:
-    qt = qg.weights[layer.name]
-    if qt.qp.zero_base:
-        raise SchemaError(f"{layer.name}: weights carry zero_base {qt.qp.zero_base}; the "
-                          f"integer engine runs full codes with zero_base 0")
-    return qt.data
-
-
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
     """Run the quantized graph entirely in the integer domain."""
     g = qg.graph
@@ -125,14 +116,14 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
     raw = None
     for l in g.layers:
         if l.kind == G.CONV:
-            x = conv2d_int(x, _weight_codes(qg, l), l.stride, l.padding)
+            x = conv2d_int(x, qg.weights[l.name].data, l.stride, l.padding)
         elif l.kind == G.REQUANT:
             rp = qg.requant[l.name]
             x = requant_codes(x, rp.mult, rp.shift, rp.bias)
         elif l.kind == G.POOL:
             x = maxpool2x2(x)
         elif l.kind == G.FC:
-            codes = _weight_codes(qg, l)
+            codes = qg.weights[l.name].data
             flat = x.reshape(-1)
             dtype = _gemm_dtype(flat.dtype, codes.dtype, l.in_ch)
             acc = codes.astype(dtype) @ flat.astype(dtype)

@@ -234,9 +234,6 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     g = getattr(qg_or_graph, "graph", qg_or_graph)
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
-    if not g.layers:
-        return DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=[], occupancy=[],
-                              schedule={}, l3_weight_bytes=0)
     G.infer_shapes(g)
     nodes = build_nodes(g, fuse_pool=fuse_pool)
     total_w = sum(n.weight_bytes for n in nodes)

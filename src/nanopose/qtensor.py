@@ -3,11 +3,12 @@
 All quantization in this toolkit is uniform and per-layer.  The quantizer
 maps a real tensor t to integer codes with a single positive scale eps,
 
-    code(x) = floor(x / eps),  dequant(code) = eps * (zero_base + code)
+    code(x) = floor(x / eps),  dequant(code) = eps * code
 
-where zero_base shifts the stored codes so that asymmetric weight ranges
-still fit an 8-bit signed integer.  Activations are unsigned with
-zero_base 0; accumulators are 32-bit signed.
+Activations are unsigned 8-bit codes, weights signed 8-bit codes and
+accumulators 32-bit signed.  Weights are stored on disk as 7-bit offsets
+from a base point (split_weight_codes); that form exists only in QTNS files
+and in decompose_weights' result.
 """
 
 import functools
@@ -37,17 +38,14 @@ class QuantParams:
     """Scale and integer range of a quantized tensor.
 
     eps:       real value of one integer step (> 0).
-    levels:    number of representable levels (256 activations and full
-               weight codes, 128 stored weight offsets, 2**32 accumulators).
+    levels:    number of representable levels (256 activations and weight
+               codes, 128 weight offsets, 2**32 accumulators).
     signed:    whether stored codes are signed.
-    zero_base: integer added to stored codes on dequantization; the minimum
-               weight code for decomposed weights, 0 for activations.
     """
 
     eps: float
     levels: int
     signed: bool
-    zero_base: int = 0
 
     def __post_init__(self):
         if not (self.eps > 0 and np.isfinite(self.eps)):
@@ -99,7 +97,7 @@ class QTensor:
         return self.data.shape
 
     def dequantize(self) -> np.ndarray:
-        return self.qp.eps * (self.qp.zero_base + self.data.astype(np.float64))
+        return self.qp.eps * self.data.astype(np.float64)
 
 
 def check_finite(x: np.ndarray) -> None:
@@ -134,6 +132,19 @@ def act_eps(alpha: float) -> float:
     return alpha / (2**8 - 1)
 
 
+def split_weight_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Signed weight codes as (int8 offsets in [0, 127], base) with
+    codes = base + offsets and base = min(codes.min(), 0): anchoring at zero
+    keeps a one-sided distribution's base at 0.  ValueError when the codes
+    span more than 128 levels from that base."""
+    codes = np.asarray(codes, dtype=np.int64)
+    base = int(codes.min(initial=0))
+    offsets = codes - base
+    if offsets.max(initial=0) > 127:
+        raise ValueError(f"codes [{codes.min()}, {codes.max()}] exceed range [{base}, {base + 127}]")
+    return offsets.astype(np.int8), base
+
+
 def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
     """Split weights into an integer base point plus 7-bit offsets.
 
@@ -148,43 +159,15 @@ def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
     w = np.asarray(w, dtype=np.float64)
     check_finite(w)
     codes = np.floor(w / eps_w + FLOOR_GUARD).astype(np.int64)
-    w_star_min = int(np.floor(min(float(w.min()), 0.0) / eps_w + FLOOR_GUARD))
-    offsets = codes - w_star_min
-    if offsets.min() < 0 or offsets.max() > 127:
+    try:
+        offsets, w_star_min = split_weight_codes(codes)
+    except ValueError as e:
+        raise DegenerateLayerError(f"weight {e}; eps_w inconsistent with this tensor") from None
+    if w_star_min < -128:
         raise DegenerateLayerError(
-            f"weight codes [{codes.min()}, {codes.max()}] do not span 128 levels "
-            f"from base {w_star_min}; eps_w inconsistent with this tensor"
+            f"full weight codes [{codes.min()}, {codes.max()}] exceed signed 8-bit"
         )
-    full = codes
-    if full.min() < -128 or full.max() > 127:
-        raise DegenerateLayerError(
-            f"full weight codes [{full.min()}, {full.max()}] exceed signed 8-bit"
-        )
-    # Offsets live in [0, 127] and fit an int8 payload; the base point rides
-    # in zero_base so dequantize() reconstructs eps_w * (w_star_min + w_star).
-    qp = QuantParams(eps=eps_w, levels=128, signed=False, zero_base=w_star_min)
-    qt = QTensor(data=offsets.astype(np.int8), qp=qp)
-    return qt, w_star_min
-
-
-def full_weight_codes(w_star: QTensor) -> QTensor:
-    """The signed 8-bit codes zero_base + w_star with zero_base 0: the form a
-    QuantizedGraph holds and the integer engine runs.  ValueError when they
-    leave that range."""
-    full = w_star.qp.zero_base + w_star.data.astype(np.int64)
-    if full.min() < -128 or full.max() > 127:
-        raise ValueError(f"weight codes [{full.min()}, {full.max()}] exceed signed 8-bit")
-    return QTensor(full.astype(np.int8), QuantParams(w_star.qp.eps, 256, signed=True))
-
-
-def offset_weight_codes(qt: QTensor) -> QTensor:
-    """Inverse of full_weight_codes, split as decompose_weights splits: 7-bit
-    offsets from the base min(codes.min(), 0) in an int8 payload, the base in
-    zero_base.  Codes spanning more than 128 levels raise ValueError."""
-    codes = full_weight_codes(qt).data.astype(np.int16)
-    base = min(int(codes.min()), 0)
-    offsets = QTensor(codes - base, QuantParams(qt.qp.eps, 128, signed=False, zero_base=base))
-    return QTensor(offsets.data.astype(np.int8), offsets.qp)   # validated before the cast
+    return QTensor(offsets, QuantParams(eps=eps_w, levels=128, signed=False)), w_star_min
 
 
 def requant_vector(values, name: str, channels: int, ndim: int) -> np.ndarray:
@@ -218,13 +201,6 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     v += bias
     v >>= shift
     return np.clip(v, 0, 255, out=v).astype(np.uint8)
-
-
-def int_affine_requant(acc: QTensor, scale_num, shift: int, bias, out_qp: QuantParams = None) -> QTensor:
-    """requant_codes on a quantized accumulator.  out_qp, when given,
-    carries the scale of the produced activation codes."""
-    out = requant_codes(acc.data, scale_num, shift, bias)
-    return QTensor(data=out, qp=out_qp or QuantParams(acc.qp.eps, 256, False))
 
 
 def accumulator_qparams(eps_acc: float) -> QuantParams:

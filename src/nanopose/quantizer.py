@@ -22,8 +22,6 @@ from .qtensor import (
     QuantParams,
     act_eps,
     decompose_weights,
-    full_weight_codes,
-    offset_weight_codes,
     weight_eps,
 )
 
@@ -53,7 +51,7 @@ class RequantParams:
 class QuantizedGraph:
     graph: G.NetGraph
     input_qp: QuantParams
-    weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor of full int8 codes
+    weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor of signed int8 codes
     requant: dict = field(default_factory=dict)   # requant name -> RequantParams
     acc_eps: dict = field(default_factory=dict)   # conv name -> eps_in * eps_w
     out_eps: np.ndarray = None                    # per output variable (4,)
@@ -110,7 +108,9 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
             # Extend the range to include zero so the full signed codes stay
             # inside 8 bits even for one-sided weight distributions.
             eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
-            qg.weights[l.name] = full_weight_codes(decompose_weights(w, eps_w)[0])
+            w_star, w_star_min = decompose_weights(w, eps_w)
+            codes = (w_star_min + w_star.data.astype(np.int16)).astype(np.int8)
+            qg.weights[l.name] = QTensor(codes, QuantParams(eps_w, 256, signed=True))
             acc_eps = qg.acc_eps[l.name] = eps_in * eps_w
             if l.kind == G.FC:
                 qg.out_eps = np.full(l.out_ch, acc_eps, dtype=np.float64)
@@ -187,7 +187,7 @@ def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
     stem = os.path.splitext(os.path.basename(path))[0]
     for name, qt in qg.weights.items():
         fn = f"{stem}_{name}.qtns"
-        tensorfile.write_qtensor(os.path.join(base, fn), offset_weight_codes(qt))
+        tensorfile.write_qtensor(os.path.join(base, fn), qt)
         doc["weights"][name] = fn
     return doc
 
@@ -237,10 +237,12 @@ def load_qgraph(path: str) -> QuantizedGraph:
             if l.kind in (G.CONV, G.FC):
                 qt = tensorfile.read_qtensor(os.path.join(base, as_str(weights[l.name])))
                 shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-                if tuple(qt.data.shape) != shape or l.name not in qg.acc_eps:
-                    raise SchemaError(f"{path}: {l.name} needs an accumulator scale and "
-                                      f"weights of shape {shape}, got {qt.data.shape}")
-                qg.weights[l.name] = full_weight_codes(qt)
+                if (qt.data.dtype != np.int8 or tuple(qt.data.shape) != shape
+                        or l.name not in qg.acc_eps):
+                    raise SchemaError(f"{path}: {l.name} needs an accumulator scale and an i8 "
+                                      f"weight payload of shape {shape}, got {qt.data.dtype} "
+                                      f"{qt.data.shape}")
+                qg.weights[l.name] = qt
             if l.kind == G.FC and qg.out_eps.shape != (l.out_ch,):
                 raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
                                   f"({l.out_ch},)")

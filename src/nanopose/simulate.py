@@ -90,21 +90,6 @@ class TrajectoryLog:
         return np.asarray([r[i] for r in self.rows], dtype=np.float64)
 
 
-def _event_count(n_ticks: int, dt: float, period: float) -> int:
-    """Observation events a run of n_ticks dynamics ticks fires, under the
-    event loop's own rule: event k >= 1 is due at tick time t when
-    k*period <= t + EVENT_SLACK."""
-    if n_ticks == 0:
-        return 0
-    horizon = n_ticks * dt + EVENT_SLACK
-    k = int(horizon / period)
-    while (k + 1) * period <= horizon:
-        k += 1
-    while k > 0 and k * period > horizon:
-        k -= 1
-    return k
-
-
 def run_experiment(noise: NoiseModel, inference_rate: float,
                    control_cfg: ControlConfig = None, sim_cfg: SimConfig = None,
                    script: ScenarioScript = None) -> TrajectoryLog:
@@ -123,9 +108,12 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     delta = cfg.delta
     std_x, std_y, std_z, std_th = noise.std
     # One noise row per capture: one at t = 0 and one per observation event.
-    # A single draw yields the same stream as one draw of 4 per capture.
-    # Rows stay Python floats so the whole loop runs on float arithmetic.
-    eps = rng.standard_normal((1 + _event_count(n_ticks, dt, obs_period), 4)).tolist()
+    # Events k >= 1 are due by k * period <= n_ticks * dt + EVENT_SLACK, so
+    # the draw sizes for one more than that bound to absorb float rounding;
+    # a longer draw leaves its prefix unchanged.  A single draw yields the
+    # same stream as one draw of 4 per capture.  Rows stay Python floats so
+    # the whole loop runs on float arithmetic.
+    eps = rng.standard_normal((2 + int((n_ticks * dt + EVENT_SLACK) * inference_rate), 4)).tolist()
 
     drone = DroneState(*script.drone_start.as_tuple())
     filters = [

@@ -7,10 +7,16 @@ Layout (all little-endian):
     rank    u8
     dims    rank * u32
     payload raw row-major element data
-    trailer f64 eps, i32 zero_base
+    trailer f64 eps, i32 base
 
 The format is bit-exact across platforms; float tensors carry eps=1.0 and
-zero_base=0 in the trailer.
+base=0 in the trailer.
+
+An i8 payload is the on-disk form of signed 8-bit weight codes: 7-bit
+offsets in [0, 127] from the base point in the trailer (see
+qtensor.split_weight_codes).  write_qtensor splits the codes and
+read_qtensor merges them, so in memory weights are only ever signed codes.
+Every other payload carries base 0.
 """
 
 import math
@@ -19,23 +25,22 @@ import struct
 import numpy as np
 
 from .errors import SchemaError
-from .qtensor import QTensor, QuantParams
+from .qtensor import QTensor, QuantParams, split_weight_codes
 
 MAGIC = b"QTNS"
 
 _CODE_TO_DTYPE = {0: np.uint8, 1: np.int8, 2: np.int32, 3: np.float32}
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in _CODE_TO_DTYPE.items()}
 
-# i8 payloads hold decomposed weight offsets in [0, 127]; the base point
-# travels in the zero_base trailer field (see qtensor.decompose_weights).
+# i8 payloads decode to signed weight codes, base + offset
 _QP_FOR_CODE = {
     0: dict(levels=256, signed=False),
-    1: dict(levels=128, signed=False),
+    1: dict(levels=256, signed=True),
     2: dict(levels=2**32, signed=True),
 }
 
 
-def write_tensor(path, data: np.ndarray, eps: float = 1.0, zero_base: int = 0) -> None:
+def write_tensor(path, data: np.ndarray, eps: float = 1.0, base: int = 0) -> None:
     data = np.ascontiguousarray(data)
     dt = np.dtype(data.dtype).newbyteorder("<")
     if np.dtype(data.dtype) not in _DTYPE_TO_CODE:
@@ -46,11 +51,11 @@ def write_tensor(path, data: np.ndarray, eps: float = 1.0, zero_base: int = 0) -
         f.write(struct.pack("<BB", code, data.ndim))
         f.write(struct.pack(f"<{data.ndim}I", *data.shape))
         f.write(data.astype(dt, copy=False).tobytes())
-        f.write(struct.pack("<di", float(eps), int(zero_base)))
+        f.write(struct.pack("<di", float(eps), int(base)))
 
 
 def read_tensor(path):
-    """Read a QTNS file; returns (array, eps, zero_base)."""
+    """Read a QTNS file; returns (array, eps, base)."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -68,18 +73,34 @@ def read_tensor(path):
     if len(raw) != start + nbytes + 12:
         raise SchemaError(f"{path}: size mismatch (got {len(raw)}, expected {start + nbytes + 12})")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(dims)
-    eps, zero_base = struct.unpack_from("<di", raw, start + nbytes)
-    return data.astype(_CODE_TO_DTYPE[code]), eps, zero_base
+    eps, base = struct.unpack_from("<di", raw, start + nbytes)
+    return data.astype(_CODE_TO_DTYPE[code]), eps, base
 
 
 def write_qtensor(path, qt: QTensor) -> None:
-    write_tensor(path, qt.data, eps=qt.qp.eps, zero_base=qt.qp.zero_base)
+    """Write a quantized tensor; int8 weight codes go out as offsets plus
+    base (ValueError when they span more than 128 levels)."""
+    if qt.data.dtype == np.int8:
+        offsets, base = split_weight_codes(qt.data)
+        write_tensor(path, offsets, eps=qt.qp.eps, base=base)
+    else:
+        write_tensor(path, qt.data, eps=qt.qp.eps)
 
 
 def read_qtensor(path) -> QTensor:
-    data, eps, zero_base = read_tensor(path)
+    """Read a quantized tensor; an i8 payload comes back as the signed
+    weight codes base + offset."""
+    data, eps, base = read_tensor(path)
     code = _DTYPE_TO_CODE[np.dtype(data.dtype)]
     if code == 3:
         raise SchemaError(f"{path}: float payload is not a quantized tensor")
-    qp = QuantParams(eps=eps, zero_base=zero_base, **_QP_FOR_CODE[code])
-    return QTensor(data=data, qp=qp)
+    if code == 1:
+        lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
+        if lo < 0:
+            raise SchemaError(f"{path}: weight offset {lo} is below 0")
+        if base + lo < -128 or base + hi > 127:
+            raise SchemaError(f"{path}: base {base} + offsets [{lo}, {hi}] exceed signed 8-bit")
+        data = (base + data.astype(np.int16)).astype(np.int8)
+    elif base:
+        raise SchemaError(f"{path}: base {base} on a payload without weight offsets")
+    return QTensor(data=data, qp=QuantParams(eps=eps, **_QP_FOR_CODE[code]))

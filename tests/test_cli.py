@@ -14,6 +14,7 @@ from nanopose.cli import (
     EXIT_USAGE,
     main,
 )
+from nanopose import tensorfile
 from nanopose.pgm import write_pgm
 
 
@@ -119,6 +120,39 @@ class TestTamperedQgraph:
         assert res.returncode == EXIT_SCHEMA, res.stderr
         assert "Traceback" not in res.stderr
         assert "error[schema]" in res.stderr
+
+
+def _offset_byte_0x80(path):
+    raw = bytearray(path.read_bytes())
+    raw[6 + 4 * raw[5]] = 0x80          # first payload byte: offset -128
+    path.write_bytes(bytes(raw))
+
+
+def _rewrite_as(dtype):
+    def tamper(path):
+        data, eps, _ = tensorfile.read_tensor(path)
+        tensorfile.write_tensor(path, data.astype(dtype), eps=eps)
+    return tamper
+
+
+class TestTamperedWeightFile:
+    """A weight file that is not 7-bit offsets in an i8 payload is rejected
+    when loaded rather than read as other codes."""
+
+    @pytest.mark.parametrize("tamper,message", [
+        (_offset_byte_0x80, "offset -128 is below 0"),
+        (_rewrite_as(np.uint8), "i8 weight payload"),
+        (_rewrite_as(np.int32), "i8 weight payload"),
+    ], ids=["offset-0x80", "u8", "i32"])
+    def test_infer_exit_4(self, tmp_path, capsys, qgraph_file, tamper, message):
+        doc = json.loads(qgraph_file.read_text())
+        tamper(qgraph_file.parent / next(iter(doc["weights"].values())))
+        img = frame_pgm(tmp_path)
+        code = run_cli(["infer", "--qgraph", str(qgraph_file), "--image", str(img),
+                        "--out", str(tmp_path / "pose.csv")])
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and message in err
 
 
 PLAN_TAMPERS = {
@@ -400,3 +434,6 @@ class TestEntryPoint:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "nanopose" in res.stdout
+
+    def test_public_names_resolve(self):
+        assert all(hasattr(nanopose, name) for name in nanopose.__all__)

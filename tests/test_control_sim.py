@@ -9,7 +9,7 @@ from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
 from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at
-from nanopose.simulate import EVENT_SLACK, RATE_HZ, SimConfig, _event_count, noise_for, run_experiment
+from nanopose.simulate import EVENT_SLACK, RATE_HZ, SimConfig, noise_for, run_experiment
 
 CFG = ControlConfig()
 
@@ -171,13 +171,16 @@ class TestRunExperiment:
     @pytest.mark.parametrize("rate", [30.0, 48.0, 111.0, 135.0, 1000.0, 7.0 / 3.0])
     @pytest.mark.parametrize("n_ticks", [0, 1, 999, 1000, 3650, 25000])
     def test_event_count_matches_the_loop_rule(self, rate, n_ticks):
-        # the events run_experiment's tick loop fires, which sizes its noise draw
+        # one observation at t = 0 plus one per event: event k >= 1 fires on
+        # the first tick t with k * period <= t + EVENT_SLACK
         dt, period = 1.0 / 500.0, 1.0 / rate
         k = 1
         for tick in range(1, n_ticks + 1):
             while k * period <= tick * dt + EVENT_SLACK:
                 k += 1
-        assert _event_count(n_ticks, dt, period) == k - 1
+        duration = n_ticks * dt or dt / 4     # under half a tick runs 0 ticks
+        log = run_experiment(noise_for("160x32", seed=0), rate, sim_cfg=SimConfig(duration=duration))
+        assert len(log.observations) == k
 
     def test_mocap_converges_and_regulates(self):
         log = run_experiment(noise_for("mocap", seed=1), RATE_HZ["mocap"])

@@ -5,7 +5,7 @@ import pytest
 
 from nanopose import costmodel as C, graph as G
 from nanopose.errors import FitError, SchemaError
-from nanopose.planner import GAP8, RESIDENT, STREAMED, plan
+from nanopose.planner import GAP8, RESIDENT, STREAMED, DeploymentPlan, plan
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,9 @@ class TestEstimate:
         assert lat["160x32"] > lat["160x16"] > lat["80x32"]
 
     def test_empty_plan_has_no_latency(self):
-        p = plan(G.NetGraph(layers=[], input_shape=(1, 4, 4)), GAP8, STREAMED)
+        # planner.plan rejects an empty graph, but a plan can be built by hand
+        p = DeploymentPlan(graph=G.NetGraph(layers=[], input_shape=(1, 4, 4)), mem=GAP8,
+                           policy=STREAMED, nodes=[], occupancy=[], schedule={}, l3_weight_bytes=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no divide-by-zero warning on the array path
             with pytest.raises(SchemaError, match="empty plan has no latency"):

@@ -1,9 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
-from nanopose import engine, graph as G, qtensor
+from nanopose import engine, graph as G
 from nanopose.errors import AccumulatorOverflowError, SchemaError
 from nanopose.floatnet import random_float_net
 from nanopose.qtensor import QTensor, QuantParams
@@ -96,12 +94,12 @@ class TestInferInt:
 
         qg = QuantizedGraph(graph=g, input_qp=engine.image_qparams())
         qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8),
-                                  QuantParams(0.5, 128, False, zero_base=0))
+                                  QuantParams(0.5, 256, True))
         qg.acc_eps["c"] = engine.IMAGE_EPS * 0.5
         qg.requant["a"] = RequantParams(
             mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
         qg.weights["fc"] = QTensor(np.full((4, 9), 2, dtype=np.int8),
-                                   QuantParams(1.0, 128, False, zero_base=0))
+                                   QuantParams(1.0, 256, True))
         qg.acc_eps["fc"] = 1.0
         qg.out_eps = np.full(4, 1.0)
         codes = np.arange(9, dtype=np.uint8).reshape(1, 3, 3)
@@ -150,15 +148,14 @@ class TestHeldCodes:
     def test_inference_decodes_no_weights(self, monkeypatch):
         g, net, qg, rng = converted_toy(7)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
-        calls = []
-        real = qtensor.full_weight_codes
-        for mod in (m for k, m in list(sys.modules.items()) if k.startswith("nanopose")):
-            if getattr(mod, "full_weight_codes", None) is real:
-                monkeypatch.setattr(mod, "full_weight_codes",
-                                    lambda qt: calls.append(qt) or real(qt))
+        seen = []
+        real = engine.conv2d_int
+        monkeypatch.setattr(engine, "conv2d_int",
+                            lambda x, w, *a, **k: seen.append(w) or real(x, w, *a, **k))
         first = engine.infer_int(qg, img, record_activations=True).raw
         second = engine.infer_int(qg, img).raw
-        assert calls == []
+        convs = [l.name for l in g.layers if l.kind == G.CONV]
+        assert [id(w) for w in seen] == [id(qg.weights[n].data) for n in convs * 2]
         assert (first == second).all()
 
     def test_replaced_requant_bias_is_used(self):
@@ -191,15 +188,6 @@ class TestHeldCodes:
             assert (qt.data.astype(np.int64) == ref[layer]).all(), layer
         assert not (res.activations[conv].data[0] == before[conv].data[0]).all()
         assert not (res.activations[act].data[-1] == before[act].data[-1]).all()
-
-    def test_offset_weights_rejected(self):
-        g, net, qg, rng = converted_toy(10)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
-        name = next(iter(qg.weights))
-        qt = qg.weights[name]
-        qg.weights[name] = QTensor(qt.data, QuantParams(qt.qp.eps, 256, True, zero_base=-3))
-        with pytest.raises(SchemaError, match="zero_base"):
-            engine.infer_int(qg, img)
 
 
 class TestInferFloat:

@@ -3,14 +3,12 @@ import pytest
 
 from nanopose.errors import DegenerateLayerError, RequantParameterError
 from nanopose.qtensor import (
-    QTensor,
     QuantParams,
     act_eps,
-    accumulator_qparams,
     decompose_weights,
-    full_weight_codes,
-    int_affine_requant,
     quantize,
+    requant_codes,
+    split_weight_codes,
     weight_eps,
 )
 
@@ -120,13 +118,34 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         w = rng.normal(0, 0.4, 256)
         eps = weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
-        w_star, _ = decompose_weights(w, eps)
-        codes = full_weight_codes(w_star)
-        assert codes.data.dtype == np.int8 and codes.qp.zero_base == 0
+        w_star, base = decompose_weights(w, eps)
+        codes = base + w_star.data.astype(np.int64)
+        assert codes.min() >= -128 and codes.max() <= 127
+        offsets, split_base = split_weight_codes(codes)
+        assert split_base == base and (offsets == w_star.data).all()
 
     def test_all_zero_rejected_via_eps(self):
         with pytest.raises(DegenerateLayerError):
             weight_eps(0.0, 0.0)
+
+
+class TestSplitWeightCodes:
+    def test_base_is_min_code_or_zero(self):
+        offsets, base = split_weight_codes(np.array([-3, 0, 124], dtype=np.int8))
+        assert base == -3 and offsets.dtype == np.int8 and offsets.tolist() == [0, 3, 127]
+        offsets, base = split_weight_codes(np.array([5, 127], dtype=np.int8))
+        assert base == 0 and offsets.tolist() == [5, 127]
+
+    def test_every_128_level_window_roundtrips(self):
+        for lo in range(-128, 1):
+            codes = np.arange(lo, lo + 128)
+            offsets, base = split_weight_codes(codes)
+            assert (base + offsets.astype(np.int64) == codes).all()
+
+    @pytest.mark.parametrize("codes", [[-1, 127], [-128, 0, 1], [-100, 100]])
+    def test_more_than_128_levels_rejected(self, codes):
+        with pytest.raises(ValueError, match="exceed range"):
+            split_weight_codes(np.array(codes, dtype=np.int8))
 
 
 def requant_oracle(acc, scale, shift, bias):
@@ -147,19 +166,16 @@ def requant_oracle(acc, scale, shift, bias):
 
 
 class TestRequant:
-    def acc(self, arr):
-        return QTensor(np.asarray(arr, dtype=np.int32), accumulator_qparams(1.0))
-
     def test_identity_clamp_only(self):
-        acc = self.acc(np.arange(-4, 300).reshape(1, -1, 1))
-        out = int_affine_requant(acc, 1, 0, 0)
-        assert out.data.min() == 0 and out.data.max() == 255
-        assert out.data[0, 10, 0] == 6  # -4 + 10
+        acc = np.arange(-4, 300, dtype=np.int32).reshape(1, -1, 1)
+        out = requant_codes(acc, 1, 0, 0)
+        assert out.min() == 0 and out.max() == 255
+        assert out[0, 10, 0] == 6  # -4 + 10
 
     def test_negative_acc_relu(self):
-        acc = self.acc(np.full((3, 2, 2), -1000, dtype=np.int32))
-        out = int_affine_requant(acc, 5, 3, 0)
-        assert (out.data == 0).all()
+        acc = np.full((3, 2, 2), -1000, dtype=np.int32)
+        out = requant_codes(acc, 5, 3, 0)
+        assert (out == 0).all()
 
     def test_matches_wide_integer_oracle(self):
         rng = np.random.default_rng(11)
@@ -169,21 +185,21 @@ class TestRequant:
             scale = rng.integers(1, 2**20, c)
             bias = rng.integers(-(2**24), 2**24, c)
             shift = int(rng.integers(0, 32))
-            got = int_affine_requant(self.acc(acc), scale, shift, bias)
+            got = requant_codes(acc, scale, shift, bias)
             want = requant_oracle(acc, scale, shift, bias)
-            assert (got.data.astype(np.int64) == want).all()
+            assert (got.astype(np.int64) == want).all()
 
     def test_output_range(self):
         rng = np.random.default_rng(2)
         acc = rng.integers(-(2**31), 2**31 - 1, (4, 8, 8)).astype(np.int32)
-        out = int_affine_requant(self.acc(acc), 3, 7, 19)
-        assert out.data.dtype == np.uint8
+        out = requant_codes(acc, 3, 7, 19)
+        assert out.dtype == np.uint8
 
     def test_param_validation(self):
-        acc = self.acc(np.zeros((2, 2, 2), dtype=np.int32))
+        acc = np.zeros((2, 2, 2), dtype=np.int32)
         with pytest.raises(RequantParameterError):
-            int_affine_requant(acc, 1, 40, 0)
+            requant_codes(acc, 1, 40, 0)
         with pytest.raises(RequantParameterError):
-            int_affine_requant(acc, 1, 0, np.zeros(3))
+            requant_codes(acc, 1, 0, np.zeros(3))
         with pytest.raises(RequantParameterError):
-            int_affine_requant(acc, 2**33, 0, 0)
+            requant_codes(acc, 2**33, 0, 0)

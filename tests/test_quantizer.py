@@ -128,7 +128,7 @@ class TestConvert:
         net.weights[first] = np.abs(net.weights[first])
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         codes = qg.weights[first]
-        assert codes.data.dtype == np.int8 and codes.qp.zero_base == 0
+        assert codes.data.dtype == np.int8 and codes.qp.signed and codes.qp.levels == 256
         assert np.abs(codes.dequantize() - net.weights[first]).max() <= codes.qp.eps
 
 
@@ -190,7 +190,7 @@ class TestSerialization:
         for fn in files:
             assert (tmp_path / "a" / fn).read_bytes() == (tmp_path / "b" / fn).read_bytes(), fn
         for name, qt in qg.weights.items():
-            assert qt.data.dtype == np.int8 and qt.qp.zero_base == 0
+            assert qt.data.dtype == np.int8 and qt.qp == back.weights[name].qp
             assert (back.weights[name].data == qt.data).all()
         _, _, base = tensorfile.read_tensor(tmp_path / "a" / f"q_{first}.qtns")
         assert base == 0
@@ -211,6 +211,6 @@ class TestSerialization:
         name = next(iter(qg.weights))
         qtns = tmp_path / f"q_{name}.qtns"
         data, eps, _ = tensorfile.read_tensor(qtns)
-        tensorfile.write_tensor(qtns, data, eps=eps, zero_base=100)
+        tensorfile.write_tensor(qtns, data, eps=eps, base=100)
         with pytest.raises(SchemaError, match="exceed signed 8-bit"):
             load_qgraph(str(path))

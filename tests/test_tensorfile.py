@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from nanopose.errors import SchemaError
-from nanopose.qtensor import decompose_weights, weight_eps
+from nanopose.qtensor import QTensor, QuantParams, decompose_weights, weight_eps
 from nanopose.tensorfile import read_qtensor, read_tensor, write_qtensor, write_tensor
 
 
 def test_u8_roundtrip(tmp_path):
     p = tmp_path / "a.qtns"
     data = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
-    write_tensor(p, data, eps=0.5, zero_base=0)
+    write_tensor(p, data, eps=0.5, base=0)
     back, eps, zb = read_tensor(p)
     assert (back == data).all() and back.dtype == np.uint8
     assert eps == 0.5 and zb == 0
@@ -31,17 +31,52 @@ def test_i32_and_f32_roundtrip(tmp_path):
 
 
 def test_weight_tensor_roundtrip(tmp_path):
+    # signed codes go to disk as decompose_weights' offsets plus base, and
+    # come back as the same signed codes
     rng = np.random.default_rng(0)
     w = rng.normal(0, 0.3, (8, 4, 3, 3))
     eps = weight_eps(min(w.min(), 0), max(w.max(), 0))
-    qt, base = decompose_weights(w, eps)
+    w_star, base = decompose_weights(w, eps)
+    codes = (base + w_star.data.astype(np.int16)).astype(np.int8)
     p = tmp_path / "w.qtns"
-    write_qtensor(p, qt)
+    write_qtensor(p, QTensor(codes, QuantParams(eps, 256, signed=True)))
+    offsets, eps_back, base_back = read_tensor(p)
+    assert (offsets == w_star.data).all() and eps_back == eps and base_back == base
     back = read_qtensor(p)
-    assert (back.data == qt.data).all()
-    assert back.qp.eps == qt.qp.eps
-    assert back.qp.zero_base == base
-    assert np.allclose(back.dequantize(), qt.dequantize())
+    assert back.data.dtype == np.int8 and (back.data == codes).all()
+    assert back.qp == QuantParams(eps, 256, signed=True)
+
+
+def write_i8(p, payload, base):
+    write_tensor(p, np.array(payload, dtype=np.int8), eps=0.25, base=base)
+
+
+def test_weight_codes_are_base_plus_offset(tmp_path):
+    p = tmp_path / "w.qtns"
+    write_i8(p, [5, 10], base=-132)
+    assert read_qtensor(p).data.tolist() == [-127, -122]
+
+
+def test_weight_offset_below_zero_rejected(tmp_path):
+    p = tmp_path / "w.qtns"
+    write_i8(p, [0, 5, -128], base=0)
+    with pytest.raises(SchemaError, match="offset -128 is below 0"):
+        read_qtensor(p)
+
+
+@pytest.mark.parametrize("payload,base", [([0, 127], 1), ([0, 3], -129), ([2], -131), ([], 200)])
+def test_weight_codes_beyond_int8_rejected(tmp_path, payload, base):
+    p = tmp_path / "w.qtns"
+    write_i8(p, payload, base)
+    with pytest.raises(SchemaError, match="exceed signed 8-bit"):
+        read_qtensor(p)
+
+
+def test_base_on_other_payload_rejected(tmp_path):
+    p = tmp_path / "a.qtns"
+    write_tensor(p, np.arange(4, dtype=np.uint8), eps=0.5, base=-3)
+    with pytest.raises(SchemaError, match="base -3"):
+        read_qtensor(p)
 
 
 def test_header_is_fixed_layout(tmp_path):
