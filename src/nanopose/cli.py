@@ -30,7 +30,6 @@ from .control import ControlConfig
 from .errors import ConstraintError, NanoposeError, SchemaError, parse_doc
 from .floatnet import random_float_net
 from .pose import Pose
-from .qtensor import QTensor
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -145,11 +144,7 @@ def cmd_infer(args):
 
     qg = Q.load_qgraph(args.qgraph)
     px = read_pgm(args.image)
-    _, h, w = qg.graph.input_shape
-    if px.shape == (h, w):
-        img = QTensor(px.reshape(1, h, w), engine.image_qparams())
-    else:
-        img = engine.crop_center(px, (h, w))
+    img = engine.crop_center(px, qg.graph.input_shape[1:])
     res = engine.infer_int(qg, img, record_activations=bool(args.dump_activations))
     body = "x,y,z,theta,raw_x,raw_y,raw_z,raw_theta\n"
     body += ",".join(f"{v:.9g}" for v in res.pose) + "," + ",".join(str(int(v)) for v in res.raw) + "\n"
@@ -183,7 +178,7 @@ def cmd_plan(args):
         write_csv(args.report, P.report_csv(p), inputs=inputs)
     print(P.report_table(p))
     print(f"L3 weights: {p.l3_weight_bytes:,} B; naive no-tiling L2 need: "
-          f"{P.naive_l2_bytes(p.graph):,} B; audit ok")
+          f"{P.naive_l2_bytes(p.graph, p.mem):,} B; audit ok")
     return EXIT_OK
 
 

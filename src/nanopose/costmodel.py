@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import FitError, SchemaError, finite_real, require_positive
-from .planner import RESIDENT, DeploymentPlan
+from .planner import DeploymentPlan
 
 # minimum VDD enabling a frequency (either domain), 0.05 V steps; transcribed
 # approximation of the device's operating-point table
@@ -122,18 +122,22 @@ def stage_utilization(node, params: CostParams):
 
 def prepare(plan: DeploymentPlan, params: CostParams = None) -> tuple:
     """Per-stage (compute cycles, next-stage DMA cycles, cluster activity):
-    everything in the model that does not depend on the operating point."""
+    everything in the model that does not depend on the operating point.
+
+    The bytes each stage streams are the plan's own schedule, its
+    occupancy rows' `weights_next`; SchemaError when the plan has not one
+    row per stage."""
     params = params or CostParams()
-    streamed = plan.policy != RESIDENT
-    nodes = plan.nodes
+    if len(plan.occupancy) != len(plan.nodes):
+        raise SchemaError(f"plan has {len(plan.occupancy)} occupancy rows for "
+                          f"{len(plan.nodes)} stages")
     stages = []
-    for i, n in enumerate(nodes):
+    for n, row in zip(plan.nodes, plan.occupancy):
         u_rows, u_dot = stage_utilization(n, params)
         eta = params.eta_peak * u_rows * u_dot
-        next_bytes = nodes[i + 1].weight_bytes if streamed and i + 1 < len(nodes) else 0
         stages.append((
             n.macs / eta if n.macs else 0.0,
-            next_bytes / params.dma_bytes_per_fc_cycle,
+            row.weights_next / params.dma_bytes_per_fc_cycle,
             params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows,
         ))
     return tuple(stages)
@@ -167,13 +171,21 @@ def _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, minim
     return p_fc, p_cl
 
 
-def _estimate(plan, stages, op, params) -> CostEstimate:
+def _at_point(stages, op, params):
+    """Per-stage wall times, frame latency (s) and FC and cluster power (W)
+    at one operating point."""
     f_fc = op.f_fc * 1e6
     f_cl = op.f_cl * 1e6
     walls, latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, max)
     if latency <= 0:
         raise SchemaError("empty plan has no latency")
     p_fc, p_cl = _powers(params, op.vdd**2, f_fc, f_cl, latency, cl_energy_weight, dma_time, min)
+    return walls, latency, p_fc, p_cl
+
+
+def _estimate(plan, stages, op, params) -> CostEstimate:
+    walls, latency, p_fc, p_cl = _at_point(stages, op, params)
+    f_cl = op.f_cl * 1e6
     per_layer = []
     for n, (compute_cycles, dma_cycles, _), wall in zip(plan.nodes, stages, walls):
         per_layer.append(LayerCost(
@@ -292,9 +304,9 @@ def calibrate_params(targets, base: CostParams = None) -> tuple:
         p = unpack(x)
         res = []
         for pl, op, fps, mw in targets:
-            est = estimate(pl, op, p)
-            res.append((est.fps - fps) / fps)
-            res.append((est.power_mw - mw) / mw)
+            _, latency, p_fc, p_cl = _at_point(prepare(pl, p), op, p)
+            res.append((1.0 / latency - fps) / fps)
+            res.append(((p_fc + p_cl) * 1e3 - mw) / mw)
         return np.asarray(res)
 
     x0 = []

@@ -31,6 +31,8 @@ from . import graph as G
 from .errors import AccumulatorOverflowError, SchemaError
 from .floatnet import FloatNet
 from .qtensor import (
+    INT32_MAX,
+    INT32_MIN,
     QTensor,
     QuantParams,
     accumulator_qparams,
@@ -55,14 +57,11 @@ class InferenceResult:
     activations: dict = None  # optional per-layer QTensor snapshots
 
 
-def _acc_range_check(acc: np.ndarray, limit_bits: int):
-    lo, hi = -(2 ** (limit_bits - 1)), 2 ** (limit_bits - 1) - 1
+def _acc_range_check(acc: np.ndarray):
     if acc.size:
         amin, amax = int(acc.min()), int(acc.max())
-        if amin < lo or amax > hi:
-            raise AccumulatorOverflowError(
-                f"accumulator range [{amin}, {amax}] exceeds {limit_bits}-bit"
-            )
+        if amin < INT32_MIN or amax > INT32_MAX:
+            raise AccumulatorOverflowError(f"accumulator range [{amin}, {amax}] exceeds 32-bit")
 
 
 @functools.cache
@@ -76,8 +75,7 @@ def _gemm_dtype(x_dtype, w_dtype, taps: int):
     return np.float64 if bound < _F64_EXACT else np.int64
 
 
-def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding,
-               acc_bits: int = 32) -> np.ndarray:
+def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding) -> np.ndarray:
     """Integer convolution as im2col plus one GEMM; returns int32
     accumulators (C_out, H, W)."""
     c, h, wdt = x.shape
@@ -94,7 +92,7 @@ def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding,
         for v in range(kw):
             cols[:, u, v] = padded[:, u : u + sh * (oh - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
     acc = w_codes.reshape(oc, -1).astype(dtype) @ cols.reshape(c * kh * kw, oh * ow)
-    _acc_range_check(acc, acc_bits)
+    _acc_range_check(acc)
     return acc.astype(np.int32).reshape(oc, oh, ow)
 
 
@@ -127,7 +125,7 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
             flat = x.reshape(-1)
             dtype = _gemm_dtype(flat.dtype, codes.dtype, l.in_ch)
             acc = codes.astype(dtype) @ flat.astype(dtype)
-            _acc_range_check(acc, 32)
+            _acc_range_check(acc)
             x = raw = acc.astype(np.int32)
         else:
             continue

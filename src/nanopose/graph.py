@@ -6,9 +6,8 @@ three variants named by input width and base channel count: 160x32, 160x16,
 and 80x32.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SchemaError, as_int, as_ints, as_str, decoding
 
@@ -47,6 +46,13 @@ class LayerSpec:
         if self.kind == FC:
             return self.weight_count()
         return 0
+
+    def out_elem_bytes(self) -> int:
+        # activations are 8-bit codes, the head's outputs 32-bit fixed point
+        return 4 if self.kind == FC else 1
+
+    def out_bytes(self) -> int:
+        return self.out_elem_bytes() * math.prod(self.out_shape)
 
 
 @dataclass
@@ -164,13 +170,8 @@ def build_variant(tag: str) -> NetGraph:
 
 
 def _buffer_bytes(l: LayerSpec) -> int:
-    # One activation buffer per executed stage: conv and pool outputs are
-    # 8-bit elements, the head's four outputs are 32-bit fixed point.
-    if l.kind in (CONV, POOL):
-        return int(np.prod(l.out_shape))
-    if l.kind == FC:
-        return 4 * int(np.prod(l.out_shape))
-    return 0
+    # one activation buffer per executed stage
+    return l.out_bytes() if l.kind in (CONV, POOL, FC) else 0
 
 
 def analyze(g: NetGraph) -> GraphStats:
@@ -183,7 +184,7 @@ def analyze(g: NetGraph) -> GraphStats:
     infer_shapes(g)
     macs = sum(l.macs() for l in g.layers)
     params = sum(l.weight_count() for l in g.layers)
-    memory = int(np.prod(g.input_shape)) + params + sum(_buffer_bytes(l) for l in g.layers)
+    memory = math.prod(g.input_shape) + params + sum(_buffer_bytes(l) for l in g.layers)
     return GraphStats(macs=macs, params=params, memory_bytes=memory)
 
 

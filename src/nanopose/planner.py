@@ -9,10 +9,9 @@ activation pair.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from json.encoder import encode_basestring_ascii as _json_str
-
-import numpy as np
 
 from . import graph as G
 from .errors import (PlanConstraintError, SchemaError, UntileableLayerError, as_int,
@@ -56,10 +55,6 @@ class Tile:
         return 2 * (self.in_bytes + self.weight_bytes + self.out_bytes)
 
 
-def _elem_out(layer: G.LayerSpec) -> int:
-    return 4 if layer.kind == G.FC else 1
-
-
 def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Tile:
     ic, ih, iw = layer.in_shape
     oc, oh, ow = layer.out_shape
@@ -67,7 +62,7 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
         return Tile(
             layer=layer.name, out_rows=(0, 1), out_ch=(c0, c1), in_rows=(0, 1),
             in_bytes=layer.in_ch, weight_bytes=(c1 - c0) * layer.in_ch,
-            out_bytes=(c1 - c0) * 4,
+            out_bytes=(c1 - c0) * layer.out_elem_bytes(),
         )
     sh = layer.stride[0]
     kh = layer.kernel[0]
@@ -76,7 +71,7 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
     hi = min(ih, (r1 - 1) * sh - ph + kh)
     in_bytes = ic * (hi - lo) * iw
     w_bytes = (c1 - c0) * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
-    out_bytes = (c1 - c0) * (r1 - r0) * ow * _elem_out(layer)
+    out_bytes = (c1 - c0) * (r1 - r0) * ow * layer.out_elem_bytes()
     return Tile(layer=layer.name, out_rows=(r0, r1), out_ch=(c0, c1), in_rows=(lo, hi),
                 in_bytes=in_bytes, weight_bytes=w_bytes, out_bytes=out_bytes)
 
@@ -85,12 +80,12 @@ def _worst_ws(layer: G.LayerSpec, h: int, g: int) -> int:
     """Upper bound on any tile's double-buffered bytes at strip height h,
     channel group g (interior halo, no edge clamping credit)."""
     if layer.kind == G.FC:
-        return 2 * (layer.in_ch + g * layer.in_ch + 4 * g)
+        return 2 * (layer.in_ch + g * layer.in_ch + g * layer.out_elem_bytes())
     ic, ih, iw = layer.in_shape
     _, oh, ow = layer.out_shape
     n_in = min((h - 1) * layer.stride[0] + layer.kernel[0], ih)
     w_bytes = g * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
-    return 2 * (ic * n_in * iw + w_bytes + g * h * ow * _elem_out(layer))
+    return 2 * (ic * n_in * iw + w_bytes + g * h * ow * layer.out_elem_bytes())
 
 
 def tile_layer(layer: G.LayerSpec, l1_budget: int) -> list:
@@ -102,7 +97,7 @@ def tile_layer(layer: G.LayerSpec, l1_budget: int) -> list:
     """
     if layer.kind in (G.REQUANT, G.DROPOUT):
         return []
-    oc, oh, ow = layer.out_shape if layer.kind != G.FC else (layer.out_ch, 1, 1)
+    oc, oh, ow = layer.out_shape
     # widest channel group that admits at least a one-row tile
     if _worst_ws(layer, 1, oc) <= l1_budget:
         g = oc
@@ -179,52 +174,40 @@ class DeploymentPlan:
         return not self.violations
 
 
-def _activation_bytes(shape, kind) -> int:
-    n = int(np.prod(shape))
-    return 4 * n if kind == G.FC else n
-
-
 def build_nodes(g: G.NetGraph, fuse_pool: bool = True) -> list:
+    """Group a shaped graph's layers into execution stages.
+
+    A requant joins the open stage, and with `fuse_pool` so does a pool
+    that directly follows a requant.  A dropout runs nothing, but it still
+    ends the stage for fusion.  Every other layer opens a stage.  A stage
+    takes its kind, name, weights, input and compute geometry from its
+    first layer and its output from its last.
+    """
+    groups = []
+    prev = None
+    for l in g.layers:
+        if l.kind == G.REQUANT or (fuse_pool and l.kind == G.POOL and prev == G.REQUANT):
+            groups[-1].append(l)
+        elif l.kind != G.DROPOUT:
+            groups.append([l])
+        prev = l.kind
     nodes = []
-    layers = list(g.layers)
-    i = 0
-    while i < len(layers):
-        l = layers[i]
-        if l.kind == G.CONV:
-            group = [l]
-            if i + 1 < len(layers) and layers[i + 1].kind == G.REQUANT:
-                group.append(layers[i + 1])
-            j = i + len(group)
-            if fuse_pool and j < len(layers) and layers[j].kind == G.POOL:
-                group.append(layers[j])
-            nodes.append(PlanNode(
-                name=l.name, kind=G.CONV, layer_names=[x.name for x in group],
-                macs=l.macs(), weight_bytes=l.weight_count(),
-                in_bytes=_activation_bytes(l.in_shape, G.CONV),
-                out_bytes=_activation_bytes(group[-1].out_shape, group[-1].kind),
-                out_rows=l.out_shape[1], dot_len=l.in_ch * l.kernel[0] * l.kernel[1],
-            ))
-            i += len(group)
-        elif l.kind == G.POOL:
-            nodes.append(PlanNode(
-                name=l.name, kind=G.POOL, layer_names=[l.name], macs=0, weight_bytes=0,
-                in_bytes=_activation_bytes(l.in_shape, G.POOL),
-                out_bytes=_activation_bytes(l.out_shape, G.POOL),
-                out_rows=l.out_shape[1], dot_len=0,
-            ))
-            i += 1
-        elif l.kind == G.FC:
-            nodes.append(PlanNode(
-                name=l.name, kind=G.FC, layer_names=[l.name],
-                macs=l.macs(), weight_bytes=l.weight_count(),
-                in_bytes=_activation_bytes(l.in_shape, G.CONV),
-                out_bytes=_activation_bytes(l.out_shape, G.FC),
-                out_rows=1, dot_len=l.in_ch,
-            ))
-            i += 1
-        else:
-            i += 1
+    for group in groups:
+        first = group[0]
+        nodes.append(PlanNode(
+            name=first.name, kind=first.kind, layer_names=[l.name for l in group],
+            macs=sum(l.macs() for l in group), weight_bytes=first.weight_count(),
+            in_bytes=math.prod(first.in_shape), out_bytes=group[-1].out_bytes(),
+            out_rows=first.out_shape[1], dot_len=first.weight_count() // first.out_ch,
+        ))
     return nodes
+
+
+def _resident_l2_bytes(nodes: list, mem: MemoryHierarchy) -> int:
+    """L2 an allocation holding every weight needs: code, all weights and
+    the largest input/output activation pair of any stage."""
+    worst_pair = max((n.in_bytes + n.out_bytes for n in nodes), default=0)
+    return mem.code_budget_l2 + sum(n.weight_bytes for n in nodes) + worst_pair
 
 
 def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
@@ -239,12 +222,11 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     total_w = sum(n.weight_bytes for n in nodes)
 
     if policy == RESIDENT:
-        worst_pair = max((n.in_bytes + n.out_bytes for n in nodes), default=0)
-        need = total_w + mem.code_budget_l2 + worst_pair
+        need = _resident_l2_bytes(nodes, mem)
         if need > mem.l2_bytes:
             raise PlanConstraintError(
-                f"resident_l2 infeasible: weights {total_w} + code {mem.code_budget_l2} "
-                f"+ worst activation pair {worst_pair} = {need} > L2 {mem.l2_bytes}"
+                f"resident_l2 infeasible: code, weights {total_w} and the worst activation "
+                f"pair need {need} > L2 {mem.l2_bytes}"
             )
 
     occupancy = []
@@ -275,13 +257,10 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     return p
 
 
-def naive_l2_bytes(g: G.NetGraph, code_budget: int = GAP8.code_budget_l2) -> int:
-    """L2 needed by a no-tiling allocation: code plus all weights plus the
-    largest input/output activation pair of any stage."""
-    nodes = build_nodes(g, fuse_pool=False)
-    total_w = sum(n.weight_bytes for n in nodes)
-    worst = max(n.in_bytes + n.out_bytes for n in nodes)
-    return code_budget + total_w + worst
+def naive_l2_bytes(g: G.NetGraph, mem: MemoryHierarchy = GAP8) -> int:
+    """L2 needed by a no-tiling allocation on `mem`: the resident need of
+    the unfused stages."""
+    return _resident_l2_bytes(build_nodes(g, fuse_pool=False), mem)
 
 
 def memory_report(p: DeploymentPlan):

@@ -21,9 +21,11 @@ from .errors import DegenerateLayerError, RequantParameterError
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
-_DTYPE_FOR_LEVELS = {
+# storage dtype of each kind of integer code, by (levels, signed):
+# activations, weights, accumulators
+DTYPE_FOR_LEVELS = {
     (256, False): np.uint8,
-    (128, True): np.int8,
+    (256, True): np.int8,
     (2**32, True): np.int32,
 }
 
@@ -114,7 +116,7 @@ def quantize(t: np.ndarray, qp: QuantParams) -> QTensor:
     check_finite(t)
     codes = np.floor(t / qp.eps + FLOOR_GUARD)
     codes = np.clip(codes, qp.qmin, qp.qmax)
-    dtype = _DTYPE_FOR_LEVELS.get((qp.levels, qp.signed), np.int64)
+    dtype = DTYPE_FOR_LEVELS.get((qp.levels, qp.signed), np.int64)
     return QTensor(data=codes.astype(dtype), qp=qp)
 
 

@@ -25,19 +25,17 @@ import struct
 import numpy as np
 
 from .errors import SchemaError
-from .qtensor import QTensor, QuantParams, split_weight_codes
+from .qtensor import DTYPE_FOR_LEVELS, QTensor, QuantParams, split_weight_codes
 
 MAGIC = b"QTNS"
 
 _CODE_TO_DTYPE = {0: np.uint8, 1: np.int8, 2: np.int32, 3: np.float32}
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in _CODE_TO_DTYPE.items()}
 
-# i8 payloads decode to signed weight codes, base + offset
-_QP_FOR_CODE = {
-    0: dict(levels=256, signed=False),
-    1: dict(levels=256, signed=True),
-    2: dict(levels=2**32, signed=True),
-}
+# integer payloads decode to the code kind stored in that dtype; i8 ones to
+# signed weight codes, base + offset
+_QP_FOR_CODE = {_DTYPE_TO_CODE[np.dtype(dt)]: dict(levels=levels, signed=signed)
+                for (levels, signed), dt in DTYPE_FOR_LEVELS.items()}
 
 
 def write_tensor(path, data: np.ndarray, eps: float = 1.0, base: int = 0) -> None:

@@ -67,6 +67,20 @@ class TestQuantizeInfer:
         assert len(lines) == 2
         assert any(f.suffix == ".qtns" for f in acts.iterdir())
 
+    def test_frame_of_input_size_runs_unchanged(self, tmp_path, qgraph_file):
+        from nanopose import engine
+        from nanopose.quantizer import load_qgraph
+        px = np.random.default_rng(4).integers(0, 256, (48, 80)).astype(np.uint8)
+        img = tmp_path / "frame.pgm"
+        write_pgm(img, px)
+        pose_csv = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(qgraph_file), "--image", str(img),
+                        "--out", str(pose_csv)]) == 0
+        want = engine.infer_int(load_qgraph(qgraph_file),
+                                nanopose.QTensor(px.reshape(1, 48, 80), engine.image_qparams()))
+        row = [l for l in pose_csv.read_text().splitlines() if not l.startswith("#")][1]
+        assert row.split(",")[4:] == [str(int(v)) for v in want.raw]
+
     def test_missing_image_exit_3(self, tmp_path, qgraph_file):
         code = run_cli(["infer", "--qgraph", str(qgraph_file),
                         "--image", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.csv")])
@@ -235,6 +249,15 @@ class TestPlanSweep:
         code = run_cli(["plan", "--net", "160x32", "--policy", "resident_l2",
                         "--mem", str(mem), "--out", str(tmp_path / "p.json")])
         assert code == EXIT_CONSTRAINT
+
+    def test_naive_l2_need_follows_mem(self, tmp_path, capsys):
+        mem = tmp_path / "mem.json"
+        mem.write_text(json.dumps({"code_budget_l2": 40960}))
+        assert run_cli(["plan", "--net", "80x32", "--out", str(tmp_path / "p0.json")]) == 0
+        assert "naive no-tiling L2 need: 419,104 B" in capsys.readouterr().out
+        assert run_cli(["plan", "--net", "80x32", "--mem", str(mem),
+                        "--out", str(tmp_path / "p1.json")]) == 0
+        assert "naive no-tiling L2 need: 378,144 B" in capsys.readouterr().out
 
     SMALL_L3 = dict(l1_bytes=65536, l2_bytes=245760, l3_bytes=262144, code_budget_l2=1024)
 

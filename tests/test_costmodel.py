@@ -101,6 +101,15 @@ class TestEstimate:
                 C.sweep(p)
 
 
+    def test_cut_occupancy_rejected(self, plans):
+        p = plans["80x32"]
+        cut = DeploymentPlan(graph=p.graph, mem=p.mem, policy=p.policy, nodes=p.nodes,
+                             occupancy=p.occupancy[:-1], schedule=p.schedule,
+                             l3_weight_bytes=p.l3_weight_bytes)
+        with pytest.raises(SchemaError, match="occupancy rows"):
+            C.prepare(cut)
+
+
 class TestSweep:
     @pytest.mark.parametrize("policy", [STREAMED, RESIDENT])
     @pytest.mark.parametrize("tag", G.VARIANTS)

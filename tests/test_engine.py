@@ -55,10 +55,12 @@ class TestConvKernel:
         assert got.min() == -255 * 128 * 1152
 
     def test_accumulator_overflow_checked(self):
-        x = np.full((1, 4, 4), 255, dtype=np.int64)
-        wgt = np.full((1, 1, 3, 3), 127, dtype=np.int64)
-        with pytest.raises(AccumulatorOverflowError):
-            engine.conv2d_int(x, wgt, (1, 1), (1, 1), acc_bits=8)
+        # a 1x1 conv over 65,794 channels of 255 * -128 sums to
+        # -2,147,516,160, just below the int32 range
+        x = np.full((65794, 1, 1), 255, dtype=np.uint8)
+        wgt = np.full((1, 65794, 1, 1), -128, dtype=np.int8)
+        with pytest.raises(AccumulatorOverflowError, match="-2147516160"):
+            engine.conv2d_int(x, wgt, (1, 1), (0, 0))
 
 
 class TestInferInt:

@@ -89,6 +89,25 @@ class TestBuildNodes:
         assert n.out_bytes == 32 * 48 * 80
 
 
+    @pytest.mark.parametrize("fuse_pool", [True, False])
+    def test_dropout_breaks_pool_fusion(self, fuse_pool):
+        g = G.NetGraph(layers=[
+            G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=3, kernel=(3, 3), padding=(1, 1)),
+            G.LayerSpec(G.REQUANT, "a"),
+            G.LayerSpec(G.DROPOUT, "d"),
+            G.LayerSpec(G.POOL, "p", kernel=(2, 2), stride=(2, 2)),
+            G.LayerSpec(G.FC, "f", in_ch=3 * 4 * 4, out_ch=4),
+        ], input_shape=(1, 8, 8))
+        G.infer_shapes(g)
+        got = [(n.name, n.kind, n.layer_names, n.macs, n.weight_bytes, n.in_bytes, n.out_bytes,
+                n.out_rows, n.dot_len) for n in build_nodes(g, fuse_pool=fuse_pool)]
+        assert got == [
+            ("c", G.CONV, ["c", "a"], 8 * 8 * 27, 27, 64, 3 * 8 * 8, 8, 9),
+            ("p", G.POOL, ["p"], 0, 0, 3 * 8 * 8, 3 * 4 * 4, 4, 0),
+            ("f", G.FC, ["f"], 4 * 48, 4 * 48, 48, 4 * 4, 1, 48),
+        ]
+
+
 class TestPlan:
     @pytest.mark.parametrize("tag", G.VARIANTS)
     def test_streamed_within_l2(self, tag):

@@ -46,6 +46,12 @@ class TestQuantize:
         q = quantize(np.array([-10.0, 1e6]), u8_qp(1.0))
         assert q.data[0] == 0 and q.data[1] == 255
 
+    def test_signed_weight_codes_are_int8(self):
+        # int64 codes would send infer_int down its int64 GEMM path
+        q = quantize(np.array([-0.3, 0.2, -5.0]), QuantParams(0.01, 256, True))
+        assert q.data.dtype == np.int8
+        assert q.data.tolist() == [-30, 20, -128]
+
     def test_rejects_non_finite_with_index(self):
         x = np.array([1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="index 1"):

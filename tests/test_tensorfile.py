@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nanopose.errors import SchemaError
-from nanopose.qtensor import QTensor, QuantParams, decompose_weights, weight_eps
+from nanopose.qtensor import QTensor, QuantParams, decompose_weights, quantize, weight_eps
 from nanopose.tensorfile import read_qtensor, read_tensor, write_qtensor, write_tensor
 
 
@@ -49,6 +49,15 @@ def test_weight_tensor_roundtrip(tmp_path):
 
 def write_i8(p, payload, base):
     write_tensor(p, np.array(payload, dtype=np.int8), eps=0.25, base=base)
+
+
+@pytest.mark.parametrize("levels,signed", [(256, False), (256, True), (2**32, True)])
+def test_payload_decodes_to_the_params_it_was_quantized_with(tmp_path, levels, signed):
+    qt = quantize(np.array([[-2.0, 0.0], [1.5, 3.0]]), QuantParams(0.5, levels, signed))
+    write_qtensor(tmp_path / "t.qtns", qt)
+    back = read_qtensor(tmp_path / "t.qtns")
+    assert back.qp == qt.qp
+    assert back.data.dtype == qt.data.dtype and (back.data == qt.data).all()
 
 
 def test_weight_codes_are_base_plus_offset(tmp_path):
