@@ -89,44 +89,33 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         problems.append(f"stages {[n.layer_names for n in p.nodes]} do not run the graph's "
                         f"conv, pool and fc layers in order")
         return AuditReport(ok=False, problems=problems)
-    if len(p.occupancy) != len(p.nodes):
-        problems.append(f"{len(p.occupancy)} occupancy rows for {len(p.nodes)} stages")
     total_w = sum(l.weight_count() for l in p.graph.layers)
+    stage_w = [sum(layers[x].weight_count() for x in n.layer_names) for n in p.nodes] + [0]
     flagged = {v.split(":", 1)[0] for v in p.violations}
     for i, (n, row) in enumerate(zip(p.nodes, p.occupancy)):
         group = [layers[x] for x in n.layer_names]
         first = group[0]
-        derived = (first.kind, sum(l.macs() for l in group), sum(l.weight_count() for l in group),
+        derived = (first.kind, sum(l.macs() for l in group), stage_w[i],
                    first.out_shape[1], first.weight_count() // first.out_ch)
         if (n.kind, n.macs, n.weight_bytes, n.out_rows, n.dot_len) != derived:
             problems.append(f"{n.name}: stage kind, macs, weights, rows or dot length differ "
                             f"from the graph's {derived}")
-        if row.node != n.name:
-            problems.append(f"occupancy row {i} is for {row.node}, stage is {n.name}")
         in_b = int(np.prod(first.in_shape))
         out_b = int(np.prod(group[-1].out_shape)) * (4 if group[-1].kind == G.FC else 1)
         if (row.input_bytes, row.output_bytes) != (in_b, out_b):
             problems.append(f"{n.name}: occupancy buffers {row.input_bytes}/{row.output_bytes} "
                             f"!= graph-derived {in_b}/{out_b}")
-        if p.policy == STREAMED:
-            expect_next = p.nodes[i + 1].weight_bytes if i + 1 < len(p.nodes) else 0
-            if (row.weights_current, row.weights_next) != (n.weight_bytes, expect_next):
-                problems.append(f"{n.name}: streamed current/next weights {row.weights_current}/"
-                                f"{row.weights_next} != {n.weight_bytes}/{expect_next}")
-            total = row.code + n.weight_bytes + expect_next + in_b + out_b
-        else:
-            if row.weights_resident != total_w:
-                problems.append(f"{n.name}: resident weights {row.weights_resident} != {total_w}")
-            total = row.code + total_w + in_b + out_b
+        # streamed: this stage's and the next one's weights; resident: all
+        weights = (stage_w[i], stage_w[i + 1], 0) if p.policy == STREAMED else (0, 0, total_w)
+        if (row.weights_current, row.weights_next, row.weights_resident) != weights:
+            problems.append(f"{n.name}: current/next/resident weights != graph-derived {weights}")
+        total = row.code + sum(weights) + in_b + out_b
         if total > p.mem.l2_bytes and n.name not in flagged:
             problems.append(f"{n.name}: L2 occupancy {total} > {p.mem.l2_bytes} not flagged by planner")
 
-    # 3. weight conservation: stage weights add up to the L3 total, which
-    #    fits L3
-    node_w = sum(n.weight_bytes for n in p.nodes)
-    if node_w != p.l3_weight_bytes or p.l3_weight_bytes != total_w:
-        problems.append(f"weight totals disagree: nodes {node_w}, "
-                        f"plan {p.l3_weight_bytes}, graph {total_w}")
+    # 3. the plan's L3 weight total is the graph's, and fits L3
+    if p.l3_weight_bytes != total_w:
+        problems.append(f"weight totals disagree: plan {p.l3_weight_bytes}, graph {total_w}")
     if total_w > p.mem.l3_bytes and "L3" not in flagged:
         problems.append(f"L3: weights {total_w} > {p.mem.l3_bytes} not flagged by planner")
 

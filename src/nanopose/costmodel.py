@@ -20,7 +20,6 @@ calibration targets.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError, SchemaError, finite_real, require_positive
 from .planner import DeploymentPlan
@@ -122,22 +121,23 @@ def stage_utilization(node, params: CostParams):
 
 def prepare(plan: DeploymentPlan, params: CostParams = None) -> tuple:
     """Per-stage (compute cycles, next-stage DMA cycles, cluster activity):
-    everything in the model that does not depend on the operating point.
+    everything in the model that does not depend on the operating point."""
+    return _prepare(_streams(plan), params or CostParams())
 
-    The bytes each stage streams are the plan's own schedule, its
-    occupancy rows' `weights_next`; SchemaError when the plan has not one
-    row per stage."""
-    params = params or CostParams()
-    if len(plan.occupancy) != len(plan.nodes):
-        raise SchemaError(f"plan has {len(plan.occupancy)} occupancy rows for "
-                          f"{len(plan.nodes)} stages")
+
+def _streams(plan: DeploymentPlan) -> tuple:
+    # each stage with the bytes it streams in for the next: the plan's own schedule
+    return tuple(zip(plan.nodes, [row.weights_next for row in plan.occupancy]))
+
+
+def _prepare(streams, params: CostParams) -> tuple:
     stages = []
-    for n, row in zip(plan.nodes, plan.occupancy):
+    for n, w_next in streams:
         u_rows, u_dot = stage_utilization(n, params)
         eta = params.eta_peak * u_rows * u_dot
         stages.append((
             n.macs / eta if n.macs else 0.0,
-            row.weights_next / params.dma_bytes_per_fc_cycle,
+            w_next / params.dma_bytes_per_fc_cycle,
             params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows,
         ))
     return tuple(stages)
@@ -285,6 +285,8 @@ def calibrate_params(targets, base: CostParams = None) -> tuple:
     errors, fps and power interleaved per target.  Statics are fitted as one
     knob split evenly between domains.
     """
+    from scipy.optimize import least_squares   # only fits pay its import time
+
     targets = list(targets)
     if len(targets) < 3:
         raise FitError(f"need at least 3 calibration targets, got {len(targets)}")
@@ -300,11 +302,14 @@ def calibrate_params(targets, base: CostParams = None) -> tuple:
                 setattr(p, name, float(v))
         return p
 
+    # the stream schedules do not depend on the fitted coefficients
+    streams = [(_streams(pl), op, fps, mw) for pl, op, fps, mw in targets]
+
     def residuals(x):
         p = unpack(x)
         res = []
-        for pl, op, fps, mw in targets:
-            _, latency, p_fc, p_cl = _at_point(prepare(pl, p), op, p)
+        for st, op, fps, mw in streams:
+            _, latency, p_fc, p_cl = _at_point(_prepare(st, p), op, p)
             res.append((1.0 / latency - fps) / fps)
             res.append(((p_fc + p_cl) * 1e3 - mw) / mw)
         return np.asarray(res)

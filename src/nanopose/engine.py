@@ -17,9 +17,10 @@ accumulator is still checked against the int32 range.
 
 infer_int runs a QuantizedGraph as it is held: the graph keeps each
 layer's weights as signed int8 codes in layer shape, and the requant
-parameters are validated on every call.  Nothing is cached between calls,
-so an edit to a weight code or a requant parameter takes effect on the
-next frame.
+parameters are validated on every call.  Every other scale follows from
+the weight scales and requant alphas (`scale_chain`, walked per call).
+Nothing is cached, so an edit to a weight code, a weight scale or a
+requant parameter takes effect on the next frame.
 """
 
 import functools
@@ -31,12 +32,12 @@ from . import graph as G
 from .errors import AccumulatorOverflowError, SchemaError
 from .floatnet import FloatNet
 from .qtensor import (
+    DTYPE_FOR_LEVELS,
     INT32_MAX,
     INT32_MIN,
     QTensor,
     QuantParams,
-    accumulator_qparams,
-    act_qparams,
+    act_eps,
     requant_codes,
 )
 
@@ -48,6 +49,22 @@ _F64_EXACT = 2**53
 
 def image_qparams() -> QuantParams:
     return QuantParams(eps=IMAGE_EPS, levels=256, signed=False)
+
+
+def scale_chain(g: G.NetGraph, weight_eps, alphas) -> dict:
+    """The real value of one integer step of every layer's output, by name.
+    The image is IMAGE_EPS; a conv or fc accumulates at its input scale
+    times its weight scale `weight_eps[name]`; a requant outputs at
+    `act_eps(alphas[name])`; pool and dropout keep their input scale."""
+    eps = IMAGE_EPS
+    chain = {}
+    for l in g.layers:
+        if l.kind in (G.CONV, G.FC):
+            eps = eps * weight_eps[l.name]
+        elif l.kind == G.REQUANT:
+            eps = act_eps(alphas[l.name])
+        chain[l.name] = eps
+    return chain
 
 
 @dataclass
@@ -108,10 +125,10 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
     g = qg.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
+    scales = qg.scales()
     acts = {} if record_activations else None
     x = image.data
-    qp = image.qp
-    raw = None
+    head = None
     for l in g.layers:
         if l.kind == G.CONV:
             x = conv2d_int(x, qg.weights[l.name].data, l.stride, l.padding)
@@ -127,24 +144,16 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
             acc = codes.astype(dtype) @ flat.astype(dtype)
             _acc_range_check(acc)
             x = raw = acc.astype(np.int32)
+            head = l.name
         else:
             continue
         if record_activations:
-            # scales are built only when recorded: per frame they are measurable
-            if l.kind == G.CONV:
-                qp = accumulator_qparams(qg.acc_eps[l.name])
-            elif l.kind == G.REQUANT:
-                qp = act_qparams(qg.requant[l.name].alpha)
-            elif l.kind == G.POOL:
-                qp = QuantParams(qp.eps, 256, False)
-            else:
-                qp = accumulator_qparams(float(qg.out_eps[0]))
-            dtype = np.int32 if l.kind in (G.CONV, G.FC) else np.uint8
-            acts[l.name] = QTensor(x.astype(dtype), qp)
-    if raw is None:
+            wide = l.kind in (G.CONV, G.FC)   # int32 accumulators, else u8 codes
+            qp = QuantParams(scales[l.name], 2**32 if wide else 256, signed=wide)
+            acts[l.name] = QTensor(x.astype(DTYPE_FOR_LEVELS[qp.levels, qp.signed]), qp)
+    if head is None:
         raise SchemaError("graph has no fully connected head")
-    pose = qg.out_eps * raw.astype(np.float64)
-    return InferenceResult(raw=raw, pose=pose, activations=acts)
+    return InferenceResult(raw=raw, pose=scales[head] * raw.astype(np.float64), activations=acts)
 
 
 def conv2d_float(x: np.ndarray, w: np.ndarray, stride, padding) -> np.ndarray:

@@ -121,8 +121,8 @@ def infer_shapes(g: NetGraph) -> NetGraph:
             shape = (l.out_ch, 1, 1)
         else:
             raise SchemaError(f"unknown layer kind {l.kind!r}")
-        if shape[1] <= 0 or shape[2] <= 0:
-            raise SchemaError(f"{l.name}: spatial dimension collapsed to {shape[1]}x{shape[2]}")
+        if min(shape) <= 0:
+            raise SchemaError(f"{l.name}: output shape {shape} collapsed to an empty dimension")
         l.out_shape = shape
     return g
 

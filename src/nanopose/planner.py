@@ -160,18 +160,35 @@ class OccupancyRow:
 
 @dataclass
 class DeploymentPlan:
+    """Stages, tiles and violations of one graph on one memory hierarchy;
+    the L2 occupancy rows and the L3 weight total are derived from them."""
+
     graph: G.NetGraph
     mem: MemoryHierarchy
     policy: str
     nodes: list
-    occupancy: list
     schedule: dict            # layer name -> list[Tile]
-    l3_weight_bytes: int
     violations: list = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+    @property
+    def l3_weight_bytes(self) -> int:
+        return sum(n.weight_bytes for n in self.nodes)
+
+    @property
+    def occupancy(self) -> list:
+        """One L2 row per stage.  Streamed, a stage holds its own weights and
+        the next stage's in flight; resident, every stage holds all weights."""
+        code, nodes = self.mem.code_budget_l2, self.nodes
+        if self.policy == STREAMED:
+            w = [n.weight_bytes for n in nodes] + [0]
+            return [OccupancyRow(n.name, code, w[i], w[i + 1], 0, n.in_bytes, n.out_bytes)
+                    for i, n in enumerate(nodes)]
+        total = self.l3_weight_bytes
+        return [OccupancyRow(n.name, code, 0, 0, total, n.in_bytes, n.out_bytes) for n in nodes]
 
 
 def build_nodes(g: G.NetGraph, fuse_pool: bool = True) -> list:
@@ -218,42 +235,28 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
     G.infer_shapes(g)
-    nodes = build_nodes(g, fuse_pool=fuse_pool)
-    total_w = sum(n.weight_bytes for n in nodes)
+    p = DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=build_nodes(g, fuse_pool=fuse_pool),
+                       schedule={})
 
     if policy == RESIDENT:
-        need = _resident_l2_bytes(nodes, mem)
+        need = _resident_l2_bytes(p.nodes, mem)
         if need > mem.l2_bytes:
             raise PlanConstraintError(
-                f"resident_l2 infeasible: code, weights {total_w} and the worst activation "
-                f"pair need {need} > L2 {mem.l2_bytes}"
+                f"resident_l2 infeasible: code, weights {p.l3_weight_bytes} and the worst "
+                f"activation pair need {need} > L2 {mem.l2_bytes}"
             )
 
-    occupancy = []
-    violations = []
-    if total_w > mem.l3_bytes:
-        violations.append(f"L3: weights {total_w} > {mem.l3_bytes}")
-    streamed = policy == STREAMED
-    for i, n in enumerate(nodes):
-        w_next = nodes[i + 1].weight_bytes if streamed and i + 1 < len(nodes) else 0
-        row = OccupancyRow(node=n.name, code=mem.code_budget_l2,
-                           weights_current=n.weight_bytes if streamed else 0, weights_next=w_next,
-                           weights_resident=0 if streamed else total_w,
-                           input_bytes=n.in_bytes, output_bytes=n.out_bytes)
-        occupancy.append(row)
-        if row.total > mem.l2_bytes:
-            violations.append(f"{n.name}: L2 occupancy {row.total} > {mem.l2_bytes}")
-
-    schedule = {}
     for l in g.layers:
         tiles = tile_layer(l, mem.l1_bytes)
         if tiles:
-            schedule[l.name] = tiles
+            p.schedule[l.name] = tiles
 
-    p = DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=nodes, occupancy=occupancy,
-                       schedule=schedule, l3_weight_bytes=total_w, violations=violations)
-    if violations:
-        raise PlanConstraintError("; ".join(violations), plan=p, violations=violations)
+    if p.l3_weight_bytes > mem.l3_bytes:
+        p.violations.append(f"L3: weights {p.l3_weight_bytes} > {mem.l3_bytes}")
+    p.violations += [f"{row.node}: L2 occupancy {row.total} > {mem.l2_bytes}"
+                     for row in p.occupancy if row.total > mem.l2_bytes]
+    if p.violations:
+        raise PlanConstraintError("; ".join(p.violations), plan=p, violations=p.violations)
     return p
 
 
@@ -264,21 +267,16 @@ def naive_l2_bytes(g: G.NetGraph, mem: MemoryHierarchy = GAP8) -> int:
 
 
 def memory_report(p: DeploymentPlan):
-    """Per-stage occupancy rows, machine and human readable."""
-    rows = []
-    for r in p.occupancy:
-        d = dict(layer=r.node, code=r.code)
-        if p.policy == STREAMED:
-            d["weights_current"] = r.weights_current
-            d["weights_next"] = r.weights_next
-        else:
-            d["weights_resident"] = r.weights_resident
-        d["input"] = r.input_bytes
-        d["output"] = r.output_bytes
-        d["total"] = r.total
-        d["l3_weights"] = p.l3_weight_bytes
-        rows.append(d)
-    return rows
+    """Per-stage occupancy rows, machine and human readable; each policy
+    shows only its own weight columns."""
+    l3_weights = p.l3_weight_bytes
+    streamed = p.policy == STREAMED
+    return [{"layer": r.node, "code": r.code,
+             **({"weights_current": r.weights_current, "weights_next": r.weights_next} if streamed
+                else {"weights_resident": r.weights_resident}),
+             "input": r.input_bytes, "output": r.output_bytes, "total": r.total,
+             "l3_weights": l3_weights}
+            for r in p.occupancy]
 
 
 def report_csv(p: DeploymentPlan) -> str:
@@ -359,13 +357,18 @@ def _tile(name: str, t: dict) -> Tile:
     v = (*r, *c, *i, t["in_bytes"], t["weight_bytes"], t["out_bytes"])
     if not (len(r) == len(c) == len(i) == 2 and all(type(x) is int for x in v) and min(v) >= 0):
         raise ValueError(f"tile of {name} is not made of non-negative integers: {t!r}")
-    return Tile(name, v[0:2], v[2:4], v[4:6], *v[6:])
+    tile = Tile(name, v[0:2], v[2:4], v[4:6], *v[6:])
+    if t["l1_bytes"] != tile.l1_bytes:
+        raise SchemaError(f"plan document: a tile of {name} stores l1_bytes {t['l1_bytes']!r}, "
+                          f"its buffers give {tile.l1_bytes}")
+    return tile
 
 
 def plan_from_json(text) -> DeploymentPlan:
-    """Decode a plan document.  Derived fields (occupancy totals, tile L1
-    bytes) are not read; `audit.audit_plan` checks the rest against the
-    graph."""
+    """Decode a plan document.  The derived copies it holds (occupancy
+    rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not read:
+    each must equal what the stages, tiles, policy and memory sizes give,
+    or SchemaError.  `audit.audit_plan` checks the rest against the graph."""
     doc = parse_doc(text, "plan document", "nanopose-plan")
     with decoding("plan document"):
         policy = doc["policy"]
@@ -382,15 +385,10 @@ def plan_from_json(text) -> DeploymentPlan:
             name: [_tile(name, t) for t in tiles]
             for name, tiles in doc["schedule"].items()
         }
-        # a policy's report leaves out the other policy's weight columns
-        occupancy = [
-            OccupancyRow(node=as_str(d["layer"]), code=as_int(d["code"]),
-                         input_bytes=as_int(d["input"]), output_bytes=as_int(d["output"]),
-                         **{k: as_int(d.get(k, 0)) for k in ("weights_current", "weights_next", "weights_resident")})
-            for d in doc["occupancy"]
-        ]
-        return DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
-                              policy=policy, nodes=nodes, occupancy=occupancy, schedule=schedule,
-                              l3_weight_bytes=as_int(doc["l3_weight_bytes"]),
-                              violations=[as_str(v) for v in doc.get("violations", [])])
-
+        p = DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
+                           policy=policy, nodes=nodes, schedule=schedule,
+                           violations=[as_str(v) for v in doc.get("violations", [])])
+        if (doc["occupancy"], doc["l3_weight_bytes"]) != (memory_report(p), p.l3_weight_bytes):
+            raise SchemaError("plan document: occupancy rows differ from those the stages, "
+                              "policy and memory sizes give, or l3_weight_bytes from their sum")
+    return p

@@ -64,11 +64,6 @@ class QuantParams:
         return self.levels // 2 - 1 if self.signed else self.levels - 1
 
 
-def act_qparams(alpha: float) -> QuantParams:
-    """Unsigned 8-bit activation parameters for a clipping bound alpha."""
-    return QuantParams(eps=act_eps(alpha), levels=256, signed=False)
-
-
 @functools.cache
 def _dtype_within(dtype, lo: int, hi: int) -> bool:
     """Whether every value of an integer dtype lies in [lo, hi]."""
@@ -203,7 +198,3 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     v += bias
     v >>= shift
     return np.clip(v, 0, 255, out=v).astype(np.uint8)
-
-
-def accumulator_qparams(eps_acc: float) -> QuantParams:
-    return QuantParams(eps=eps_acc, levels=2**32, signed=True)

@@ -20,7 +20,6 @@ from .qtensor import (
     INT32_MAX,
     QTensor,
     QuantParams,
-    act_eps,
     decompose_weights,
     weight_eps,
 )
@@ -49,12 +48,17 @@ class RequantParams:
 
 @dataclass
 class QuantizedGraph:
+    """An integer-deployable graph: weight codes with their scales and requant
+    parameters with their alphas.  `scales` derives every other scale."""
+
     graph: G.NetGraph
-    input_qp: QuantParams
     weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor of signed int8 codes
     requant: dict = field(default_factory=dict)   # requant name -> RequantParams
-    acc_eps: dict = field(default_factory=dict)   # conv name -> eps_in * eps_w
-    out_eps: np.ndarray = None                    # per output variable (4,)
+
+    def scales(self) -> dict:
+        """Output scale of every layer, by name (`engine.scale_chain`)."""
+        return engine.scale_chain(self.graph, {k: qt.qp.eps for k, qt in self.weights.items()},
+                                  {k: rp.alpha for k, rp in self.requant.items()})
 
 
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
@@ -99,9 +103,9 @@ def fit_requant_scale(scales: np.ndarray, offsets: np.ndarray, layer: str) -> tu
 def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
     """Transform a calibrated float net into an integer-deployable graph."""
     g = net.graph
-    qg = QuantizedGraph(graph=g, input_qp=engine.image_qparams())
-    eps_in = qg.input_qp.eps
-    # the graph puts each activation stage right after its conv
+    if not any(l.kind == G.FC for l in g.layers):
+        raise ConversionError("fc", "graph has no fully connected head")
+    qg = QuantizedGraph(graph=g)
     for l in g.layers:
         if l.kind in (G.CONV, G.FC):
             w = net.weights[l.name]
@@ -111,21 +115,17 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
             w_star, w_star_min = decompose_weights(w, eps_w)
             codes = (w_star_min + w_star.data.astype(np.int16)).astype(np.int8)
             qg.weights[l.name] = QTensor(codes, QuantParams(eps_w, 256, signed=True))
-            acc_eps = qg.acc_eps[l.name] = eps_in * eps_w
-            if l.kind == G.FC:
-                qg.out_eps = np.full(l.out_ch, acc_eps, dtype=np.float64)
-        elif l.kind == G.REQUANT:
-            alpha = alphas[l.name]
-            eps_out = act_eps(alpha)
+    eps = engine.scale_chain(g, {k: qt.qp.eps for k, qt in qg.weights.items()}, alphas)
+    # the graph puts each activation stage right after its conv
+    for conv, l in zip(g.layers, g.layers[1:]):
+        if l.kind == G.REQUANT:
             bn = net.bn[l.name]
             sig = bn.sigma()
-            scales = bn.gamma / sig * acc_eps / eps_out
-            offsets = (bn.beta - bn.gamma * bn.mean / sig) / eps_out
+            scales = bn.gamma / sig * eps[conv.name] / eps[l.name]
+            offsets = (bn.beta - bn.gamma * bn.mean / sig) / eps[l.name]
             mult, shift, bias = fit_requant_scale(scales, offsets, l.name)
-            qg.requant[l.name] = RequantParams(mult=mult, shift=shift, bias=bias, alpha=alpha)
-            eps_in = eps_out
-    if qg.out_eps is None:
-        raise ConversionError("fc", "graph has no fully connected head")
+            qg.requant[l.name] = RequantParams(mult=mult, shift=shift, bias=bias,
+                                               alpha=alphas[l.name])
     return qg
 
 
@@ -139,6 +139,7 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     the affine fitting slack.
     """
     g = qg.graph
+    eps = qg.scales()
     delta = 0.0          # current elementwise activation error bound
     x_max = 1.0          # clipping bound of the incoming activation level
     pending = None
@@ -153,36 +154,50 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
         elif l.kind == G.REQUANT:
             bn = net.bn[l.name]
             gain = float(np.max(np.abs(bn.gamma / bn.sigma())))
-            rp = qg.requant[l.name]
-            eps_out = act_eps(rp.alpha)
             # one code of floor granularity, affine fitting slack over the
             # full code range, and one code of bias rounding
-            delta = gain * pending + eps_out * (2.0 + 2.0**-15 * 255.0)
-            x_max = rp.alpha
+            delta = gain * pending + eps[l.name] * (2.0 + 2.0**-15 * 255.0)
+            x_max = qg.requant[l.name].alpha
             pending = None
         elif l.kind == G.FC:
             eps_w = qg.weights[l.name].qp.eps
             w_deq = np.abs(qg.weights[l.name].dequantize()).reshape(l.out_ch, -1).sum(axis=1)
-            bound = eps_w * l.in_ch * x_max + (w_deq + l.in_ch * eps_w) * delta + qg.out_eps
+            bound = eps_w * l.in_ch * x_max + (w_deq + l.in_ch * eps_w) * delta + eps[l.name]
     return np.asarray(bound, dtype=np.float64)
+
+
+def _scale_copies(qg: QuantizedGraph, where: str) -> dict:
+    """The scale chain as a qgraph document records it: the image scale, the
+    head's scale once per output and every conv and fc accumulator scale."""
+    eps = qg.scales()
+    heads = [l for l in qg.graph.layers if l.kind == G.FC]
+    if not heads:
+        raise SchemaError(f"{where}: graph has no fully connected head")
+    return {
+        "input_eps": engine.IMAGE_EPS,
+        "out_eps": [float(eps[heads[-1].name])] * heads[-1].out_ch,
+        "acc_eps": {l.name: float(eps[l.name]) for l in qg.graph.layers
+                    if l.kind in (G.CONV, G.FC)},
+    }
 
 
 def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
     """Write the weight payloads as QTNS files beside `path` and return the
     nanopose-qgraph document that names them."""
+    scales = _scale_copies(qg, path)
     base = os.path.dirname(os.path.abspath(path))
     os.makedirs(base, exist_ok=True)
     doc = {
         "format": "nanopose-qgraph",
         "version": 1,
         "graph": G.to_doc(qg.graph),
-        "input_eps": qg.input_qp.eps,
-        "out_eps": [float(v) for v in qg.out_eps],
+        "input_eps": scales["input_eps"],
+        "out_eps": scales["out_eps"],
         "weights": {},
         "requant": {name: {"mult": [int(v) for v in rp.mult], "shift": rp.shift,
                            "bias": [int(v) for v in rp.bias], "alpha": rp.alpha}
                     for name, rp in qg.requant.items()},
-        "acc_eps": {k: float(v) for k, v in qg.acc_eps.items()},
+        "acc_eps": scales["acc_eps"],
     }
     stem = os.path.splitext(os.path.basename(path))[0]
     for name, qt in qg.weights.items():
@@ -199,12 +214,6 @@ def save_qgraph(qg: QuantizedGraph, path: str) -> None:
         json.dump(doc, f, indent=2)
 
 
-def _eps(v) -> float:
-    if not (finite_real(v) and v > 0):
-        raise ValueError(f"expected a scale that is finite and > 0, got {v!r}")
-    return float(v)
-
-
 def _int_vector(v) -> np.ndarray:
     a = np.asarray(v)
     if a.ndim != 1 or a.dtype.kind != "i":
@@ -215,20 +224,17 @@ def _int_vector(v) -> np.ndarray:
 def load_qgraph(path: str) -> QuantizedGraph:
     """Read a qgraph written by save_qgraph, with its QTNS payloads.
 
-    Every conv and fc layer needs weights and an accumulator scale, and every
-    activation stage its requant parameters, each sized to its layer.
+    Every conv and fc layer needs weights and every activation stage its
+    requant parameters, each sized to its layer.  The document's scale
+    copies (`input_eps`, `out_eps`, `acc_eps`) are not read: each must
+    equal the value the weight scales and alphas give, or SchemaError.
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "rb") as f:
         doc = parse_doc(f.read(), path, "nanopose-qgraph")
     with decoding(path):
         g = G.from_doc(doc["graph"])
-        qg = QuantizedGraph(
-            graph=g,
-            input_qp=QuantParams(eps=_eps(doc["input_eps"]), levels=256, signed=False),
-            out_eps=np.array([_eps(v) for v in doc["out_eps"]], dtype=np.float64),
-            acc_eps={k: _eps(v) for k, v in doc["acc_eps"].items()},
-        )
+        qg = QuantizedGraph(graph=g)
         weights, requant = doc["weights"], doc["requant"]
         if (set(weights) != {l.name for l in g.layers if l.kind in (G.CONV, G.FC)}
                 or set(requant) != {l.name for l in g.layers if l.kind == G.REQUANT}):
@@ -237,21 +243,22 @@ def load_qgraph(path: str) -> QuantizedGraph:
             if l.kind in (G.CONV, G.FC):
                 qt = tensorfile.read_qtensor(os.path.join(base, as_str(weights[l.name])))
                 shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-                if (qt.data.dtype != np.int8 or tuple(qt.data.shape) != shape
-                        or l.name not in qg.acc_eps):
-                    raise SchemaError(f"{path}: {l.name} needs an accumulator scale and an i8 "
-                                      f"weight payload of shape {shape}, got {qt.data.dtype} "
-                                      f"{qt.data.shape}")
+                if qt.data.dtype != np.int8 or tuple(qt.data.shape) != shape:
+                    raise SchemaError(f"{path}: {l.name} needs an i8 weight payload of shape "
+                                      f"{shape}, got {qt.data.dtype} {qt.data.shape}")
                 qg.weights[l.name] = qt
-            if l.kind == G.FC and qg.out_eps.shape != (l.out_ch,):
-                raise SchemaError(f"{path}: out_eps shape {qg.out_eps.shape} != head outputs "
-                                  f"({l.out_ch},)")
             if l.kind == G.REQUANT:
                 d = requant[l.name]
+                if not (finite_real(d["alpha"]) and d["alpha"] > 0):
+                    raise ValueError(f"{l.name}: alpha {d['alpha']!r} is not finite and > 0")
                 rp = RequantParams(mult=_int_vector(d["mult"]), shift=as_int(d["shift"]),
-                                   bias=_int_vector(d["bias"]), alpha=_eps(d["alpha"]))
+                                   bias=_int_vector(d["bias"]), alpha=float(d["alpha"]))
                 if {rp.mult.size, rp.bias.size} - {1, l.out_ch}:
                     raise SchemaError(f"{path}: requant {l.name} mult/bias lengths {rp.mult.size}/"
                                       f"{rp.bias.size} are neither 1 nor the channel count {l.out_ch}")
                 qg.requant[l.name] = rp
+        wrong = [k for k, v in _scale_copies(qg, path).items() if doc[k] != v]
+        if wrong:
+            raise SchemaError(f"{path}: {', '.join(wrong)} differ from the scales the weights "
+                              f"and requant alphas give")
     return qg

@@ -37,6 +37,17 @@ def frame_pgm(tmp_path, size=162, seed=0):
     return p
 
 
+def test_cli_import_leaves_out_scipy_optimize():
+    # only cost-model fits need the optimizer; every subcommand pays its import otherwise
+    src = os.path.dirname(os.path.dirname(nanopose.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, nanopose.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 class TestAnalyze:
     def test_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -113,9 +124,22 @@ def _pool_3x3(doc):
     next(d for d in doc["graph"]["layers"] if d["kind"] == "maxpool")["kernel"] = [3, 3]
 
 
+def _double_out_eps(doc):
+    doc["out_eps"] = [2 * v for v in doc["out_eps"]]
+
+
+def _change_input_eps(doc):
+    doc["input_eps"] = 0.5
+
+
+def _change_acc_eps(doc):
+    doc["acc_eps"]["conv1"] = 7.0
+
+
 class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
-    that lacks its weights or whose pooling is not 2x2 is rejected when
+    that lacks its weights, whose pooling is not 2x2 or whose stored scales
+    differ from the ones its weight scales and alphas give is rejected when
     loaded: exit 4 with a one-line message, no traceback."""
 
     @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps, _drop_weights, _pool_3x3])
@@ -134,6 +158,21 @@ class TestTamperedQgraph:
         assert res.returncode == EXIT_SCHEMA, res.stderr
         assert "Traceback" not in res.stderr
         assert "error[schema]" in res.stderr
+
+    @pytest.mark.parametrize("tamper", [_double_out_eps, _change_input_eps, _change_acc_eps])
+    def test_scale_copy_exit_4(self, tmp_path, capsys, qgraph_file, tamper):
+        doc = json.loads(qgraph_file.read_text())
+        tamper(doc)
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        img = frame_pgm(tmp_path)
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(img),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "differ from the scales" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def _offset_byte_0x80(path):
@@ -175,6 +214,10 @@ PLAN_TAMPERS = {
     "occupancy-cut-to-3-rows": lambda d: d.update(occupancy=d["occupancy"][:3]),
     "layer-missing-from-schedule": lambda d: d["schedule"].pop("b2c1"),
     "zeroed-current-weights": lambda d: d["occupancy"][2].update(weights_current=0),
+    "occupancy-total": lambda d: d["occupancy"][1].update(total=d["occupancy"][1]["total"] - 1),
+    "occupancy-l3-weights": lambda d: d["occupancy"][0].update(l3_weights=0),
+    "l3-weight-bytes": lambda d: d.update(l3_weight_bytes=d["l3_weight_bytes"] + 1),
+    "tile-l1-bytes": lambda d: d["schedule"]["conv1"][0].update(l1_bytes=1),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from nanopose import costmodel as C, graph as G
 from nanopose.errors import FitError, SchemaError
-from nanopose.planner import GAP8, RESIDENT, STREAMED, DeploymentPlan, plan
+from nanopose.planner import (GAP8, RESIDENT, STREAMED, DeploymentPlan, plan, plan_from_json,
+                              plan_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ class TestEstimate:
     def test_empty_plan_has_no_latency(self):
         # planner.plan rejects an empty graph, but a plan can be built by hand
         p = DeploymentPlan(graph=G.NetGraph(layers=[], input_shape=(1, 4, 4)), mem=GAP8,
-                           policy=STREAMED, nodes=[], occupancy=[], schedule={}, l3_weight_bytes=0)
+                           policy=STREAMED, nodes=[], schedule={})
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no divide-by-zero warning on the array path
             with pytest.raises(SchemaError, match="empty plan has no latency"):
@@ -102,12 +104,12 @@ class TestEstimate:
 
 
     def test_cut_occupancy_rejected(self, plans):
-        p = plans["80x32"]
-        cut = DeploymentPlan(graph=p.graph, mem=p.mem, policy=p.policy, nodes=p.nodes,
-                             occupancy=p.occupancy[:-1], schedule=p.schedule,
-                             l3_weight_bytes=p.l3_weight_bytes)
+        # the stream schedule `prepare` reads is derived from the stages, so
+        # a document whose rows were cut is rejected before it is costed
+        doc = json.loads(plan_to_json(plans["80x32"]))
+        doc["occupancy"] = doc["occupancy"][:-1]
         with pytest.raises(SchemaError, match="occupancy rows"):
-            C.prepare(cut)
+            plan_from_json(json.dumps(doc))
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import pytest
 from nanopose import engine, graph as G
 from nanopose.errors import AccumulatorOverflowError, SchemaError
 from nanopose.floatnet import random_float_net
-from nanopose.qtensor import QTensor, QuantParams
+from nanopose.qtensor import QTensor, QuantParams, act_eps
 from nanopose.quantizer import CalibrationSet, calibrate, convert
 
 from oracles import (
@@ -94,16 +94,13 @@ class TestInferInt:
         g = G.infer_shapes(G.NetGraph(layers, (1, 3, 3)))
         from nanopose.quantizer import QuantizedGraph, RequantParams
 
-        qg = QuantizedGraph(graph=g, input_qp=engine.image_qparams())
+        qg = QuantizedGraph(graph=g)
         qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8),
                                   QuantParams(0.5, 256, True))
-        qg.acc_eps["c"] = engine.IMAGE_EPS * 0.5
         qg.requant["a"] = RequantParams(
             mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
         qg.weights["fc"] = QTensor(np.full((4, 9), 2, dtype=np.int8),
                                    QuantParams(1.0, 256, True))
-        qg.acc_eps["fc"] = 1.0
-        qg.out_eps = np.full(4, 1.0)
         codes = np.arange(9, dtype=np.uint8).reshape(1, 3, 3)
         res = engine.infer_int(qg, QTensor(codes, engine.image_qparams()), record_activations=True)
         # conv: acc = 3 * code; requant multiplies by 1 (clamped at 255)
@@ -111,6 +108,11 @@ class TestInferInt:
         assert (res.activations["a"].data.reshape(-1) == want_act).all()
         # fc: each output = 2 * sum(acts) = 2 * 108
         assert (res.raw == 2 * want_act.sum()).all()
+        # scales: image 1/255 x weight 0.5, then alpha 255 / 255 = 1 x weight 1
+        assert res.activations["c"].qp.eps == engine.IMAGE_EPS * 0.5
+        assert res.activations["a"].qp.eps == 1.0
+        assert res.activations["fc"].qp.eps == 1.0
+        assert (res.pose == res.raw).all()
 
     def test_shape_mismatch(self):
         g, net, qg, _ = converted_toy(4)
@@ -130,7 +132,9 @@ class TestInferInt:
         g, net, qg, rng = converted_toy(6)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
         res = engine.infer_int(qg, img)
-        assert np.allclose(res.pose, qg.out_eps * res.raw)
+        last_act = [l.name for l in g.layers if l.kind == G.REQUANT][-1]
+        head_eps = act_eps(qg.requant[last_act].alpha) * qg.weights["fc"].qp.eps
+        assert np.allclose(res.pose, head_eps * res.raw)
 
 
 class TestMaxPool:

@@ -135,6 +135,16 @@ class TestPlan:
         with pytest.raises(PlanConstraintError, match="resident_l2 infeasible"):
             plan(G.build_variant("160x32"), small, RESIDENT)
 
+    @pytest.mark.parametrize("conv_out,fc_out", [(0, 4), (2, 0)], ids=["conv", "fc"])
+    def test_empty_channel_dimension_rejected(self, conv_out, fc_out):
+        g = G.NetGraph(layers=[
+            G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=conv_out, kernel=(3, 3), padding=(1, 1)),
+            G.LayerSpec(G.REQUANT, "a"),
+            G.LayerSpec(G.FC, "f", in_ch=conv_out * 64, out_ch=fc_out),
+        ], input_shape=(1, 8, 8))
+        with pytest.raises(SchemaError, match="empty dimension"):
+            plan(g)
+
     def test_l3_total_is_parameter_count(self):
         p = plan(G.build_variant("160x32"), GAP8, STREAMED)
         assert p.l3_weight_bytes == 303_392
@@ -237,16 +247,22 @@ class TestAudit:
         rep = audit_plan(p)
         assert any("conv1" in s and "input rows (40, 41)" in s for s in rep.problems), rep.problems
 
+    @staticmethod
+    def tampered_doc(tamper):
+        doc = json.loads(plan_to_json(plan(G.build_variant("160x16"), GAP8, STREAMED)))
+        tamper(doc)
+        return json.dumps(doc)
+
     def test_detects_tampered_occupancy(self):
-        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
-        p.occupancy[2].weights_next += 7
-        rep = audit_plan(p)
-        assert not rep.ok
+        text = self.tampered_doc(lambda d: d["occupancy"][2].update(
+            weights_next=d["occupancy"][2]["weights_next"] + 7))
+        with pytest.raises(SchemaError, match="occupancy rows differ"):
+            plan_from_json(text)
 
     def test_detects_truncated_occupancy(self):
-        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
-        p.occupancy = p.occupancy[:3]
-        assert not audit_plan(p).ok
+        text = self.tampered_doc(lambda d: d.update(occupancy=d["occupancy"][:3]))
+        with pytest.raises(SchemaError, match="occupancy rows differ"):
+            plan_from_json(text)
 
     def test_detects_unscheduled_layer(self):
         p = plan(G.build_variant("160x16"), GAP8, STREAMED)
@@ -255,9 +271,9 @@ class TestAudit:
         assert any("b2c1: no tiles" in s for s in rep.problems)
 
     def test_detects_zeroed_current_weights(self):
-        p = plan(G.build_variant("160x16"), GAP8, STREAMED)
-        p.occupancy[2].weights_current = 0
-        assert not audit_plan(p).ok
+        text = self.tampered_doc(lambda d: d["occupancy"][2].update(weights_current=0))
+        with pytest.raises(SchemaError, match="occupancy rows differ"):
+            plan_from_json(text)
 
     def test_detects_tampered_stage_figures(self):
         p = plan(G.build_variant("160x16"), GAP8, STREAMED)

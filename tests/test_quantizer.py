@@ -103,14 +103,17 @@ class TestConvert:
     def test_scale_chain_consistency(self):
         g, net, imgs, _ = toy_setup(5)
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
-        eps_in = qg.input_qp.eps
+        scales = qg.scales()
+        eps_in = engine.IMAGE_EPS
         for l in g.layers:
-            if l.kind == G.CONV:
-                assert qg.acc_eps[l.name] == pytest.approx(eps_in * qg.weights[l.name].qp.eps)
+            if l.kind in (G.CONV, G.FC):
+                assert scales[l.name] == eps_in * qg.weights[l.name].qp.eps
+                eps_in = scales[l.name]
             elif l.kind == G.REQUANT:
-                eps_in = act_eps(qg.requant[l.name].alpha)
-            elif l.kind == G.FC:
-                assert qg.out_eps[0] == pytest.approx(eps_in * qg.weights[l.name].qp.eps)
+                assert scales[l.name] == act_eps(qg.requant[l.name].alpha)
+                eps_in = scales[l.name]
+            else:
+                assert scales[l.name] == eps_in
 
     def test_deterministic(self):
         g, net, imgs, _ = toy_setup(6)
