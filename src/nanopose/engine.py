@@ -6,14 +6,23 @@ per-channel integer affine, and leaves the head output as raw 32-bit fixed
 point.
 
 Each convolution is im2col plus one GEMM, and the head is one matrix-vector
-product.  With uint8 activations and int8 weights both run in float64
-through BLAS and are still exact: every product and partial sum is an
-integer with |acc| <= 255 * 128 * K over K = in_ch * kh * kw taps, which
-stays below 2^53 for any K under 2.7e11 (the reference variants reach
-K = 1152 in a conv and 7680 in the head, so |acc| < 2^28).  The bound
-follows from the operand dtypes, so it costs nothing per call; operands
-whose dtypes could exceed it are multiplied in int64 instead.  Every
-accumulator is still checked against the int32 range.
+product.  With uint8 activations and int8 weights both run through BLAS in
+floats and are still exact: every product and partial sum is an integer
+with |acc| <= 255 * 128 * K over K = in_ch * kh * kw taps, whatever order
+the GEMM sums in.  That bound picks the narrowest exact dtype: float32,
+which holds every integer below 2^24, for K <= 514 (conv1 with K = 25 and
+every K = 288 layer of the reference variants); float64, exact below 2^53,
+for any larger K under 2.7e11 (the variants reach K = 1152 in a conv and
+7680 in the head, so |acc| < 2^28); int64 beyond.  The bound follows from
+the operand dtypes, so it costs nothing per call.  Every accumulator is
+still checked against the int32 range.
+
+A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
+pool1, the largest activation) is applied after the pool: infer_int pools
+the int32 accumulator and requantizes a quarter of the elements.  That is
+exact because clamp(floor((m * a + b) / 2^s), 0, 255) is non-decreasing in
+a for every channel with m >= 0, so it commutes with max; requant_codes
+rejects a negative multiplier, and `convert` never makes one.
 
 infer_int runs a QuantizedGraph as it is held: the graph keeps each
 layer's weights as signed int8 codes in layer shape, and the requant
@@ -43,8 +52,8 @@ from .qtensor import (
 
 IMAGE_EPS = 1.0 / 255.0
 
-# float64 holds every integer of magnitude below 2**53 exactly
-_F64_EXACT = 2**53
+# (bound, dtype): the dtype holds every integer of magnitude below bound exactly
+_EXACT_FLOATS = ((2**24, np.float32), (2**53, np.float64))
 
 
 def image_qparams() -> QuantParams:
@@ -83,13 +92,13 @@ def _acc_range_check(acc: np.ndarray):
 
 @functools.cache
 def _gemm_dtype(x_dtype, w_dtype, taps: int):
-    """float64 when every partial sum of `taps` products is an exact integer
-    there, given the operand dtypes' ranges; int64 otherwise."""
+    """The narrowest float in which every partial sum of `taps` products is
+    an exact integer, given the operand dtypes' ranges; int64 if none is."""
     bound = taps
     for dt in (x_dtype, w_dtype):
         info = np.iinfo(dt)
         bound *= max(-int(info.min), int(info.max))
-    return np.float64 if bound < _F64_EXACT else np.int64
+    return next((dt for limit, dt in _EXACT_FLOATS if bound < limit), np.int64)
 
 
 def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding) -> np.ndarray:
@@ -120,23 +129,44 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
+def _requant(x: np.ndarray, rp) -> np.ndarray:
+    return requant_codes(x, rp.mult, rp.shift, rp.bias)
+
+
+def _snapshot(l: G.LayerSpec, x: np.ndarray, eps: float) -> QTensor:
+    wide = l.kind in (G.CONV, G.FC)   # int32 accumulators, else u8 codes
+    qp = QuantParams(eps, 2**32 if wide else 256, signed=wide)
+    return QTensor(x.astype(DTYPE_FOR_LEVELS[qp.levels, qp.signed]), qp)
+
+
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
     """Run the quantized graph entirely in the integer domain."""
     g = qg.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
+    if image.qp != image_qparams():
+        raise SchemaError(f"image quantization {image.qp} != {image_qparams()}")
     scales = qg.scales()
     acts = {} if record_activations else None
     x = image.data
     head = None
-    for l in g.layers:
+    pooled = None   # requant parameters applied after the max-pool that follows
+    for l, nxt in zip(g.layers, [*g.layers[1:], None]):
         if l.kind == G.CONV:
             x = conv2d_int(x, qg.weights[l.name].data, l.stride, l.padding)
         elif l.kind == G.REQUANT:
             rp = qg.requant[l.name]
-            x = requant_codes(x, rp.mult, rp.shift, rp.bias)
+            if nxt is not None and nxt.kind == G.POOL:
+                # monotone requant commutes with max: pool the accumulator first
+                pooled = rp
+                if record_activations:
+                    acts[l.name] = _snapshot(l, _requant(x, rp), scales[l.name])
+                continue
+            x = _requant(x, rp)
         elif l.kind == G.POOL:
             x = maxpool2x2(x)
+            if pooled is not None:
+                x, pooled = _requant(x, pooled), None
         elif l.kind == G.FC:
             codes = qg.weights[l.name].data
             flat = x.reshape(-1)
@@ -148,9 +178,7 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
         else:
             continue
         if record_activations:
-            wide = l.kind in (G.CONV, G.FC)   # int32 accumulators, else u8 codes
-            qp = QuantParams(scales[l.name], 2**32 if wide else 256, signed=wide)
-            acts[l.name] = QTensor(x.astype(DTYPE_FOR_LEVELS[qp.levels, qp.signed]), qp)
+            acts[l.name] = _snapshot(l, x, scales[l.name])
     if head is None:
         raise SchemaError("graph has no fully connected head")
     return InferenceResult(raw=raw, pose=scales[head] * raw.astype(np.float64), activations=acts)

@@ -186,12 +186,15 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     shift floors; truncation toward zero would differ only on negative
     values, which the clamp at 0 maps to 0 either way.  scale_num and bias
     are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
-    subsumes the ReLU.
+    subsumes the ReLU.  scale_num must be >= 0, which makes the output
+    non-decreasing in acc per channel, so the affine commutes with max-pooling.
     """
     if not 0 <= shift <= 31:
         raise RequantParameterError(f"shift {shift} outside [0, 31]")
     channels, ndim = acc.shape[0], acc.ndim
     scale = requant_vector(scale_num, "scale_num", channels, ndim)
+    if scale.min() < 0:
+        raise RequantParameterError(f"scale_num {int(scale.min())} is negative")
     bias = requant_vector(bias, "bias", channels, ndim)
     # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow
     v = np.multiply(acc, scale)

@@ -225,7 +225,8 @@ def load_qgraph(path: str) -> QuantizedGraph:
     """Read a qgraph written by save_qgraph, with its QTNS payloads.
 
     Every conv and fc layer needs weights and every activation stage its
-    requant parameters, each sized to its layer.  The document's scale
+    requant parameters, each sized to its layer, with no negative
+    multiplier (`engine.infer_int` relies on it).  The document's scale
     copies (`input_eps`, `out_eps`, `acc_eps`) are not read: each must
     equal the value the weight scales and alphas give, or SchemaError.
     """
@@ -256,6 +257,9 @@ def load_qgraph(path: str) -> QuantizedGraph:
                 if {rp.mult.size, rp.bias.size} - {1, l.out_ch}:
                     raise SchemaError(f"{path}: requant {l.name} mult/bias lengths {rp.mult.size}/"
                                       f"{rp.bias.size} are neither 1 nor the channel count {l.out_ch}")
+                if rp.mult.min() < 0:
+                    raise SchemaError(f"{path}: requant {l.name} has a negative multiplier "
+                                      f"{int(rp.mult.min())}")
                 qg.requant[l.name] = rp
         wrong = [k for k, v in _scale_copies(qg, path).items() if doc[k] != v]
         if wrong:

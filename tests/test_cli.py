@@ -138,9 +138,10 @@ def _change_acc_eps(doc):
 
 class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
-    that lacks its weights, whose pooling is not 2x2 or whose stored scales
-    differ from the ones its weight scales and alphas give is rejected when
-    loaded: exit 4 with a one-line message, no traceback."""
+    that lacks its weights, whose pooling is not 2x2, that has a negative
+    requant multiplier or whose stored scales differ from the ones its weight
+    scales and alphas give is rejected when loaded: exit 4 with a one-line
+    message, no traceback."""
 
     @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps, _drop_weights, _pool_3x3])
     def test_infer_exit_4(self, tmp_path, qgraph_file, tamper):
@@ -171,6 +172,20 @@ class TestTamperedQgraph:
                         "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "error[schema]" in err and "differ from the scales" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+    def test_negative_mult_exit_4(self, tmp_path, capsys, qgraph_file):
+        doc = json.loads(qgraph_file.read_text())
+        doc["requant"]["act1"]["mult"][3] *= -1
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "act1 has a negative multiplier" in err
         assert "Traceback" not in err
         assert not out.exists()
 

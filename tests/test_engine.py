@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nanopose import engine, graph as G
-from nanopose.errors import AccumulatorOverflowError, SchemaError
+from nanopose.errors import AccumulatorOverflowError, RequantParameterError, SchemaError
 from nanopose.floatnet import random_float_net
 from nanopose.qtensor import QTensor, QuantParams, act_eps
-from nanopose.quantizer import CalibrationSet, calibrate, convert
+from nanopose.quantizer import CalibrationSet, QuantizedGraph, RequantParams, calibrate, convert
 
 from oracles import (
     make_chain_graph,
@@ -61,6 +63,31 @@ class TestConvKernel:
         wgt = np.full((1, 65794, 1, 1), -128, dtype=np.int8)
         with pytest.raises(AccumulatorOverflowError, match="-2147516160"):
             engine.conv2d_int(x, wgt, (1, 1), (0, 0))
+
+
+    @pytest.mark.parametrize("taps,dtype", [
+        (514, np.float32),     # 255 * 128 * 514 = 16,776,960 < 2^24
+        (515, np.float64),
+        ((2**53 - 1) // (255 * 128), np.float64),
+        ((2**53 - 1) // (255 * 128) + 1, np.int64),
+    ])
+    def test_gemm_dtype_boundaries(self, taps, dtype):
+        assert engine._gemm_dtype(np.dtype(np.uint8), np.dtype(np.int8), taps) is dtype
+
+    @pytest.mark.parametrize("channels", [514, 515])
+    def test_float32_edge_exact(self, channels):
+        # a 1x1 conv over the last float32 K and the first float64 K: the
+        # extreme codes reach |acc| = 255 * 128 * K, random codes mix signs
+        rng = np.random.default_rng(channels)
+        x = np.full((channels, 3, 4), 255, dtype=np.uint8)
+        x[:, 1:] = rng.integers(0, 256, (channels, 2, 4))
+        wgt = np.full((3, channels, 1, 1), -128, dtype=np.int8)
+        wgt[1:] = rng.integers(-128, 128, (2, channels, 1, 1))
+        got = engine.conv2d_int(x, wgt, (1, 1), (0, 0))
+        want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (0, 0))
+        assert got.dtype == np.int32
+        assert (got == want).all()
+        assert got.min() == -255 * 128 * channels
 
 
 class TestInferInt:
@@ -120,6 +147,25 @@ class TestInferInt:
         with pytest.raises(SchemaError):
             engine.infer_int(qg, bad)
 
+    def test_image_quant_params_checked(self):
+        g, net, qg, rng = converted_toy(4)
+        codes = random_image_codes(rng, g.input_shape)
+        engine.infer_int(qg, QTensor(codes, QuantParams(1 / 255, 256, signed=False)))
+        for qt in (QTensor(codes, QuantParams(0.5, 256, signed=False)),
+                   QTensor((codes // 2).astype(np.int8), QuantParams(1 / 255, 256, signed=True))):
+            with pytest.raises(SchemaError, match="image quantization"):
+                engine.infer_int(qg, qt)
+
+    def test_negative_multiplier_rejected(self):
+        g, net, qg, rng = converted_toy(4)
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        for name in qg.requant:   # the first stage is pooled before it is requantized
+            rp = qg.requant[name]
+            rp.mult = -rp.mult
+            with pytest.raises(RequantParameterError, match="negative"):
+                engine.infer_int(qg, img)
+            rp.mult = -rp.mult
+
     def test_repeat_determinism(self):
         g, net, qg, rng = converted_toy(5, spatial=(16, 16))
         codes = random_image_codes(rng, g.input_shape)
@@ -145,6 +191,85 @@ class TestMaxPool:
         want = naive_pool2x2(x)
         assert got.dtype == np.uint8 and got.shape == want.shape
         assert (got == want).all()
+
+
+def odd_pool_qgraph(seed):
+    """conv -> requant -> pool on a 7x9 map, then conv -> requant -> head,
+    with random codes, one zero-multiplier channel per stage and biases
+    that are mostly negative."""
+    layers = [
+        G.LayerSpec(G.CONV, "c1", in_ch=1, out_ch=5, kernel=(3, 3), stride=(1, 1), padding=(1, 1)),
+        G.LayerSpec(G.REQUANT, "a1"),
+        G.LayerSpec(G.POOL, "p1", kernel=(2, 2), stride=(2, 2)),
+        G.LayerSpec(G.CONV, "c2", in_ch=5, out_ch=3, kernel=(3, 3), stride=(1, 1), padding=(1, 1)),
+        G.LayerSpec(G.REQUANT, "a2"),
+        G.LayerSpec(G.DROPOUT, "d"),
+        G.LayerSpec(G.FC, "fc", in_ch=3 * 3 * 4, out_ch=4),
+    ]
+    g = G.infer_shapes(G.NetGraph(layers, (1, 7, 9)))
+    rng = np.random.default_rng(seed)
+    qg = QuantizedGraph(graph=g)
+    for l in g.layers:
+        if l.kind in (G.CONV, G.FC):
+            shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
+            qg.weights[l.name] = QTensor(rng.integers(-128, 128, shape).astype(np.int8),
+                                         QuantParams(0.01, 256, signed=True))
+        elif l.kind == G.REQUANT:
+            mult = rng.integers(0, 400, l.out_ch)
+            mult[1] = 0
+            bias = rng.integers(-(2**14) * 200, 2**14 * 40, l.out_ch)
+            qg.requant[l.name] = RequantParams(mult=mult, shift=14, bias=bias, alpha=1.0)
+    return g, qg, rng
+
+
+class TestPoolBeforeRequant:
+    """A requant followed by the max-pool runs on the pooled accumulator;
+    every output and recorded layer still matches the naive reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_naive_reference(self, seed):
+        g, qg, rng = odd_pool_qgraph(seed)
+        codes = random_image_codes(rng, g.input_shape)
+        img = QTensor(codes, engine.image_qparams())
+        res = engine.infer_int(qg, img, record_activations=True)
+        ref = run_int_reference(qg, codes)
+        assert set(res.activations) == set(ref) - {"d"}
+        for name, qt in res.activations.items():
+            assert qt.shape == ref[name].shape, name
+            assert (qt.data.astype(np.int64) == ref[name]).all(), name
+        assert (res.raw == ref["fc"]).all()
+        assert (engine.infer_int(qg, img).raw == res.raw).all()
+        assert 0 < (res.activations["a1"].data == 0).mean() < 1
+
+    def test_requant_sees_pooled_accumulator(self, monkeypatch):
+        g, qg, rng = odd_pool_qgraph(0)
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        shapes = []
+        real = engine.requant_codes
+        monkeypatch.setattr(engine, "requant_codes",
+                            lambda acc, *a: shapes.append(acc.shape) or real(acc, *a))
+        engine.infer_int(qg, img)
+        assert shapes == [(5, 3, 4), (3, 3, 4)]
+
+
+class TestFootprint:
+    def test_160x32_transient_peak(self):
+        # the largest frame's im2col, accumulator and requant temporaries stay
+        # small enough for the heap to serve them without page faults
+        g = G.build_variant("160x32")
+        net = random_float_net(g, seed=11)
+        rng = np.random.default_rng(12)
+        qg = convert(net, calibrate(net, CalibrationSet([random_image_codes(rng, g.input_shape)
+                                                         * engine.IMAGE_EPS])))
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        engine.infer_int(qg, img)
+        tracemalloc.start()
+        try:
+            engine.infer_int(qg, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestHeldCodes:

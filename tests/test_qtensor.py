@@ -209,3 +209,5 @@ class TestRequant:
             requant_codes(acc, 1, 0, np.zeros(3))
         with pytest.raises(RequantParameterError):
             requant_codes(acc, 2**33, 0, 0)
+        with pytest.raises(RequantParameterError, match="negative"):
+            requant_codes(acc, [3, -1], 0, 0)
