@@ -12,8 +12,10 @@ whose horizontal acceleration is limited by the 12-degree pitch ceiling
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import require_positive
-from .pose import Pose, wrap_angle
+from .pose import Pose, wrap_angle, wrap_angles
 
 G_ACCEL = 9.81
 PITCH_LIMIT_DEG = 12.0
@@ -33,7 +35,7 @@ class ControlConfig:
         require_positive(self, *self.__dataclass_fields__)
 
 
-@dataclass
+@dataclass(slots=True)
 class SubjectEstimate:
     pose: Pose
     vel: tuple   # (vx, vy, vz, omega)
@@ -45,13 +47,14 @@ def _clamp(v, lim):
 
 def target_pose(subject: Pose, delta: float) -> Pose:
     """The pose delta ahead of the subject along its facing axis, facing
-    back at it: where the controller sends the drone."""
-    return Pose(
-        subject.x + delta * math.cos(subject.theta),
-        subject.y + delta * math.sin(subject.theta),
-        subject.z,
-        wrap_angle(subject.theta + math.pi),
-    )
+    back at it: where the controller sends the drone.  The subject's fields
+    may be arrays, one entry per instant."""
+    th = subject.theta
+    if isinstance(th, np.ndarray):
+        c, s, back = np.cos(th), np.sin(th), wrap_angles(th + math.pi)
+    else:
+        c, s, back = math.cos(th), math.sin(th), wrap_angle(th + math.pi)
+    return Pose(subject.x + delta * c, subject.y + delta * s, subject.z, back)
 
 
 def velocity_command(drone: Pose, subject: SubjectEstimate, cfg: ControlConfig):
@@ -80,9 +83,6 @@ class DroneState:
     vy: float = 0.0
     vz: float = 0.0
     omega: float = 0.0
-
-    def pose(self) -> Pose:
-        return Pose(self.x, self.y, self.z, self.theta)
 
 
 def step_dynamics(state: DroneState, v_cmd, omega_cmd: float, dt: float, cfg: ControlConfig):

@@ -4,7 +4,8 @@ Each pose component (x, y, z, theta) runs an independent 2-state filter
 over position and velocity with white-acceleration process noise of
 variance q and scalar observation variance r.  The covariance is stored as
 the three entries of a symmetric 2x2 matrix, so symmetry is structural.
-Plain floats keep the per-tick cost negligible.
+Plain floats keep the per-event cost low, and one `step` call runs a whole
+predict-and-update cycle.
 """
 
 from dataclasses import dataclass
@@ -34,37 +35,44 @@ class Kalman1D:
         self.p11 = 4.0
         self.initialized = True
 
-    def predict(self, dt: float):
+    def step(self, dt: float, obs: float = None):
+        """Predict dt seconds ahead and, when given, fuse the observation
+        obs: the filter's one cycle, computed on locals and stored once."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.p += self.v * dt
-        if self.angular:
-            self.p = wrap_angle(self.p)
+        angular = self.angular
         q = self.q
+        v = self.v
+        p = self.p + v * dt
+        if angular:
+            p = wrap_angle(p)
         p00, p01, p11 = self.p00, self.p01, self.p11
-        self.p00 = p00 + dt * (2.0 * p01) + dt * dt * p11 + q * dt**4 / 4.0
-        self.p01 = p01 + dt * p11 + q * dt**3 / 2.0
-        self.p11 = p11 + q * dt * dt
-
-    def update(self, obs: float):
-        innov = obs - self.p
-        if self.angular:
-            innov = wrap_angle(innov)
-        s = self.p00 + self.r + R_FLOOR
-        k0 = self.p00 / s
-        k1 = self.p01 / s
-        self.p += k0 * innov
-        if self.angular:
-            self.p = wrap_angle(self.p)
-        self.v += k1 * innov
-        p00, p01, p11 = self.p00, self.p01, self.p11
-        self.p00 = (1.0 - k0) * p00
-        self.p01 = (1.0 - k0) * p01
-        self.p11 = p11 - k1 * p01
-        if not self.positive_definite():
+        p00 = p00 + dt * (2.0 * p01) + dt * dt * p11 + q * dt**4 / 4.0
+        p01 = p01 + dt * p11 + q * dt**3 / 2.0
+        p11 = p11 + q * dt * dt
+        if obs is not None:
+            innov = obs - p
+            if angular:
+                innov = wrap_angle(innov)
+            s = p00 + self.r + R_FLOOR
+            k0 = p00 / s
+            k1 = p01 / s
+            p += k0 * innov
+            if angular:
+                p = wrap_angle(p)
+            v += k1 * innov
+            p11 = p11 - k1 * p01
+            p00 = (1.0 - k0) * p00
+            p01 = (1.0 - k0) * p01
+        self.p, self.v, self.p00, self.p01, self.p11 = p, v, p00, p01, p11
+        # the test of positive_definite(), on the locals: saves a call per step
+        if obs is not None and not (p00 > 0.0 and (p00 * p11 - p01 * p01) > 0.0):
             raise FloatingPointError(
-                f"covariance lost positive definiteness: [[{self.p00},{self.p01}],[{self.p01},{self.p11}]]"
-            )
+                f"covariance lost positive definiteness: [[{p00},{p01}],[{p01},{p11}]]")
+
+    def predict(self, dt: float):
+        """Predict dt seconds ahead without an observation."""
+        self.step(dt)
 
     def positive_definite(self) -> bool:
         return self.p00 > 0.0 and (self.p00 * self.p11 - self.p01 * self.p01) > 0.0

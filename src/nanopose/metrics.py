@@ -57,12 +57,12 @@ def _distance_at(log: TrajectoryLog, t: float) -> float:
 
 
 def metrics(log: TrajectoryLog) -> Metrics:
-    if not log.rows:
+    if len(log.rows) == 0:
         raise SchemaError("empty trajectory log")
     e_xy = log.column("e_xy")
     e_th = log.column("e_theta")
-    obs = np.asarray([o for _, o, _ in log.observations], dtype=np.float64)
-    truth = np.asarray([tr for _, _, tr in log.observations], dtype=np.float64)
+    obs = log.observations[:, 1:5]
+    truth = log.observations[:, 5:9]
     names = ("x", "y", "z", "theta")
     r2 = {}
     for i, name in enumerate(names):

@@ -6,6 +6,8 @@ Angle differences are always real values in [-pi, pi].
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -16,7 +18,12 @@ def wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
-@dataclass
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle applied elementwise to an array of angles."""
+    return np.where((-math.pi <= a) & (a <= math.pi), a, np.arctan2(np.sin(a), np.cos(a)))
+
+
+@dataclass(slots=True)
 class Pose:
     x: float
     y: float
@@ -39,7 +46,8 @@ def to_odometry(pred_in_drone: Pose, drone_pose: Pose) -> Pose:
 
 
 def to_drone(pose_in_odom: Pose, drone_pose: Pose) -> Pose:
-    """Inverse of to_odometry."""
+    """Inverse of to_odometry.  drone_pose may be anything with x, y, z and
+    theta, such as the simulator's drone state."""
     dx = pose_in_odom.x - drone_pose.x
     dy = pose_in_odom.y - drone_pose.y
     c, s = math.cos(drone_pose.theta), math.sin(drone_pose.theta)

@@ -22,8 +22,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SchemaError
-from .pose import Pose, wrap_angle
+from .pose import Pose, wrap_angle, wrap_angles
 
 WALK_DIST = 2.4
 CIRCLE_RADIUS = 2.4
@@ -39,21 +41,24 @@ class Phase:
     left: float = 0.0       # m/s to the subject's left
     yaw_rate: float = 0.0   # rad/s
 
-    def state(self, start: Pose, tau: float):
+    def state(self, start: Pose, tau):
         """Pose and world-frame velocity (vx, vy, vz, omega) tau seconds
-        after starting from `start`."""
+        after starting from `start`.  tau may be an array of offsets; a
+        component that does not change along the phase stays a scalar."""
         u, w, om = self.forward, self.left, self.yaw_rate
         th0 = start.theta
+        c0, s0 = math.cos(th0), math.sin(th0)
         if om == 0.0:
-            c, s = math.cos(th0), math.sin(th0)
-            vx, vy = u * c - w * s, u * s + w * c
+            vx, vy = u * c0 - w * s0, u * s0 + w * c0
             return Pose(start.x + vx * tau, start.y + vy * tau, start.z, th0), (vx, vy, 0.0, 0.0)
         th = th0 + om * tau
-        c, s = math.cos(th), math.sin(th)
-        c0, s0 = math.cos(th0), math.sin(th0)
+        if isinstance(th, np.ndarray):
+            c, s, th = np.cos(th), np.sin(th), wrap_angles(th)
+        else:
+            c, s, th = math.cos(th), math.sin(th), wrap_angle(th)
         pose = Pose(start.x + (u * (s - s0) + w * (c - c0)) / om,
                     start.y + (u * (c0 - c) + w * (s - s0)) / om,
-                    start.z, wrap_angle(th))
+                    start.z, th)
         return pose, (u * c - w * s, u * s + w * c, 0.0, om)
 
 
@@ -110,14 +115,28 @@ def default_script() -> ScenarioScript:
                           subject_start=Pose(0.0, 0.0, 0.0, 0.0))
 
 
-def subject_state_at(t: float, script: ScenarioScript):
+def subject_state_at(t, script: ScenarioScript):
     """Ground-truth subject pose and velocity at time t.
 
     Returns (Pose, (vx, vy, vz, omega)).  Motion is piecewise analytic, so
-    sampling is exact at any instant.
+    sampling is exact at any instant.  t may also be a 1-D array of
+    ascending times; then every field is an array of the same length, and
+    each phase's closed form is evaluated once over the times it covers.
     """
-    if t < 0:
-        t = 0.0
-    i = bisect_right(script.starts, t) - 1
-    return script.phases[i].state(script.start_poses[i], t - script.starts[i])
-
+    if np.ndim(t) == 0:
+        if t < 0:
+            t = 0.0
+        i = bisect_right(script.starts, t) - 1
+        return script.phases[i].state(script.start_poses[i], t - script.starts[i])
+    ts = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+    if ts.ndim != 1 or np.any(ts[1:] < ts[:-1]):
+        raise ValueError("sample times must be a 1-D array in ascending order")
+    # phase i covers starts[i] <= t < starts[i + 1], as bisect_right decides
+    edges = [0, *np.searchsorted(ts, script.starts[1:], side="left").tolist(), ts.size]
+    out = np.empty((8, ts.size))
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if lo < hi:
+            pose, vel = script.phases[i].state(script.start_poses[i], ts[lo:hi] - script.starts[i])
+            for row, v in zip(out[:, lo:hi], pose.as_tuple() + vel):
+                row[:] = v
+    return Pose(*out[:4]), tuple(out[4:])

@@ -7,10 +7,15 @@ past (captured with the drone pose of that instant), is disturbed by the
 per-component noise model, transformed to the odometry frame with the
 current 100 Hz drone readout, fused by the per-component Kalman filters,
 and turned into a velocity set-point that holds until the next observation.
+Only that feedback runs in the Python event loop, on plain floats.  The
+subject's path at every capture and log time, the scaled noise, and the
+log's subject, target and tracking-error columns do not depend on it and
+are computed as arrays before and after the loop.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from .control import (ControlConfig, DroneState, SubjectEstimate, step_dynamics,
                       velocity_command)
 from .errors import SchemaError, finite_real, require_positive
 from .kalman import Kalman1D
-from .pose import Pose, to_drone, to_odometry, wrap_angle
+from .pose import Pose, to_drone, to_odometry, wrap_angle, wrap_angles
 from .scenario import ScenarioScript, default_script, subject_state_at
 
 DYNAMICS_HZ = 500.0
@@ -78,16 +83,32 @@ LOG_COLUMNS = (
 @dataclass
 class TrajectoryLog:
     columns: tuple
-    rows: list
-    observations: list            # (t_img, obs drone-frame 4-tuple, truth drone-frame 4-tuple)
+    rows: np.ndarray              # (n, len(columns)) float64, one row per 100 Hz readout
+    observations: np.ndarray      # (n, 9) float64: t_img, obs drone-frame x, y, z, theta, truth x, y, z, theta
     max_cmd_speed: float
     max_cmd_omega: float
     max_accel: float
     script: ScenarioScript
 
     def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.asarray([r[i] for r in self.rows], dtype=np.float64)
+        return self.rows[:, self.columns.index(name)]
+
+
+def _table(tuples: list, width: int) -> np.ndarray:
+    """Equal-length tuples of Python floats as an (n, width) float64 array."""
+    flat = np.fromiter(chain.from_iterable(tuples), np.float64, len(tuples) * width)
+    return flat.reshape(len(tuples), width)
+
+
+def _check_tick(cfg: ControlConfig, dt: float):
+    """Reject time constants the dynamics tick cannot integrate: the Euler
+    step of a first-order lag scales the tracking error by 1 - dt/T per
+    tick, which stays inside (-1, 1) only while T > dt/2."""
+    for name in ("t_v", "t_omega"):
+        value = getattr(cfg, name)
+        if not value > dt / 2.0:
+            raise SchemaError(f"ControlConfig.{name} = {value!r} s is too short for the {1.0 / dt:g} Hz "
+                              f"dynamics tick; it must exceed {dt / 2.0:g} s")
 
 
 def run_experiment(noise: NoiseModel, inference_rate: float,
@@ -98,22 +119,25 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     script = script or default_script()
     if not (finite_real(inference_rate) and inference_rate > 0):
         raise SchemaError(f"inference rate must be finite and > 0, got {inference_rate!r}")
+    dt = 1.0 / DYNAMICS_HZ
+    _check_tick(cfg, dt)
     rng = np.random.default_rng(noise.seed)
     duration = sim.duration if sim.duration is not None else script.total_duration
 
-    dt = 1.0 / DYNAMICS_HZ
     n_ticks = int(round(duration * DYNAMICS_HZ))
     readout_every = int(round(DYNAMICS_HZ / READOUT_HZ))
     obs_period = 1.0 / inference_rate
-    delta = cfg.delta
-    std_x, std_y, std_z, std_th = noise.std
-    # One noise row per capture: one at t = 0 and one per observation event.
+    # One capture at t = 0 and one per observation event k, at k * period.
     # Events k >= 1 are due by k * period <= n_ticks * dt + EVENT_SLACK, so
-    # the draw sizes for one more than that bound to absorb float rounding;
-    # a longer draw leaves its prefix unchanged.  A single draw yields the
-    # same stream as one draw of 4 per capture.  Rows stay Python floats so
-    # the whole loop runs on float arithmetic.
-    eps = rng.standard_normal((2 + int((n_ticks * dt + EVENT_SLACK) * inference_rate), 4)).tolist()
+    # the captures are sized for one more than that bound to absorb float
+    # rounding; a longer noise draw leaves its prefix unchanged, and a
+    # single draw yields the same stream as one draw of 4 per capture.  The
+    # subject's path and the scaled noise do not depend on the loop, so both
+    # are computed here for every capture and handed to the loop as floats.
+    n_captures = 2 + int((n_ticks * dt + EVENT_SLACK) * inference_rate)
+    t_capture = np.arange(n_captures) * obs_period
+    disturb = (rng.standard_normal((n_captures, 4)) * noise.std).tolist()
+    subject = np.column_stack(subject_state_at(t_capture, script)[0].as_tuple()).tolist()
 
     drone = DroneState(*script.drone_start.as_tuple())
     filters = [
@@ -130,50 +154,43 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     next_obs_t = obs_period
     obs_index = 1
 
-    rows = []
-    observations = []
+    logged = [readout + est_cmd]                 # per 100 Hz row: drone readout, estimate, command
+    captured = []                                # per capture: observation, then ground truth
     max_cmd_speed = 0.0
     max_cmd_omega = 0.0
     max_accel = 0.0
 
-    def log_row(t):
-        sp = subject_state_at(t, script)[0]
-        tgt = target_pose(sp, delta)
-        x, y, th = drone.x, drone.y, drone.theta
-        rows.append((t, sp.x, sp.y, sp.z, sp.theta, x, y, drone.z, th) + est_cmd
-                    + (math.hypot(x - tgt.x, y - tgt.y), abs(wrap_angle(th - tgt.theta))))
-
-    def capture(t, e):
-        rel = to_drone(subject_state_at(t, script)[0], drone.pose())
-        obs = (
-            rel.x + e[0] * std_x,
-            rel.y + e[1] * std_y,
-            rel.z + e[2] * std_z,
-            wrap_angle(rel.theta + e[3] * std_th),
-        )
-        observations.append((t, obs, rel.as_tuple()))
+    def capture(k):
+        rel = to_drone(Pose(*subject[k]), drone)     # the drone state carries x, y, z, theta
+        e = disturb[k]
+        obs = (rel.x + e[0], rel.y + e[1], rel.z + e[2], wrap_angle(rel.theta + e[3]))
+        captured.append(obs + rel.as_tuple())
         return obs
 
-    log_row(0.0)
-    pending = capture(0.0, eps[0])              # measurement captured one period ago
+    pending = capture(0)                        # measurement captured one period ago
     for tick in range(1, n_ticks + 1):
         t = tick * dt
         # observation/control events due by now
         while next_obs_t <= t + EVENT_SLACK:
             t_ev = next_obs_t
             readout_pose = Pose(*readout)
-            vals = to_odometry(Pose(*pending), readout_pose).as_tuple()
+            o = to_odometry(Pose(*pending), readout_pose)
             if kf_time is None:
-                for f, v in zip(filters, vals):
+                for f, v in zip(filters, o.as_tuple()):
                     f.start(v)
             else:
                 step = t_ev - kf_time
-                for f, v in zip(filters, vals):
-                    f.predict(step)
-                    f.update(v)
+                try:
+                    kx.step(step, o.x)
+                    ky.step(step, o.y)
+                    kz.step(step, o.z)
+                    kth.step(step, o.theta)
+                except FloatingPointError as e:
+                    raise SchemaError(f"the tracking filters cannot run with SimConfig.q_accel_var = "
+                                      f"{sim.q_accel_var!r} and noise std {noise.std}: {e}") from None
             kf_time = t_ev
             p = (kx.p, ky.p, kz.p, kth.p)
-            est = SubjectEstimate(pose=Pose(*p), vel=(kx.v, ky.v, kz.v, kth.v))
+            est = SubjectEstimate(Pose(*p), (kx.v, ky.v, kz.v, kth.v))
             cmd_v, cmd_w = velocity_command(readout_pose, est, cfg)
             est_cmd = p + cmd_v + (cmd_w,)
             for v in cmd_v:
@@ -181,7 +198,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
                     max_cmd_speed = abs(v)
             if abs(cmd_w) > max_cmd_omega:
                 max_cmd_omega = abs(cmd_w)
-            pending = capture(t_ev, eps[obs_index])
+            pending = capture(obs_index)
             obs_index += 1
             next_obs_t = obs_index * obs_period
         ah = step_dynamics(drone, cmd_v, cmd_w, dt, cfg)
@@ -189,7 +206,21 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
             max_accel = ah
         if tick % readout_every == 0:
             readout = (drone.x, drone.y, drone.z, drone.theta)
-            log_row(t)
+            logged.append(readout + est_cmd)
+
+    # the subject, its target and the tracking errors at every log row
+    t_log = np.arange(0, n_ticks + 1, readout_every) * dt
+    sub = subject_state_at(t_log, script)[0]
+    tgt = target_pose(sub, cfg.delta)
+    rows = np.empty((len(logged), len(LOG_COLUMNS)))
+    rows[:, 0] = t_log
+    rows[:, 1:5] = np.column_stack(sub.as_tuple())
+    rows[:, 5:17] = _table(logged, 12)
+    rows[:, 17] = np.hypot(rows[:, 5] - tgt.x, rows[:, 6] - tgt.y)
+    rows[:, 18] = np.abs(wrap_angles(rows[:, 8] - tgt.theta))
+    observations = np.empty((len(captured), 9))
+    observations[:, 0] = t_capture[:len(captured)]
+    observations[:, 1:] = _table(captured, 8)
 
     return TrajectoryLog(
         columns=LOG_COLUMNS, rows=rows, observations=observations,
@@ -200,6 +231,6 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
 def log_csv(log: TrajectoryLog) -> str:
     lines = [",".join(log.columns)]
-    for r in log.rows:
+    for r in log.rows.tolist():
         lines.append(",".join(f"{v:.9g}" for v in r))
     return "\n".join(lines) + "\n"

@@ -413,6 +413,10 @@ class TestSimulate:
         {"q_accel_var": float("inf")}, {"duration": float("nan")},
         {"noise_std": [0.1, 0.2]}, {"noise_std": [0.1, 0.1, 0.1, -0.1]}, {"noise_std": 0.3},
         [1, 2],
+        # the 500 Hz Euler tick diverges (t_v) or ends in a math domain error (t_omega)
+        {"t_v": 0.0009}, {"t_omega": 0.0005}, {"t_v": 0.001},
+        # the filter covariance overflows and loses positive definiteness
+        {"q_accel_var": 1e300},
     ], ids=json.dumps)
     def test_bad_config_values_exit_4(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
@@ -422,6 +426,8 @@ class TestSimulate:
                         "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "error[schema]" in err and "Traceback" not in err
+        if isinstance(doc, dict) and "noise_std" not in doc:
+            assert f".{next(iter(doc))} " in err      # the message names the setting
         assert not out.exists()
 
     def test_short_run_has_no_phase0_distance(self, tmp_path, capsys):

@@ -130,6 +130,19 @@ class TestScenario:
             assert abs(before.x - at.x) <= 1e-12 and abs(before.y - at.y) <= 1e-12
             assert abs(wrap_angle(before.theta - at.theta)) <= 1e-12
 
+    def test_array_sampling_matches_scalar(self):
+        s = default_script()
+        ts = np.sort(np.concatenate([np.linspace(-1.0, 55.0, 401), s.starts,
+                                     [math.nextafter(b, 0.0) for b in s.starts[1:]]]))
+        pose, vel = subject_state_at(ts, s)
+        for i, t in enumerate(ts.tolist()):
+            p, v = subject_state_at(t, s)
+            assert (pose.x[i], pose.y[i], pose.z[i]) == pytest.approx((p.x, p.y, p.z), abs=1e-12)
+            assert abs(wrap_angle(pose.theta[i] - p.theta)) <= 1e-12
+            assert tuple(c[i] for c in vel) == pytest.approx(v, abs=1e-12)
+        with pytest.raises(ValueError):
+            subject_state_at(ts[::-1], s)
+
     def test_initial_offset_30_degrees(self):
         s = default_script()
         bearing = math.atan2(-s.drone_start.y, -s.drone_start.x)
@@ -146,27 +159,40 @@ class TestRunExperiment:
     def test_deterministic_bit_identical(self):
         a = run_experiment(noise_for("80x32", seed=5), RATE_HZ["80x32"])
         b = run_experiment(noise_for("80x32", seed=5), RATE_HZ["80x32"])
-        assert a.rows == b.rows
-        assert a.observations == b.observations
+        assert np.array_equal(a.rows, b.rows, equal_nan=True)
+        assert np.array_equal(a.observations, b.observations, equal_nan=True)
 
     # metrics of the event loop before it ran on plain floats; the rewrite
-    # must reproduce them (the 7.3 s run is not a whole number of periods)
+    # must reproduce them (the 7.3 s run is not a whole number of periods).
+    # p95_e_xy, the phase-0 distance and R^2 were captured from the loop
+    # that still built its log and observations as tuples.
     PINNED = [
-        ("mocap", 0, None, 0.017159863586173375, 0.002961721878401491, 1501),
-        ("80x32", 5, None, 0.17843640755745516, 0.0888370410229391, 6751),
-        ("160x32", 3, 7.3, 0.21937974516044798, 0.07662872164355175, 351),
+        ("mocap", 0, None, 0.017159863586173375, 0.002961721878401491, 1501,
+         0.33672360620275305, 1.3051201820345868, (1.0, 1.0, 1.0, 1.0)),
+        ("80x32", 5, None, 0.17843640755745516, 0.0888370410229391, 6751,
+         0.7273330969306281, 1.282279416613176,
+         (0.2619270424208364, -0.9064890273673318, -33.27445819047426, -0.5214373266575678)),
+        ("160x32", 3, 7.3, 0.21937974516044798, 0.07662872164355175, 351,
+         2.209114696461123, 1.2754164783419588,
+         (0.8893898785365137, 0.5122294078922192, -6.532791375991938, -0.7178027813732213)),
     ]
 
-    @pytest.mark.parametrize("variant,seed,duration,e_xy,e_theta,n_obs", PINNED)
-    def test_metrics_pinned(self, variant, seed, duration, e_xy, e_theta, n_obs):
+    @pytest.mark.parametrize("variant,seed,duration,e_xy,e_theta,n_obs,p95_e_xy,phase0,r2", PINNED,
+                             ids=["-".join(map(str, p[:6])) for p in PINNED])
+    def test_metrics_pinned(self, variant, seed, duration, e_xy, e_theta, n_obs, p95_e_xy, phase0, r2):
         log = run_experiment(noise_for(variant, seed=seed), RATE_HZ[variant],
                              sim_cfg=SimConfig(duration=duration))
         m = metrics(log)
         assert m.median_e_xy == pytest.approx(e_xy, rel=1e-9)
         assert m.median_e_theta_rad == pytest.approx(e_theta, rel=1e-9)
+        assert m.p95_e_xy == pytest.approx(p95_e_xy, rel=1e-9)
+        assert m.phase0_final_distance == pytest.approx(phase0, rel=1e-9)
+        assert tuple(m.r2.values()) == pytest.approx(r2, rel=1e-9)
         assert (m.max_cmd_speed, m.max_cmd_omega) == (CFG.v_max, CFG.omega_max)
         assert m.max_accel == pytest.approx(CFG.a_max, rel=1e-9)
-        assert len(log.observations) == n_obs
+        n_rows = 1 + round((duration or log.script.total_duration) * 100)
+        assert (log.rows.shape, log.rows.dtype) == ((n_rows, len(log.columns)), np.float64)
+        assert (log.observations.shape, log.observations.dtype) == ((n_obs, 9), np.float64)
 
     @pytest.mark.parametrize("rate", [30.0, 48.0, 111.0, 135.0, 1000.0, 7.0 / 3.0])
     @pytest.mark.parametrize("n_ticks", [0, 1, 999, 1000, 3650, 25000])

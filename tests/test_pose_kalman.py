@@ -9,8 +9,7 @@ from nanopose.pose import Pose, to_drone, to_odometry, wrap_angle
 
 def kf_step(kf: Kalman1D, obs: float, dt: float):
     """One predict step followed by an update."""
-    kf.predict(dt)
-    kf.update(obs)
+    kf.step(dt, obs)
 
 
 class TestPose:
