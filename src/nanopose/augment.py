@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import SchemaError
 from .pose import Pose
@@ -85,6 +84,7 @@ def vignette_mask(shape, radius: float, strength: float) -> np.ndarray:
 
 
 def apply_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter   # only blurring pays its import time
     return gaussian_filter(x, sigma=sigma, mode="nearest")
 
 

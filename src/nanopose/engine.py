@@ -5,17 +5,19 @@ The integer path runs convolutions over 8-bit activation codes and signed
 per-channel integer affine, and leaves the head output as raw 32-bit fixed
 point.
 
-Each convolution is im2col plus one GEMM, and the head is one matrix-vector
-product.  With uint8 activations and int8 weights both run through BLAS in
-floats and are still exact: every product and partial sum is an integer
-with |acc| <= 255 * 128 * K over K = in_ch * kh * kw taps, whatever order
-the GEMM sums in.  That bound picks the narrowest exact dtype: float32,
-which holds every integer below 2^24, for K <= 514 (conv1 with K = 25 and
-every K = 288 layer of the reference variants); float64, exact below 2^53,
-for any larger K under 2.7e11 (the variants reach K = 1152 in a conv and
-7680 in the head, so |acc| < 2^28); int64 beyond.  The bound follows from
-the operand dtypes, so it costs nothing per call.  Every accumulator is
-still checked against the int32 range.
+Each convolution is im2col plus a GEMM, and the head is a matrix-vector
+product; both go through `_int_gemm`.  With uint8 activations and int8
+weights the GEMM runs through BLAS in float32 and is still exact: a float32
+holds every integer below 2^24, and a sum of at most 514 taps keeps every
+product and partial sum at |.| <= 255 * 128 * 514 < 2^24, whatever order
+BLAS sums in.  So the K = in_ch * kh * kw taps are cut into ceil(K / 514)
+contiguous blocks of near-equal size (K = 576 -> 2 x 288, 1152 -> 3 x 384,
+the 1920-input head -> 4 x 480), each block is one float32 GEMM, and the
+blocks are added in float64, exact below 2^53.  Operands wider than 8 bits
+run as one GEMM over all of K, in float64 while 2^53 bounds every partial
+sum and in int64 beyond.  The rule follows from the operand dtypes and K
+alone, so it costs nothing per call.  Every accumulator is still checked
+against the int32 range.
 
 A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
 pool1, the largest activation) is applied after the pool: infer_int pools
@@ -52,8 +54,8 @@ from .qtensor import (
 
 IMAGE_EPS = 1.0 / 255.0
 
-# (bound, dtype): the dtype holds every integer of magnitude below bound exactly
-_EXACT_FLOATS = ((2**24, np.float32), (2**53, np.float64))
+# a float32 holds every integer of magnitude below 2^24 exactly, a float64 below 2^53
+_F32_EXACT, _F64_EXACT = 2**24, 2**53
 
 
 def image_qparams() -> QuantParams:
@@ -83,43 +85,57 @@ class InferenceResult:
     activations: dict = None  # optional per-layer QTensor snapshots
 
 
-def _acc_range_check(acc: np.ndarray):
+@functools.cache
+def _gemm_blocks(x_dtype, w_dtype, taps: int):
+    """(dtype, edges): the GEMM dtype and the K-block edges in which every
+    partial sum of the products is an exact integer, given the operand
+    dtypes' ranges.  8-bit operands run in float32 blocks of near-equal
+    size that each stay below 2^24; wider ones in one block, float64 below
+    2^53 and int64 beyond."""
+    per_tap = 1
+    for dt in (x_dtype, w_dtype):
+        info = np.iinfo(dt)
+        per_tap *= max(-int(info.min), int(info.max))
+    if x_dtype.itemsize == w_dtype.itemsize == 1:
+        n = max(1, -(-taps // ((_F32_EXACT - 1) // per_tap)))
+        return np.float32, tuple(taps * i // n for i in range(n + 1))
+    return (np.float64 if per_tap * taps < _F64_EXACT else np.int64), (0, taps)
+
+
+def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact int32 accumulators of integer codes w (M, K) @ x (K, N), in the
+    blocks `_gemm_blocks` picks; raises if any leaves the int32 range."""
+    dtype, edges = _gemm_blocks(x.dtype, w.dtype, w.shape[1])
+    if len(edges) == 2:
+        acc = w.astype(dtype) @ x.astype(dtype, copy=False)
+    else:
+        acc = np.zeros((w.shape[0], x.shape[1]))
+        for k0, k1 in zip(edges, edges[1:]):
+            acc += w[:, k0:k1].astype(dtype) @ x[k0:k1].astype(dtype)
     if acc.size:
         amin, amax = int(acc.min()), int(acc.max())
         if amin < INT32_MIN or amax > INT32_MAX:
             raise AccumulatorOverflowError(f"accumulator range [{amin}, {amax}] exceeds 32-bit")
-
-
-@functools.cache
-def _gemm_dtype(x_dtype, w_dtype, taps: int):
-    """The narrowest float in which every partial sum of `taps` products is
-    an exact integer, given the operand dtypes' ranges; int64 if none is."""
-    bound = taps
-    for dt in (x_dtype, w_dtype):
-        info = np.iinfo(dt)
-        bound *= max(-int(info.min), int(info.max))
-    return next((dt for limit, dt in _EXACT_FLOATS if bound < limit), np.int64)
+    return acc.astype(np.int32)
 
 
 def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding) -> np.ndarray:
-    """Integer convolution as im2col plus one GEMM; returns int32
+    """Integer convolution as im2col plus one blocked GEMM; returns int32
     accumulators (C_out, H, W)."""
     c, h, wdt = x.shape
     oc, ic, kh, kw = w_codes.shape
     sh, sw = stride
     ph, pw = padding
     oh, ow = G.conv_out_hw(h, wdt, (kh, kw), stride, padding)
-    dtype = _gemm_dtype(x.dtype, w_codes.dtype, ic * kh * kw)
-    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=dtype)
+    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=x.dtype)
     padded[:, ph : ph + h, pw : pw + wdt] = x
     # one strided copy per kernel tap; rows ordered (c, u, v) like the weights
-    cols = np.empty((c, kh, kw, oh, ow), dtype=dtype)
+    cols = np.empty((c, kh, kw, oh, ow), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
             cols[:, u, v] = padded[:, u : u + sh * (oh - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
-    acc = w_codes.reshape(oc, -1).astype(dtype) @ cols.reshape(c * kh * kw, oh * ow)
-    _acc_range_check(acc)
-    return acc.astype(np.int32).reshape(oc, oh, ow)
+    acc = _int_gemm(w_codes.reshape(oc, -1), cols.reshape(c * kh * kw, oh * ow))
+    return acc.reshape(oc, oh, ow)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
@@ -168,12 +184,7 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
             if pooled is not None:
                 x, pooled = _requant(x, pooled), None
         elif l.kind == G.FC:
-            codes = qg.weights[l.name].data
-            flat = x.reshape(-1)
-            dtype = _gemm_dtype(flat.dtype, codes.dtype, l.in_ch)
-            acc = codes.astype(dtype) @ flat.astype(dtype)
-            _acc_range_check(acc)
-            x = raw = acc.astype(np.int32)
+            x = raw = _int_gemm(qg.weights[l.name].data, x.reshape(-1, 1)).reshape(-1)
             head = l.name
         else:
             continue
@@ -250,12 +261,16 @@ def downscale2x(img: np.ndarray) -> np.ndarray:
 
 
 def crop_center(frame: np.ndarray, target: tuple) -> QTensor:
-    """Center-crop a camera frame to the network input, as a u8 QTensor.
+    """Center-crop a 2-D uint8 camera frame to the network input, as a u8
+    QTensor that owns its pixels; any other frame is a SchemaError.
 
     When the doubled target still fits the frame (the half-resolution
     input), the crop keeps the full-size field of view and is then reduced
     2x with exact fixed-point bilinear weights.
     """
+    if not isinstance(frame, np.ndarray) or frame.ndim != 2 or frame.dtype != np.uint8:
+        got = f"{frame.dtype} {frame.shape}" if isinstance(frame, np.ndarray) else type(frame).__name__
+        raise SchemaError(f"frame must be a 2-D uint8 array, got {got}")
     th, tw = target
     h, w = frame.shape
     if th > h or tw > w:
@@ -267,4 +282,4 @@ def crop_center(frame: np.ndarray, target: tuple) -> QTensor:
     else:
         r0, c0 = (h - th) // 2, (w - tw) // 2
         img = frame[r0 : r0 + th, c0 : c0 + tw]
-    return QTensor(img.reshape(1, th, tw).astype(np.uint8), image_qparams())
+    return QTensor(img.reshape(1, th, tw).copy(), image_qparams())

@@ -12,6 +12,7 @@ from nanopose.quantizer import CalibrationSet, QuantizedGraph, RequantParams, ca
 from oracles import (
     make_chain_graph,
     naive_conv2d_int,
+    naive_fc_int,
     naive_float_forward,
     naive_pool2x2,
     run_int_reference,
@@ -47,7 +48,8 @@ class TestConvKernel:
 
     def test_worst_case_operands_exact(self):
         # largest conv K the variants use (128 channels, 3x3 = 1152 taps) at
-        # the extreme codes: |acc| = 255 * 128 * 1152 in the float64 GEMM
+        # the extreme codes: |acc| = 255 * 128 * 1152, summed from three
+        # float32 blocks of 384 taps
         x = np.full((128, 5, 6), 255, dtype=np.uint8)
         wgt = np.full((2, 128, 3, 3), -128, dtype=np.int8)
         got = engine.conv2d_int(x, wgt, (1, 1), (1, 1))
@@ -64,20 +66,31 @@ class TestConvKernel:
         with pytest.raises(AccumulatorOverflowError, match="-2147516160"):
             engine.conv2d_int(x, wgt, (1, 1), (0, 0))
 
-
-    @pytest.mark.parametrize("taps,dtype", [
-        (514, np.float32),     # 255 * 128 * 514 = 16,776,960 < 2^24
-        (515, np.float64),
-        ((2**53 - 1) // (255 * 128), np.float64),
-        ((2**53 - 1) // (255 * 128) + 1, np.int64),
+    @pytest.mark.parametrize("taps,edges", [
+        pytest.param(514, (0, 514), id="514-float32"),   # 255 * 128 * 514 = 16,776,960 < 2^24
+        pytest.param(515, (0, 257, 515), id="515-float32x2"),
+        pytest.param(576, (0, 288, 576), id="576-float32x2"),
+        pytest.param(1028, (0, 514, 1028), id="1028-float32x2"),
+        pytest.param(1029, (0, 343, 686, 1029), id="1029-float32x3"),
+        pytest.param(1152, (0, 384, 768, 1152), id="1152-float32x3"),
     ])
-    def test_gemm_dtype_boundaries(self, taps, dtype):
-        assert engine._gemm_dtype(np.dtype(np.uint8), np.dtype(np.int8), taps) is dtype
+    def test_gemm_dtype_boundaries(self, taps, edges):
+        # 8-bit operands: ceil(K / 514) contiguous float32 blocks of near-equal size
+        assert engine._gemm_blocks(np.dtype(np.uint8), np.dtype(np.int8), taps) == (np.float32, edges)
 
-    @pytest.mark.parametrize("channels", [514, 515])
+    @pytest.mark.parametrize("x_dtype,taps,dtype", [
+        pytest.param(np.int16, 2**23 - 1, np.float64, id="int16-float64"),  # 32768^2 * taps < 2^53
+        pytest.param(np.int16, 2**23, np.int64, id="int16-int64"),
+        pytest.param(np.int64, 1, np.int64, id="int64-int64"),
+    ])
+    def test_wide_operands_run_whole_k(self, x_dtype, taps, dtype):
+        assert engine._gemm_blocks(np.dtype(x_dtype), np.dtype(np.int16), taps) == (dtype, (0, taps))
+
+    @pytest.mark.parametrize("channels", [514, 515, 1028, 1029])
     def test_float32_edge_exact(self, channels):
-        # a 1x1 conv over the last float32 K and the first float64 K: the
-        # extreme codes reach |acc| = 255 * 128 * K, random codes mix signs
+        # a 1x1 conv over the last K of one and of two float32 blocks and the
+        # first K after each: the extreme codes reach |acc| = 255 * 128 * K,
+        # random codes mix signs
         rng = np.random.default_rng(channels)
         x = np.full((channels, 3, 4), 255, dtype=np.uint8)
         x[:, 1:] = rng.integers(0, 256, (channels, 2, 4))
@@ -140,6 +153,32 @@ class TestInferInt:
         assert res.activations["a"].qp.eps == 1.0
         assert res.activations["fc"].qp.eps == 1.0
         assert (res.pose == res.raw).all()
+
+    @pytest.mark.parametrize("hw", [(5, 103), (21, 49)])
+    def test_wide_head_extreme_codes(self, hw):
+        # a head over 515 and 1029 inputs, past one and two float32 blocks:
+        # every activation is 255, and row 0 reaches -255 * 128 * in_ch
+        h, w = hw
+        layers = [
+            G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=1, kernel=(1, 1), stride=(1, 1), padding=(0, 0)),
+            G.LayerSpec(G.REQUANT, "a"),
+            G.LayerSpec(G.DROPOUT, "d"),
+            G.LayerSpec(G.FC, "fc", in_ch=h * w, out_ch=4),
+        ]
+        g = G.infer_shapes(G.NetGraph(layers, (1, h, w)))
+        qg = QuantizedGraph(graph=g)
+        qg.weights["c"] = QTensor(np.ones((1, 1, 1, 1), dtype=np.int8), QuantParams(1.0, 256, True))
+        qg.requant["a"] = RequantParams(
+            mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
+        fc = np.random.default_rng(h).integers(-128, 128, (4, h * w)).astype(np.int8)
+        fc[0], fc[1] = -128, 127
+        qg.weights["fc"] = QTensor(fc, QuantParams(1.0, 256, True))
+        img = QTensor(np.full((1, h, w), 255, dtype=np.uint8), engine.image_qparams())
+        res = engine.infer_int(qg, img, record_activations=True)
+        acts = res.activations["a"].data.reshape(-1)
+        assert (acts == 255).all()
+        assert (res.raw == naive_fc_int(acts, fc)).all()
+        assert res.raw[0] == -255 * 128 * h * w and res.raw[1] == 255 * 127 * h * w
 
     def test_shape_mismatch(self):
         g, net, qg, _ = converted_toy(4)
@@ -252,24 +291,33 @@ class TestPoolBeforeRequant:
         assert shapes == [(5, 3, 4), (3, 3, 4)]
 
 
+def warm_peak(variant):
+    """tracemalloc peak of one warm infer_int call on a random variant net."""
+    g = G.build_variant(variant)
+    net = random_float_net(g, seed=11)
+    rng = np.random.default_rng(12)
+    qg = convert(net, calibrate(net, CalibrationSet([random_image_codes(rng, g.input_shape)
+                                                     * engine.IMAGE_EPS])))
+    img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+    engine.infer_int(qg, img)
+    tracemalloc.start()
+    try:
+        engine.infer_int(qg, img)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFootprint:
     def test_160x32_transient_peak(self):
         # the largest frame's im2col, accumulator and requant temporaries stay
         # small enough for the heap to serve them without page faults
-        g = G.build_variant("160x32")
-        net = random_float_net(g, seed=11)
-        rng = np.random.default_rng(12)
-        qg = convert(net, calibrate(net, CalibrationSet([random_image_codes(rng, g.input_shape)
-                                                         * engine.IMAGE_EPS])))
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
-        engine.infer_int(qg, img)
-        tracemalloc.start()
-        try:
-            engine.infer_int(qg, img)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert warm_peak("160x32") < 1.5 * 2**20
+
+    def test_80x32_transient_peak(self):
+        # no GEMM casts a whole deep weight matrix to float64 (b3c2's
+        # 128 x 1152 alone would be 1.13 MiB)
+        assert warm_peak("80x32") <= 800 * 2**10
 
 
 class TestHeldCodes:
@@ -374,3 +422,14 @@ class TestCropCenter:
     def test_target_too_large(self):
         with pytest.raises(SchemaError):
             engine.crop_center(np.zeros((10, 10), dtype=np.uint8), (11, 4))
+
+    @pytest.mark.parametrize("frame,target", [
+        (np.full((64, 64), 300, dtype=np.int64), (64, 64)),      # would wrap to 44
+        (np.full((64, 64), 0.9), (64, 64)),                      # would truncate to 0
+        (np.full((162, 162), -1, dtype=np.int16), (48, 80)),     # would wrap to 255
+        (np.zeros((1, 64, 64), dtype=np.uint8), (64, 64)),
+        (np.zeros((64, 64), dtype=np.uint8).tolist(), (64, 64)),
+    ])
+    def test_rejects_non_u8_frames(self, frame, target):
+        with pytest.raises(SchemaError, match="2-D uint8"):
+            engine.crop_center(frame, target)
