@@ -13,25 +13,23 @@ product and partial sum at |.| <= 255 * 128 * 514 < 2^24, whatever order
 BLAS sums in.  So the K = in_ch * kh * kw taps are cut into ceil(K / 514)
 contiguous blocks of near-equal size (K = 576 -> 2 x 288, 1152 -> 3 x 384,
 the 1920-input head -> 4 x 480), each block is one float32 GEMM, and the
-blocks are added in float64, exact below 2^53.  Operands wider than 8 bits
-run as one GEMM over all of K, in float64 while 2^53 bounds every partial
-sum and in int64 beyond.  The rule follows from the operand dtypes and K
-alone, so it costs nothing per call.  Every accumulator is still checked
-against the int32 range.
+blocks are added in float64, exact below 2^53.  The blocks follow from K
+alone; `_int_gemm` takes no other operands.  Every accumulator is still
+checked against the int32 range.
 
 A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
 pool1, the largest activation) is applied after the pool: infer_int pools
 the int32 accumulator and requantizes a quarter of the elements.  That is
 exact because clamp(floor((m * a + b) / 2^s), 0, 255) is non-decreasing in
-a for every channel with m >= 0, so it commutes with max; requant_codes
-rejects a negative multiplier, and `convert` never makes one.
+a for every channel with m >= 0, so it commutes with max; `convert` never
+makes a negative multiplier, and `QuantizedGraph.check` rejects one.
 
-infer_int runs a QuantizedGraph as it is held: the graph keeps each
-layer's weights as signed int8 codes in layer shape, and the requant
-parameters are validated on every call.  Every other scale follows from
-the weight scales and requant alphas (`scale_chain`, walked per call).
+infer_int runs a QuantizedGraph as it is held: signed int8 weight codes
+in layer shape and 32-bit requant parameters, held to that contract by
+`QuantizedGraph.check` once per call.  Every other scale follows from the
+weight scales and requant alphas (`scale_chain`, walked per call).
 Nothing is cached, so an edit to a weight code, a weight scale or a
-requant parameter takes effect on the next frame.
+requant parameter takes effect, and is checked, on the next frame.
 """
 
 import functools
@@ -54,8 +52,9 @@ from .qtensor import (
 
 IMAGE_EPS = 1.0 / 255.0
 
-# a float32 holds every integer of magnitude below 2^24 exactly, a float64 below 2^53
-_F32_EXACT, _F64_EXACT = 2**24, 2**53
+# a float32 holds every integer of magnitude below 2^24 exactly, so a block of
+# this many uint8 x int8 products (each at most 255 * 128) sums exactly
+_BLOCK_TAPS = (2**24 - 1) // (255 * 128)   # 514
 
 
 def image_qparams() -> QuantParams:
@@ -86,32 +85,24 @@ class InferenceResult:
 
 
 @functools.cache
-def _gemm_blocks(x_dtype, w_dtype, taps: int):
-    """(dtype, edges): the GEMM dtype and the K-block edges in which every
-    partial sum of the products is an exact integer, given the operand
-    dtypes' ranges.  8-bit operands run in float32 blocks of near-equal
-    size that each stay below 2^24; wider ones in one block, float64 below
-    2^53 and int64 beyond."""
-    per_tap = 1
-    for dt in (x_dtype, w_dtype):
-        info = np.iinfo(dt)
-        per_tap *= max(-int(info.min), int(info.max))
-    if x_dtype.itemsize == w_dtype.itemsize == 1:
-        n = max(1, -(-taps // ((_F32_EXACT - 1) // per_tap)))
-        return np.float32, tuple(taps * i // n for i in range(n + 1))
-    return (np.float64 if per_tap * taps < _F64_EXACT else np.int64), (0, taps)
+def _k_blocks(taps: int) -> tuple:
+    """Edges of the ceil(taps / 514) contiguous K blocks of near-equal size."""
+    n = max(1, -(-taps // _BLOCK_TAPS))
+    return tuple(taps * i // n for i in range(n + 1))
 
 
 def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact int32 accumulators of integer codes w (M, K) @ x (K, N), in the
-    blocks `_gemm_blocks` picks; raises if any leaves the int32 range."""
-    dtype, edges = _gemm_blocks(x.dtype, w.dtype, w.shape[1])
+    """Exact int32 accumulators of int8 weight codes w (M, K) @ uint8 codes
+    x (K, N), one float32 GEMM per K block; raises if any leaves int32."""
+    if w.dtype != np.int8 or x.dtype != np.uint8:
+        raise TypeError(f"_int_gemm runs int8 weights on uint8 codes, got {w.dtype} and {x.dtype}")
+    edges = _k_blocks(w.shape[1])
     if len(edges) == 2:
-        acc = w.astype(dtype) @ x.astype(dtype, copy=False)
+        acc = w.astype(np.float32) @ x.astype(np.float32)
     else:
         acc = np.zeros((w.shape[0], x.shape[1]))
         for k0, k1 in zip(edges, edges[1:]):
-            acc += w[:, k0:k1].astype(dtype) @ x[k0:k1].astype(dtype)
+            acc += w[:, k0:k1].astype(np.float32) @ x[k0:k1].astype(np.float32)
     if acc.size:
         amin, amax = int(acc.min()), int(acc.max())
         if amin < INT32_MIN or amax > INT32_MAX:
@@ -156,12 +147,15 @@ def _snapshot(l: G.LayerSpec, x: np.ndarray, eps: float) -> QTensor:
 
 
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
-    """Run the quantized graph entirely in the integer domain."""
+    """Run the quantized graph entirely in the integer domain, once it
+    passes `QuantizedGraph.check`, on a uint8 image of the graph's input."""
+    qg.check("infer_int")
     g = qg.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
-    if image.qp != image_qparams():
-        raise SchemaError(f"image quantization {image.qp} != {image_qparams()}")
+    if image.qp != image_qparams() or image.data.dtype != np.uint8:
+        raise SchemaError(f"image quantization {image.qp} of {image.data.dtype} codes != "
+                          f"{image_qparams()} of uint8 codes")
     scales = qg.scales()
     acts = {} if record_activations else None
     x = image.data
@@ -190,8 +184,6 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
             continue
         if record_activations:
             acts[l.name] = _snapshot(l, x, scales[l.name])
-    if head is None:
-        raise SchemaError("graph has no fully connected head")
     return InferenceResult(raw=raw, pose=scales[head] * raw.astype(np.float64), activations=acts)
 
 

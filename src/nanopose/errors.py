@@ -40,8 +40,8 @@ class AccumulatorOverflowError(ConstraintError):
     """An integer accumulation left the representable range."""
 
 
-class RequantParameterError(ConstraintError):
-    """Requantization parameters do not fit their 32-bit contract."""
+class RequantParameterError(SchemaError):
+    """Requantization parameters break the integer engine's 32-bit contract."""
 
 
 class ConversionError(NanoposeError):
@@ -93,8 +93,12 @@ def decoding(where: str):
 
 
 def finite_real(v) -> bool:
-    """True for a finite real number; bools are not numbers here."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """True for a real number that is a finite float; bools are not numbers
+    here, and an integer beyond the float range is not finite."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def require_positive(obj, *names):

@@ -25,7 +25,6 @@ class Kalman1D:
     p00: float = 1.0
     p01: float = 0.0
     p11: float = 1.0
-    initialized: bool = False
 
     def start(self, obs: float):
         self.p = obs
@@ -33,7 +32,6 @@ class Kalman1D:
         self.p00 = self.r + 1.0
         self.p01 = 0.0
         self.p11 = 4.0
-        self.initialized = True
 
     def step(self, dt: float, obs: float = None):
         """Predict dt seconds ahead and, when given, fuse the observation
@@ -65,14 +63,7 @@ class Kalman1D:
             p00 = (1.0 - k0) * p00
             p01 = (1.0 - k0) * p01
         self.p, self.v, self.p00, self.p01, self.p11 = p, v, p00, p01, p11
-        # the test of positive_definite(), on the locals: saves a call per step
+        # the covariance must stay positive definite
         if obs is not None and not (p00 > 0.0 and (p00 * p11 - p01 * p01) > 0.0):
             raise FloatingPointError(
                 f"covariance lost positive definiteness: [[{p00},{p01}],[{p01},{p11}]]")
-
-    def predict(self, dt: float):
-        """Predict dt seconds ahead without an observation."""
-        self.step(dt)
-
-    def positive_definite(self) -> bool:
-        return self.p00 > 0.0 and (self.p00 * self.p11 - self.p01 * self.p01) > 0.0

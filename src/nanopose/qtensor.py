@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLayerError, RequantParameterError
+from .errors import DegenerateLayerError
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -167,17 +167,6 @@ def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
     return QTensor(offsets, QuantParams(eps=eps_w, levels=128, signed=False)), w_star_min
 
 
-def requant_vector(values, name: str, channels: int, ndim: int) -> np.ndarray:
-    """Validate a 32-bit per-channel (or scalar) requant parameter and return
-    it as int64, shaped (channels or 1, 1, ...) to broadcast over ndim axes."""
-    arr = np.asarray(values, dtype=np.int64).reshape(-1)
-    if arr.size not in (1, channels):
-        raise RequantParameterError(f"{name} length {arr.size} != channel count {channels}")
-    if arr.min() < INT32_MIN or arr.max() > INT32_MAX:
-        raise RequantParameterError(f"{name} does not fit 32-bit")
-    return arr.reshape((arr.size,) + (1,) * (ndim - 1))
-
-
 def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     """Fused integer batch-norm plus activation quantization of a
     channels-first accumulator array into uint8 codes.
@@ -186,18 +175,14 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     shift floors; truncation toward zero would differ only on negative
     values, which the clamp at 0 maps to 0 either way.  scale_num and bias
     are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
-    subsumes the ReLU.  scale_num must be >= 0, which makes the output
-    non-decreasing in acc per channel, so the affine commutes with max-pooling.
+    subsumes the ReLU.  scale_num >= 0 makes the output non-decreasing in acc
+    per channel, so the affine commutes with max-pooling.  Nothing is
+    checked here: `QuantizedGraph.check` holds the parameters to 32 bits, a
+    shift in [0, 31] and no negative multiplier.
     """
-    if not 0 <= shift <= 31:
-        raise RequantParameterError(f"shift {shift} outside [0, 31]")
-    channels, ndim = acc.shape[0], acc.ndim
-    scale = requant_vector(scale_num, "scale_num", channels, ndim)
-    if scale.min() < 0:
-        raise RequantParameterError(f"scale_num {int(scale.min())} is negative")
-    bias = requant_vector(bias, "bias", channels, ndim)
+    per_channel = (-1,) + (1,) * (acc.ndim - 1)
     # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow
-    v = np.multiply(acc, scale)
-    v += bias
+    v = np.multiply(acc, np.asarray(scale_num, dtype=np.int64).reshape(per_channel))
+    v += np.asarray(bias, dtype=np.int64).reshape(per_channel)
     v >>= shift
     return np.clip(v, 0, 255, out=v).astype(np.uint8)

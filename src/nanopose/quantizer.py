@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, graph as G, tensorfile
-from .errors import (ConversionError, DeadActivationError, SchemaError, as_int, as_str,
-                     decoding, finite_real, parse_doc)
+from .errors import (ConversionError, DeadActivationError, RequantParameterError, SchemaError,
+                     as_str, decoding, finite_real, parse_doc)
 from .floatnet import FloatNet
 from .qtensor import (
     INT32_MAX,
+    INT32_MIN,
     QTensor,
     QuantParams,
     decompose_weights,
@@ -59,6 +60,53 @@ class QuantizedGraph:
         """Output scale of every layer, by name (`engine.scale_chain`)."""
         return engine.scale_chain(self.graph, {k: qt.qp.eps for k, qt in self.weights.items()},
                                   {k: rp.alpha for k, rp in self.requant.items()})
+
+    def check(self, where: str) -> None:
+        """The contract `engine.infer_int` is bit-exact under, or SchemaError.
+
+        The graph ends in a fully connected head; every conv and fc layer,
+        and no other name, holds int8 codes in its layer's shape; every
+        activation stage, and no other name, holds 1-D integer `mult` and
+        `bias` of length 1 or its channel count inside int32, no negative
+        multiplier, an int `shift` in [0, 31] and a finite `alpha` > 0.  A
+        requant field that breaks it raises RequantParameterError.
+        """
+        layers = self.graph.layers
+        if not any(l.kind == G.FC for l in layers):
+            raise SchemaError(f"{where}: graph has no fully connected head")
+        if (self.weights.keys() != {l.name for l in layers if l.kind in (G.CONV, G.FC)}
+                or self.requant.keys() != {l.name for l in layers if l.kind == G.REQUANT}):
+            raise SchemaError(f"{where}: weights or requant entries do not match the graph's "
+                              f"layers")
+        for l in layers:
+            if l.kind in (G.CONV, G.FC):
+                qt = self.weights[l.name]
+                shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
+                if qt.data.dtype != np.int8 or qt.data.shape != shape:
+                    raise SchemaError(f"{where}: {l.name} needs an i8 weight payload of shape "
+                                      f"{shape}, got {qt.data.dtype} {qt.data.shape}")
+            elif l.kind == G.REQUANT:
+                rp = self.requant[l.name]
+                for key, v in (("mult", rp.mult), ("bias", rp.bias)):
+                    if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "i"
+                            and v.size in (1, l.out_ch)):
+                        raise RequantParameterError(
+                            f"{where}: requant {l.name} {key} must be 1-D integers of length 1 "
+                            f"or the channel count {l.out_ch}, got {type(v).__name__} "
+                            f"{getattr(v, 'dtype', '')} {getattr(v, 'shape', '')}")
+                    lo = v.min()
+                    if key == "mult" and lo < 0:
+                        raise RequantParameterError(
+                            f"{where}: requant {l.name} has a negative multiplier {int(lo)}")
+                    if lo < INT32_MIN or v.max() > INT32_MAX:
+                        raise RequantParameterError(
+                            f"{where}: requant {l.name} {key} does not fit 32-bit")
+                if type(rp.shift) is not int or not 0 <= rp.shift <= 31:
+                    raise RequantParameterError(
+                        f"{where}: requant {l.name} shift {rp.shift!r} is not an int in [0, 31]")
+                if not (finite_real(rp.alpha) and rp.alpha > 0):
+                    raise RequantParameterError(
+                        f"{where}: requant {l.name} alpha {rp.alpha!r} is not finite and > 0")
 
 
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
@@ -166,13 +214,11 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     return np.asarray(bound, dtype=np.float64)
 
 
-def _scale_copies(qg: QuantizedGraph, where: str) -> dict:
+def _scale_copies(qg: QuantizedGraph) -> dict:
     """The scale chain as a qgraph document records it: the image scale, the
     head's scale once per output and every conv and fc accumulator scale."""
     eps = qg.scales()
     heads = [l for l in qg.graph.layers if l.kind == G.FC]
-    if not heads:
-        raise SchemaError(f"{where}: graph has no fully connected head")
     return {
         "input_eps": engine.IMAGE_EPS,
         "out_eps": [float(eps[heads[-1].name])] * heads[-1].out_ch,
@@ -183,8 +229,10 @@ def _scale_copies(qg: QuantizedGraph, where: str) -> dict:
 
 def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
     """Write the weight payloads as QTNS files beside `path` and return the
-    nanopose-qgraph document that names them."""
-    scales = _scale_copies(qg, path)
+    nanopose-qgraph document that names them; SchemaError, and nothing
+    written, for a graph that fails `QuantizedGraph.check`."""
+    qg.check(path)
+    scales = _scale_copies(qg)
     base = os.path.dirname(os.path.abspath(path))
     os.makedirs(base, exist_ok=True)
     doc = {
@@ -214,54 +262,26 @@ def save_qgraph(qg: QuantizedGraph, path: str) -> None:
         json.dump(doc, f, indent=2)
 
 
-def _int_vector(v) -> np.ndarray:
-    a = np.asarray(v)
-    if a.ndim != 1 or a.dtype.kind != "i":
-        raise ValueError(f"expected a list of integers, got {v!r}")
-    return a.astype(np.int64)
-
-
 def load_qgraph(path: str) -> QuantizedGraph:
-    """Read a qgraph written by save_qgraph, with its QTNS payloads.
-
-    Every conv and fc layer needs weights and every activation stage its
-    requant parameters, each sized to its layer, with no negative
-    multiplier (`engine.infer_int` relies on it).  The document's scale
-    copies (`input_eps`, `out_eps`, `acc_eps`) are not read: each must
-    equal the value the weight scales and alphas give, or SchemaError.
+    """Read a qgraph written by save_qgraph, with its QTNS payloads, and
+    hold it to `QuantizedGraph.check`.  The document's scale copies
+    (`input_eps`, `out_eps`, `acc_eps`) are not read: each must equal the
+    value the weight scales and alphas give, or SchemaError.
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "rb") as f:
         doc = parse_doc(f.read(), path, "nanopose-qgraph")
     with decoding(path):
-        g = G.from_doc(doc["graph"])
-        qg = QuantizedGraph(graph=g)
-        weights, requant = doc["weights"], doc["requant"]
-        if (set(weights) != {l.name for l in g.layers if l.kind in (G.CONV, G.FC)}
-                or set(requant) != {l.name for l in g.layers if l.kind == G.REQUANT}):
-            raise SchemaError(f"{path}: weights or requant entries do not match the graph's layers")
-        for l in g.layers:
-            if l.kind in (G.CONV, G.FC):
-                qt = tensorfile.read_qtensor(os.path.join(base, as_str(weights[l.name])))
-                shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-                if qt.data.dtype != np.int8 or tuple(qt.data.shape) != shape:
-                    raise SchemaError(f"{path}: {l.name} needs an i8 weight payload of shape "
-                                      f"{shape}, got {qt.data.dtype} {qt.data.shape}")
-                qg.weights[l.name] = qt
-            if l.kind == G.REQUANT:
-                d = requant[l.name]
-                if not (finite_real(d["alpha"]) and d["alpha"] > 0):
-                    raise ValueError(f"{l.name}: alpha {d['alpha']!r} is not finite and > 0")
-                rp = RequantParams(mult=_int_vector(d["mult"]), shift=as_int(d["shift"]),
-                                   bias=_int_vector(d["bias"]), alpha=float(d["alpha"]))
-                if {rp.mult.size, rp.bias.size} - {1, l.out_ch}:
-                    raise SchemaError(f"{path}: requant {l.name} mult/bias lengths {rp.mult.size}/"
-                                      f"{rp.bias.size} are neither 1 nor the channel count {l.out_ch}")
-                if rp.mult.min() < 0:
-                    raise SchemaError(f"{path}: requant {l.name} has a negative multiplier "
-                                      f"{int(rp.mult.min())}")
-                qg.requant[l.name] = rp
-        wrong = [k for k, v in _scale_copies(qg, path).items() if doc[k] != v]
+        qg = QuantizedGraph(graph=G.from_doc(doc["graph"]))
+        # an entry that names no conv or fc layer stays unread, for `check` to reject
+        layers = {l.name for l in qg.graph.layers if l.kind in (G.CONV, G.FC)}
+        qg.weights = {name: tensorfile.read_qtensor(os.path.join(base, as_str(fn)))
+                      if name in layers else fn for name, fn in doc["weights"].items()}
+        qg.requant = {name: RequantParams(mult=np.asarray(d["mult"]), shift=d["shift"],
+                                          bias=np.asarray(d["bias"]), alpha=d["alpha"])
+                      for name, d in doc["requant"].items()}
+        qg.check(path)
+        wrong = [k for k, v in _scale_copies(qg).items() if doc[k] != v]
         if wrong:
             raise SchemaError(f"{path}: {', '.join(wrong)} differ from the scales the weights "
                               f"and requant alphas give")

@@ -141,7 +141,8 @@ def _change_acc_eps(doc):
 class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
     that lacks its weights, whose pooling is not 2x2, that has a negative
-    requant multiplier or whose stored scales differ from the ones its weight
+    requant multiplier, a requant shift outside [0, 31] or a requant vector
+    beyond int32, or whose stored scales differ from the ones its weight
     scales and alphas give is rejected when loaded: exit 4 with a one-line
     message, no traceback."""
 
@@ -177,6 +178,28 @@ class TestTamperedQgraph:
         assert "Traceback" not in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("key,index,value,message", [
+        ("shift", None, 40, "shift 40 is not an int in [0, 31]"),
+        ("mult", 3, 2**40, "mult does not fit 32-bit"),
+        ("bias", 3, -(2**40), "bias does not fit 32-bit"),
+    ], ids=["shift-40", "mult-2^40", "bias-minus-2^40"])
+    def test_requant_beyond_32_bit_exit_4(self, tmp_path, capsys, qgraph_file, key, index, value,
+                                          message):
+        doc = json.loads(qgraph_file.read_text())
+        if index is None:
+            doc["requant"]["b2a1"][key] = value
+        else:
+            doc["requant"]["b2a1"][key][index] = value
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_negative_mult_exit_4(self, tmp_path, capsys, qgraph_file):
         doc = json.loads(qgraph_file.read_text())

@@ -40,8 +40,8 @@ class TestConvKernel:
             k = int(rng.choice([1, 3, 5]))
             s = int(rng.choice([1, 2]))
             h, w = int(rng.integers(k, 10)), int(rng.integers(k, 10))
-            x = rng.integers(0, 256, (c, h, w)).astype(np.int64)
-            wgt = rng.integers(-127, 128, (oc, c, k, k)).astype(np.int64)
+            x = rng.integers(0, 256, (c, h, w)).astype(np.uint8)
+            wgt = rng.integers(-127, 128, (oc, c, k, k)).astype(np.int8)
             got = engine.conv2d_int(x, wgt, (s, s), (k // 2, k // 2))
             want = naive_conv2d_int(x, wgt, (s, s), (k // 2, k // 2))
             assert (got == want).all()
@@ -75,16 +75,21 @@ class TestConvKernel:
         pytest.param(1152, (0, 384, 768, 1152), id="1152-float32x3"),
     ])
     def test_gemm_dtype_boundaries(self, taps, edges):
-        # 8-bit operands: ceil(K / 514) contiguous float32 blocks of near-equal size
-        assert engine._gemm_blocks(np.dtype(np.uint8), np.dtype(np.int8), taps) == (np.float32, edges)
+        # ceil(K / 514) contiguous float32 blocks of near-equal size
+        assert engine._k_blocks(taps) == edges
 
-    @pytest.mark.parametrize("x_dtype,taps,dtype", [
-        pytest.param(np.int16, 2**23 - 1, np.float64, id="int16-float64"),  # 32768^2 * taps < 2^53
-        pytest.param(np.int16, 2**23, np.int64, id="int16-int64"),
-        pytest.param(np.int64, 1, np.int64, id="int64-int64"),
+    @pytest.mark.parametrize("w_dtype, x_dtype", [
+        pytest.param(np.int16, np.uint8, id="int16-weights"),
+        pytest.param(np.int8, np.int16, id="int16-codes"),
+        pytest.param(np.int64, np.uint8, id="int64-weights"),
+        pytest.param(np.int8, np.int64, id="int64-codes"),
     ])
-    def test_wide_operands_run_whole_k(self, x_dtype, taps, dtype):
-        assert engine._gemm_blocks(np.dtype(x_dtype), np.dtype(np.int16), taps) == (dtype, (0, taps))
+    def test_wider_operands_rejected(self, w_dtype, x_dtype):
+        # the engine runs only int8 weights on uint8 codes
+        w = np.ones((2, 4), dtype=w_dtype)
+        x = np.ones((4, 3), dtype=x_dtype)
+        with pytest.raises(TypeError, match="int8 weights on uint8 codes"):
+            engine._int_gemm(w, x)
 
     @pytest.mark.parametrize("channels", [514, 515, 1028, 1029])
     def test_float32_edge_exact(self, channels):
@@ -194,6 +199,13 @@ class TestInferInt:
                    QTensor((codes // 2).astype(np.int8), QuantParams(1 / 255, 256, signed=True))):
             with pytest.raises(SchemaError, match="image quantization"):
                 engine.infer_int(qg, qt)
+
+    def test_wide_image_payload_rejected(self):
+        # u8 params on int64 codes of the same values
+        g, net, qg, rng = converted_toy(4)
+        codes = random_image_codes(rng, g.input_shape).astype(np.int64)
+        with pytest.raises(SchemaError, match="int64 codes"):
+            engine.infer_int(qg, QTensor(codes, engine.image_qparams()))
 
     def test_negative_multiplier_rejected(self):
         g, net, qg, rng = converted_toy(4)

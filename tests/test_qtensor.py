@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nanopose.errors import DegenerateLayerError, RequantParameterError
+from nanopose.errors import DegenerateLayerError
 from nanopose.qtensor import (
     QuantParams,
     act_eps,
@@ -200,14 +200,3 @@ class TestRequant:
         acc = rng.integers(-(2**31), 2**31 - 1, (4, 8, 8)).astype(np.int32)
         out = requant_codes(acc, 3, 7, 19)
         assert out.dtype == np.uint8
-
-    def test_param_validation(self):
-        acc = np.zeros((2, 2, 2), dtype=np.int32)
-        with pytest.raises(RequantParameterError):
-            requant_codes(acc, 1, 40, 0)
-        with pytest.raises(RequantParameterError):
-            requant_codes(acc, 1, 0, np.zeros(3))
-        with pytest.raises(RequantParameterError):
-            requant_codes(acc, 2**33, 0, 0)
-        with pytest.raises(RequantParameterError, match="negative"):
-            requant_codes(acc, [3, -1], 0, 0)

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nanopose import engine, graph as G, tensorfile
-from nanopose.errors import ConversionError, DeadActivationError, SchemaError
+from nanopose.errors import ConversionError, DeadActivationError, RequantParameterError, SchemaError
 from nanopose.floatnet import random_float_net
 from nanopose.qtensor import QTensor, act_eps
 from nanopose.quantizer import (
     CalibrationSet,
+    QuantizedGraph,
     calibrate,
     convert,
     fit_requant_scale,
@@ -167,6 +170,57 @@ class TestCrossEngine:
             assert np.abs(pose_i - pose_f).max() < 0.05
 
 
+class TestCheck:
+    """`QuantizedGraph.check` states what `engine.infer_int` runs on."""
+
+    def test_converted_graph_passes(self):
+        g, net, imgs, _ = toy_setup(13)
+        convert(net, calibrate(net, CalibrationSet(imgs))).check("toy")
+
+    def test_requant_parameters_checked(self):
+        g, net, imgs, _ = toy_setup(14)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        name = next(iter(qg.requant))
+        good = qg.requant[name]
+        channels = good.mult.size
+        cases = [
+            ({"shift": 40}, "shift 40"),
+            ({"shift": True}, "shift True"),
+            ({"bias": np.zeros(channels + 1, dtype=np.int64)}, "bias must be 1-D"),
+            ({"bias": np.zeros((channels, 1), dtype=np.int64)}, "bias must be 1-D"),
+            ({"mult": np.full(channels, 2**33)}, "mult does not fit 32-bit"),
+            ({"bias": np.full(channels, -(2**40))}, "bias does not fit 32-bit"),
+            ({"mult": good.mult.astype(np.float64)}, "mult must be 1-D integers"),
+            ({"mult": np.r_[3, -np.ones(channels - 1, dtype=np.int64)]}, "negative multiplier -1"),
+            ({"alpha": float("nan")}, "alpha nan"),
+            ({"alpha": 10**400}, "alpha 10000"),   # beyond the float range
+        ]
+        for change, message in cases:
+            qg.requant[name] = dataclasses.replace(good, **change)
+            with pytest.raises(RequantParameterError, match=message):
+                qg.check("toy")
+        qg.requant[name] = good
+        qg.check("toy")
+
+    def test_layer_entries_checked(self):
+        g, net, imgs, _ = toy_setup(15)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        conv = next(iter(qg.weights))
+        qt = qg.weights[conv]
+        qg.weights[conv] = QTensor(qt.data.astype(np.int16), qt.qp)
+        with pytest.raises(SchemaError, match="i8 weight payload"):
+            qg.check("toy")
+        qg.weights[conv] = QTensor(qt.data[:1], qt.qp)
+        with pytest.raises(SchemaError, match="i8 weight payload"):
+            qg.check("toy")
+        del qg.weights[conv]
+        with pytest.raises(SchemaError, match="do not match the graph's layers"):
+            qg.check("toy")
+        headless = QuantizedGraph(graph=G.NetGraph(g.layers[:-1], g.input_shape))
+        with pytest.raises(SchemaError, match="no fully connected head"):
+            headless.check("toy")
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         g, net, imgs, rng = toy_setup(9)
@@ -217,3 +271,13 @@ class TestSerialization:
         tensorfile.write_tensor(qtns, data, eps=eps, base=100)
         with pytest.raises(SchemaError, match="exceed signed 8-bit"):
             load_qgraph(str(path))
+
+
+    def test_negated_multiplier_not_saved(self, tmp_path):
+        g, net, imgs, _ = toy_setup(16)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        rp = next(iter(qg.requant.values()))
+        rp.mult = -rp.mult
+        with pytest.raises(RequantParameterError, match="negative multiplier"):
+            save_qgraph(qg, str(tmp_path / "q" / "q.json"))
+        assert not (tmp_path / "q").exists()

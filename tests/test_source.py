@@ -15,3 +15,26 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def raise_sites(tree, exc_name, scope=()):
+    """The enclosing qualified name of every `raise exc_name(...)` in tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += raise_sites(node, exc_name, (*scope, node.name))
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == exc_name:
+                found.append(".".join(scope))
+        found += raise_sites(node, exc_name, scope)
+    return found
+
+
+def test_requant_contract_stated_once():
+    # the requant parameter rule lives in QuantizedGraph.check alone
+    sites = {f"{path.name}:{site}"
+             for path in sorted(SRC.glob("*.py"))
+             for site in raise_sites(ast.parse(path.read_text(), str(path)), "RequantParameterError")}
+    assert sites == {"quantizer.py:QuantizedGraph.check"}
