@@ -14,8 +14,10 @@ BLAS sums in.  So the K = in_ch * kh * kw taps are cut into ceil(K / 514)
 contiguous blocks of near-equal size (K = 576 -> 2 x 288, 1152 -> 3 x 384,
 the 1920-input head -> 4 x 480), each block is one float32 GEMM, and the
 blocks are added in float64, exact below 2^53.  The blocks follow from K
-alone; `_int_gemm` takes no other operands.  Every accumulator is still
-checked against the int32 range.
+alone; `_int_gemm` takes no other operands, and casts each to float32 once
+before slicing the blocks.  The same operands bound every accumulator by
+|acc| <= 255 * 128 * K, inside int32 for K <= 65,793, so the accumulators
+are scanned against the int32 range only for a longer K.
 
 A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
 pool1, the largest activation) is applied after the pool: infer_int pools
@@ -25,7 +27,7 @@ a for every channel with m >= 0, so it commutes with max; `convert` never
 makes a negative multiplier, and `QuantizedGraph.check` rejects one.
 
 infer_int runs a QuantizedGraph as it is held: signed int8 weight codes
-in layer shape and 32-bit requant parameters, held to that contract by
+in layer shape and int32 requant vectors, held to that contract by
 `QuantizedGraph.check` once per call.  Every other scale follows from the
 weight scales and requant alphas (`scale_chain`, walked per call).
 Nothing is cached, so an edit to a weight code, a weight scale or a
@@ -55,6 +57,9 @@ IMAGE_EPS = 1.0 / 255.0
 # a float32 holds every integer of magnitude below 2^24 exactly, so a block of
 # this many uint8 x int8 products (each at most 255 * 128) sums exactly
 _BLOCK_TAPS = (2**24 - 1) // (255 * 128)   # 514
+# |acc| <= 255 * 128 * K for the same operands, so int32 holds every
+# accumulator of at most this many taps and only a longer K is range-checked
+_INT32_SAFE_TAPS = INT32_MAX // (255 * 128)   # 65,793
 
 
 def image_qparams() -> QuantParams:
@@ -96,14 +101,16 @@ def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     x (K, N), one float32 GEMM per K block; raises if any leaves int32."""
     if w.dtype != np.int8 or x.dtype != np.uint8:
         raise TypeError(f"_int_gemm runs int8 weights on uint8 codes, got {w.dtype} and {x.dtype}")
-    edges = _k_blocks(w.shape[1])
+    taps = w.shape[1]
+    edges = _k_blocks(taps)
+    w, x = w.astype(np.float32), x.astype(np.float32)
     if len(edges) == 2:
-        acc = w.astype(np.float32) @ x.astype(np.float32)
+        acc = w @ x
     else:
         acc = np.zeros((w.shape[0], x.shape[1]))
         for k0, k1 in zip(edges, edges[1:]):
-            acc += w[:, k0:k1].astype(np.float32) @ x[k0:k1].astype(np.float32)
-    if acc.size:
+            acc += w[:, k0:k1] @ x[k0:k1]
+    if taps > _INT32_SAFE_TAPS and acc.size:
         amin, amax = int(acc.min()), int(acc.max())
         if amin < INT32_MIN or amax > INT32_MAX:
             raise AccumulatorOverflowError(f"accumulator range [{amin}, {amax}] exceeds 32-bit")

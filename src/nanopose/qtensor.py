@@ -185,4 +185,6 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     v = np.multiply(acc, np.asarray(scale_num, dtype=np.int64).reshape(per_channel))
     v += np.asarray(bias, dtype=np.int64).reshape(per_channel)
     v >>= shift
-    return np.clip(v, 0, 255, out=v).astype(np.uint8)
+    np.maximum(v, 0, out=v)
+    np.minimum(v, 255, out=v)
+    return v.astype(np.uint8)

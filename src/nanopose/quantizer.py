@@ -94,11 +94,11 @@ class QuantizedGraph:
                             f"{where}: requant {l.name} {key} must be 1-D integers of length 1 "
                             f"or the channel count {l.out_ch}, got {type(v).__name__} "
                             f"{getattr(v, 'dtype', '')} {getattr(v, 'shape', '')}")
-                    lo = v.min()
-                    if key == "mult" and lo < 0:
+                    if key == "mult" and (lo := v.min()) < 0:
                         raise RequantParameterError(
                             f"{where}: requant {l.name} has a negative multiplier {int(lo)}")
-                    if lo < INT32_MIN or v.max() > INT32_MAX:
+                    # an integer dtype of at most 32 bits cannot leave int32
+                    if v.dtype.itemsize > 4 and (v.min() < INT32_MIN or v.max() > INT32_MAX):
                         raise RequantParameterError(
                             f"{where}: requant {l.name} {key} does not fit 32-bit")
                 if type(rp.shift) is not int or not 0 <= rp.shift <= 31:
@@ -145,7 +145,7 @@ def fit_requant_scale(scales: np.ndarray, offsets: np.ndarray, layer: str) -> tu
         raise ConversionError(layer, "requant parameters cannot fit 32-bit at any shift")
     if round(scales.min() * (1 << shift)) < _MIN_MULT:
         raise ConversionError(layer, f"scale {scales.min():.3g} too small for 2^-15 fitting at shift {shift}")
-    return mult.astype(np.int64), shift, bias.astype(np.int64)
+    return mult.astype(np.int32), shift, bias.astype(np.int32)
 
 
 def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
@@ -281,6 +281,8 @@ def load_qgraph(path: str) -> QuantizedGraph:
                                           bias=np.asarray(d["bias"]), alpha=d["alpha"])
                       for name, d in doc["requant"].items()}
         qg.check(path)
+        for rp in qg.requant.values():   # inside int32 now, so narrowing cannot wrap
+            rp.mult, rp.bias = rp.mult.astype(np.int32), rp.bias.astype(np.int32)
         wrong = [k for k, v in _scale_copies(qg).items() if doc[k] != v]
         if wrong:
             raise SchemaError(f"{path}: {', '.join(wrong)} differ from the scales the weights "

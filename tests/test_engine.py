@@ -66,6 +66,33 @@ class TestConvKernel:
         with pytest.raises(AccumulatorOverflowError, match="-2147516160"):
             engine.conv2d_int(x, wgt, (1, 1), (0, 0))
 
+    def test_int32_edge_exact(self):
+        # the longest K whose worst case fits int32: 65,793 taps of 255 * -128
+        # sum to -2,147,483,520, returned exactly with no range scan
+        taps = engine._INT32_SAFE_TAPS
+        assert 255 * 128 * taps <= 2**31 - 1 < 255 * 128 * (taps + 1)
+        x = np.full((taps, 1, 2), 255, dtype=np.uint8)
+        wgt = np.full((1, taps, 1, 1), -128, dtype=np.int8)
+        got = engine.conv2d_int(x, wgt, (1, 1), (0, 0))
+        want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (0, 0))
+        assert got.dtype == np.int32
+        assert (got == want).all()
+        assert got.min() == -2_147_483_520
+
+    def test_range_scanned_only_beyond_safe_taps(self, monkeypatch):
+        # against an int32 range no accumulator lies in, any scan raises: a
+        # reference 160x32 frame and K = 65,793 run none, K = 65,794 does
+        qg, img = reference_frame("160x32")
+        taps = [int(np.prod(qt.data.shape[1:])) for qt in qg.weights.values()]
+        assert max(taps) <= engine._INT32_SAFE_TAPS
+        monkeypatch.setattr(engine, "INT32_MIN", 1)
+        monkeypatch.setattr(engine, "INT32_MAX", -1)
+        engine.infer_int(qg, img)
+        k = engine._INT32_SAFE_TAPS
+        engine._int_gemm(np.ones((1, k), np.int8), np.ones((k, 1), np.uint8))
+        with pytest.raises(AccumulatorOverflowError):
+            engine._int_gemm(np.ones((1, k + 1), np.int8), np.ones((k + 1, 1), np.uint8))
+
     @pytest.mark.parametrize("taps,edges", [
         pytest.param(514, (0, 514), id="514-float32"),   # 255 * 128 * 514 = 16,776,960 < 2^24
         pytest.param(515, (0, 257, 515), id="515-float32x2"),
@@ -303,14 +330,19 @@ class TestPoolBeforeRequant:
         assert shapes == [(5, 3, 4), (3, 3, 4)]
 
 
-def warm_peak(variant):
-    """tracemalloc peak of one warm infer_int call on a random variant net."""
+def reference_frame(variant):
+    """A random variant net, quantized, and one random image for it."""
     g = G.build_variant(variant)
     net = random_float_net(g, seed=11)
     rng = np.random.default_rng(12)
     qg = convert(net, calibrate(net, CalibrationSet([random_image_codes(rng, g.input_shape)
                                                      * engine.IMAGE_EPS])))
-    img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+    return qg, QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+
+
+def warm_peak(variant):
+    """tracemalloc peak of one warm infer_int call on a random variant net."""
+    qg, img = reference_frame(variant)
     engine.infer_int(qg, img)
     tracemalloc.start()
     try:

@@ -177,12 +177,13 @@ class TestCheck:
         g, net, imgs, _ = toy_setup(13)
         convert(net, calibrate(net, CalibrationSet(imgs))).check("toy")
 
-    def test_requant_parameters_checked(self):
+    def test_requant_parameters_checked(self, tmp_path):
         g, net, imgs, _ = toy_setup(14)
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         name = next(iter(qg.requant))
         good = qg.requant[name]
         channels = good.mult.size
+        assert good.mult.dtype == good.bias.dtype == np.int32
         cases = [
             ({"shift": 40}, "shift 40"),
             ({"shift": True}, "shift True"),
@@ -190,6 +191,9 @@ class TestCheck:
             ({"bias": np.zeros((channels, 1), dtype=np.int64)}, "bias must be 1-D"),
             ({"mult": np.full(channels, 2**33)}, "mult does not fit 32-bit"),
             ({"bias": np.full(channels, -(2**40))}, "bias does not fit 32-bit"),
+            # one past each end of int32, held in a wider dtype
+            ({"mult": np.full(channels, 2**31, dtype=np.int64)}, "mult does not fit 32-bit"),
+            ({"bias": np.full(channels, -(2**31) - 1, dtype=np.int64)}, "bias does not fit 32-bit"),
             ({"mult": good.mult.astype(np.float64)}, "mult must be 1-D integers"),
             ({"mult": np.r_[3, -np.ones(channels - 1, dtype=np.int64)]}, "negative multiplier -1"),
             ({"alpha": float("nan")}, "alpha nan"),
@@ -201,6 +205,16 @@ class TestCheck:
                 qg.check("toy")
         qg.requant[name] = good
         qg.check("toy")
+        # the int32 ends themselves pass, in any integer dtype
+        for dtype in (np.int32, np.int64):
+            qg.requant[name] = dataclasses.replace(
+                good, mult=np.full(channels, 2**31 - 1, dtype=dtype),
+                bias=np.full(channels, -(2**31), dtype=dtype))
+            qg.check("toy")
+        qg.requant[name] = good
+        save_qgraph(qg, str(tmp_path / "q.json"))
+        for rp in load_qgraph(str(tmp_path / "q.json")).requant.values():
+            assert rp.mult.dtype == rp.bias.dtype == np.int32
 
     def test_layer_entries_checked(self):
         g, net, imgs, _ = toy_setup(15)

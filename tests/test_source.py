@@ -32,9 +32,18 @@ def raise_sites(tree, exc_name, scope=()):
     return found
 
 
+def package_raise_sites(exc_name):
+    """`file:qualified name` of every function in the package raising exc_name."""
+    return {f"{path.name}:{site}"
+            for path in sorted(SRC.glob("*.py"))
+            for site in raise_sites(ast.parse(path.read_text(), str(path)), exc_name)}
+
+
 def test_requant_contract_stated_once():
     # the requant parameter rule lives in QuantizedGraph.check alone
-    sites = {f"{path.name}:{site}"
-             for path in sorted(SRC.glob("*.py"))
-             for site in raise_sites(ast.parse(path.read_text(), str(path)), "RequantParameterError")}
-    assert sites == {"quantizer.py:QuantizedGraph.check"}
+    assert package_raise_sites("RequantParameterError") == {"quantizer.py:QuantizedGraph.check"}
+
+
+def test_accumulator_range_checked_once():
+    # the int32 accumulator rule lives in the one GEMM every layer runs
+    assert package_raise_sites("AccumulatorOverflowError") == {"engine.py:_int_gemm"}
