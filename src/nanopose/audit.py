@@ -5,6 +5,7 @@ geometry and the tile slices alone; it shares no sizing code with the
 planner, so a planner bug cannot hide itself.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,22 @@ def _tile_from_geometry(layer: G.LayerSpec, tile):
     return rows, 2 * (in_b + w_b + out_b)
 
 
+def _chained(spans: list, n: int) -> bool:
+    """Sorted [a, b) spans that follow one another from 0 to n."""
+    return spans[0][0] == 0 and spans[-1][1] == n and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+def _is_grid(spans: list, oc: int, oh: int) -> bool:
+    """True when the in-bounds tile slices ((c0, c1), (r0, r1)) are each
+    pair of one partition of the channels [0, oc) and one of the rows
+    [0, oh), once: an exact cover, seen without a per-cell count.  Any
+    other layout is counted cell by cell."""
+    chs = sorted({c for c, _ in spans})
+    rows = sorted({r for _, r in spans})
+    return (bool(spans) and len(set(spans)) == len(spans) == len(chs) * len(rows)
+            and _chained(chs, oc) and _chained(rows, oh))
+
+
 def audit_plan(p: DeploymentPlan) -> AuditReport:
     problems = []
     layers = {l.name: l for l in p.graph.layers}
@@ -59,7 +76,7 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
             problems.append(f"{name}: scheduled but not in the graph")
             continue
         oc, oh = layer.out_shape[:2]
-        cover = np.zeros((oc, oh), dtype=np.int32)
+        spans = []
         for t in tiles:
             rows, need = _tile_from_geometry(layer, t)
             if need > p.mem.l1_bytes:
@@ -74,6 +91,11 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
             if not (0 <= r0 < r1 <= oh and 0 <= c0 < c1 <= oc):
                 problems.append(f"{name}: tile slice out of bounds {t.out_rows} {t.out_ch}")
                 continue
+            spans.append(((c0, c1), (r0, r1)))
+        if _is_grid(spans, oc, oh):
+            continue
+        cover = np.zeros((oc, oh), dtype=np.int32)
+        for (c0, c1), (r0, r1) in spans:
             cover[c0:c1, r0:r1] += 1
         if (cover != 1).any():
             missed = int((cover == 0).sum())
@@ -100,8 +122,8 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         if (n.kind, n.macs, n.weight_bytes, n.out_rows, n.dot_len) != derived:
             problems.append(f"{n.name}: stage kind, macs, weights, rows or dot length differ "
                             f"from the graph's {derived}")
-        in_b = int(np.prod(first.in_shape))
-        out_b = int(np.prod(group[-1].out_shape)) * (4 if group[-1].kind == G.FC else 1)
+        in_b = math.prod(first.in_shape)
+        out_b = math.prod(group[-1].out_shape) * (4 if group[-1].kind == G.FC else 1)
         if (row.input_bytes, row.output_bytes) != (in_b, out_b):
             problems.append(f"{n.name}: occupancy buffers {row.input_bytes}/{row.output_bytes} "
                             f"!= graph-derived {in_b}/{out_b}")

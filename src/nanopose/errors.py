@@ -78,9 +78,15 @@ def parse_doc(text, where: str, fmt: str = None) -> dict:
         raise SchemaError(f"{where}: not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
-    if fmt is not None and (doc.get("format"), doc.get("version")) != (fmt, 1):
-        raise SchemaError(f"{where}: not a version 1 {fmt} document")
+    if fmt is not None:
+        check_format(doc, where, fmt)
     return doc
+
+
+def check_format(doc: dict, where: str, fmt: str):
+    """Raise SchemaError unless doc says it is a version 1 fmt document."""
+    if (doc.get("format"), doc.get("version")) != (fmt, 1):
+        raise SchemaError(f"{where}: not a version 1 {fmt} document")
 
 
 @contextmanager

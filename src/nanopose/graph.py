@@ -9,7 +9,7 @@ and 80x32.
 import math
 from dataclasses import dataclass
 
-from .errors import SchemaError, as_int, as_ints, as_str, decoding
+from .errors import SchemaError, as_int, as_ints, as_str, check_format, decoding
 
 CONV = "conv2d"
 POOL = "maxpool"
@@ -218,9 +218,11 @@ def to_doc(g: NetGraph) -> dict:
 
 
 def from_doc(doc: dict) -> NetGraph:
-    """Decode a nanopose-graph document.  Layer shapes are derived again
-    from the layer parameters, so the stored ones are not read."""
+    """Decode a nanopose-graph document, on its own or embedded in a qgraph
+    or plan.  Layer shapes are derived again from the layer parameters, so
+    the stored ones are not read."""
     with decoding("graph document"):
+        check_format(doc, "graph document", "nanopose-graph")
         layers = [
             LayerSpec(kind=d["kind"], name=as_str(d["name"]), in_ch=as_int(d["in_ch"], 1),
                       out_ch=as_int(d["out_ch"], 1), kernel=as_ints(d["kernel"], 2, 1),

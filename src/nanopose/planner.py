@@ -78,7 +78,9 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
 
 def _worst_ws(layer: G.LayerSpec, h: int, g: int) -> int:
     """Upper bound on any tile's double-buffered bytes at strip height h,
-    channel group g (interior halo, no edge clamping credit)."""
+    channel group g (interior halo, no edge clamping credit).  Every term
+    is non-decreasing in h and in g, so the largest fitting h or g can be
+    found by bisection."""
     if layer.kind == G.FC:
         return 2 * (layer.in_ch + g * layer.in_ch + g * layer.out_elem_bytes())
     ic, ih, iw = layer.in_shape
@@ -88,35 +90,40 @@ def _worst_ws(layer: G.LayerSpec, h: int, g: int) -> int:
     return 2 * (ic * n_in * iw + w_bytes + g * h * ow * layer.out_elem_bytes())
 
 
+def _largest_fitting(fits, hi: int) -> int:
+    """Largest n in [1, hi] with fits(n), for a predicate that holds at 1
+    and, once false, stays false as n grows."""
+    if fits(hi):
+        return hi
+    lo, hi = 1, hi - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def tile_layer(layer: G.LayerSpec, l1_budget: int) -> list:
     """Cover a layer's output with tiles fitting the double-buffered budget.
 
     Output rows are split first; channels only when even a single full-width
     row strip cannot fit.  Within that priority the largest fitting strip is
-    chosen, so the fewest tiles win.
+    chosen, so the fewest tiles win; both sizes are bisected (see
+    `_worst_ws`).
     """
     if layer.kind in (G.REQUANT, G.DROPOUT):
         return []
     oc, oh, ow = layer.out_shape
-    # widest channel group that admits at least a one-row tile
-    if _worst_ws(layer, 1, oc) <= l1_budget:
-        g = oc
-    else:
-        g = 0
-        for cand in range(oc - 1, 0, -1):
-            if _worst_ws(layer, 1, cand) <= l1_budget:
-                g = cand
-                break
-        if g == 0:
-            raise UntileableLayerError(
-                f"{layer.name}: minimal tile needs {_worst_ws(layer, 1, 1)} bytes > budget {l1_budget}"
-            )
-    # tallest row strip for that group
-    h = 1
-    for cand in range(oh, 0, -1):
-        if _worst_ws(layer, cand, g) <= l1_budget:
-            h = cand
-            break
+    if _worst_ws(layer, 1, 1) > l1_budget:
+        raise UntileableLayerError(
+            f"{layer.name}: minimal tile needs {_worst_ws(layer, 1, 1)} bytes > budget {l1_budget}"
+        )
+    # widest channel group that admits a one-row tile, then the tallest
+    # row strip for that group
+    g = _largest_fitting(lambda c: _worst_ws(layer, 1, c) <= l1_budget, oc)
+    h = _largest_fitting(lambda r: _worst_ws(layer, r, g) <= l1_budget, oh)
     tiles = []
     for c0 in range(0, oc, g):
         c1 = min(c0 + g, oc)
@@ -297,8 +304,8 @@ def report_table(p: DeploymentPlan) -> str:
     return "\n".join(out)
 
 
-def plan_doc(p: DeploymentPlan) -> dict:
-    """The plan as a nanopose-plan document (a dict ready for json)."""
+def _head_doc(p: DeploymentPlan) -> dict:
+    """Every key of the plan document but the schedule, which comes last."""
     return {
         "format": "nanopose-plan",
         "version": 1,
@@ -309,8 +316,13 @@ def plan_doc(p: DeploymentPlan) -> dict:
         "occupancy": memory_report(p),
         "l3_weight_bytes": p.l3_weight_bytes,
         "violations": p.violations,
-        "schedule": {name: [_tile_doc(t) for t in tiles] for name, tiles in p.schedule.items()},
     }
+
+
+def plan_doc(p: DeploymentPlan) -> dict:
+    """The plan as a nanopose-plan document (a dict ready for json)."""
+    return dict(_head_doc(p), schedule={name: [_tile_doc(t) for t in tiles]
+                                        for name, tiles in p.schedule.items()})
 
 
 def _tile_doc(t: Tile) -> dict:
@@ -347,8 +359,35 @@ def _indented(obj, indent: str = "\n") -> str:
     return json.dumps(obj)
 
 
+_TILE_INDENT = "\n      "   # a tile sits in a list in the schedule in the plan
+_INT_FIELDS = (int,) * 10
+# `_indented(_tile_doc(t), _TILE_INDENT)` for a tile of plain ints
+_TILE_JSON = _indented(
+    {"out_rows": ["%d"] * 2, "out_ch": ["%d"] * 2, "in_rows": ["%d"] * 2, "in_bytes": "%d",
+     "weight_bytes": "%d", "out_bytes": "%d", "l1_bytes": "%d"}, _TILE_INDENT).replace('"%d"', "%d")
+
+
+def _tile_json(t: Tile) -> str:
+    r, c, i = t.out_rows, t.out_ch, t.in_rows
+    if len(r) == len(c) == len(i) == 2:
+        v = (*r, *c, *i, t.in_bytes, t.weight_bytes, t.out_bytes, t.l1_bytes)
+        if tuple(map(type, v)) == _INT_FIELDS:   # %d would write 3.5 as 3 and True as 1
+            return _TILE_JSON % v
+    return _indented(_tile_doc(t), _TILE_INDENT)
+
+
+def _tiles_json(tiles: list) -> str:
+    if not tiles:
+        return "[]"
+    return "[" + _TILE_INDENT + ("," + _TILE_INDENT).join(map(_tile_json, tiles)) + "\n    ]"
+
+
 def plan_to_json(p: DeploymentPlan) -> str:
-    return _indented(plan_doc(p))
+    """`json.dumps(plan_doc(p), indent=2)`: the head through `_indented`,
+    the schedule, most of a plan's bytes, one template per tile."""
+    items = [_json_str(name) + ": " + _tiles_json(tiles) for name, tiles in p.schedule.items()]
+    schedule = "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"
+    return _indented(_head_doc(p))[:-2] + ',\n  "schedule": ' + schedule + "\n}"
 
 
 def _tile(name: str, t: dict) -> Tile:
@@ -366,9 +405,10 @@ def _tile(name: str, t: dict) -> Tile:
 
 def plan_from_json(text) -> DeploymentPlan:
     """Decode a plan document.  The derived copies it holds (occupancy
-    rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not read:
-    each must equal what the stages, tiles, policy and memory sizes give,
-    or SchemaError.  `audit.audit_plan` checks the rest against the graph."""
+    rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not
+    trusted: each must equal what the stages, tiles, policy and memory
+    sizes give, or SchemaError.  `audit.audit_plan` checks the rest against
+    the graph."""
     doc = parse_doc(text, "plan document", "nanopose-plan")
     with decoding("plan document"):
         policy = doc["policy"]

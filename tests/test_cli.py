@@ -140,6 +140,7 @@ def _change_acc_eps(doc):
 
 class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
+    whose embedded graph is not marked a version 1 nanopose-graph document,
     that lacks its weights, whose pooling is not 2x2, that has a negative
     requant multiplier, a requant shift outside [0, 31] or a requant vector
     beyond int32, or whose stored scales differ from the ones its weight
@@ -178,6 +179,23 @@ class TestTamperedQgraph:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tamper", [
+        lambda g: g.update(format="x"),
+        lambda g: g.update(version=2),
+        lambda g: (g.pop("format"), g.pop("version")),
+    ], ids=["format-x", "version-2", "unmarked"])
+    def test_embedded_graph_format_exit_4(self, tmp_path, capsys, qgraph_file, tamper):
+        doc = json.loads(qgraph_file.read_text())
+        tamper(doc["graph"])
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "not a version 1 nanopose-graph document" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,index,value,message", [
         ("shift", None, 40, "shift 40 is not an int in [0, 31]"),
@@ -258,6 +276,9 @@ PLAN_TAMPERS = {
     "occupancy-l3-weights": lambda d: d["occupancy"][0].update(l3_weights=0),
     "l3-weight-bytes": lambda d: d.update(l3_weight_bytes=d["l3_weight_bytes"] + 1),
     "tile-l1-bytes": lambda d: d["schedule"]["conv1"][0].update(l1_bytes=1),
+    "graph-format-x": lambda d: d["graph"].update(format="x"),
+    "graph-version-2": lambda d: d["graph"].update(version=2),
+    "graph-unmarked": lambda d: (d["graph"].pop("format"), d["graph"].pop("version")),
 }
 
 

@@ -6,9 +6,10 @@ null, a string, a list or an object, and runs the subcommand that reads it
 through `cli.main` in-process.  Each binary example truncates a valid PGM
 frame or QTNS weight file, or flips bits of one header byte.  No exception
 may escape and the exit code must be a documented one.  Exit 0 stays
-allowed: derived fields, such as a layer's stored shapes or a tile's
-`l1_bytes`, are not read on load, and a flipped digit can leave a valid
-header.
+allowed: a layer's stored shapes are derived again on load, not read, some
+keys are optional (a plan's `violations`, a graph's `variant`), and a
+flipped digit can leave a valid header.  A plan's other derived copies (tile
+`l1_bytes`, occupancy rows, `l3_weight_bytes`) are read and must match.
 """
 
 import json

@@ -12,6 +12,7 @@ from nanopose.planner import (
     RESIDENT,
     STREAMED,
     MemoryHierarchy,
+    _worst_ws,
     build_nodes,
     memory_report,
     naive_l2_bytes,
@@ -25,6 +26,19 @@ from nanopose.planner import (
 
 def layer_of(tag, name):
     return G.build_variant(tag).layer(name)
+
+
+def linear_scan_slices(layer, budget):
+    """Tile slices by scanning every channel group and strip height down
+    from the widest and tallest; None when no one-row, one-channel tile
+    fits."""
+    oc, oh, _ = layer.out_shape
+    g = next((c for c in range(oc, 0, -1) if _worst_ws(layer, 1, c) <= budget), None)
+    if g is None:
+        return None
+    h = next(r for r in range(oh, 0, -1) if _worst_ws(layer, r, g) <= budget)
+    return [((r0, min(r0 + h, oh)), (c0, min(c0 + g, oc)))
+            for c0 in range(0, oc, g) for r0 in range(0, oh, h)]
 
 
 class TestTileLayer:
@@ -73,6 +87,28 @@ class TestTileLayer:
             for t in tiles:
                 grid[t.out_ch[0]:t.out_ch[1], t.out_rows[0]:t.out_rows[1]] += 1
             assert (grid == 1).all(), name
+
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_bisection_matches_linear_scan(self, tag):
+        layers = G.build_variant(tag).layers
+        for kb in range(1, 129):
+            for l in layers:
+                want = [] if l.kind in (G.REQUANT, G.DROPOUT) else linear_scan_slices(l, kb * 1024)
+                if want is None:
+                    with pytest.raises(UntileableLayerError):
+                        tile_layer(l, kb * 1024)
+                else:
+                    got = [(t.out_rows, t.out_ch) for t in tile_layer(l, kb * 1024)]
+                    assert got == want, (l.name, kb)
+
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_worst_ws_monotone_in_height_and_group(self, tag):
+        for l in G.build_variant(tag).layers:
+            if l.kind in (G.REQUANT, G.DROPOUT):
+                continue
+            oc, oh, _ = l.out_shape
+            ws = np.array([[_worst_ws(l, h, g) for g in range(1, oc + 1)] for h in range(1, oh + 1)])
+            assert (np.diff(ws, axis=0) >= 0).all() and (np.diff(ws, axis=1) >= 0).all(), l.name
 
 
 class TestBuildNodes:
@@ -285,6 +321,35 @@ class TestAudit:
         p.schedule["nope"] = p.schedule["conv1"]
         assert not audit_plan(p).ok
 
+    @pytest.mark.parametrize("tamper", [
+        lambda ts: ts[:-1],
+        lambda ts: ts + ts[:1],
+        lambda ts: [dataclasses.replace(ts[0], out_rows=(0, 1))] + ts[1:],
+        lambda ts: ts[:1] + [dataclasses.replace(t, out_ch=(1, 2)) for t in ts[1:]],
+        lambda ts: ts[:-1] + ts[-2:-1],
+        lambda ts: [dataclasses.replace(t, out_ch=(0, 50)) if t.out_ch == (0, 54) else t for t in ts],
+        lambda ts: [dataclasses.replace(t, out_rows=(0, 1)) if t.out_rows == (0, 2) else t for t in ts],
+        lambda ts: [dataclasses.replace(t, out_ch=(1, 54)) if t.out_ch == (0, 54) else t for t in ts],
+        lambda ts: [dataclasses.replace(t, out_ch=(54, 60)) if t.out_ch == (54, 64) else t for t in ts],
+        lambda ts: ts[1:] + [dataclasses.replace(ts[0], out_rows=(0, 1)),
+                             dataclasses.replace(ts[0], out_rows=(1, 2))],
+    ], ids=["missing", "duplicate", "short", "shifted-channels", "duplicate-for-missing",
+            "channel-gap", "row-gap", "channels-from-1", "channels-to-60", "exact-not-grid"])
+    def test_coverage_verdict_counts_cells(self, tamper):
+        p = plan(G.build_variant("80x32"), GAP8, STREAMED)
+        tiles = p.schedule["b2c2"]
+        assert [(t.out_rows, t.out_ch) for t in tiles] == [
+            ((0, 2), (0, 54)), ((2, 3), (0, 54)), ((0, 2), (54, 64)), ((2, 3), (54, 64))]
+        p.schedule["b2c2"] = tamper(tiles)
+        grid = np.zeros((64, 3), dtype=int)
+        for t in p.schedule["b2c2"]:
+            grid[t.out_ch[0]:t.out_ch[1], t.out_rows[0]:t.out_rows[1]] += 1
+        found = [s for s in audit_plan(p).problems if "coverage" in s]
+        want = [] if (grid == 1).all() else [
+            f"b2c2: output coverage broken ({(grid == 0).sum()} cells uncovered, "
+            f"{(grid > 1).sum()} overlapped)"]
+        assert found == want
+
     def test_violations_matched_by_exact_name(self):
         tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
         with pytest.raises(PlanConstraintError) as ei:
@@ -345,6 +410,22 @@ class TestPlanJson:
         text = self.written(p)
         assert text.isascii()
         assert plan_to_json(plan_from_json(text)) == text
+
+    @pytest.mark.parametrize("fields", [
+        {"in_bytes": 3.5}, {"weight_bytes": True}, {"out_rows": (np.int64(0), 22)},
+        {"out_bytes": np.int64(7)}, {"out_ch": [0, 32]}, {"in_rows": (0, 1, 2)},
+        {"out_rows": (0, 1, 22), "out_ch": (32,)},
+    ], ids=["float", "bool", "int64-row", "int64-bytes", "list", "three-rows", "ten-ints-misplaced"])
+    def test_writer_non_int_tile_field(self, fields):
+        p = plan(G.build_variant("80x32"), GAP8, STREAMED)
+        p.schedule["conv1"][0] = dataclasses.replace(p.schedule["conv1"][0], **fields)
+        try:
+            want = json.dumps(plan_doc(p), indent=2)
+        except TypeError:
+            with pytest.raises(TypeError):
+                plan_to_json(p)
+        else:
+            assert plan_to_json(p) == want
 
     def test_writer_empty_plan(self):
         # the planner rejects an empty graph, as the graph decoder does, so
