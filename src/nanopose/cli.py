@@ -205,12 +205,15 @@ def cmd_sweep(args):
 
 
 def cmd_calibrate(args):
-    plans = {tag: P.plan(G.build_variant(tag), P.GAP8, P.STREAMED) for tag in G.VARIANTS}
+    plans = {tag: P.plan(G.build_variant(tag), P.GAP8, P.STREAMED)
+             for tag in dict.fromkeys(tag for tag, _, _, _ in C.REFERENCE_POINTS)}
     targets = [(plans[tag], C.operating_point(*f), fps, mw)
                for tag, f, fps, mw in C.REFERENCE_POINTS]
     params, residuals, info = C.calibrate_params(targets)
     write_json(args.out, dict(vars(params), _fit=dict(residuals=[float(r) for r in residuals], **info)))
     print(f"fitted parameters -> {args.out}; max |residual| = {np.abs(residuals).max():.4f}")
+    print(f"Jacobian rank {info['rank']} of {len(C._FIT_FIELDS)}"
+          + (" (degenerate)" if info["degenerate"] else ""))
     return EXIT_OK
 
 

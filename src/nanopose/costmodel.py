@@ -12,6 +12,13 @@ orchestrates DMA.
 Only the two frequencies and VDD depend on the operating point: `prepare`
 computes every other per-stage term once, `estimate` evaluates them at one
 point and `sweep` at a whole grid as arrays, with identical arithmetic.
+`prepare` runs in two halves: `_fixed` holds the terms no fitted
+coefficient touches (MACs, inner chain length, row utilization, streamed
+bytes, cluster activity) and `_cycles` the ones the fit moves (dot
+utilization, MAC rate, compute and DMA cycles).  `calibrate_params` checks
+once per fit that CostParams' rule holds at both corners of the bounds box,
+hence at every point the solver evaluates, computes the fixed half once per
+plan, and per evaluation runs only `_cycles` and the power formula.
 
 This is a fitted model, not an emulator: silicon measurements enter only as
 calibration targets.
@@ -112,17 +119,11 @@ class CostEstimate:
     energy_mj: float
 
 
-def stage_utilization(node, params: CostParams):
-    """Fraction of peak MAC throughput a stage sustains."""
-    u_rows = min(1.0, node.out_rows / params.util_rows_saturation)
-    u_dot = node.dot_len / (node.dot_len + params.util_dot_overhead) if node.dot_len else 1.0
-    return u_rows, u_dot
-
-
 def prepare(plan: DeploymentPlan, params: CostParams = None) -> tuple:
     """Per-stage (compute cycles, next-stage DMA cycles, cluster activity):
     everything in the model that does not depend on the operating point."""
-    return _prepare(_streams(plan), params or CostParams())
+    params = params or CostParams()
+    return _cycles(_fixed(_streams(plan), params), params)
 
 
 def _streams(plan: DeploymentPlan) -> tuple:
@@ -130,15 +131,28 @@ def _streams(plan: DeploymentPlan) -> tuple:
     return tuple(zip(plan.nodes, [row.weights_next for row in plan.occupancy]))
 
 
-def _prepare(streams, params: CostParams) -> tuple:
+def _fixed(streams, params: CostParams) -> tuple:
+    """Per-stage (MACs, inner MAC chain length, row utilization, streamed
+    bytes, cluster activity): the terms no fitted coefficient touches."""
     stages = []
     for n, w_next in streams:
-        u_rows, u_dot = stage_utilization(n, params)
+        u_rows = min(1.0, n.out_rows / params.util_rows_saturation)
+        stages.append((n.macs, n.dot_len, u_rows, w_next,
+                       params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows))
+    return tuple(stages)
+
+
+def _cycles(fixed, params: CostParams) -> tuple:
+    """`prepare`'s stages from `_fixed`'s: the sustained fraction of peak MAC
+    throughput is row utilization times dot utilization."""
+    stages = []
+    for macs, dot_len, u_rows, w_next, activity in fixed:
+        u_dot = dot_len / (dot_len + params.util_dot_overhead) if dot_len else 1.0
         eta = params.eta_peak * u_rows * u_dot
         stages.append((
-            n.macs / eta if n.macs else 0.0,
+            macs / eta if macs else 0.0,
             w_next / params.dma_bytes_per_fc_cycle,
-            params.cl_base_activity + (1.0 - params.cl_base_activity) * u_rows,
+            activity,
         ))
     return tuple(stages)
 
@@ -277,55 +291,77 @@ _FIT_BOUNDS = {
 }
 
 
+def _fitted(x) -> dict:
+    """CostParams fields at a point of the fit's parameter space (a float
+    array in `_FIT_FIELDS` order); the statics knob splits evenly."""
+    fields = dict(zip(_FIT_FIELDS, x.tolist()))
+    fields["static_fc_w"] = fields["static_cl_w"] = fields["static_fc_w"] / 2.0
+    return fields
+
+
+def _check_target(i, target):
+    try:
+        pl, op, fps, mw = target
+    except (TypeError, ValueError):
+        raise FitError(f"target {i}: expected (plan, OperatingPoint, fps, mW), got {target!r}") from None
+    if not isinstance(pl, DeploymentPlan):
+        raise FitError(f"target {i}: expected a DeploymentPlan, got {type(pl).__name__}")
+    if not isinstance(op, OperatingPoint):
+        raise FitError(f"target {i}: expected an OperatingPoint, got {type(op).__name__}")
+    for name, v in (("fps", fps), ("mW", mw)):
+        if not (finite_real(v) and v > 0):
+            raise FitError(f"target {i}: measured {name} must be finite and > 0, got {v!r}")
+
+
 def calibrate_params(targets, base: CostParams = None) -> tuple:
     """Least-squares fit of utilization, DMA, and power coefficients.
 
     targets: iterable of (plan, OperatingPoint, measured fps, measured mW).
     Returns (CostParams, residuals, info dict).  Residuals are relative
     errors, fps and power interleaved per target.  Statics are fitted as one
-    knob split evenly between domains.
+    knob split evenly between domains.  Raises FitError for malformed
+    targets and for a base whose fitted fields lie outside `_FIT_BOUNDS`.
     """
     from scipy.optimize import least_squares   # only fits pay its import time
 
     targets = list(targets)
     if len(targets) < 3:
         raise FitError(f"need at least 3 calibration targets, got {len(targets)}")
+    for i, target in enumerate(targets):
+        _check_target(i, target)
     base = base or CostParams()
+    x0 = [base.static_fc_w + base.static_cl_w if name == "static_fc_w" else getattr(base, name)
+          for name in _FIT_FIELDS]
+    lo, hi = (np.array([_FIT_BOUNDS[name][k] for name in _FIT_FIELDS]) for k in (0, 1))
+    for name, v, v_lo, v_hi in zip(_FIT_FIELDS, x0, lo, hi):
+        if not v_lo <= v <= v_hi:
+            field = "static_fc_w + static_cl_w" if name == "static_fc_w" else name
+            raise FitError(f"base {field} = {v:g} outside the fit bounds [{v_lo:g}, {v_hi:g}]")
+    # CostParams requires each fitted field finite and > 0, so once both
+    # corners pass, so does every point of the box, and the solver evaluates
+    # only inside it: the evaluations update one scratch copy unchecked
+    replace(base, **_fitted(lo))
+    p = replace(base, **_fitted(hi))
 
-    def unpack(x):
-        p = replace(base)
-        for name, v in zip(_FIT_FIELDS, x):
-            if name == "static_fc_w":
-                p.static_fc_w = v / 2.0
-                p.static_cl_w = v / 2.0
-            else:
-                setattr(p, name, float(v))
-        return p
-
-    # the stream schedules do not depend on the fitted coefficients
-    streams = [(_streams(pl), op, fps, mw) for pl, op, fps, mw in targets]
+    # the fixed stage terms depend on no fitted coefficient; cycles are
+    # computed once per distinct plan and evaluation
+    fixed = {id(pl): _fixed(_streams(pl), base) for pl, _, _, _ in targets}
+    points = [(id(pl), op, fps, mw) for pl, op, fps, mw in targets]
 
     def residuals(x):
-        p = unpack(x)
+        vars(p).update(_fitted(x))
+        cycles = {k: _cycles(f, p) for k, f in fixed.items()}
         res = []
-        for st, op, fps, mw in streams:
-            _, latency, p_fc, p_cl = _at_point(_prepare(st, p), op, p)
+        for k, op, fps, mw in points:
+            _, latency, p_fc, p_cl = _at_point(cycles[k], op, p)
             res.append((1.0 / latency - fps) / fps)
             res.append(((p_fc + p_cl) * 1e3 - mw) / mw)
         return np.asarray(res)
 
-    x0 = []
-    for name in _FIT_FIELDS:
-        if name == "static_fc_w":
-            x0.append(base.static_fc_w + base.static_cl_w)
-        else:
-            x0.append(getattr(base, name))
-    lo = [_FIT_BOUNDS[n][0] for n in _FIT_FIELDS]
-    hi = [_FIT_BOUNDS[n][1] for n in _FIT_FIELDS]
     sol = least_squares(residuals, x0=np.asarray(x0), bounds=(lo, hi), x_scale="jac", max_nfev=2000)
     if not sol.success:
         raise FitError(f"least-squares did not converge: {sol.message}")
     rank = int(np.linalg.matrix_rank(sol.jac))
     info = dict(rank=rank, degenerate=rank < len(_FIT_FIELDS), cost=float(sol.cost),
                 message=sol.message)
-    return unpack(sol.x), sol.fun, info
+    return replace(base, **_fitted(sol.x)), sol.fun, info

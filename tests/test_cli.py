@@ -408,11 +408,13 @@ class TestPlanSweep:
         assert all(v in err for v in p.violations)
         assert not out.exists()
 
-    def test_calibrate_cost_feeds_sweep(self, tmp_path):
+    def test_calibrate_cost_feeds_sweep(self, tmp_path, capsys):
         fit = tmp_path / "fit.json"
         assert run_cli(["calibrate-cost", "--out", str(fit)]) == 0
         doc = json.loads(fit.read_text())
         assert "eta_peak" in doc and "_fit" in doc
+        # the six residuals identify only five of the six fitted coefficients
+        assert "Jacobian rank 5 of 6 (degenerate)" in capsys.readouterr().out.splitlines()
         plan_json = tmp_path / "p.json"
         assert run_cli(["plan", "--net", "80x32", "--out", str(plan_json)]) == 0
         out = tmp_path / "sweep.csv"

@@ -15,13 +15,29 @@ def plans():
     return {tag: plan(G.build_variant(tag), GAP8, STREAMED) for tag in G.VARIANTS}
 
 
+def reference_targets(plans, jitter_seed=None):
+    """The reference calibration targets, optionally with fps and mW
+    jittered by 0.5% (relative std)."""
+    n = len(C.REFERENCE_POINTS)
+    jitter = (np.ones(2 * n) if jitter_seed is None
+              else 1.0 + 0.005 * np.random.default_rng(jitter_seed).standard_normal(2 * n))
+    return [(plans[tag], C.operating_point(*f), fps * jitter[2 * k], mw * jitter[2 * k + 1])
+            for k, (tag, f, fps, mw) in enumerate(C.REFERENCE_POINTS)]
+
+
+def synthetic_targets(plans, p0):
+    """Targets the model itself generates at p0, at the reference points."""
+    targets = []
+    for tag, f, _, _ in C.REFERENCE_POINTS:
+        op = C.operating_point(*f)
+        e = C.estimate(plans[tag], op, p0)
+        targets.append((plans[tag], op, e.fps, e.power_mw))
+    return targets
+
+
 @pytest.fixture(scope="module")
 def fitted(plans):
-    targets = [
-        (plans[tag], C.operating_point(*f), fps, mw)
-        for tag, f, fps, mw in C.REFERENCE_POINTS
-    ]
-    params, res, info = C.calibrate_params(targets)
+    params, res, info = C.calibrate_params(reference_targets(plans))
     return params, res, info
 
 
@@ -151,17 +167,105 @@ class TestCalibration:
     def test_roundtrip_on_synthetic_targets(self, plans):
         # targets generated by the model itself refit with ~zero residuals
         p0 = C.CostParams()
-        targets = []
-        for tag, f, _, _ in C.REFERENCE_POINTS:
-            op = C.operating_point(*f)
-            e = C.estimate(plans[tag], op, p0)
-            targets.append((plans[tag], op, e.fps, e.power_mw))
-        params, res, info = C.calibrate_params(targets, base=p0)
+        params, res, info = C.calibrate_params(synthetic_targets(plans, p0), base=p0)
         assert np.abs(res).max() < 1e-6
 
     def test_too_few_targets(self, plans):
         with pytest.raises(FitError):
             C.calibrate_params([(plans["80x32"], C.operating_point(25.0, 25.0), 10.0, 5.0)])
+
+    @pytest.mark.parametrize("k, value, match", [
+        (2, 0.0, r"target 1: measured fps must be finite and > 0, got 0\.0"),
+        (2, -5.0, r"target 1: measured fps must be finite and > 0, got -5\.0"),
+        (3, float("nan"), r"target 1: measured mW must be finite and > 0, got nan"),
+        (3, True, r"target 1: measured mW must be finite and > 0, got True"),
+        (0, "80x32", r"target 1: expected a DeploymentPlan, got str"),
+        (1, (250.0, 175.0), r"target 1: expected an OperatingPoint, got tuple"),
+    ], ids=["fps-zero", "fps-negative", "mw-nan", "mw-bool", "plan-str", "op-tuple"])
+    def test_rejects_bad_target(self, plans, k, value, match):
+        targets = [list(t) for t in reference_targets(plans)]
+        targets[1][k] = value
+        with pytest.raises(FitError, match=match):
+            C.calibrate_params(targets)
+
+    def test_rejects_short_target(self, plans):
+        targets = reference_targets(plans)
+        targets[2] = targets[2][:3]
+        with pytest.raises(FitError, match=r"target 2: expected \(plan, OperatingPoint, fps, mW\)"):
+            C.calibrate_params(targets)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("eta_peak", 25.0, r"base eta_peak = 25 outside the fit bounds \[4, 20\]"),
+        ("dma_bytes_per_fc_cycle", 0.5, r"base dma_bytes_per_fc_cycle = 0\.5 outside"),
+        ("static_cl_w", 0.02, r"base static_fc_w \+ static_cl_w = 0\.02035 outside"),
+    ], ids=["eta_peak", "dma_bytes_per_fc_cycle", "statics"])
+    def test_rejects_base_outside_bounds(self, plans, field, value, match):
+        base = C.CostParams(**{field: value})
+        with pytest.raises(FitError, match=match):
+            C.calibrate_params(reference_targets(plans), base=base)
+
+    def test_bounds_box(self):
+        assert tuple(C._FIT_BOUNDS) == C._FIT_FIELDS
+        for k in (0, 1):
+            corner = {name: bounds[k] for name, bounds in C._FIT_BOUNDS.items()}
+            C.CostParams(**corner)   # CostParams' own rule holds at both corners
+
+    @pytest.mark.parametrize("case", ["reference", "synthetic", "jitter1", "jitter2"])
+    def test_residuals_equal_estimate(self, plans, case):
+        # each residual is exactly what `estimate` gives at the returned params
+        if case == "synthetic":
+            targets = synthetic_targets(plans, C.CostParams())
+        else:
+            targets = reference_targets(plans, None if case == "reference" else int(case[-1]))
+        params, res, _ = C.calibrate_params(targets)
+        expected = []
+        for plan_, op, fps, mw in targets:
+            e = C.estimate(plan_, op, params)
+            expected += [(e.fps - fps) / fps, (e.power_mw - mw) / mw]
+        assert res.tolist() == expected
+
+    # fitted fields as the single-pass stage formula returned them; exact
+    # equality holds on one LAPACK build (perfbench/expected.json freezes
+    # fits within 1e-6 across builds)
+    GOLDEN = {
+        None: dict(eta_peak=16.091519811530702, util_dot_overhead=244.96001255247128,
+                   dma_bytes_per_fc_cycle=1.1194379676573072, c_fc_w_per_hz_v2=1.9101819603032374e-10,
+                   c_cl_w_per_hz_v2=3.31472461441747e-10, static_fc_w=0.00034564921518441863),
+        1: dict(eta_peak=16.204040447031513, util_dot_overhead=246.66831188420258,
+                dma_bytes_per_fc_cycle=1.1047042339958315, c_fc_w_per_hz_v2=2.0408045332577322e-10,
+                c_cl_w_per_hz_v2=3.217833982056557e-10, static_fc_w=0.00036001776579104615),
+        2: dict(eta_peak=16.464473062553978, util_dot_overhead=253.06473190442432,
+                dma_bytes_per_fc_cycle=1.1135681154154344, c_fc_w_per_hz_v2=1.9953629166849452e-10,
+                c_cl_w_per_hz_v2=3.210601199515434e-10, static_fc_w=0.00040061966854598014),
+    }
+
+    @pytest.mark.parametrize("jitter_seed", [None, 1, 2])
+    def test_golden_params(self, plans, jitter_seed):
+        params, _, _ = C.calibrate_params(reference_targets(plans, jitter_seed))
+        golden = dict(C.CostParams().__dict__, **self.GOLDEN[jitter_seed])
+        golden["static_cl_w"] = golden["static_fc_w"]
+        assert vars(params) == golden
+
+    def test_params_validated_once_per_fit(self, plans, monkeypatch):
+        # the solver evaluates only inside the bounds box, which is checked
+        # once per fit, so no evaluation builds or re-validates a CostParams
+        post_init, at_point = C.CostParams.__post_init__, C._at_point
+        calls = {"post_init": 0, "at_point": 0}
+
+        def counting_post_init(self):
+            calls["post_init"] += 1
+            post_init(self)
+
+        def counting_at_point(*args):
+            calls["at_point"] += 1
+            return at_point(*args)
+
+        monkeypatch.setattr(C.CostParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(C, "_at_point", counting_at_point)
+        C.calibrate_params(reference_targets(plans))
+        # default base, two box corners, returned params
+        assert calls["post_init"] == 4
+        assert calls["at_point"] >= 3 * 20   # evaluations x targets
 
     def test_peak_throughput_ordering(self, plans, fitted):
         params, _, _ = fitted
