@@ -111,11 +111,15 @@ def cmd_quantize(args):
             if l.kind in (G.CONV, G.FC):
                 path = os.path.join(args.weights, f"{l.name}.qtns")
                 data, _, _ = tensorfile.read_tensor(path)
-                w = net.weights[l.name]
-                if data.size != w.size:
+                shape = l.weight_shape()
+                if data.size != math.prod(shape):
                     raise SchemaError(f"{path}: {data.size} weights, layer {l.name} needs "
-                                      f"{w.size} {w.shape}")
-                net.weights[l.name] = np.asarray(data, dtype=np.float64).reshape(w.shape)
+                                      f"{math.prod(shape)} {shape}")
+                w = np.asarray(data, dtype=np.float64).reshape(shape)
+                if not np.isfinite(w).all():
+                    raise SchemaError(f"{path}: weights of layer {l.name} must be finite, "
+                                      f"got inf or NaN")
+                net.weights[l.name] = w
                 inputs.append(path)
     else:
         net = random_float_net(g, seed=args.seed)
@@ -263,6 +267,13 @@ def cmd_augment(args):
     return EXIT_OK
 
 
+def non_negative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="nanopose", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"nanopose {__version__}")
@@ -324,7 +335,7 @@ def build_parser():
     p = sub.add_parser("augment", help="draw augmented training samples from one frame")
     p.add_argument("--image", required=True, help="160x160 PGM source frame")
     p.add_argument("--label", required=True, help="x,y,z,theta")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=non_negative_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_augment)
@@ -336,7 +347,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
         print(f"nanopose: error[not-found]: {e}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except SchemaError as e:

@@ -158,21 +158,19 @@ def _cycles(fixed, params: CostParams) -> tuple:
 
 
 def _stage_times(stages, f_fc, f_cl, maximum):
-    """Per-stage wall times, frame latency, cluster compute time weighted by
-    activity and DMA time, at one operating point (floats, `maximum=max`)
-    or at many (arrays of Hz, `maximum=np.maximum`).  The sums run stage by
-    stage in plan order, so both forms give bit-identical figures."""
-    walls = []
+    """Frame latency, cluster compute time weighted by activity and DMA
+    time, at one operating point (floats, `maximum=max`) or at many (arrays
+    of Hz, `maximum=np.maximum`).  A stage's wall time is the max of its
+    compute and DMA times.  The sums run stage by stage in plan order, so
+    both forms give bit-identical figures."""
     latency = cl_energy_weight = dma_time = 0.0
     for compute_cycles, dma_cycles, activity in stages:
         compute_t = compute_cycles / f_cl
         dma_t = dma_cycles / f_fc
-        wall = maximum(compute_t, dma_t)
-        walls.append(wall)
-        latency += wall
+        latency += maximum(compute_t, dma_t)
         cl_energy_weight += compute_t * activity
         dma_time += dma_t
-    return walls, latency, cl_energy_weight, dma_time
+    return latency, cl_energy_weight, dma_time
 
 
 def _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, minimum):
@@ -186,22 +184,23 @@ def _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, minim
 
 
 def _at_point(stages, op, params):
-    """Per-stage wall times, frame latency (s) and FC and cluster power (W)
-    at one operating point."""
+    """Frame latency (s) and FC and cluster power (W) at one operating point."""
     f_fc = op.f_fc * 1e6
     f_cl = op.f_cl * 1e6
-    walls, latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, max)
+    latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, max)
     if latency <= 0:
         raise SchemaError("empty plan has no latency")
     p_fc, p_cl = _powers(params, op.vdd**2, f_fc, f_cl, latency, cl_energy_weight, dma_time, min)
-    return walls, latency, p_fc, p_cl
+    return latency, p_fc, p_cl
 
 
 def _estimate(plan, stages, op, params) -> CostEstimate:
-    walls, latency, p_fc, p_cl = _at_point(stages, op, params)
+    latency, p_fc, p_cl = _at_point(stages, op, params)
+    f_fc = op.f_fc * 1e6
     f_cl = op.f_cl * 1e6
     per_layer = []
-    for n, (compute_cycles, dma_cycles, _), wall in zip(plan.nodes, stages, walls):
+    for n, (compute_cycles, dma_cycles, _) in zip(plan.nodes, stages):
+        wall = max(compute_cycles / f_cl, dma_cycles / f_fc)
         per_layer.append(LayerCost(
             name=n.name, compute_cycles=compute_cycles, dma_cycles=dma_cycles,
             idle_cycles=max(0.0, wall - compute_cycles / f_cl) * f_cl, wall_s=wall,
@@ -241,7 +240,7 @@ def sweep(plan: DeploymentPlan, grid=None, params: CostParams = None) -> SweepRe
     f_fc = np.array([op.f_fc for op in grid]) * 1e6
     f_cl = np.array([op.f_cl for op in grid]) * 1e6
     vdd2 = np.array([op.vdd**2 for op in grid])
-    _, latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, np.maximum)
+    latency, cl_energy_weight, dma_time = _stage_times(stages, f_fc, f_cl, np.maximum)
     if np.any(latency <= 0):
         raise SchemaError("empty plan has no latency")
     p_fc, p_cl = _powers(params, vdd2, f_fc, f_cl, latency, cl_energy_weight, dma_time, np.minimum)
@@ -353,7 +352,7 @@ def calibrate_params(targets, base: CostParams = None) -> tuple:
         cycles = {k: _cycles(f, p) for k, f in fixed.items()}
         res = []
         for k, op, fps, mw in points:
-            _, latency, p_fc, p_cl = _at_point(cycles[k], op, p)
+            latency, p_fc, p_cl = _at_point(cycles[k], op, p)
             res.append((1.0 / latency - fps) / fps)
             res.append(((p_fc + p_cl) * 1e3 - mw) / mw)
         return np.asarray(res)

@@ -166,7 +166,6 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
     scales = qg.scales()
     acts = {} if record_activations else None
     x = image.data
-    head = None
     pooled = None   # requant parameters applied after the max-pool that follows
     for l, nxt in zip(g.layers, [*g.layers[1:], None]):
         if l.kind == G.CONV:
@@ -186,12 +185,12 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
                 x, pooled = _requant(x, pooled), None
         elif l.kind == G.FC:
             x = raw = _int_gemm(qg.weights[l.name].data, x.reshape(-1, 1)).reshape(-1)
-            head = l.name
         else:
             continue
         if record_activations:
             acts[l.name] = _snapshot(l, x, scales[l.name])
-    return InferenceResult(raw=raw, pose=scales[head] * raw.astype(np.float64), activations=acts)
+    return InferenceResult(raw=raw, pose=scales[g.head().name] * raw.astype(np.float64),
+                           activations=acts)
 
 
 def conv2d_float(x: np.ndarray, w: np.ndarray, stride, padding) -> np.ndarray:
@@ -217,9 +216,9 @@ def infer_float(net: FloatNet, image: np.ndarray, collect: str = "none"):
     g = net.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
+    g.head()   # SchemaError for a graph without one
     x = np.asarray(image, dtype=np.float64)
     collected = {}
-    pose = None
     for l in g.layers:
         if l.kind == G.CONV:
             x = conv2d_float(x, net.weights[l.name], l.stride, l.padding)
@@ -241,8 +240,6 @@ def infer_float(net: FloatNet, image: np.ndarray, collect: str = "none"):
             x = pose
         if collect == "acts":
             collected[l.name] = np.array(x)
-    if pose is None:
-        raise SchemaError("graph has no fully connected head")
     return (pose, collected) if collect != "none" else (pose, None)
 
 

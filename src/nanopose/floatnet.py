@@ -11,6 +11,7 @@ import numpy as np
 from . import graph as G
 
 BN_EPS = 1e-5
+_N_PROBE = 8   # probe images realistic_random_net takes batch-norm moments over
 
 
 @dataclass
@@ -30,22 +31,6 @@ class FloatNet:
     weights: dict = field(default_factory=dict)   # conv/fc layer name -> ndarray
     bn: dict = field(default_factory=dict)        # requant layer name -> BatchNorm
 
-    def validate(self):
-        for l in self.graph.layers:
-            if l.kind == G.CONV:
-                w = self.weights[l.name]
-                expect = (l.out_ch, l.in_ch, l.kernel[0], l.kernel[1])
-                if w.shape != expect:
-                    raise ValueError(f"{l.name}: weight shape {w.shape} != {expect}")
-            elif l.kind == G.FC:
-                w = self.weights[l.name]
-                if w.shape != (l.out_ch, l.in_ch):
-                    raise ValueError(f"{l.name}: weight shape {w.shape} != {(l.out_ch, l.in_ch)}")
-            elif l.kind == G.REQUANT:
-                if l.name not in self.bn:
-                    raise ValueError(f"{l.name}: missing batch-norm record")
-        return self
-
 
 def random_float_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
     """He-style fan-in scaled weights and mildly varied batch-norm stats.
@@ -56,11 +41,8 @@ def random_float_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
     rng = np.random.default_rng(seed)
     net = FloatNet(graph=g)
     for l in g.layers:
-        if l.kind == G.CONV:
-            fan_in = l.in_ch * l.kernel[0] * l.kernel[1]
-            net.weights[l.name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (l.out_ch, l.in_ch, *l.kernel))
-        elif l.kind == G.FC:
-            net.weights[l.name] = rng.normal(0.0, np.sqrt(2.0 / l.in_ch), (l.out_ch, l.in_ch))
+        if l.kind in (G.CONV, G.FC):
+            net.weights[l.name] = rng.normal(0.0, np.sqrt(2.0 / l.taps()), l.weight_shape())
         elif l.kind == G.REQUANT:
             ch = l.out_ch
             net.bn[l.name] = BatchNorm(
@@ -69,7 +51,7 @@ def random_float_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
                 mean=rng.normal(0.0, 0.2, ch),
                 var=rng.uniform(0.5, 1.5, ch),
             )
-    return net.validate()
+    return net
 
 
 def snap_weights_to_grid(w: np.ndarray) -> np.ndarray:
@@ -90,14 +72,13 @@ def snap_weights_to_grid(w: np.ndarray) -> np.ndarray:
     return eps * codes
 
 
-def realistic_random_net(g: G.NetGraph, seed: int = 0, n_probe: int = 8,
-                         fc_scale: float = 1.0) -> FloatNet:
+def realistic_random_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
     """Random net with the statistics a trained, deployment-ready one has.
 
     Batch-norm mean/var are set from the moments the conv outputs actually
-    take on a probe batch (keeping stage gains near one), the head is
-    rescaled to pose-like magnitudes, and all weights are snapped onto
-    their quantization grid so decomposition is exact.
+    take on a probe batch of _N_PROBE images (keeping stage gains near
+    one), the head is rescaled to unit RMS pose outputs, and all weights
+    are snapped onto their quantization grid so decomposition is exact.
     """
     from . import engine  # deferred: engine imports this module
 
@@ -107,7 +88,7 @@ def realistic_random_net(g: G.NetGraph, seed: int = 0, n_probe: int = 8,
         bn.gamma = rng.uniform(0.9, 1.1, bn.gamma.shape)
         bn.beta = rng.uniform(0.05, 0.3, bn.beta.shape)
     probe = [rng.integers(0, 256, g.input_shape).astype(np.float64) / 255.0
-             for _ in range(n_probe)]
+             for _ in range(_N_PROBE)]
     per_layer = {name: [] for name in net.bn}
     for img in probe:
         _, pre = engine.infer_float(net, img, collect="prebn")
@@ -117,11 +98,11 @@ def realistic_random_net(g: G.NetGraph, seed: int = 0, n_probe: int = 8,
         stacked = np.concatenate([a.reshape(a.shape[0], -1) for a in chunks], axis=1)
         net.bn[name].mean = stacked.mean(axis=1)
         net.bn[name].var = np.maximum(stacked.var(axis=1), 1e-3)
-    fc = [l for l in g.layers if l.kind == G.FC][-1]
+    head = g.head().name
     poses = np.stack([engine.infer_float(net, img)[0] for img in probe])
     rms = float(np.sqrt((poses**2).mean()))
     if rms > 0:
-        net.weights[fc.name] = net.weights[fc.name] * (fc_scale / rms)
+        net.weights[head] = net.weights[head] * (1.0 / rms)
     for name in net.weights:
         net.weights[name] = snap_weights_to_grid(net.weights[name])
-    return net.validate()
+    return net

@@ -32,12 +32,25 @@ class LayerSpec:
     in_shape: tuple = None
     out_shape: tuple = None
 
-    def weight_count(self) -> int:
+    def weight_shape(self) -> tuple:
+        """Layout of the layer's weights: (out, in, kh, kw) for a conv,
+        (out, in) for the head, () for a layer without weights."""
         if self.kind == CONV:
-            return self.out_ch * self.in_ch * self.kernel[0] * self.kernel[1]
+            return (self.out_ch, self.in_ch, *self.kernel)
         if self.kind == FC:
-            return self.out_ch * self.in_ch
+            return (self.out_ch, self.in_ch)
+        return ()
+
+    def taps(self) -> int:
+        """Weights per output channel: the inner MAC chain length."""
+        if self.kind == CONV:
+            return self.in_ch * self.kernel[0] * self.kernel[1]
+        if self.kind == FC:
+            return self.in_ch
         return 0
+
+    def weight_count(self) -> int:
+        return self.out_ch * self.taps()
 
     def macs(self) -> int:
         if self.kind == CONV:
@@ -66,6 +79,13 @@ class NetGraph:
             if l.name == name:
                 return l
         raise KeyError(name)
+
+    def head(self) -> LayerSpec:
+        """The fully connected head: the last fc layer."""
+        for l in reversed(self.layers):
+            if l.kind == FC:
+                return l
+        raise SchemaError("graph has no fully connected head")
 
 
 @dataclass

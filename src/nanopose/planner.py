@@ -61,7 +61,7 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
     if layer.kind == G.FC:
         return Tile(
             layer=layer.name, out_rows=(0, 1), out_ch=(c0, c1), in_rows=(0, 1),
-            in_bytes=layer.in_ch, weight_bytes=(c1 - c0) * layer.in_ch,
+            in_bytes=layer.in_ch, weight_bytes=(c1 - c0) * layer.taps(),
             out_bytes=(c1 - c0) * layer.out_elem_bytes(),
         )
     sh = layer.stride[0]
@@ -70,10 +70,9 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
     lo = max(0, r0 * sh - ph)
     hi = min(ih, (r1 - 1) * sh - ph + kh)
     in_bytes = ic * (hi - lo) * iw
-    w_bytes = (c1 - c0) * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
     out_bytes = (c1 - c0) * (r1 - r0) * ow * layer.out_elem_bytes()
     return Tile(layer=layer.name, out_rows=(r0, r1), out_ch=(c0, c1), in_rows=(lo, hi),
-                in_bytes=in_bytes, weight_bytes=w_bytes, out_bytes=out_bytes)
+                in_bytes=in_bytes, weight_bytes=(c1 - c0) * layer.taps(), out_bytes=out_bytes)
 
 
 def _worst_ws(layer: G.LayerSpec, h: int, g: int) -> int:
@@ -82,12 +81,11 @@ def _worst_ws(layer: G.LayerSpec, h: int, g: int) -> int:
     is non-decreasing in h and in g, so the largest fitting h or g can be
     found by bisection."""
     if layer.kind == G.FC:
-        return 2 * (layer.in_ch + g * layer.in_ch + g * layer.out_elem_bytes())
+        return 2 * (layer.in_ch + g * layer.taps() + g * layer.out_elem_bytes())
     ic, ih, iw = layer.in_shape
     _, oh, ow = layer.out_shape
     n_in = min((h - 1) * layer.stride[0] + layer.kernel[0], ih)
-    w_bytes = g * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
-    return 2 * (ic * n_in * iw + w_bytes + g * h * ow * layer.out_elem_bytes())
+    return 2 * (ic * n_in * iw + g * layer.taps() + g * h * ow * layer.out_elem_bytes())
 
 
 def _largest_fitting(fits, hi: int) -> int:
@@ -222,7 +220,7 @@ def build_nodes(g: G.NetGraph, fuse_pool: bool = True) -> list:
             name=first.name, kind=first.kind, layer_names=[l.name for l in group],
             macs=sum(l.macs() for l in group), weight_bytes=first.weight_count(),
             in_bytes=math.prod(first.in_shape), out_bytes=group[-1].out_bytes(),
-            out_rows=first.out_shape[1], dot_len=first.weight_count() // first.out_ch,
+            out_rows=first.out_shape[1], dot_len=first.taps(),
         ))
     return nodes
 

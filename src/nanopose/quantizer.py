@@ -72,8 +72,10 @@ class QuantizedGraph:
         requant field that breaks it raises RequantParameterError.
         """
         layers = self.graph.layers
-        if not any(l.kind == G.FC for l in layers):
-            raise SchemaError(f"{where}: graph has no fully connected head")
+        try:
+            self.graph.head()
+        except SchemaError as e:
+            raise SchemaError(f"{where}: {e}") from None
         if (self.weights.keys() != {l.name for l in layers if l.kind in (G.CONV, G.FC)}
                 or self.requant.keys() != {l.name for l in layers if l.kind == G.REQUANT}):
             raise SchemaError(f"{where}: weights or requant entries do not match the graph's "
@@ -81,7 +83,7 @@ class QuantizedGraph:
         for l in layers:
             if l.kind in (G.CONV, G.FC):
                 qt = self.weights[l.name]
-                shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
+                shape = l.weight_shape()
                 if qt.data.dtype != np.int8 or qt.data.shape != shape:
                     raise SchemaError(f"{where}: {l.name} needs an i8 weight payload of shape "
                                       f"{shape}, got {qt.data.dtype} {qt.data.shape}")
@@ -151,8 +153,7 @@ def fit_requant_scale(scales: np.ndarray, offsets: np.ndarray, layer: str) -> tu
 def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
     """Transform a calibrated float net into an integer-deployable graph."""
     g = net.graph
-    if not any(l.kind == G.FC for l in g.layers):
-        raise ConversionError("fc", "graph has no fully connected head")
+    g.head()   # SchemaError for a graph without one
     qg = QuantizedGraph(graph=g)
     for l in g.layers:
         if l.kind in (G.CONV, G.FC):
@@ -195,7 +196,7 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     for l in g.layers:
         if l.kind == G.CONV:
             eps_w = qg.weights[l.name].qp.eps
-            taps = l.in_ch * l.kernel[0] * l.kernel[1]
+            taps = l.taps()
             w_deq = np.abs(qg.weights[l.name].dequantize()).reshape(l.out_ch, -1).sum(axis=1).max()
             # |w| <= |w_deq| + eps_w per tap, hence the extra taps * eps_w mass
             pending = eps_w * taps * x_max + (w_deq + taps * eps_w) * delta
@@ -209,8 +210,9 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
             pending = None
         elif l.kind == G.FC:
             eps_w = qg.weights[l.name].qp.eps
+            taps = l.taps()
             w_deq = np.abs(qg.weights[l.name].dequantize()).reshape(l.out_ch, -1).sum(axis=1)
-            bound = eps_w * l.in_ch * x_max + (w_deq + l.in_ch * eps_w) * delta + eps[l.name]
+            bound = eps_w * taps * x_max + (w_deq + taps * eps_w) * delta + eps[l.name]
     return np.asarray(bound, dtype=np.float64)
 
 
@@ -218,10 +220,10 @@ def _scale_copies(qg: QuantizedGraph) -> dict:
     """The scale chain as a qgraph document records it: the image scale, the
     head's scale once per output and every conv and fc accumulator scale."""
     eps = qg.scales()
-    heads = [l for l in qg.graph.layers if l.kind == G.FC]
+    head = qg.graph.head()
     return {
         "input_eps": engine.IMAGE_EPS,
-        "out_eps": [float(eps[heads[-1].name])] * heads[-1].out_ch,
+        "out_eps": [float(eps[head.name])] * head.out_ch,
         "acc_eps": {l.name: float(eps[l.name]) for l in qg.graph.layers
                     if l.kind in (G.CONV, G.FC)},
     }

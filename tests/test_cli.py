@@ -94,6 +94,15 @@ class TestQuantizeInfer:
         row = [l for l in pose_csv.read_text().splitlines() if not l.startswith("#")][1]
         assert row.split(",")[4:] == [str(int(v)) for v in want.raw]
 
+    def test_activation_dir_is_a_file_exit_3(self, tmp_path, capsys, qgraph_file):
+        img = frame_pgm(tmp_path)
+        taken = tmp_path / "acts"
+        taken.write_text("")
+        code = run_cli(["infer", "--qgraph", str(qgraph_file), "--image", str(img),
+                        "--out", str(tmp_path / "pose.csv"), "--dump-activations", str(taken)])
+        assert code == EXIT_NOT_FOUND
+        assert "error[not-found]" in capsys.readouterr().err
+
     def test_missing_image_exit_3(self, tmp_path, qgraph_file):
         code = run_cli(["infer", "--qgraph", str(qgraph_file),
                         "--image", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.csv")])
@@ -544,6 +553,22 @@ class TestQuantizeWithArtifacts:
         assert "conv1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_exit_4(self, tmp_path, capsys, bad):
+        from nanopose import tensorfile
+
+        wdir = tmp_path / "w"
+        wdir.mkdir()
+        w = np.full((32, 1, 5, 5), 0.1, dtype=np.float32)
+        w[3, 0, 2, 1] = bad
+        tensorfile.write_tensor(wdir / "conv1.qtns", w)
+        code = run_cli(["quantize", "--net", "80x32", "--weights", str(wdir),
+                        "--out", str(tmp_path / "q.json")])
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "conv1.qtns" in err and "finite" in err
+
+
 class TestAugmentCmd:
     def test_augment_writes_samples(self, tmp_path):
         img = frame_pgm(tmp_path, size=160)
@@ -561,6 +586,24 @@ class TestAugmentCmd:
         assert run_cli(["augment", "--image", str(img), "--label", label, "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "error[schema]" in err and "Traceback" not in err
+
+
+    def test_out_is_a_file_exit_3(self, tmp_path, capsys):
+        img = frame_pgm(tmp_path, size=160)
+        taken = tmp_path / "aug"
+        taken.write_text("")
+        code = run_cli(["augment", "--image", str(img), "--label", "1,0,0,0",
+                        "--out", str(taken)])
+        assert code == EXIT_NOT_FOUND
+        assert "error[not-found]" in capsys.readouterr().err
+
+    def test_negative_count_usage_exit(self, tmp_path):
+        img = frame_pgm(tmp_path, size=160)
+        with pytest.raises(SystemExit) as ei:
+            run_cli(["augment", "--image", str(img), "--label", "1,0,0,0", "--count", "-2",
+                     "--out", str(tmp_path / "aug")])
+        assert ei.value.code == EXIT_USAGE
+        assert not (tmp_path / "aug").exists()
 
 
 class TestEntryPoint:

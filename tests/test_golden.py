@@ -1,0 +1,61 @@
+"""Byte pins: the plan documents and the seeded float weights of the three
+reference variants, as sha256 digests of their bytes.  A change that moves
+any of them changes what `plan` writes or what every seeded net computes."""
+
+import hashlib
+
+import pytest
+
+from nanopose import graph as G
+from nanopose import planner as P
+from nanopose.floatnet import random_float_net
+
+L1_16K = P.MemoryHierarchy(l1_bytes=16 * 1024)   # splits channels in every variant
+
+PLAN_SHA256 = {
+    ("gap8", "160x32", P.STREAMED): "eb1c7652b66891f641af5b23d3e59c480f153df2338ade171d8e1df414e7a422",
+    ("gap8", "160x32", P.RESIDENT): "70cb702b709f5a310e40857cc815f109a2e3f1c855c9508c2aab6c7c5f339497",
+    ("gap8", "160x16", P.STREAMED): "fb080fd751a4fd26f1f38e3a83b1b74ec0dd977b302f6cc601017d70a4fed4dd",
+    ("gap8", "160x16", P.RESIDENT): "fca43069a0aba9ecd920da0f9ce36575e859b174645936294dc57637d9a14dce",
+    ("gap8", "80x32", P.STREAMED): "edf7f22f7734ddc65e525f2b37b38d9b52da8caf2d5b33ff30e8b13704d3181d",
+    ("gap8", "80x32", P.RESIDENT): "552fc0dc9bc0047f06e1af313a66da43370b90e4c8c753ab3aaa15a878c66766",
+    ("l1_16k", "160x32", P.STREAMED): "7ad5985e08e443f43e6ba151978f8f65cc037cbad14eeb758c0669491229014a",
+    ("l1_16k", "160x32", P.RESIDENT): "158bf3f7c1b8ef21cdf7d1071a0e6f6a3103c0c25d2038c77ff991598d8f970a",
+    ("l1_16k", "160x16", P.STREAMED): "535d825c4841b168bc7e1f8a7de689e8ca011d94a8188f5a41e4896ed3b13c00",
+    ("l1_16k", "160x16", P.RESIDENT): "2fa513b55c7de75ef72b35b5310be6f1691827047407479da0b471841bec8248",
+    ("l1_16k", "80x32", P.STREAMED): "0b39192091f1165ad8f832183c18a42852d7e8a662d2e591d0ab6398528161c9",
+    ("l1_16k", "80x32", P.RESIDENT): "313453487f1b973f3e4a4d41faca2a3e52afe575eb5271c11de9aa80d7cbaa97",
+}
+
+# random_float_net(g, 0): each layer's name, shape and dtype, then its
+# little-endian float64 weights, in layer order
+WEIGHTS_SHA256 = {
+    "160x32": "7c56efa27db6388b583fd6b2b9f133b68eedf1a00020278de638cd2b7fc02985",
+    "160x16": "af655e294c5b98fcbfbae6043ec4c7d10cbd4d5ed0451eaead97170d92db3346",
+    "80x32": "41b86bdeea077fd45c9e0d823d6dfde249b0cc1e258bd972c9da485f32b007d0",
+}
+
+
+@pytest.mark.parametrize("mem_name, tag, policy", sorted(PLAN_SHA256))
+def test_plan_json_bytes(mem_name, tag, policy):
+    mem = {"gap8": P.GAP8, "l1_16k": L1_16K}[mem_name]
+    p = P.plan(G.build_variant(tag), mem, policy)
+    digest = hashlib.sha256(P.plan_to_json(p).encode()).hexdigest()
+    assert digest == PLAN_SHA256[mem_name, tag, policy]
+
+
+def test_small_l1_splits_channels():
+    # the 16 kB pins cover the channel-split tiling path in every variant
+    for tag in G.VARIANTS:
+        p = P.plan(G.build_variant(tag), L1_16K)
+        assert any(len({t.out_ch for t in tiles}) > 1 for tiles in p.schedule.values()), tag
+
+
+@pytest.mark.parametrize("tag", G.VARIANTS)
+def test_random_float_net_weight_bytes(tag):
+    net = random_float_net(G.build_variant(tag), 0)
+    h = hashlib.sha256()
+    for name, w in net.weights.items():
+        h.update(f"{name}{w.shape}{w.dtype}".encode())
+        h.update(w.astype("<f8").tobytes())
+    assert h.hexdigest() == WEIGHTS_SHA256[tag]

@@ -77,6 +77,61 @@ class TestBuild:
         assert g.layer("fc").in_ch == 64 * 5 * 3
 
 
+# every layer with weights, written out per variant: name -> (weight shape, taps)
+def expected_weights(c, flat):
+    return {
+        "conv1": ((c, 1, 5, 5), 25),
+        "b1c1": ((c, c, 3, 3), 9 * c),
+        "b1c2": ((c, c, 3, 3), 9 * c),
+        "b2c1": ((2 * c, c, 3, 3), 9 * c),
+        "b2c2": ((2 * c, 2 * c, 3, 3), 18 * c),
+        "b3c1": ((4 * c, 2 * c, 3, 3), 18 * c),
+        "b3c2": ((4 * c, 4 * c, 3, 3), 36 * c),
+        "fc": ((4, flat), flat),
+    }
+
+
+WEIGHTS = {
+    "160x32": expected_weights(32, 128 * 3 * 5),
+    "160x16": expected_weights(16, 64 * 3 * 5),
+    "80x32": expected_weights(32, 128 * 2 * 3),
+}
+
+
+class TestWeightLayout:
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_every_layer_against_enumeration(self, tag):
+        expect = WEIGHTS[tag]
+        g = G.build_variant(tag)
+        assert {l.name for l in g.layers if l.weight_shape()} == set(expect)
+        for l in g.layers:
+            shape, taps = expect.get(l.name, ((), 0))
+            assert l.weight_shape() == shape, l.name
+            assert l.taps() == taps, l.name
+            assert l.weight_count() == (shape[0] * taps if shape else 0), l.name
+        assert sum(l.weight_count() for l in g.layers) == ORACLE[tag][1]
+
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    def test_head_is_the_fc_layer(self, tag):
+        g = G.build_variant(tag)
+        assert g.head() is g.layer("fc")
+
+    def test_head_is_the_last_fc(self):
+        g = G.infer_shapes(G.NetGraph(layers=[
+            G.LayerSpec(G.FC, "hidden", in_ch=16, out_ch=8),
+            G.LayerSpec(G.FC, "out", in_ch=8, out_ch=4),
+        ], input_shape=(1, 4, 4)))
+        assert g.head() is g.layer("out")
+
+    def test_headless_graph_rejected(self):
+        g = G.infer_shapes(G.NetGraph(layers=[
+            G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=2, kernel=(3, 3), padding=(1, 1)),
+            G.LayerSpec(G.REQUANT, "a"),
+        ], input_shape=(1, 4, 4)))
+        with pytest.raises(SchemaError, match="no fully connected head"):
+            g.head()
+
+
 class TestInferShapes:
     def test_idempotent(self):
         g = G.build_variant("160x32")

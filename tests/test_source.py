@@ -47,3 +47,11 @@ def test_requant_contract_stated_once():
 def test_accumulator_range_checked_once():
     # the int32 accumulator rule lives in the one GEMM every layer runs
     assert package_raise_sites("AccumulatorOverflowError") == {"engine.py:_int_gemm"}
+
+
+def test_weight_layout_stated_in_graph_only():
+    # LayerSpec.weight_shape and .taps own the conv/fc weight layout; audit
+    # keeps its own derivation so that a planner bug cannot hide itself
+    spelled = {path.name for path in sorted(SRC.glob("*.py"))
+               if ".kernel[0] *" in path.read_text() or "*l.kernel" in path.read_text()}
+    assert spelled <= {"graph.py", "audit.py"}, spelled
