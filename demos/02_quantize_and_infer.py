@@ -33,7 +33,7 @@ bound = quantization_error_bound(qg, net)
 # infer on a calibration image: inside the calibrated activation ranges the
 # integer path is provably within the accumulated bound of the float path
 codes = np.round(calib.inputs[0] * 255).astype(np.uint8)
-res = engine.infer_int(qg, QTensor(codes, engine.image_qparams()))
+res = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS))
 pose_f, _ = engine.infer_float(net, codes / 255.0)
 
 print("\nraw 32-bit outputs :", res.raw)

@@ -8,7 +8,7 @@ closed-loop tracking simulation.
 __version__ = "0.1.0"
 
 from .graph import NetGraph, LayerSpec, GraphStats, analyze, build_frontnet, build_variant
-from .qtensor import QTensor, QuantParams, quantize, weight_eps, act_eps, decompose_weights
+from .qtensor import QTensor, quantize, weight_eps, act_eps, weight_codes
 from .quantizer import CalibrationSet, QuantizedGraph, calibrate, convert
 from .engine import InferenceResult, infer_int, infer_float, crop_center
 from .planner import MemoryHierarchy, DeploymentPlan, plan, tile_layer, memory_report
@@ -21,7 +21,7 @@ from .metrics import metrics, rsquared
 
 __all__ = [
     "NetGraph", "LayerSpec", "GraphStats", "analyze", "build_frontnet", "build_variant",
-    "QTensor", "QuantParams", "quantize", "weight_eps", "act_eps", "decompose_weights",
+    "QTensor", "quantize", "weight_eps", "act_eps", "weight_codes",
     "CalibrationSet", "QuantizedGraph", "calibrate", "convert",
     "InferenceResult", "infer_int", "infer_float", "crop_center",
     "MemoryHierarchy", "DeploymentPlan", "plan", "tile_layer", "memory_report",

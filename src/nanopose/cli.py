@@ -150,13 +150,14 @@ def cmd_infer(args):
     px = read_pgm(args.image)
     img = engine.crop_center(px, qg.graph.input_shape[1:])
     res = engine.infer_int(qg, img, record_activations=bool(args.dump_activations))
-    body = "x,y,z,theta,raw_x,raw_y,raw_z,raw_theta\n"
-    body += ",".join(f"{v:.9g}" for v in res.pose) + "," + ",".join(str(int(v)) for v in res.raw) + "\n"
-    write_csv(args.out, body, inputs=[args.qgraph, args.image])
+    # the snapshots go first, so a failed dump leaves no pose CSV behind
     if args.dump_activations:
         os.makedirs(args.dump_activations, exist_ok=True)
         for name, qt in res.activations.items():
             tensorfile.write_qtensor(os.path.join(args.dump_activations, f"{name}.qtns"), qt)
+    body = "x,y,z,theta,raw_x,raw_y,raw_z,raw_theta\n"
+    body += ",".join(f"{v:.9g}" for v in res.pose) + "," + ",".join(str(int(v)) for v in res.raw) + "\n"
+    write_csv(args.out, body, inputs=[args.qgraph, args.image])
     print(f"pose: x={res.pose[0]:.4f} y={res.pose[1]:.4f} z={res.pose[2]:.4f} theta={res.pose[3]:.4f}")
     return EXIT_OK
 
@@ -291,7 +292,7 @@ def build_parser():
     p.add_argument("--weights", help="directory of float QTNS tensors, one per layer")
     p.add_argument("--calib", help="directory of PGM calibration images")
     p.add_argument("--calib-size", type=int, default=8, help="synthetic calibration images")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_quantize)
 
@@ -325,7 +326,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="closed-loop tracking run")
     p.add_argument("--net", required=True, choices=sorted(S.RATE_HZ))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--rate", type=float, help="override the high-level loop rate")
     p.add_argument("--config", help="controller/simulation overrides JSON")
     p.add_argument("--out", required=True, help="trajectory CSV")
@@ -336,7 +337,7 @@ def build_parser():
     p.add_argument("--image", required=True, help="160x160 PGM source frame")
     p.add_argument("--label", required=True, help="x,y,z,theta")
     p.add_argument("--count", type=non_negative_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_augment)
 

@@ -42,15 +42,7 @@ import numpy as np
 from . import graph as G
 from .errors import AccumulatorOverflowError, SchemaError
 from .floatnet import FloatNet
-from .qtensor import (
-    DTYPE_FOR_LEVELS,
-    INT32_MAX,
-    INT32_MIN,
-    QTensor,
-    QuantParams,
-    act_eps,
-    requant_codes,
-)
+from .qtensor import INT32_MAX, INT32_MIN, QTensor, act_eps, requant_codes
 
 IMAGE_EPS = 1.0 / 255.0
 
@@ -60,10 +52,6 @@ _BLOCK_TAPS = (2**24 - 1) // (255 * 128)   # 514
 # |acc| <= 255 * 128 * K for the same operands, so int32 holds every
 # accumulator of at most this many taps and only a longer K is range-checked
 _INT32_SAFE_TAPS = INT32_MAX // (255 * 128)   # 65,793
-
-
-def image_qparams() -> QuantParams:
-    return QuantParams(eps=IMAGE_EPS, levels=256, signed=False)
 
 
 def scale_chain(g: G.NetGraph, weight_eps, alphas) -> dict:
@@ -147,12 +135,6 @@ def _requant(x: np.ndarray, rp) -> np.ndarray:
     return requant_codes(x, rp.mult, rp.shift, rp.bias)
 
 
-def _snapshot(l: G.LayerSpec, x: np.ndarray, eps: float) -> QTensor:
-    wide = l.kind in (G.CONV, G.FC)   # int32 accumulators, else u8 codes
-    qp = QuantParams(eps, 2**32 if wide else 256, signed=wide)
-    return QTensor(x.astype(DTYPE_FOR_LEVELS[qp.levels, qp.signed]), qp)
-
-
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
     """Run the quantized graph entirely in the integer domain, once it
     passes `QuantizedGraph.check`, on a uint8 image of the graph's input."""
@@ -160,9 +142,9 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
     g = qg.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
-    if image.qp != image_qparams() or image.data.dtype != np.uint8:
-        raise SchemaError(f"image quantization {image.qp} of {image.data.dtype} codes != "
-                          f"{image_qparams()} of uint8 codes")
+    if image.eps != IMAGE_EPS or image.data.dtype != np.uint8:
+        raise SchemaError(f"image of {image.data.dtype} codes at eps {image.eps} != "
+                          f"uint8 codes at eps {IMAGE_EPS}")
     scales = qg.scales()
     acts = {} if record_activations else None
     x = image.data
@@ -176,7 +158,7 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
                 # monotone requant commutes with max: pool the accumulator first
                 pooled = rp
                 if record_activations:
-                    acts[l.name] = _snapshot(l, _requant(x, rp), scales[l.name])
+                    acts[l.name] = QTensor(_requant(x, rp), scales[l.name])
                 continue
             x = _requant(x, rp)
         elif l.kind == G.POOL:
@@ -188,7 +170,7 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
         else:
             continue
         if record_activations:
-            acts[l.name] = _snapshot(l, x, scales[l.name])
+            acts[l.name] = QTensor(x, scales[l.name])
     return InferenceResult(raw=raw, pose=scales[g.head().name] * raw.astype(np.float64),
                            activations=acts)
 
@@ -278,4 +260,4 @@ def crop_center(frame: np.ndarray, target: tuple) -> QTensor:
     else:
         r0, c0 = (h - th) // 2, (w - tw) // 2
         img = frame[r0 : r0 + th, c0 : c0 + tw]
-    return QTensor(img.reshape(1, th, tw).copy(), image_qparams())
+    return QTensor(img.reshape(1, th, tw).copy(), IMAGE_EPS)

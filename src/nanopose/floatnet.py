@@ -57,15 +57,15 @@ def random_float_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
 def snap_weights_to_grid(w: np.ndarray) -> np.ndarray:
     """Move weights onto their own 127-step quantization grid.
 
-    Deployment decomposes weights losslessly when they already sit on the
+    Deployment quantizes weights losslessly when they already sit on the
     per-layer grid, which is where fake-quantized fine-tuning leaves them.
     The code extremes are pinned so the grid is a fixed point of the
     zero-extended range computation.
     """
-    from .qtensor import weight_eps
+    from .qtensor import FLOOR_GUARD, weight_eps
 
     eps = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
-    base = int(np.floor(min(float(w.min()), 0.0) / eps + 1e-9))
+    base = int(np.floor(min(float(w.min()), 0.0) / eps + FLOOR_GUARD))
     codes = np.clip(np.round(w / eps), base, base + 127)
     codes.flat[int(np.argmin(codes))] = base
     codes.flat[int(np.argmax(codes))] = base + 127

@@ -5,13 +5,12 @@ maps a real tensor t to integer codes with a single positive scale eps,
 
     code(x) = floor(x / eps),  dequant(code) = eps * code
 
-Activations are unsigned 8-bit codes, weights signed 8-bit codes and
-accumulators 32-bit signed.  Weights are stored on disk as 7-bit offsets
-from a base point (split_weight_codes); that form exists only in QTNS files
-and in decompose_weights' result.
+A QTensor is those codes plus eps.  The codes' dtype is their kind and
+range: uint8 activations, int8 weights and int32 accumulators.  Weights are
+stored on disk as 7-bit offsets from a base point (split_weight_codes); that
+form exists only in QTNS files.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,8 @@ from .errors import DegenerateLayerError
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
-# storage dtype of each kind of integer code, by (levels, signed):
-# activations, weights, accumulators
-DTYPE_FOR_LEVELS = {
-    (256, False): np.uint8,
-    (256, True): np.int8,
-    (2**32, True): np.int32,
-}
+# the dtype of each kind of integer code: activations, weights, accumulators
+CODE_DTYPES = (np.dtype(np.uint8), np.dtype(np.int8), np.dtype(np.int32))
 
 # floor(x / eps) evaluated in floats can fall one step short when x sits
 # exactly on a grid point and the division rounds down; this guard keeps
@@ -35,66 +29,26 @@ DTYPE_FOR_LEVELS = {
 FLOOR_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class QuantParams:
-    """Scale and integer range of a quantized tensor.
-
-    eps:       real value of one integer step (> 0).
-    levels:    number of representable levels (256 activations and weight
-               codes, 128 weight offsets, 2**32 accumulators).
-    signed:    whether stored codes are signed.
-    """
-
-    eps: float
-    levels: int
-    signed: bool
-
-    def __post_init__(self):
-        if not (self.eps > 0 and np.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
-
-    @property
-    def qmin(self) -> int:
-        return -(self.levels // 2) if self.signed else 0
-
-    @property
-    def qmax(self) -> int:
-        return self.levels // 2 - 1 if self.signed else self.levels - 1
-
-
-@functools.cache
-def _dtype_within(dtype, lo: int, hi: int) -> bool:
-    """Whether every value of an integer dtype lies in [lo, hi]."""
-    if dtype.kind not in "iu":
-        return False
-    info = np.iinfo(dtype)
-    return lo <= info.min and info.max <= hi
-
-
 @dataclass
 class QTensor:
-    """Integer tensor payload plus its quantization parameters."""
+    """Integer codes of one of the CODE_DTYPES plus the real value of one
+    step, eps (finite and > 0); anything else is a ValueError."""
 
     data: np.ndarray
-    qp: QuantParams
+    eps: float
 
     def __post_init__(self):
-        lo, hi = self.qp.qmin, self.qp.qmax
-        if _dtype_within(self.data.dtype, lo, hi):
-            return
-        if self.data.size and (self.data.min() < lo or self.data.max() > hi):
-            raise ValueError(
-                f"codes [{self.data.min()}, {self.data.max()}] exceed range [{lo}, {hi}]"
-            )
+        if self.data.dtype not in CODE_DTYPES:
+            raise ValueError(f"codes must be uint8, int8 or int32, got {self.data.dtype}")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
 
     def dequantize(self) -> np.ndarray:
-        return self.qp.eps * self.data.astype(np.float64)
+        return self.eps * self.data.astype(np.float64)
 
 
 def check_finite(x: np.ndarray) -> None:
@@ -105,14 +59,14 @@ def check_finite(x: np.ndarray) -> None:
         raise ValueError(f"non-finite element at flat index {idx}")
 
 
-def quantize(t: np.ndarray, qp: QuantParams) -> QTensor:
-    """Quantize a real tensor: floor(x / eps) saturated to the code range."""
+def quantize(t: np.ndarray, eps: float, dtype=np.uint8) -> QTensor:
+    """Quantize a real tensor: floor(x / eps) saturated to the range of the
+    code dtype."""
     t = np.asarray(t, dtype=np.float64)
     check_finite(t)
-    codes = np.floor(t / qp.eps + FLOOR_GUARD)
-    codes = np.clip(codes, qp.qmin, qp.qmax)
-    dtype = DTYPE_FOR_LEVELS.get((qp.levels, qp.signed), np.int64)
-    return QTensor(data=codes.astype(dtype), qp=qp)
+    info = np.iinfo(dtype)
+    codes = np.clip(np.floor(t / eps + FLOOR_GUARD), info.min, info.max)
+    return QTensor(codes.astype(dtype), eps)
 
 
 def weight_eps(w_min: float, w_max: float) -> float:
@@ -142,29 +96,31 @@ def split_weight_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return offsets.astype(np.int8), base
 
 
-def decompose_weights(w: np.ndarray, eps_w: float) -> tuple[QTensor, int]:
-    """Split weights into an integer base point plus 7-bit offsets.
+def weight_codes(w: np.ndarray) -> QTensor:
+    """Signed int8 codes of a layer's weights at one per-layer scale.
 
-    Returns (w_star, w_star_min) where full integer codes are
-    w_star_min + w_star = floor(w / eps_w), so eps_w * (w_star_min + w_star)
-    reconstructs each weight to within eps_w: the floor puts every code in
+    eps_w is the weight range extended to include zero, split into 127
+    steps; anchoring at zero keeps a one-sided distribution inside signed
+    8 bits.  The codes are floor(w / eps_w), so eps_w * code reconstructs
+    each weight to within eps_w: the floor puts every code in
     (w/eps_w - 1, w/eps_w + FLOOR_GUARD], and with |code| <= 128 float
-    rounding moves that by far less than the guard.  The base point is the
-    code of min(w_min, 0); anchoring at zero keeps the full codes inside the
-    signed 8-bit range even when the weight distribution is one-sided.
+    rounding moves that by far less than the guard.  DegenerateLayerError
+    when the codes do not fit the 128-level window of split_weight_codes or
+    its base falls below -128.
     """
     w = np.asarray(w, dtype=np.float64)
+    eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
     check_finite(w)
     codes = np.floor(w / eps_w + FLOOR_GUARD).astype(np.int64)
     try:
-        offsets, w_star_min = split_weight_codes(codes)
+        _, base = split_weight_codes(codes)
     except ValueError as e:
-        raise DegenerateLayerError(f"weight {e}; eps_w inconsistent with this tensor") from None
-    if w_star_min < -128:
+        raise DegenerateLayerError(f"weight {e}") from None
+    if base < -128:
         raise DegenerateLayerError(
             f"full weight codes [{codes.min()}, {codes.max()}] exceed signed 8-bit"
         )
-    return QTensor(offsets, QuantParams(eps=eps_w, levels=128, signed=False)), w_star_min
+    return QTensor(codes.astype(np.int8), eps_w)
 
 
 def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:

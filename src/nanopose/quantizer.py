@@ -1,9 +1,10 @@
 """Post-training calibration and float-to-integer graph conversion.
 
 Calibration records the maximum each ReLU reaches over a calibration set;
-conversion decomposes weights per layer, folds batch-norm and the activation
-scale into one per-channel integer affine (multiplier, shift, bias), and
-leaves the head as raw 32-bit output with a per-variable scale.
+conversion floors each layer's weights to signed int8 codes at one scale
+(`qtensor.weight_codes`), folds batch-norm and the activation scale into one
+per-channel integer affine (multiplier, shift, bias), and leaves the head as
+raw 32-bit output with a per-variable scale.
 """
 
 import json
@@ -16,14 +17,7 @@ from . import engine, graph as G, tensorfile
 from .errors import (ConversionError, DeadActivationError, RequantParameterError, SchemaError,
                      as_str, decoding, finite_real, parse_doc)
 from .floatnet import FloatNet
-from .qtensor import (
-    INT32_MAX,
-    INT32_MIN,
-    QTensor,
-    QuantParams,
-    decompose_weights,
-    weight_eps,
-)
+from .qtensor import INT32_MAX, INT32_MIN, weight_codes
 
 # round(scale * 2^shift) must keep at least this many counts so the fitted
 # ratio reproduces the float scale to a relative error of 2^-15.
@@ -58,7 +52,7 @@ class QuantizedGraph:
 
     def scales(self) -> dict:
         """Output scale of every layer, by name (`engine.scale_chain`)."""
-        return engine.scale_chain(self.graph, {k: qt.qp.eps for k, qt in self.weights.items()},
+        return engine.scale_chain(self.graph, {k: qt.eps for k, qt in self.weights.items()},
                                   {k: rp.alpha for k, rp in self.requant.items()})
 
     def check(self, where: str) -> None:
@@ -154,17 +148,9 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
     """Transform a calibrated float net into an integer-deployable graph."""
     g = net.graph
     g.head()   # SchemaError for a graph without one
-    qg = QuantizedGraph(graph=g)
-    for l in g.layers:
-        if l.kind in (G.CONV, G.FC):
-            w = net.weights[l.name]
-            # Extend the range to include zero so the full signed codes stay
-            # inside 8 bits even for one-sided weight distributions.
-            eps_w = weight_eps(min(float(w.min()), 0.0), max(float(w.max()), 0.0))
-            w_star, w_star_min = decompose_weights(w, eps_w)
-            codes = (w_star_min + w_star.data.astype(np.int16)).astype(np.int8)
-            qg.weights[l.name] = QTensor(codes, QuantParams(eps_w, 256, signed=True))
-    eps = engine.scale_chain(g, {k: qt.qp.eps for k, qt in qg.weights.items()}, alphas)
+    qg = QuantizedGraph(graph=g, weights={l.name: weight_codes(net.weights[l.name])
+                                          for l in g.layers if l.kind in (G.CONV, G.FC)})
+    eps = engine.scale_chain(g, {k: qt.eps for k, qt in qg.weights.items()}, alphas)
     # the graph puts each activation stage right after its conv
     for conv, l in zip(g.layers, g.layers[1:]):
         if l.kind == G.REQUANT:
@@ -195,7 +181,7 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     bound = None
     for l in g.layers:
         if l.kind == G.CONV:
-            eps_w = qg.weights[l.name].qp.eps
+            eps_w = qg.weights[l.name].eps
             taps = l.taps()
             w_deq = np.abs(qg.weights[l.name].dequantize()).reshape(l.out_ch, -1).sum(axis=1).max()
             # |w| <= |w_deq| + eps_w per tap, hence the extra taps * eps_w mass
@@ -209,7 +195,7 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
             x_max = qg.requant[l.name].alpha
             pending = None
         elif l.kind == G.FC:
-            eps_w = qg.weights[l.name].qp.eps
+            eps_w = qg.weights[l.name].eps
             taps = l.taps()
             w_deq = np.abs(qg.weights[l.name].dequantize()).reshape(l.out_ch, -1).sum(axis=1)
             bound = eps_w * taps * x_max + (w_deq + taps * eps_w) * delta + eps[l.name]

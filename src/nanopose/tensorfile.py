@@ -25,17 +25,12 @@ import struct
 import numpy as np
 
 from .errors import SchemaError
-from .qtensor import DTYPE_FOR_LEVELS, QTensor, QuantParams, split_weight_codes
+from .qtensor import QTensor, split_weight_codes
 
 MAGIC = b"QTNS"
 
 _CODE_TO_DTYPE = {0: np.uint8, 1: np.int8, 2: np.int32, 3: np.float32}
 _DTYPE_TO_CODE = {np.dtype(v): k for k, v in _CODE_TO_DTYPE.items()}
-
-# integer payloads decode to the code kind stored in that dtype; i8 ones to
-# signed weight codes, base + offset
-_QP_FOR_CODE = {_DTYPE_TO_CODE[np.dtype(dt)]: dict(levels=levels, signed=signed)
-                for (levels, signed), dt in DTYPE_FOR_LEVELS.items()}
 
 
 def write_tensor(path, data: np.ndarray, eps: float = 1.0, base: int = 0) -> None:
@@ -80,19 +75,18 @@ def write_qtensor(path, qt: QTensor) -> None:
     base (ValueError when they span more than 128 levels)."""
     if qt.data.dtype == np.int8:
         offsets, base = split_weight_codes(qt.data)
-        write_tensor(path, offsets, eps=qt.qp.eps, base=base)
+        write_tensor(path, offsets, eps=qt.eps, base=base)
     else:
-        write_tensor(path, qt.data, eps=qt.qp.eps)
+        write_tensor(path, qt.data, eps=qt.eps)
 
 
 def read_qtensor(path) -> QTensor:
     """Read a quantized tensor; an i8 payload comes back as the signed
     weight codes base + offset."""
     data, eps, base = read_tensor(path)
-    code = _DTYPE_TO_CODE[np.dtype(data.dtype)]
-    if code == 3:
+    if data.dtype == np.float32:
         raise SchemaError(f"{path}: float payload is not a quantized tensor")
-    if code == 1:
+    if data.dtype == np.int8:
         lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
         if lo < 0:
             raise SchemaError(f"{path}: weight offset {lo} is below 0")
@@ -101,4 +95,4 @@ def read_qtensor(path) -> QTensor:
         data = (base + data.astype(np.int16)).astype(np.int8)
     elif base:
         raise SchemaError(f"{path}: base {base} on a payload without weight offsets")
-    return QTensor(data=data, qp=QuantParams(eps=eps, **_QP_FOR_CODE[code]))
+    return QTensor(data, eps)

@@ -19,7 +19,7 @@ from nanopose.floatnet import random_float_net, realistic_random_net
 from nanopose.metrics import metrics, rsquared
 from nanopose.planner import GAP8, RESIDENT, STREAMED, plan
 from nanopose.pose import Pose
-from nanopose.qtensor import QTensor, decompose_weights, quantize, weight_eps, QuantParams
+from nanopose.qtensor import QTensor, quantize, weight_codes
 from nanopose.quantizer import CalibrationSet, calibrate, convert, quantization_error_bound
 from nanopose.simulate import RATE_HZ, noise_for, run_experiment
 
@@ -83,16 +83,15 @@ def test_criterion_2_quantization_properties():
         for alpha in (1.0, 7.3):
             eps = alpha / 255
             x = np.linspace(0, alpha, 10_000)
-            q = quantize(x, QuantParams(eps=eps, levels=256, signed=False))
+            q = quantize(x, eps)
             assert np.abs(x - eps * q.data).max() < eps
 
-        # weight decomposition reconstruction within eps_W
+        # weight code reconstruction within eps_W
         rng = np.random.default_rng(2024)
         for _ in range(30):
             w = rng.normal(0, rng.uniform(0.05, 1.5), int(rng.integers(16, 400)))
-            eps_w = weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
-            w_star, base = decompose_weights(w, eps_w)
-            assert np.abs(eps_w * (base + w_star.data.astype(np.int64)) - w).max() <= eps_w
+            qw = weight_codes(w)
+            assert np.abs(qw.dequantize() - w).max() <= qw.eps
 
         # >= 100 seeded random graph/input pairs, integer engine vs the
         # naive 6-loop oracle, bit-exact at every layer
@@ -102,7 +101,7 @@ def test_criterion_2_quantization_properties():
             for k in range(4):
                 codes = np.random.default_rng(5000 + 4 * seed + k).integers(
                     0, 256, g.input_shape).astype(np.uint8)
-                res = engine.infer_int(qg, QTensor(codes, engine.image_qparams()),
+                res = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS),
                                        record_activations=True)
                 ref = run_int_reference(qg, codes)
                 for name, qt in res.activations.items():
@@ -127,7 +126,7 @@ def test_criterion_2_quantization_properties():
             for img in imgs:
                 codes = np.round(img * 255).astype(np.uint8)
                 pose_f, _ = engine.infer_float(net, codes / 255.0)
-                pose_i = engine.infer_int(qg, QTensor(codes, engine.image_qparams())).pose
+                pose_i = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS)).pose
                 diff = np.abs(pose_i - pose_f)
                 assert (diff <= bound).all()
                 assert diff.max() < 0.05

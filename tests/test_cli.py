@@ -90,7 +90,7 @@ class TestQuantizeInfer:
         assert run_cli(["infer", "--qgraph", str(qgraph_file), "--image", str(img),
                         "--out", str(pose_csv)]) == 0
         want = engine.infer_int(load_qgraph(qgraph_file),
-                                nanopose.QTensor(px.reshape(1, 48, 80), engine.image_qparams()))
+                                nanopose.QTensor(px.reshape(1, 48, 80), engine.IMAGE_EPS))
         row = [l for l in pose_csv.read_text().splitlines() if not l.startswith("#")][1]
         assert row.split(",")[4:] == [str(int(v)) for v in want.raw]
 
@@ -102,6 +102,7 @@ class TestQuantizeInfer:
                         "--out", str(tmp_path / "pose.csv"), "--dump-activations", str(taken)])
         assert code == EXIT_NOT_FOUND
         assert "error[not-found]" in capsys.readouterr().err
+        assert not (tmp_path / "pose.csv").exists()
 
     def test_missing_image_exit_3(self, tmp_path, qgraph_file):
         code = run_cli(["infer", "--qgraph", str(qgraph_file),
@@ -604,6 +605,21 @@ class TestAugmentCmd:
                      "--out", str(tmp_path / "aug")])
         assert ei.value.code == EXIT_USAGE
         assert not (tmp_path / "aug").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--net", "80x32", "--out", "q.json"],
+    ["simulate", "--net", "mocap", "--out", "log.csv"],
+    ["augment", "--image", "frame.pgm", "--label", "1,0,0,0", "--out", "aug"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_usage_exit(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    frame_pgm(tmp_path, size=160)
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as ei:
+        run_cli([*argv, "--seed", "-1"])
+    assert ei.value.code == EXIT_USAGE
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestEntryPoint:

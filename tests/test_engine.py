@@ -6,7 +6,7 @@ import pytest
 from nanopose import engine, graph as G
 from nanopose.errors import AccumulatorOverflowError, RequantParameterError, SchemaError
 from nanopose.floatnet import random_float_net
-from nanopose.qtensor import QTensor, QuantParams, act_eps
+from nanopose.qtensor import QTensor, act_eps
 from nanopose.quantizer import CalibrationSet, QuantizedGraph, RequantParams, calibrate, convert
 
 from oracles import (
@@ -140,7 +140,7 @@ class TestInferInt:
         g, net, qg, _ = converted_toy(0)
         for rp in qg.requant.values():
             rp.bias = np.zeros_like(rp.bias)
-        img = QTensor(np.zeros(g.input_shape, dtype=np.uint8), engine.image_qparams())
+        img = QTensor(np.zeros(g.input_shape, dtype=np.uint8), engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         assert (res.raw == 0).all()
         for qt in res.activations.values():
@@ -149,7 +149,7 @@ class TestInferInt:
     def test_matches_naive_reference_everywhere(self):
         g, net, qg, rng = converted_toy(3)
         codes = random_image_codes(rng, g.input_shape)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         ref = run_int_reference(qg, codes)
         for name, qt in res.activations.items():
@@ -167,23 +167,21 @@ class TestInferInt:
         from nanopose.quantizer import QuantizedGraph, RequantParams
 
         qg = QuantizedGraph(graph=g)
-        qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8),
-                                  QuantParams(0.5, 256, True))
+        qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8), 0.5)
         qg.requant["a"] = RequantParams(
             mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
-        qg.weights["fc"] = QTensor(np.full((4, 9), 2, dtype=np.int8),
-                                   QuantParams(1.0, 256, True))
+        qg.weights["fc"] = QTensor(np.full((4, 9), 2, dtype=np.int8), 1.0)
         codes = np.arange(9, dtype=np.uint8).reshape(1, 3, 3)
-        res = engine.infer_int(qg, QTensor(codes, engine.image_qparams()), record_activations=True)
+        res = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS), record_activations=True)
         # conv: acc = 3 * code; requant multiplies by 1 (clamped at 255)
         want_act = np.minimum(3 * np.arange(9), 255)
         assert (res.activations["a"].data.reshape(-1) == want_act).all()
         # fc: each output = 2 * sum(acts) = 2 * 108
         assert (res.raw == 2 * want_act.sum()).all()
         # scales: image 1/255 x weight 0.5, then alpha 255 / 255 = 1 x weight 1
-        assert res.activations["c"].qp.eps == engine.IMAGE_EPS * 0.5
-        assert res.activations["a"].qp.eps == 1.0
-        assert res.activations["fc"].qp.eps == 1.0
+        assert res.activations["c"].eps == engine.IMAGE_EPS * 0.5
+        assert res.activations["a"].eps == 1.0
+        assert res.activations["fc"].eps == 1.0
         assert (res.pose == res.raw).all()
 
     @pytest.mark.parametrize("hw", [(5, 103), (21, 49)])
@@ -199,13 +197,13 @@ class TestInferInt:
         ]
         g = G.infer_shapes(G.NetGraph(layers, (1, h, w)))
         qg = QuantizedGraph(graph=g)
-        qg.weights["c"] = QTensor(np.ones((1, 1, 1, 1), dtype=np.int8), QuantParams(1.0, 256, True))
+        qg.weights["c"] = QTensor(np.ones((1, 1, 1, 1), dtype=np.int8), 1.0)
         qg.requant["a"] = RequantParams(
             mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
         fc = np.random.default_rng(h).integers(-128, 128, (4, h * w)).astype(np.int8)
         fc[0], fc[1] = -128, 127
-        qg.weights["fc"] = QTensor(fc, QuantParams(1.0, 256, True))
-        img = QTensor(np.full((1, h, w), 255, dtype=np.uint8), engine.image_qparams())
+        qg.weights["fc"] = QTensor(fc, 1.0)
+        img = QTensor(np.full((1, h, w), 255, dtype=np.uint8), engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         acts = res.activations["a"].data.reshape(-1)
         assert (acts == 255).all()
@@ -214,29 +212,29 @@ class TestInferInt:
 
     def test_shape_mismatch(self):
         g, net, qg, _ = converted_toy(4)
-        bad = QTensor(np.zeros((1, 5, 5), dtype=np.uint8), engine.image_qparams())
+        bad = QTensor(np.zeros((1, 5, 5), dtype=np.uint8), engine.IMAGE_EPS)
         with pytest.raises(SchemaError):
             engine.infer_int(qg, bad)
 
     def test_image_quant_params_checked(self):
         g, net, qg, rng = converted_toy(4)
         codes = random_image_codes(rng, g.input_shape)
-        engine.infer_int(qg, QTensor(codes, QuantParams(1 / 255, 256, signed=False)))
-        for qt in (QTensor(codes, QuantParams(0.5, 256, signed=False)),
-                   QTensor((codes // 2).astype(np.int8), QuantParams(1 / 255, 256, signed=True))):
-            with pytest.raises(SchemaError, match="image quantization"):
+        engine.infer_int(qg, QTensor(codes, 1 / 255))
+        for qt in (QTensor(codes, 0.5), QTensor((codes // 2).astype(np.int8), 1 / 255)):
+            with pytest.raises(SchemaError, match="!= uint8 codes at eps"):
                 engine.infer_int(qg, qt)
 
     def test_wide_image_payload_rejected(self):
-        # u8 params on int64 codes of the same values
+        # int64 codes of the same values, swapped in after construction
         g, net, qg, rng = converted_toy(4)
-        codes = random_image_codes(rng, g.input_shape).astype(np.int64)
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
+        img.data = img.data.astype(np.int64)
         with pytest.raises(SchemaError, match="int64 codes"):
-            engine.infer_int(qg, QTensor(codes, engine.image_qparams()))
+            engine.infer_int(qg, img)
 
     def test_negative_multiplier_rejected(self):
         g, net, qg, rng = converted_toy(4)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
         for name in qg.requant:   # the first stage is pooled before it is requantized
             rp = qg.requant[name]
             rp.mult = -rp.mult
@@ -247,17 +245,17 @@ class TestInferInt:
     def test_repeat_determinism(self):
         g, net, qg, rng = converted_toy(5, spatial=(16, 16))
         codes = random_image_codes(rng, g.input_shape)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         ref = engine.infer_int(qg, img).raw
         for _ in range(3):
             assert (engine.infer_int(qg, img).raw == ref).all()
 
     def test_pose_equals_eps_times_raw(self):
         g, net, qg, rng = converted_toy(6)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
         res = engine.infer_int(qg, img)
         last_act = [l.name for l in g.layers if l.kind == G.REQUANT][-1]
-        head_eps = act_eps(qg.requant[last_act].alpha) * qg.weights["fc"].qp.eps
+        head_eps = act_eps(qg.requant[last_act].alpha) * qg.weights["fc"].eps
         assert np.allclose(res.pose, head_eps * res.raw)
 
 
@@ -290,8 +288,7 @@ def odd_pool_qgraph(seed):
     for l in g.layers:
         if l.kind in (G.CONV, G.FC):
             shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-            qg.weights[l.name] = QTensor(rng.integers(-128, 128, shape).astype(np.int8),
-                                         QuantParams(0.01, 256, signed=True))
+            qg.weights[l.name] = QTensor(rng.integers(-128, 128, shape).astype(np.int8), 0.01)
         elif l.kind == G.REQUANT:
             mult = rng.integers(0, 400, l.out_ch)
             mult[1] = 0
@@ -308,7 +305,7 @@ class TestPoolBeforeRequant:
     def test_matches_naive_reference(self, seed):
         g, qg, rng = odd_pool_qgraph(seed)
         codes = random_image_codes(rng, g.input_shape)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         ref = run_int_reference(qg, codes)
         assert set(res.activations) == set(ref) - {"d"}
@@ -321,7 +318,7 @@ class TestPoolBeforeRequant:
 
     def test_requant_sees_pooled_accumulator(self, monkeypatch):
         g, qg, rng = odd_pool_qgraph(0)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
         shapes = []
         real = engine.requant_codes
         monkeypatch.setattr(engine, "requant_codes",
@@ -337,7 +334,7 @@ def reference_frame(variant):
     rng = np.random.default_rng(12)
     qg = convert(net, calibrate(net, CalibrationSet([random_image_codes(rng, g.input_shape)
                                                      * engine.IMAGE_EPS])))
-    return qg, QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+    return qg, QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
 
 
 def warm_peak(variant):
@@ -370,7 +367,7 @@ class TestHeldCodes:
 
     def test_inference_decodes_no_weights(self, monkeypatch):
         g, net, qg, rng = converted_toy(7)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.image_qparams())
+        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
         seen = []
         real = engine.conv2d_int
         monkeypatch.setattr(engine, "conv2d_int",
@@ -384,7 +381,7 @@ class TestHeldCodes:
     def test_replaced_requant_bias_is_used(self):
         g, net, qg, rng = converted_toy(8)
         codes = random_image_codes(rng, g.input_shape)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         before = engine.infer_int(qg, img).raw
         name = next(iter(qg.requant))
         rp = qg.requant[name]
@@ -398,7 +395,7 @@ class TestHeldCodes:
     def test_in_place_edits_take_effect(self):
         g, net, qg, rng = converted_toy(8)
         codes = random_image_codes(rng, g.input_shape)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         before = engine.infer_int(qg, img, record_activations=True).activations
         conv, act = (l.name for l in g.layers[:2])
         w = qg.weights[conv].data

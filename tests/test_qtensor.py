@@ -1,30 +1,38 @@
 import numpy as np
 import pytest
 
+from nanopose import qtensor
 from nanopose.errors import DegenerateLayerError
 from nanopose.qtensor import (
-    QuantParams,
+    FLOOR_GUARD,
+    QTensor,
     act_eps,
-    decompose_weights,
     quantize,
     requant_codes,
     split_weight_codes,
+    weight_codes,
     weight_eps,
 )
 
 
-def u8_qp(eps):
-    return QuantParams(eps=eps, levels=256, signed=False)
+class TestQTensor:
+    def test_other_dtypes_and_bad_eps_rejected(self):
+        for dtype in (np.int16, np.int64, np.float32, np.bool_):
+            with pytest.raises(ValueError, match="uint8, int8 or int32"):
+                QTensor(np.zeros(3, dtype=dtype), 0.5)
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                QTensor(np.zeros(3, dtype=np.uint8), eps)
 
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):
         for eps in (0.01, 1.0, 37.5):
-            q = quantize(np.array([0.0]), u8_qp(eps))
+            q = quantize(np.array([0.0]), eps)
             assert q.data[0] == 0
 
     def test_floor_definition(self):
-        q = quantize(np.array([2.5]), u8_qp(1.0))
+        q = quantize(np.array([2.5]), 1.0)
         assert q.data[0] == 2
 
     def test_roundtrip_below_eps_on_grid(self):
@@ -32,30 +40,32 @@ class TestQuantize:
         alpha = 3.7
         eps = alpha / 255
         x = np.linspace(0.0, alpha, 10_000)
-        q = quantize(x, u8_qp(eps))
+        q = quantize(x, eps)
         err = np.abs(x - eps * q.data)
         assert err.max() < eps
 
     def test_monotone(self):
         rng = np.random.default_rng(7)
         x = np.sort(rng.uniform(0, 5.0, 500))
-        q = quantize(x, u8_qp(5.0 / 255)).data.astype(int)
+        q = quantize(x, 5.0 / 255).data.astype(int)
         assert (np.diff(q) >= 0).all()
 
     def test_saturates_to_range(self):
-        q = quantize(np.array([-10.0, 1e6]), u8_qp(1.0))
+        q = quantize(np.array([-10.0, 1e6]), 1.0)
         assert q.data[0] == 0 and q.data[1] == 255
 
     def test_signed_weight_codes_are_int8(self):
-        # int64 codes would send infer_int down its int64 GEMM path
-        q = quantize(np.array([-0.3, 0.2, -5.0]), QuantParams(0.01, 256, True))
+        # quantize saturates to the range of the code dtype it is given
+        q = quantize(np.array([-0.3, 0.2, -5.0]), 0.01, np.int8)
         assert q.data.dtype == np.int8
         assert q.data.tolist() == [-30, 20, -128]
+        q = quantize(np.array([-1e12, 1e12]), 1.0, np.int32)
+        assert q.data.tolist() == [-(2**31), 2**31 - 1]
 
     def test_rejects_non_finite_with_index(self):
         x = np.array([1.0, np.nan, 2.0])
         with pytest.raises(ValueError, match="index 1"):
-            quantize(x, u8_qp(1.0))
+            quantize(x, 1.0)
 
 
 class TestScales:
@@ -90,49 +100,65 @@ class TestScales:
 
 
 class TestDecompose:
+    """weight_codes: a layer's weights as int8 codes at one scale."""
+
     def test_symmetric_base_is_minus_64(self):
         rng = np.random.default_rng(0)
         a = 0.8
         w = rng.uniform(-a, a, (16, 8, 3, 3))
         w.flat[0], w.flat[1] = -a, a  # pin the extremes
-        eps = weight_eps(w.min(), w.max())
-        w_star, base = decompose_weights(w, eps)
+        qt = weight_codes(w)
+        assert qt.eps == weight_eps(w.min(), w.max())
+        _, base = split_weight_codes(qt.data)
         assert base == -64
-        recon = eps * (base + w_star.data.astype(np.int64))
-        assert np.abs(recon - w).max() <= eps
+        assert np.abs(qt.dequantize() - w).max() <= qt.eps
 
     def test_asymmetric_positive_fits_int8(self):
         rng = np.random.default_rng(1)
         w = rng.uniform(0.0, 0.5, 4000)
         w[0], w[1] = 0.0, 0.5
-        eps = weight_eps(0.0, 0.5)
-        w_star, base = decompose_weights(w, eps)
-        full = base + w_star.data.astype(np.int64)
-        # exhaustive scan of the reconstructed integer range
-        assert full.min() >= -128 and full.max() <= 127
-        assert np.abs(eps * full - w).max() <= eps
+        qt = weight_codes(w)
+        assert qt.eps == weight_eps(0.0, 0.5)
+        # int8 codes: the dtype holds the range, and the base sits at zero
+        assert qt.data.dtype == np.int8 and split_weight_codes(qt.data)[1] == 0
+        assert np.abs(qt.dequantize() - w).max() <= qt.eps
 
     def test_reconstruction_bound_random(self):
         rng = np.random.default_rng(9)
         for trial in range(20):
             w = rng.normal(0, rng.uniform(0.05, 2.0), 300)
-            eps = weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
-            w_star, base = decompose_weights(w, eps)
-            assert np.abs(eps * (base + w_star.data.astype(np.int64)) - w).max() <= eps
+            qt = weight_codes(w)
+            assert qt.eps == weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
+            assert np.abs(qt.dequantize() - w).max() <= qt.eps
 
     def test_full_codes_int8(self):
         rng = np.random.default_rng(5)
         w = rng.normal(0, 0.4, 256)
+        qt = weight_codes(w)
         eps = weight_eps(min(w.min(), 0.0), max(w.max(), 0.0))
-        w_star, base = decompose_weights(w, eps)
-        codes = base + w_star.data.astype(np.int64)
-        assert codes.min() >= -128 and codes.max() <= 127
-        offsets, split_base = split_weight_codes(codes)
-        assert split_base == base and (offsets == w_star.data).all()
+        assert qt.data.dtype == np.int8
+        assert (qt.data == np.floor(w / eps + FLOOR_GUARD)).all()
+        offsets, base = split_weight_codes(qt.data)
+        assert (base + offsets.astype(np.int64) == qt.data).all()
 
     def test_all_zero_rejected_via_eps(self):
         with pytest.raises(DegenerateLayerError):
-            weight_eps(0.0, 0.0)
+            weight_codes(np.zeros(8))
+
+    def test_codes_outside_the_int8_window_rejected(self, monkeypatch):
+        # a scale finer than weight_eps gives: a window wider than 128
+        # levels, then a 3-level window whose base is below -128
+        monkeypatch.setattr(qtensor, "weight_eps", lambda lo, hi: (hi - lo) / 254)
+        with pytest.raises(DegenerateLayerError, match="exceed range"):
+            weight_codes(np.array([-0.8, 0.8]))
+        monkeypatch.setattr(qtensor, "weight_eps", lambda lo, hi: 0.005)
+        with pytest.raises(DegenerateLayerError, match="exceed signed 8-bit"):
+            weight_codes(np.array([-1.0, -0.99]))
+
+    def test_non_finite_rejected(self):
+        w = np.array([0.5, -0.5, np.inf])
+        with pytest.raises(ValueError, match="index 2"):
+            weight_codes(w)
 
 
 class TestSplitWeightCodes:

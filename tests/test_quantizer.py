@@ -101,7 +101,7 @@ class TestConvert:
         for l in g.layers:
             if l.kind == G.CONV:
                 deq = qg.weights[l.name].dequantize().reshape(net.weights[l.name].shape)
-                assert np.abs(deq - net.weights[l.name]).max() <= qg.weights[l.name].qp.eps
+                assert np.abs(deq - net.weights[l.name]).max() <= qg.weights[l.name].eps
 
     def test_scale_chain_consistency(self):
         g, net, imgs, _ = toy_setup(5)
@@ -110,7 +110,7 @@ class TestConvert:
         eps_in = engine.IMAGE_EPS
         for l in g.layers:
             if l.kind in (G.CONV, G.FC):
-                assert scales[l.name] == eps_in * qg.weights[l.name].qp.eps
+                assert scales[l.name] == eps_in * qg.weights[l.name].eps
                 eps_in = scales[l.name]
             elif l.kind == G.REQUANT:
                 assert scales[l.name] == act_eps(qg.requant[l.name].alpha)
@@ -134,8 +134,8 @@ class TestConvert:
         net.weights[first] = np.abs(net.weights[first])
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         codes = qg.weights[first]
-        assert codes.data.dtype == np.int8 and codes.qp.signed and codes.qp.levels == 256
-        assert np.abs(codes.dequantize() - net.weights[first]).max() <= codes.qp.eps
+        assert codes.data.dtype == np.int8
+        assert np.abs(codes.dequantize() - net.weights[first]).max() <= codes.eps
 
 
 class TestCrossEngine:
@@ -146,7 +146,7 @@ class TestCrossEngine:
         for img in imgs:
             codes = np.round(img / engine.IMAGE_EPS).astype(np.uint8)
             pose_f, _ = engine.infer_float(net, codes * engine.IMAGE_EPS)
-            res = engine.infer_int(qg, QTensor(codes, engine.image_qparams()))
+            res = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS))
             assert (np.abs(res.pose - pose_f) <= bound).all()
 
     def test_grid_snapped_nets_match_tightly(self):
@@ -166,7 +166,7 @@ class TestCrossEngine:
         for img in imgs:
             codes = np.round(img * 255).astype(np.uint8)
             pose_f, _ = engine.infer_float(net, codes / 255.0)
-            pose_i = engine.infer_int(qg, QTensor(codes, engine.image_qparams())).pose
+            pose_i = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS)).pose
             assert np.abs(pose_i - pose_f).max() < 0.05
 
 
@@ -221,10 +221,11 @@ class TestCheck:
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         conv = next(iter(qg.weights))
         qt = qg.weights[conv]
-        qg.weights[conv] = QTensor(qt.data.astype(np.int16), qt.qp)
+        qg.weights[conv] = bad = QTensor(qt.data, qt.eps)
+        bad.data = qt.data.astype(np.int16)   # QTensor itself rejects int16
         with pytest.raises(SchemaError, match="i8 weight payload"):
             qg.check("toy")
-        qg.weights[conv] = QTensor(qt.data[:1], qt.qp)
+        qg.weights[conv] = QTensor(qt.data[:1], qt.eps)
         with pytest.raises(SchemaError, match="i8 weight payload"):
             qg.check("toy")
         del qg.weights[conv]
@@ -243,7 +244,7 @@ class TestSerialization:
         save_qgraph(qg, str(path))
         back = load_qgraph(str(path))
         codes = rng.integers(0, 256, g.input_shape).astype(np.uint8)
-        img = QTensor(codes, engine.image_qparams())
+        img = QTensor(codes, engine.IMAGE_EPS)
         a = engine.infer_int(qg, img).raw
         b = engine.infer_int(back, img).raw
         assert (a == b).all()
@@ -261,7 +262,7 @@ class TestSerialization:
         for fn in files:
             assert (tmp_path / "a" / fn).read_bytes() == (tmp_path / "b" / fn).read_bytes(), fn
         for name, qt in qg.weights.items():
-            assert qt.data.dtype == np.int8 and qt.qp == back.weights[name].qp
+            assert qt.data.dtype == np.int8 and qt.eps == back.weights[name].eps
             assert (back.weights[name].data == qt.data).all()
         _, _, base = tensorfile.read_tensor(tmp_path / "a" / f"q_{first}.qtns")
         assert base == 0

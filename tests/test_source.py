@@ -55,3 +55,13 @@ def test_weight_layout_stated_in_graph_only():
     spelled = {path.name for path in sorted(SRC.glob("*.py"))
                if ".kernel[0] *" in path.read_text() or "*l.kernel" in path.read_text()}
     assert spelled <= {"graph.py", "audit.py"}, spelled
+
+
+def test_code_kind_stated_by_dtype_only():
+    # a QTensor's dtype is its code kind and range; no module restates it
+    # as a (levels, signed) pair
+    found = [f"{path.name}:{n}"
+             for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if "QuantParams" in line or "levels=" in line]
+    assert not found, f"second statements of the code kind: {found}"

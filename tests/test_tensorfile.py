@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nanopose.errors import SchemaError
-from nanopose.qtensor import QTensor, QuantParams, decompose_weights, quantize, weight_eps
+from nanopose.qtensor import quantize, split_weight_codes, weight_codes
 from nanopose.tensorfile import read_qtensor, read_tensor, write_qtensor, write_tensor
 
 
@@ -31,32 +31,30 @@ def test_i32_and_f32_roundtrip(tmp_path):
 
 
 def test_weight_tensor_roundtrip(tmp_path):
-    # signed codes go to disk as decompose_weights' offsets plus base, and
+    # signed codes go to disk as split_weight_codes' offsets plus base, and
     # come back as the same signed codes
     rng = np.random.default_rng(0)
-    w = rng.normal(0, 0.3, (8, 4, 3, 3))
-    eps = weight_eps(min(w.min(), 0), max(w.max(), 0))
-    w_star, base = decompose_weights(w, eps)
-    codes = (base + w_star.data.astype(np.int16)).astype(np.int8)
+    qt = weight_codes(rng.normal(0, 0.3, (8, 4, 3, 3)))
     p = tmp_path / "w.qtns"
-    write_qtensor(p, QTensor(codes, QuantParams(eps, 256, signed=True)))
-    offsets, eps_back, base_back = read_tensor(p)
-    assert (offsets == w_star.data).all() and eps_back == eps and base_back == base
+    write_qtensor(p, qt)
+    offsets, base = split_weight_codes(qt.data)
+    stored, eps_back, base_back = read_tensor(p)
+    assert (stored == offsets).all() and eps_back == qt.eps and base_back == base
     back = read_qtensor(p)
-    assert back.data.dtype == np.int8 and (back.data == codes).all()
-    assert back.qp == QuantParams(eps, 256, signed=True)
+    assert back.data.dtype == np.int8 and (back.data == qt.data).all()
+    assert back.eps == qt.eps
 
 
 def write_i8(p, payload, base):
     write_tensor(p, np.array(payload, dtype=np.int8), eps=0.25, base=base)
 
 
-@pytest.mark.parametrize("levels,signed", [(256, False), (256, True), (2**32, True)])
-def test_payload_decodes_to_the_params_it_was_quantized_with(tmp_path, levels, signed):
-    qt = quantize(np.array([[-2.0, 0.0], [1.5, 3.0]]), QuantParams(0.5, levels, signed))
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32])
+def test_payload_decodes_to_the_params_it_was_quantized_with(tmp_path, dtype):
+    qt = quantize(np.array([[-2.0, 0.0], [1.5, 3.0]]), 0.5, dtype)
     write_qtensor(tmp_path / "t.qtns", qt)
     back = read_qtensor(tmp_path / "t.qtns")
-    assert back.qp == qt.qp
+    assert back.eps == qt.eps
     assert back.data.dtype == qt.data.dtype and (back.data == qt.data).all()
 
 
