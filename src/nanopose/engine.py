@@ -6,18 +6,24 @@ per-channel integer affine, and leaves the head output as raw 32-bit fixed
 point.
 
 Each convolution is im2col plus a GEMM, and the head is a matrix-vector
-product; both go through `_int_gemm`.  With uint8 activations and int8
-weights the GEMM runs through BLAS in float32 and is still exact: a float32
-holds every integer below 2^24, and a sum of at most 514 taps keeps every
-product and partial sum at |.| <= 255 * 128 * 514 < 2^24, whatever order
-BLAS sums in.  So the K = in_ch * kh * kw taps are cut into ceil(K / 514)
-contiguous blocks of near-equal size (K = 576 -> 2 x 288, 1152 -> 3 x 384,
-the 1920-input head -> 4 x 480), each block is one float32 GEMM, and the
-blocks are added in float64, exact below 2^53.  The blocks follow from K
-alone; `_int_gemm` takes no other operands, and casts each to float32 once
-before slicing the blocks.  The same operands bound every accumulator by
-|acc| <= 255 * 128 * K, inside int32 for K <= 65,793, so the accumulators
-are scanned against the int32 range only for a longer K.
+product; both go through `_int_gemm`.  `conv2d_int` copies its uint8 input
+once into a zero-padded float32 buffer, reads every kernel tap through one
+read-only strided view (c, kh, kw, oh, ow) of it, and one reshape copy of
+that view is the (K, N) float32 column matrix, rows in the (c, u, v) order
+of the weights; the GEMM reads those columns as they are.  With uint8
+activations and int8 weights the GEMM runs through BLAS in float32 and is
+still exact: a float32 holds every integer below 2^24, and a sum of at most
+514 taps keeps every product and partial sum at |.| <= 255 * 128 * 514 <
+2^24, whatever order BLAS sums in.  So the K = in_ch * kh * kw taps are cut
+into ceil(K / 514) contiguous blocks of near-equal size (K = 576 ->
+2 x 288, 1152 -> 3 x 384, the 1920-input head -> 4 x 480), each block is
+one float32 GEMM, and the blocks are added in float64, exact below 2^53.
+The blocks follow from K alone; `_int_gemm` takes only int8 weights and
+uint8 codes (or the float32 columns holding them).  The same operands bound
+every accumulator by |acc| <= 255 * 128 * K, inside int32 for K <= 65,793,
+so the accumulators are scanned against the int32 range only for a longer
+K; `QuantizedGraph.check` holds a graph's longer layers to the tighter
+bound 255 * max sum|w| before any frame runs.
 
 A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
 pool1, the largest activation) is applied after the pool: infer_int pools
@@ -86,12 +92,14 @@ def _k_blocks(taps: int) -> tuple:
 
 def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact int32 accumulators of int8 weight codes w (M, K) @ uint8 codes
-    x (K, N), one float32 GEMM per K block; raises if any leaves int32."""
-    if w.dtype != np.int8 or x.dtype != np.uint8:
+    x (K, N), one float32 GEMM per K block; raises if any leaves int32.
+    x may also be float32 columns that hold uint8 code values, as
+    `conv2d_int` builds them; they are used without a copy."""
+    if w.dtype != np.int8 or x.dtype not in (np.uint8, np.float32):
         raise TypeError(f"_int_gemm runs int8 weights on uint8 codes, got {w.dtype} and {x.dtype}")
     taps = w.shape[1]
     edges = _k_blocks(taps)
-    w, x = w.astype(np.float32), x.astype(np.float32)
+    w, x = w.astype(np.float32), x.astype(np.float32, copy=False)
     if len(edges) == 2:
         acc = w @ x
     else:
@@ -106,21 +114,24 @@ def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding) -> np.ndarray:
-    """Integer convolution as im2col plus one blocked GEMM; returns int32
-    accumulators (C_out, H, W)."""
+    """Integer convolution of uint8 codes x (C, H, W) as im2col plus one
+    blocked GEMM; returns int32 accumulators (C_out, H, W)."""
+    if x.dtype != np.uint8:
+        raise TypeError(f"conv2d_int runs on uint8 codes, got {x.dtype}")
     c, h, wdt = x.shape
     oc, ic, kh, kw = w_codes.shape
     sh, sw = stride
     ph, pw = padding
     oh, ow = G.conv_out_hw(h, wdt, (kh, kw), stride, padding)
-    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=x.dtype)
+    padded = np.zeros((c, h + 2 * ph, wdt + 2 * pw), dtype=np.float32)
     padded[:, ph : ph + h, pw : pw + wdt] = x
-    # one strided copy per kernel tap; rows ordered (c, u, v) like the weights
-    cols = np.empty((c, kh, kw, oh, ow), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = padded[:, u : u + sh * (oh - 1) + 1 : sh, v : v + sw * (ow - 1) + 1 : sw]
-    acc = _int_gemm(w_codes.reshape(oc, -1), cols.reshape(c * kh * kw, oh * ow))
+    # every kernel tap (c, u, v) of every output pixel, read in place; the
+    # one reshape copy orders the rows (c, u, v) like the weights
+    s0, s1, s2 = padded.strides
+    taps = np.ndarray((c, kh, kw, oh, ow), np.float32, buffer=padded,
+                      strides=(s0, s1, s2, s1 * sh, s2 * sw))
+    taps.flags.writeable = False
+    acc = _int_gemm(w_codes.reshape(oc, -1), taps.reshape(c * kh * kw, oh * ow))
     return acc.reshape(oc, oh, ow)
 
 

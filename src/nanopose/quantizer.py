@@ -63,7 +63,10 @@ class QuantizedGraph:
         activation stage, and no other name, holds 1-D integer `mult` and
         `bias` of length 1 or its channel count inside int32, no negative
         multiplier, an int `shift` in [0, 31] and a finite `alpha` > 0.  A
-        requant field that breaks it raises RequantParameterError.
+        requant field that breaks it raises RequantParameterError.  A conv
+        or fc layer of more than `engine._INT32_SAFE_TAPS` taps also needs
+        255 * (max over output channels of sum|w|) inside int32, so every
+        accumulator fits before a frame runs.
         """
         layers = self.graph.layers
         try:
@@ -81,6 +84,14 @@ class QuantizedGraph:
                 if qt.data.dtype != np.int8 or qt.data.shape != shape:
                     raise SchemaError(f"{where}: {l.name} needs an i8 weight payload of shape "
                                       f"{shape}, got {qt.data.dtype} {qt.data.shape}")
+                # 255 * max_o sum|w[o]| bounds every accumulator and partial
+                # sum; up to the engine's safe tap count it cannot leave int32
+                if l.taps() > engine._INT32_SAFE_TAPS:
+                    bound = 255 * int(np.abs(qt.data.reshape(l.out_ch, -1).astype(np.int64))
+                                      .sum(axis=1).max())
+                    if bound > INT32_MAX:
+                        raise SchemaError(f"{where}: {l.name} accumulators reach 255 * max "
+                                          f"sum|w| = {bound}, beyond 32-bit")
             elif l.kind == G.REQUANT:
                 rp = self.requant[l.name]
                 for key, v in (("mult", rp.mult), ("bias", rp.bias)):

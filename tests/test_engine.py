@@ -110,13 +110,54 @@ class TestConvKernel:
         pytest.param(np.int8, np.int16, id="int16-codes"),
         pytest.param(np.int64, np.uint8, id="int64-weights"),
         pytest.param(np.int8, np.int64, id="int64-codes"),
+        pytest.param(np.int8, np.float64, id="float64-codes"),
+        pytest.param(np.int8, np.float16, id="float16-codes"),
     ])
     def test_wider_operands_rejected(self, w_dtype, x_dtype):
-        # the engine runs only int8 weights on uint8 codes
+        # the engine runs only int8 weights on uint8 codes, or on the
+        # float32 columns conv2d_int builds from them
         w = np.ones((2, 4), dtype=w_dtype)
         x = np.ones((4, 3), dtype=x_dtype)
         with pytest.raises(TypeError, match="int8 weights on uint8 codes"):
             engine._int_gemm(w, x)
+
+    @pytest.mark.parametrize("x_dtype", [np.int16, np.float32, np.float64])
+    def test_conv_input_other_than_uint8_rejected(self, x_dtype):
+        x = np.ones((2, 4, 4), dtype=x_dtype)
+        wgt = np.ones((3, 2, 3, 3), dtype=np.int8)
+        with pytest.raises(TypeError, match="uint8 codes"):
+            engine.conv2d_int(x, wgt, (1, 1), (1, 1))
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        pytest.param((1, 3), (1, 1), (0, 1), id="kernel-1x3"),
+        pytest.param((3, 1), (1, 1), (1, 0), id="kernel-3x1"),
+        pytest.param((3, 3), (2, 1), (1, 1), id="stride-2x1"),
+        pytest.param((3, 3), (1, 1), (0, 2), id="padding-0x2"),
+        pytest.param((3, 2), (1, 2), (2, 0), id="kernel-3x2-stride-1x2-padding-2x0"),
+    ])
+    def test_strided_view_matches_naive(self, kernel, stride, padding):
+        # each tap is read through one strided view of the padded input:
+        # the row and column axes must keep their own kernel, stride and pad
+        rng = np.random.default_rng(sum(kernel + stride + padding))
+        x = rng.integers(0, 256, (3, 7, 9)).astype(np.uint8)
+        wgt = rng.integers(-128, 128, (4, 3, *kernel)).astype(np.int8)
+        got = engine.conv2d_int(x, wgt, stride, padding)
+        want = naive_conv2d_int(x, wgt, stride, padding)
+        assert got.dtype == np.int32
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("kernel,padding", [((1, 1), (0, 0)), ((3, 3), (1, 1))])
+    def test_input_untouched_and_unshared(self, kernel, padding):
+        # the columns are read from a padded float32 copy, never the codes
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 256, (2, 5, 6)).astype(np.uint8)
+        before = x.copy()
+        wgt = rng.integers(-128, 128, (3, 2, *kernel)).astype(np.int8)
+        acc = engine.conv2d_int(x, wgt, (1, 1), padding)
+        assert (x == before).all()
+        assert not np.shares_memory(acc, x)
+        assert (acc == naive_conv2d_int(x, wgt, (1, 1), padding)).all()
 
     @pytest.mark.parametrize("channels", [514, 515, 1028, 1029])
     def test_float32_edge_exact(self, channels):
@@ -355,10 +396,30 @@ class TestFootprint:
         # small enough for the heap to serve them without page faults
         assert warm_peak("160x32") < 1.5 * 2**20
 
+    def test_160x16_transient_peak(self):
+        # the im2col columns are built from one padded float32 copy of the
+        # input, with no uint8 column buffer beside them
+        assert warm_peak("160x16") <= 2**20
+
     def test_80x32_transient_peak(self):
         # no GEMM casts a whole deep weight matrix to float64 (b3c2's
         # 128 x 1152 alone would be 1.13 MiB)
         assert warm_peak("80x32") <= 800 * 2**10
+
+    def test_float32_columns_not_copied(self):
+        # conv2d_int hands its float32 columns to the GEMM, which reads them
+        # in place: the peak stays far below one more copy of the columns
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 256, (25, 40_000)).astype(np.float32)
+        w = rng.integers(-128, 128, (2, 25)).astype(np.int8)
+        engine._int_gemm(w, x)
+        tracemalloc.start()
+        try:
+            engine._int_gemm(w, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 2
 
 
 class TestHeldCodes:

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nanopose import engine, graph as G, tensorfile
+from nanopose import cli, engine, graph as G, quantizer, tensorfile
 from nanopose.errors import ConversionError, DeadActivationError, RequantParameterError, SchemaError
 from nanopose.floatnet import random_float_net
+from nanopose.pgm import write_pgm
 from nanopose.qtensor import QTensor, act_eps
 from nanopose.quantizer import (
     CalibrationSet,
     QuantizedGraph,
+    RequantParams,
     calibrate,
     convert,
     fit_requant_scale,
@@ -234,6 +236,74 @@ class TestCheck:
         headless = QuantizedGraph(graph=G.NetGraph(g.layers[:-1], g.input_shape))
         with pytest.raises(SchemaError, match="no fully connected head"):
             headless.check("toy")
+
+
+def wide_head_qgraph(taps, codes):
+    """A graph that is one fc head of `taps` inputs, with weight codes `codes`."""
+    g = G.infer_shapes(G.NetGraph([G.LayerSpec(G.FC, "fc", in_ch=taps, out_ch=2)], (1, 1, taps)))
+    return QuantizedGraph(graph=g, weights={"fc": QTensor(codes, 0.01)})
+
+
+class TestAccumulatorHeadroom:
+    """A layer of more than engine._INT32_SAFE_TAPS taps is held to
+    255 * max_o sum|w[o]| <= int32 max by `check`, before any frame runs."""
+
+    def test_wide_layer_bound_checked(self):
+        k = engine._INT32_SAFE_TAPS + 1
+        codes = np.full((2, k), -128, dtype=np.int8)
+        with pytest.raises(SchemaError, match="fc accumulators reach .* = 2147516160"):
+            wide_head_qgraph(k, codes).check("wide")
+        # one zero code in every row leaves 255 * 128 * 65,793 <= int32 max
+        codes[:, 0] = 0
+        wide_head_qgraph(k, codes).check("wide")
+        # one channel over the bound is enough
+        codes[1, 0] = 1
+        with pytest.raises(SchemaError, match="beyond 32-bit"):
+            wide_head_qgraph(k, codes).check("wide")
+
+    def test_wide_conv_bound_checked(self):
+        k = engine._INT32_SAFE_TAPS + 1
+        layers = [G.LayerSpec(G.CONV, "c", in_ch=k, out_ch=1, kernel=(1, 1)),
+                  G.LayerSpec(G.REQUANT, "a"), G.LayerSpec(G.FC, "fc", in_ch=1, out_ch=4)]
+        g = G.infer_shapes(G.NetGraph(layers, (k, 1, 1)))
+        one = np.ones(1, dtype=np.int32)
+        qg = QuantizedGraph(graph=g, weights={
+            "c": QTensor(np.full((1, k, 1, 1), -128, dtype=np.int8), 0.01),
+            "fc": QTensor(np.ones((4, 1), dtype=np.int8), 0.01)},
+            requant={"a": RequantParams(mult=one, shift=0, bias=0 * one, alpha=1.0)})
+        qg.weights["c"].data[0, 0] = 0
+        qg.check("wide")   # 255 * 128 * 65,793 = 2,147,483,520 fits int32
+        qg.weights["c"].data[0, 0] = -1
+        with pytest.raises(SchemaError, match="c accumulators reach .* = 2147483775"):
+            qg.check("wide")
+
+    def test_safe_tap_count_not_summed(self, monkeypatch):
+        # against an int32 bound no layer meets, any summed layer raises: a
+        # layer of at most _INT32_SAFE_TAPS taps is never summed
+        g, net, imgs, _ = toy_setup(16)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        monkeypatch.setattr(quantizer, "INT32_MAX", -1)
+        qg.check("toy")
+        monkeypatch.setattr(engine, "_INT32_SAFE_TAPS", 0)
+        with pytest.raises(SchemaError, match="beyond 32-bit"):
+            qg.check("toy")
+
+    def test_load_rejects_bound_beyond_int32(self, tmp_path, capsys):
+        k = engine._INT32_SAFE_TAPS + 1
+        path = tmp_path / "wide.json"   # 255 * 127 * 65,794 fits int32
+        save_qgraph(wide_head_qgraph(k, np.full((2, k), 127, dtype=np.int8)), str(path))
+        tensorfile.write_qtensor(str(tmp_path / "wide_fc.qtns"),
+                                 QTensor(np.full((2, k), -128, dtype=np.int8), 0.01))
+        with pytest.raises(SchemaError, match="wide.json: fc accumulators reach"):
+            load_qgraph(str(path))
+        # so `infer` exits 4 at load instead of 5 inside the frame
+        write_pgm(tmp_path / "f.pgm", np.full((1, k), 255, dtype=np.uint8))
+        out = tmp_path / "pose.csv"
+        assert cli.main(["infer", "--qgraph", str(path), "--image", str(tmp_path / "f.pgm"),
+                         "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "accumulators reach" in err
+        assert not out.exists()
 
 
 class TestSerialization:
