@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from nanopose.augment import AugmentConfig, LabeledImage, augment_sample
+from nanopose.augment import LabeledImage, augment_sample
 from nanopose.pgm import write_pgm
 from nanopose.pose import Pose
 
@@ -31,7 +31,7 @@ rng = np.random.default_rng(42)
 
 rows = ["file,x,y,z,theta,pitch_deg"]
 for k in range(10):
-    sample, pitch = augment_sample(li, AugmentConfig(), rng)
+    sample, pitch = augment_sample(li, rng)
     name = f"sample_{k:02d}.pgm"
     write_pgm(os.path.join(out_dir, name), sample.pixels)
     lbl = sample.label

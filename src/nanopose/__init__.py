@@ -7,7 +7,7 @@ closed-loop tracking simulation.
 
 __version__ = "0.1.0"
 
-from .graph import NetGraph, LayerSpec, GraphStats, analyze, build_frontnet, build_variant
+from .graph import NetGraph, LayerSpec, GraphStats, analyze, build_variant
 from .qtensor import QTensor, quantize, weight_eps, act_eps, weight_codes
 from .quantizer import CalibrationSet, QuantizedGraph, calibrate, convert
 from .engine import InferenceResult, infer_int, infer_float, crop_center
@@ -20,7 +20,7 @@ from .simulate import NoiseModel, run_experiment
 from .metrics import metrics, rsquared
 
 __all__ = [
-    "NetGraph", "LayerSpec", "GraphStats", "analyze", "build_frontnet", "build_variant",
+    "NetGraph", "LayerSpec", "GraphStats", "analyze", "build_variant",
     "QTensor", "quantize", "weight_eps", "act_eps", "weight_codes",
     "CalibrationSet", "QuantizedGraph", "calibrate", "convert",
     "InferenceResult", "infer_int", "infer_float", "crop_center",

@@ -25,7 +25,7 @@ class AuditReport:
 
 def _tile_from_geometry(layer: G.LayerSpec, tile):
     """Recompute one tile's input rows (with halo, clamped to the input) and
-    its double-buffered bytes from first principles."""
+    its input, weight and output bytes from first principles."""
     r0, r1 = tile.out_rows
     c0, c1 = tile.out_ch
     if layer.kind == G.FC:
@@ -42,7 +42,7 @@ def _tile_from_geometry(layer: G.LayerSpec, tile):
         in_b = ic * (hi - lo) * iw
         w_b = (c1 - c0) * layer.in_ch * layer.kernel[0] * layer.kernel[1] if layer.kind == G.CONV else 0
         out_b = (c1 - c0) * (r1 - r0) * ow
-    return rows, 2 * (in_b + w_b + out_b)
+    return rows, (in_b, w_b, out_b)
 
 
 def _chained(spans: list, n: int) -> bool:
@@ -78,11 +78,13 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         oc, oh = layer.out_shape[:2]
         spans = []
         for t in tiles:
-            rows, need = _tile_from_geometry(layer, t)
+            rows, split = _tile_from_geometry(layer, t)
+            need = 2 * sum(split)     # double-buffered
             if need > p.mem.l1_bytes:
                 problems.append(f"{name}: tile {t.out_rows}x{t.out_ch} needs {need} B > L1 {p.mem.l1_bytes}")
-            if t.l1_bytes != need:
-                problems.append(f"{name}: tile reports {t.l1_bytes} B, geometry gives {need}")
+            if (t.in_bytes, t.weight_bytes, t.out_bytes) != split:
+                problems.append(f"{name}: tile {t.out_rows}x{t.out_ch} stores input/weight/output bytes "
+                                f"{(t.in_bytes, t.weight_bytes, t.out_bytes)}, geometry gives {split}")
             if tuple(t.in_rows) != rows:
                 problems.append(f"{name}: tile {t.out_rows}x{t.out_ch} stores input rows "
                                 f"{tuple(t.in_rows)}, geometry gives {rows}")

@@ -19,6 +19,17 @@ SOURCE_H = 160
 MAX_OFFSET = SOURCE_H - CROP_H  # 64
 PITCH_MAX_DEG = 14.0
 
+# jitter: each photometric op, and the flip, runs with probability
+# OP_PROBABILITY; each op parameter but the blur sigma is drawn uniformly
+# from its range
+OP_PROBABILITY = 0.5
+CONTRAST_RANGE = (0.7, 2.0)
+BRIGHTNESS_RANGE = (-0.2, 0.2)
+GAMMA_RANGE = (0.4, 2.0)
+VIGNETTE_RADIUS_RANGE = (0.6, 1.4)     # times the half-diagonal
+VIGNETTE_STRENGTH_RANGE = (0.2, 0.8)
+BLUR_SIGMA = 3.0
+
 
 @dataclass
 class LabeledImage:
@@ -29,21 +40,6 @@ class LabeledImage:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.dtype != np.uint8 or self.pixels.ndim != 2:
             raise SchemaError("pixels must be a 2-D uint8 array")
-
-
-@dataclass
-class AugmentConfig:
-    contrast_range: tuple = (0.7, 2.0)
-    brightness_range: tuple = (-0.2, 0.2)
-    gamma_range: tuple = (0.4, 2.0)
-    vignette_radius_range: tuple = (0.6, 1.4)   # times half-diagonal
-    vignette_strength_range: tuple = (0.2, 0.8)
-    blur_sigma: float = 3.0
-    op_probability: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.op_probability <= 1.0:
-            raise SchemaError("op_probability must be in [0, 1]")
 
 
 def pitch_crop(img: np.ndarray, row_offset: int):
@@ -61,18 +57,6 @@ def pitch_crop(img: np.ndarray, row_offset: int):
     return img[row_offset : row_offset + CROP_H].copy(), math.radians(pitch_deg)
 
 
-def apply_contrast(x: np.ndarray, factor: float) -> np.ndarray:
-    return x * factor
-
-
-def apply_brightness(x: np.ndarray, delta: float) -> np.ndarray:
-    return x + delta
-
-
-def apply_gamma(x: np.ndarray, gamma: float) -> np.ndarray:
-    return np.clip(x, 0.0, 1.0) ** gamma
-
-
 def vignette_mask(shape, radius: float, strength: float) -> np.ndarray:
     """Multiplicative cosine falloff: 1 at the center, 1-strength at radius."""
     h, w = shape
@@ -83,32 +67,27 @@ def vignette_mask(shape, radius: float, strength: float) -> np.ndarray:
     return 1.0 - strength * (1.0 - np.cos(t * np.pi / 2.0))
 
 
-def apply_blur(x: np.ndarray, sigma: float) -> np.ndarray:
-    from scipy.ndimage import gaussian_filter   # only blurring pays its import time
-    return gaussian_filter(x, sigma=sigma, mode="nearest")
-
-
-def photometric(img: np.ndarray, config: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Apply each jitter op independently with the configured probability.
+def photometric(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Apply each jitter op independently with probability OP_PROBABILITY.
 
     Order is fixed: contrast, brightness, gamma, vignette, blur.  All ops run
     on [0, 1] floats; the result is clamped and requantized once at the end.
     """
     x = img.astype(np.float64) / 255.0
-    p = config.op_probability
-    if rng.random() < p:
-        x = apply_contrast(x, rng.uniform(*config.contrast_range))
-    if rng.random() < p:
-        x = apply_brightness(x, rng.uniform(*config.brightness_range))
-    if rng.random() < p:
-        x = apply_gamma(x, rng.uniform(*config.gamma_range))
-    if rng.random() < p:
+    if rng.random() < OP_PROBABILITY:
+        x = x * rng.uniform(*CONTRAST_RANGE)
+    if rng.random() < OP_PROBABILITY:
+        x = x + rng.uniform(*BRIGHTNESS_RANGE)
+    if rng.random() < OP_PROBABILITY:
+        x = np.clip(x, 0.0, 1.0) ** rng.uniform(*GAMMA_RANGE)
+    if rng.random() < OP_PROBABILITY:
         half_diag = math.hypot(*img.shape) / 2.0
-        radius = rng.uniform(*config.vignette_radius_range) * half_diag
-        strength = rng.uniform(*config.vignette_strength_range)
+        radius = rng.uniform(*VIGNETTE_RADIUS_RANGE) * half_diag
+        strength = rng.uniform(*VIGNETTE_STRENGTH_RANGE)
         x = x * vignette_mask(img.shape, radius, strength)
-    if rng.random() < p:
-        x = apply_blur(x, config.blur_sigma)
+    if rng.random() < OP_PROBABILITY:
+        from scipy.ndimage import gaussian_filter   # only blurring pays its import time
+        x = gaussian_filter(x, sigma=BLUR_SIGMA, mode="nearest")
     return np.clip(np.round(np.clip(x, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
 
 
@@ -121,15 +100,15 @@ def hflip(li: LabeledImage) -> LabeledImage:
     )
 
 
-def augment_sample(li: LabeledImage, config: AugmentConfig, rng: np.random.Generator):
+def augment_sample(li: LabeledImage, rng: np.random.Generator):
     """One full augmentation draw: pitch crop, jitter, optional flip.
 
     Returns (LabeledImage with 160x96 pixels, pitch in radians).
     """
     offset = int(rng.integers(0, MAX_OFFSET + 1))
     img, pitch = pitch_crop(li.pixels, offset)
-    img = photometric(img, config, rng)
+    img = photometric(img, rng)
     out = LabeledImage(pixels=img, label=replace(li.label))
-    if rng.random() < config.op_probability:
+    if rng.random() < OP_PROBABILITY:
         out = hflip(out)
     return out, pitch

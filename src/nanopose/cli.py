@@ -256,7 +256,7 @@ def cmd_augment(args):
     os.makedirs(args.out, exist_ok=True)
     rows = ["file,x,y,z,theta"]
     for k in range(args.count):
-        out, pitch = A.augment_sample(li, A.AugmentConfig(), rng)
+        out, pitch = A.augment_sample(li, rng)
         name = f"aug_{k:04d}.pgm"
         write_pgm(os.path.join(args.out, name), out.pixels,
                   comment=f"nanopose {__version__} seed={args.seed} sample={k}")
@@ -268,11 +268,15 @@ def cmd_augment(args):
     return EXIT_OK
 
 
-def non_negative_int(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def int_at_least(lo):
+    """An argparse type: an integer >= lo."""
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    parse.__name__ = "int"    # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -291,8 +295,8 @@ def build_parser():
     p.add_argument("--net", default="160x32", choices=G.VARIANTS)
     p.add_argument("--weights", help="directory of float QTNS tensors, one per layer")
     p.add_argument("--calib", help="directory of PGM calibration images")
-    p.add_argument("--calib-size", type=int, default=8, help="synthetic calibration images")
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--calib-size", type=int_at_least(1), default=8, help="synthetic calibration images")
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_quantize)
 
@@ -326,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="closed-loop tracking run")
     p.add_argument("--net", required=True, choices=sorted(S.RATE_HZ))
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--rate", type=float, help="override the high-level loop rate")
     p.add_argument("--config", help="controller/simulation overrides JSON")
     p.add_argument("--out", required=True, help="trajectory CSV")
@@ -336,8 +340,8 @@ def build_parser():
     p = sub.add_parser("augment", help="draw augmented training samples from one frame")
     p.add_argument("--image", required=True, help="160x160 PGM source frame")
     p.add_argument("--label", required=True, help="x,y,z,theta")
-    p.add_argument("--count", type=non_negative_int, default=10)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--count", type=int_at_least(0), default=10)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_augment)
 

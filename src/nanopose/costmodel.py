@@ -220,9 +220,8 @@ def estimate(plan: DeploymentPlan, op: OperatingPoint, params: CostParams = None
 
 @dataclass
 class SweepResult:
-    """Figures per grid point as columns (float64 arrays in grid order)."""
+    """Figures per `DEFAULT_GRID` point as columns (float64 arrays in its order)."""
 
-    grid: tuple                 # OperatingPoint per column entry
     fps: np.ndarray
     power_fc_mw: np.ndarray
     power_cl_mw: np.ndarray
@@ -231,10 +230,10 @@ class SweepResult:
     best_throughput: CostEstimate   # first point of highest fps
 
 
-def sweep(plan: DeploymentPlan, grid=None, params: CostParams = None) -> SweepResult:
-    """`estimate` at every point of `grid` (default `DEFAULT_GRID`),
-    evaluated as arrays over the grid."""
-    grid = tuple(grid or DEFAULT_GRID)
+def sweep(plan: DeploymentPlan, params: CostParams = None) -> SweepResult:
+    """`estimate` at every point of `DEFAULT_GRID`, evaluated as arrays
+    over the grid."""
+    grid = DEFAULT_GRID
     params = params or CostParams()
     stages = prepare(plan, params)
     f_fc = np.array([op.f_fc for op in grid]) * 1e6
@@ -247,7 +246,7 @@ def sweep(plan: DeploymentPlan, grid=None, params: CostParams = None) -> SweepRe
     energy_mj = (p_fc + p_cl) * latency * 1e3
     fps = 1.0 / latency
     return SweepResult(
-        grid=grid, fps=fps, power_fc_mw=p_fc * 1e3, power_cl_mw=p_cl * 1e3, energy_mj=energy_mj,
+        fps=fps, power_fc_mw=p_fc * 1e3, power_cl_mw=p_cl * 1e3, energy_mj=energy_mj,
         best_energy=_estimate(plan, stages, grid[int(np.argmin(energy_mj))], params),
         best_throughput=_estimate(plan, stages, grid[int(np.argmax(fps))], params),
     )
@@ -257,7 +256,7 @@ _CSV_ROW = "%g,%g,%.2f,%.3f,%.3f,%.3f,%.5f\n"
 
 
 def sweep_csv(result: SweepResult) -> str:
-    ops = [(op.f_fc, op.f_cl, op.vdd) for op in result.grid]
+    ops = [(op.f_fc, op.f_cl, op.vdd) for op in DEFAULT_GRID]
     table = np.column_stack([ops, result.fps, result.power_fc_mw, result.power_cl_mw, result.energy_mj])
     # one format call over every row; tolist() hands it Python floats
     body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())

@@ -147,8 +147,9 @@ def infer_shapes(g: NetGraph) -> NetGraph:
     return g
 
 
-def build_frontnet(input_width: int, base_channels: int) -> NetGraph:
-    """Build one of the three reference variants.
+def build_variant(tag: str) -> NetGraph:
+    """Build one of the three reference variants, named by `VARIANTS` as
+    "<input width>x<base channels>".
 
     Chain: 5x5/s2 conv + activation, 2x2 max-pool, then three blocks of
     [3x3/s2 conv + act, 3x3/s1 conv + act] with channel progression
@@ -156,10 +157,10 @@ def build_frontnet(input_width: int, base_channels: int) -> NetGraph:
     a dropout kept as an inference no-op, and a 4-output fully connected
     head (x, y, z, theta).
     """
-    if (input_width, base_channels) not in ((160, 32), (160, 16), (80, 32)):
-        raise SchemaError(f"unsupported variant ({input_width}, {base_channels})")
+    if tag not in VARIANTS:
+        raise SchemaError(f"unknown variant {tag!r}; expect one of {VARIANTS}")
+    input_width, c = map(int, tag.split("x"))
     h = 96 if input_width == 160 else 48
-    c = base_channels
     layers = [
         LayerSpec(CONV, "conv1", in_ch=1, out_ch=c, kernel=(5, 5), stride=(2, 2), padding=(2, 2)),
         LayerSpec(REQUANT, "act1"),
@@ -174,19 +175,12 @@ def build_frontnet(input_width: int, base_channels: int) -> NetGraph:
             LayerSpec(REQUANT, f"b{b}a2"),
         ]
         ch = out0
-    g = NetGraph(layers=layers, input_shape=(1, h, input_width), variant=f"{input_width}x{base_channels}")
+    g = NetGraph(layers=layers, input_shape=(1, h, input_width), variant=tag)
     infer_shapes(g)
     cf, hf, wf = g.layers[-1].out_shape
     layers.append(LayerSpec(DROPOUT, "drop"))
     layers.append(LayerSpec(FC, "fc", in_ch=cf * hf * wf, out_ch=4))
     return infer_shapes(g)
-
-
-def build_variant(tag: str) -> NetGraph:
-    if tag not in VARIANTS:
-        raise SchemaError(f"unknown variant {tag!r}; expect one of {VARIANTS}")
-    w, c = tag.split("x")
-    return build_frontnet(int(w), int(c))
 
 
 def _buffer_bytes(l: LayerSpec) -> int:

@@ -33,9 +33,9 @@ class Kalman1D:
         self.p01 = 0.0
         self.p11 = 4.0
 
-    def step(self, dt: float, obs: float = None):
-        """Predict dt seconds ahead and, when given, fuse the observation
-        obs: the filter's one cycle, computed on locals and stored once."""
+    def step(self, dt: float, obs: float):
+        """Predict dt seconds ahead and fuse the observation obs: the
+        filter's one cycle, computed on locals and stored once."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         angular = self.angular
@@ -48,22 +48,21 @@ class Kalman1D:
         p00 = p00 + dt * (2.0 * p01) + dt * dt * p11 + q * dt**4 / 4.0
         p01 = p01 + dt * p11 + q * dt**3 / 2.0
         p11 = p11 + q * dt * dt
-        if obs is not None:
-            innov = obs - p
-            if angular:
-                innov = wrap_angle(innov)
-            s = p00 + self.r + R_FLOOR
-            k0 = p00 / s
-            k1 = p01 / s
-            p += k0 * innov
-            if angular:
-                p = wrap_angle(p)
-            v += k1 * innov
-            p11 = p11 - k1 * p01
-            p00 = (1.0 - k0) * p00
-            p01 = (1.0 - k0) * p01
+        innov = obs - p
+        if angular:
+            innov = wrap_angle(innov)
+        s = p00 + self.r + R_FLOOR
+        k0 = p00 / s
+        k1 = p01 / s
+        p += k0 * innov
+        if angular:
+            p = wrap_angle(p)
+        v += k1 * innov
+        p11 = p11 - k1 * p01
+        p00 = (1.0 - k0) * p00
+        p01 = (1.0 - k0) * p01
         self.p, self.v, self.p00, self.p01, self.p11 = p, v, p00, p01, p11
         # the covariance must stay positive definite
-        if obs is not None and not (p00 > 0.0 and (p00 * p11 - p01 * p01) > 0.0):
+        if not (p00 > 0.0 and (p00 * p11 - p01 * p01) > 0.0):
             raise FloatingPointError(
                 f"covariance lost positive definiteness: [[{p00},{p01}],[{p01},{p11}]]")

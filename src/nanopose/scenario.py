@@ -19,7 +19,6 @@ yaw left to center them.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,18 +115,13 @@ def default_script() -> ScenarioScript:
 
 
 def subject_state_at(t, script: ScenarioScript):
-    """Ground-truth subject pose and velocity at time t.
+    """Ground-truth subject pose and velocity at each time of the 1-D
+    ascending array t (a negative time reads as 0).
 
-    Returns (Pose, (vx, vy, vz, omega)).  Motion is piecewise analytic, so
-    sampling is exact at any instant.  t may also be a 1-D array of
-    ascending times; then every field is an array of the same length, and
-    each phase's closed form is evaluated once over the times it covers.
+    Returns (Pose, (vx, vy, vz, omega)), every field an array as long as t.
+    Motion is piecewise analytic, so sampling is exact at any instant; each
+    phase's closed form is evaluated once over the times it covers.
     """
-    if np.ndim(t) == 0:
-        if t < 0:
-            t = 0.0
-        i = bisect_right(script.starts, t) - 1
-        return script.phases[i].state(script.start_poses[i], t - script.starts[i])
     ts = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
     if ts.ndim != 1 or np.any(ts[1:] < ts[:-1]):
         raise ValueError("sample times must be a 1-D array in ascending order")

@@ -29,6 +29,7 @@ from .scenario import ScenarioScript, default_script, subject_state_at
 DYNAMICS_HZ = 500.0
 READOUT_HZ = 100.0
 EVENT_SLACK = 1e-12   # s; an event due within this of a tick fires on it
+MAX_EVENTS = 500_000  # most ticks (1,000 s), and most captures (about 1 kB each), of a run
 
 # per-variant observation noise (std, derived from deployed-model mean
 # squared error) and high-level loop rates
@@ -114,6 +115,9 @@ def _check_tick(cfg: ControlConfig, dt: float):
 def run_experiment(noise: NoiseModel, inference_rate: float,
                    control_cfg: ControlConfig = None, sim_cfg: SimConfig = None,
                    script: ScenarioScript = None) -> TrajectoryLog:
+    """Fly the script once, logging every 100 Hz readout and capture.  A run
+    of more than MAX_EVENTS (500,000) dynamics ticks or captures raises
+    SchemaError before anything is allocated."""
     cfg = control_cfg or ControlConfig()
     sim = sim_cfg or SimConfig()
     script = script or default_script()
@@ -121,10 +125,13 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
         raise SchemaError(f"inference rate must be finite and > 0, got {inference_rate!r}")
     dt = 1.0 / DYNAMICS_HZ
     _check_tick(cfg, dt)
-    rng = np.random.default_rng(noise.seed)
     duration = sim.duration if sim.duration is not None else script.total_duration
 
-    n_ticks = int(round(duration * DYNAMICS_HZ))
+    # each count is capped before int(), so a product that overflowed to inf converts
+    n_ticks = int(round(min(duration * DYNAMICS_HZ, MAX_EVENTS + 1)))
+    if n_ticks > MAX_EVENTS:
+        raise SchemaError(f"a {duration!r} s run (SimConfig.duration or the script length) needs "
+                          f"more than {MAX_EVENTS:,} dynamics ticks")
     readout_every = int(round(DYNAMICS_HZ / READOUT_HZ))
     obs_period = 1.0 / inference_rate
     # One capture at t = 0 and one per observation event k, at k * period.
@@ -134,7 +141,11 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     # single draw yields the same stream as one draw of 4 per capture.  The
     # subject's path and the scaled noise do not depend on the loop, so both
     # are computed here for every capture and handed to the loop as floats.
-    n_captures = 2 + int((n_ticks * dt + EVENT_SLACK) * inference_rate)
+    n_captures = 2 + int(min((n_ticks * dt + EVENT_SLACK) * inference_rate, MAX_EVENTS))
+    if n_captures > MAX_EVENTS:
+        raise SchemaError(f"inference rate {inference_rate!r} Hz over {n_ticks * dt:g} s needs "
+                          f"more than {MAX_EVENTS:,} captures")
+    rng = np.random.default_rng(noise.seed)
     t_capture = np.arange(n_captures) * obs_period
     disturb = (rng.standard_normal((n_captures, 4)) * noise.std).tolist()
     subject = np.column_stack(subject_state_at(t_capture, script)[0].as_tuple()).tolist()

@@ -232,7 +232,7 @@ def test_criterion_6_augmentation():
             li = A.LabeledImage(src, Pose(1.0, 0.5, 0.0, -0.2))
             h = hashlib.sha256()
             for _ in range(25):
-                out, pitch = A.augment_sample(li, A.AugmentConfig(), g)
+                out, pitch = A.augment_sample(li, g)
                 h.update(out.pixels.tobytes())
                 h.update(np.float64(pitch).tobytes())
                 h.update(np.asarray(out.label.as_tuple()).tobytes())

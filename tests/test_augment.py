@@ -63,27 +63,27 @@ class ForcedRng:
 class TestPhotometric:
     def test_all_ops_skipped_is_identity(self):
         img = checker(1, 96)
-        out = A.photometric(img, A.AugmentConfig(), ForcedRng([False] * 5))
+        out = A.photometric(img, ForcedRng([False] * 5))
         assert (out == img).all()
 
     def test_neutral_parameters_identity(self):
         img = checker(2, 96)
         # contrast 1.0, brightness 0, gamma 1.0 applied; vignette/blur skipped
         rng = ForcedRng([True, True, True, False, False], params=[1.0, 0.0, 1.0])
-        out = A.photometric(img, A.AugmentConfig(), rng)
+        out = A.photometric(img, rng)
         assert (out == img).all()
 
     def test_contrast_two_on_mid_gray_saturates(self):
         img = np.full((8, 8), 128, dtype=np.uint8)  # 0.502 normalized
         rng = ForcedRng([True, False, False, False, False], params=[2.0])
-        out = A.photometric(img, A.AugmentConfig(), rng)
+        out = A.photometric(img, rng)
         assert (out == 255).all()
 
     def test_output_always_u8_range(self):
         rng = np.random.default_rng(5)
         img = checker(4, 96)
         for _ in range(20):
-            out = A.photometric(img, A.AugmentConfig(), rng)
+            out = A.photometric(img, rng)
             assert out.dtype == np.uint8
 
     def test_vignette_darkens_corners_not_center(self):
@@ -126,7 +126,7 @@ class TestPipelineDeterminism:
         li = A.LabeledImage(checker(9), A.Pose(1.0, -0.5, 0.2, 0.3))
         h = hashlib.sha256()
         for _ in range(10):
-            out, pitch = A.augment_sample(li, A.AugmentConfig(), rng)
+            out, pitch = A.augment_sample(li, rng)
             h.update(out.pixels.tobytes())
             h.update(repr((out.label.as_tuple(), round(pitch, 12))).encode())
         return h.hexdigest()

@@ -286,6 +286,8 @@ PLAN_TAMPERS = {
     "occupancy-l3-weights": lambda d: d["occupancy"][0].update(l3_weights=0),
     "l3-weight-bytes": lambda d: d.update(l3_weight_bytes=d["l3_weight_bytes"] + 1),
     "tile-l1-bytes": lambda d: d["schedule"]["conv1"][0].update(l1_bytes=1),
+    # 100 B moved from the weights to the input: l1_bytes still matches
+    "tile-bytes-shifted": lambda d: d["schedule"]["conv1"][0].update(in_bytes=3700, weight_bytes=700),
     "graph-format-x": lambda d: d["graph"].update(format="x"),
     "graph-version-2": lambda d: d["graph"].update(version=2),
     "graph-unmarked": lambda d: (d["graph"].pop("format"), d["graph"].pop("version")),
@@ -458,7 +460,7 @@ class TestSimulate:
                         "--out", str(tmp_path / "t2.csv")])
         assert code == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("rate", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("rate", ["0", "nan", "inf", "1e9", "1e308"])
     def test_bad_rate_exit_4(self, tmp_path, capsys, rate):
         out = tmp_path / "t.csv"
         assert run_cli(["simulate", "--net", "mocap", "--rate", rate, "--out", str(out)]) == EXIT_SCHEMA
@@ -469,6 +471,8 @@ class TestSimulate:
     @pytest.mark.parametrize("doc", [
         {"tau": 0}, {"t_v": -0.3}, {"delta": "far"}, {"a_max": True},
         {"q_accel_var": float("inf")}, {"duration": float("nan")},
+        # more dynamics ticks than a run may hold
+        {"duration": 1e9}, {"duration": 1e300},
         {"noise_std": [0.1, 0.2]}, {"noise_std": [0.1, 0.1, 0.1, -0.1]}, {"noise_std": 0.3},
         [1, 2],
         # the 500 Hz Euler tick diverges (t_v) or ends in a math domain error (t_omega)
@@ -605,6 +609,16 @@ class TestAugmentCmd:
                      "--out", str(tmp_path / "aug")])
         assert ei.value.code == EXIT_USAGE
         assert not (tmp_path / "aug").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_calib_size_below_one_usage_exit(tmp_path, capsys, size):
+    out = tmp_path / "q.json"
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["quantize", "--net", "80x32", "--calib-size", size, "--out", str(out)])
+    assert ei.value.code == EXIT_USAGE
+    assert f"--calib-size: must be >= 1, got {size}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ CFG = ControlConfig()
 
 def est(x, y, z, th, vel=(0, 0, 0, 0)):
     return SubjectEstimate(pose=Pose(x, y, z, th), vel=vel)
+
+
+def state_at(t, script):
+    """The subject's pose and velocity at the single time t."""
+    pose, vel = subject_state_at([t], script)
+    return Pose(*(c[0] for c in pose.as_tuple())), tuple(c[0] for c in vel)
 
 
 class TestVelocityCommand:
@@ -99,25 +106,25 @@ class TestScenario:
 
     def test_phase_geometry(self):
         s = default_script()
-        p, v = subject_state_at(0.0, s)
+        p, v = state_at(0.0, s)
         assert p.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-        p, _ = subject_state_at(11.0, s)  # forward done
+        p, _ = state_at(11.0, s)  # forward done
         assert p.x == pytest.approx(2.4)
-        p, _ = subject_state_at(24.0, s)  # side-left done, orientation unchanged
+        p, _ = state_at(24.0, s)  # side-left done, orientation unchanged
         assert (p.y, p.theta) == (pytest.approx(2.4), 0.0)
-        p, _ = subject_state_at(37.0, s)  # quarter circle done, facing map-left
+        p, _ = state_at(37.0, s)  # quarter circle done, facing map-left
         assert p.x == pytest.approx(2.4)
         assert p.y == pytest.approx(2.4)
         assert p.theta == pytest.approx(math.pi / 2)
-        p, _ = subject_state_at(45.0, s)  # in-place 180 done, facing map-right
+        p, _ = state_at(45.0, s)  # in-place 180 done, facing map-right
         assert p.theta == pytest.approx(-math.pi / 2)
 
     def test_velocity_consistent_with_position(self):
         s = default_script()
         for t in (6.0, 14.0, 20.0, 27.0, 33.0, 40.0):
             h = 1e-6
-            p0, v = subject_state_at(t - h, s)
-            p1, _ = subject_state_at(t + h, s)
+            p0, v = state_at(t - h, s)
+            p1, _ = state_at(t + h, s)
             assert (p1.x - p0.x) / (2 * h) == pytest.approx(v[0], abs=1e-4)
             assert (p1.y - p0.y) / (2 * h) == pytest.approx(v[1], abs=1e-4)
 
@@ -125,23 +132,27 @@ class TestScenario:
         s = default_script()
         for i in range(len(s.phases) - 1):
             b = s.phase_end(i)
-            before, _ = subject_state_at(math.nextafter(b, 0.0), s)
-            at, _ = subject_state_at(b, s)
+            before, _ = state_at(math.nextafter(b, 0.0), s)
+            at, _ = state_at(b, s)
             assert abs(before.x - at.x) <= 1e-12 and abs(before.y - at.y) <= 1e-12
             assert abs(wrap_angle(before.theta - at.theta)) <= 1e-12
 
     def test_array_sampling_matches_scalar(self):
+        # each time against the closed form of its phase, which bisect_right
+        # picks: phase i covers starts[i] <= t < starts[i + 1]
         s = default_script()
         ts = np.sort(np.concatenate([np.linspace(-1.0, 55.0, 401), s.starts,
                                      [math.nextafter(b, 0.0) for b in s.starts[1:]]]))
         pose, vel = subject_state_at(ts, s)
-        for i, t in enumerate(ts.tolist()):
-            p, v = subject_state_at(t, s)
+        for i, t in enumerate(np.maximum(ts, 0.0).tolist()):
+            k = bisect_right(s.starts, t) - 1
+            p, v = s.phases[k].state(s.start_poses[k], t - s.starts[k])
             assert (pose.x[i], pose.y[i], pose.z[i]) == pytest.approx((p.x, p.y, p.z), abs=1e-12)
             assert abs(wrap_angle(pose.theta[i] - p.theta)) <= 1e-12
             assert tuple(c[i] for c in vel) == pytest.approx(v, abs=1e-12)
-        with pytest.raises(ValueError):
-            subject_state_at(ts[::-1], s)
+        for bad in (ts[::-1], ts.reshape(-1, 1), 1.0):
+            with pytest.raises(ValueError):
+                subject_state_at(bad, s)
 
     def test_initial_offset_30_degrees(self):
         s = default_script()
@@ -150,7 +161,7 @@ class TestScenario:
         assert min(off, 2 * math.pi - off) == pytest.approx(math.radians(30.0))
 
     def test_target_pose_faces_subject(self):
-        tgt = target_pose(subject_state_at(0.0, default_script())[0], 1.3)
+        tgt = target_pose(state_at(0.0, default_script())[0], 1.3)
         assert tgt.x == pytest.approx(1.3)
         assert abs(tgt.theta) == pytest.approx(math.pi)
 
@@ -208,6 +219,17 @@ class TestRunExperiment:
         log = run_experiment(noise_for("160x32", seed=0), rate, sim_cfg=SimConfig(duration=duration))
         assert len(log.observations) == k
 
+    def test_event_limit_is_inclusive(self, monkeypatch):
+        # 2 s: 1000 dynamics ticks; at 500 Hz, 2 + 1000 captures
+        import nanopose.simulate as S
+
+        for rate, need, what in ((30.0, 1000, "dynamics ticks"), (500.0, 1002, "captures")):
+            monkeypatch.setattr(S, "MAX_EVENTS", need)
+            run_experiment(noise_for("mocap"), rate, sim_cfg=SimConfig(duration=2.0))
+            monkeypatch.setattr(S, "MAX_EVENTS", need - 1)
+            with pytest.raises(SchemaError, match=f"more than {need - 1:,} {what}"):
+                run_experiment(noise_for("mocap"), rate, sim_cfg=SimConfig(duration=2.0))
+
     def test_mocap_converges_and_regulates(self):
         log = run_experiment(noise_for("mocap", seed=1), RATE_HZ["mocap"])
         m = metrics(log)
@@ -253,8 +275,8 @@ class TestCustomScript:
     def test_motion_follows_script(self):
         s = self.script()
         assert s.total_duration == 5.0 and s.phase_end(0) == 2.0
-        assert subject_state_at(1.0, s)[0].x == 0.0
-        p, v = subject_state_at(4.0, s)
+        assert state_at(1.0, s)[0].x == 0.0
+        p, v = state_at(4.0, s)
         assert p.x == pytest.approx(1.0) and v[0] == pytest.approx(0.5)
         assert target_pose(p, 1.3).x == pytest.approx(2.3)
 

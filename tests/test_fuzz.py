@@ -9,7 +9,9 @@ may escape and the exit code must be a documented one.  Exit 0 stays
 allowed: a layer's stored shapes are derived again on load, not read, some
 keys are optional (a plan's `violations`, a graph's `variant`), and a
 flipped digit can leave a valid header.  A plan's other derived copies (tile
-`l1_bytes`, occupancy rows, `l3_weight_bytes`) are read and must match.
+`l1_bytes`, occupancy rows, `l3_weight_bytes`) are read and must match, and
+so must each tile's `in_bytes`, `weight_bytes` and `out_bytes`, which the
+audit `sweep` runs derives again from the layer geometry.
 """
 
 import json

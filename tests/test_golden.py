@@ -1,14 +1,18 @@
 """Byte pins: the plan documents and the seeded float weights of the three
-reference variants, as sha256 digests of their bytes.  A change that moves
-any of them changes what `plan` writes or what every seeded net computes."""
+reference variants, and a seeded augmentation stream, as sha256 digests of
+their bytes.  A change that moves any of them changes what `plan` writes,
+what every seeded net computes or what `augment` draws."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from nanopose import augment as A
 from nanopose import graph as G
 from nanopose import planner as P
 from nanopose.floatnet import random_float_net
+from nanopose.pose import Pose
 
 L1_16K = P.MemoryHierarchy(l1_bytes=16 * 1024)   # splits channels in every variant
 
@@ -59,3 +63,20 @@ def test_random_float_net_weight_bytes(tag):
         h.update(f"{name}{w.shape}{w.dtype}".encode())
         h.update(w.astype("<f8").tobytes())
     assert h.hexdigest() == WEIGHTS_SHA256[tag]
+
+
+# ten augment_sample draws from one seeded frame: each draw's pixels, then
+# its label and pitch as little-endian float64
+AUGMENT_SHA256 = "8e8bcc829d597bafcf5ad7b3eef67567c9634852bf175cdc5692a0c51f50f01c"
+
+
+def test_augment_sample_bytes():
+    frame = np.random.default_rng(9).integers(0, 256, (160, 160)).astype(np.uint8)
+    li = A.LabeledImage(frame, Pose(1.0, -0.5, 0.2, 0.3))
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for _ in range(10):
+        out, pitch = A.augment_sample(li, rng)
+        h.update(out.pixels.tobytes())
+        h.update(np.array(out.label.as_tuple() + (pitch,), dtype="<f8").tobytes())
+    assert h.hexdigest() == AUGMENT_SHA256

@@ -56,8 +56,9 @@ ORACLE = {
 
 class TestBuild:
     def test_unsupported_pair(self):
-        with pytest.raises(SchemaError):
-            G.build_frontnet(80, 16)
+        for tag in ("80x16", "160x32 ", "x"):
+            with pytest.raises(SchemaError):
+                G.build_variant(tag)
 
     def test_160x32_trace(self):
         g = G.build_variant("160x32")

@@ -276,6 +276,17 @@ class TestAudit:
         assert not rep.ok
         assert any("coverage" in s for s in rep.problems)
 
+    def test_detects_shifted_tile_bytes(self):
+        # the split moves, its double-buffered total does not
+        p = plan(G.build_variant("80x32"), GAP8, STREAMED)
+        t = p.schedule["conv1"][0]
+        assert (t.in_bytes, t.weight_bytes, t.l1_bytes) == (3600, 800, 65120)
+        p.schedule["conv1"][0] = dataclasses.replace(t, in_bytes=3700, weight_bytes=700)
+        assert p.schedule["conv1"][0].l1_bytes == 65120
+        rep = audit_plan(p)
+        assert rep.problems == ["conv1: tile (0, 22)x(0, 32) stores input/weight/output bytes "
+                                "(3700, 700, 28160), geometry gives (3600, 800, 28160)"]
+
     def test_detects_tampered_input_rows(self):
         p = plan(G.build_variant("80x32"), GAP8, STREAMED)
         assert p.schedule["conv1"][0].in_rows == (0, 45)
