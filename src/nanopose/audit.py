@@ -115,7 +115,6 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         return AuditReport(ok=False, problems=problems)
     total_w = sum(l.weight_count() for l in p.graph.layers)
     stage_w = [sum(layers[x].weight_count() for x in n.layer_names) for n in p.nodes] + [0]
-    flagged = {v.split(":", 1)[0] for v in p.violations}
     for i, (n, row) in enumerate(zip(p.nodes, p.occupancy)):
         group = [layers[x] for x in n.layer_names]
         first = group[0]
@@ -134,13 +133,13 @@ def audit_plan(p: DeploymentPlan) -> AuditReport:
         if (row.weights_current, row.weights_next, row.weights_resident) != weights:
             problems.append(f"{n.name}: current/next/resident weights != graph-derived {weights}")
         total = row.code + sum(weights) + in_b + out_b
-        if total > p.mem.l2_bytes and n.name not in flagged:
-            problems.append(f"{n.name}: L2 occupancy {total} > {p.mem.l2_bytes} not flagged by planner")
+        if total > p.mem.l2_bytes:
+            problems.append(f"{n.name}: L2 occupancy {total} > {p.mem.l2_bytes}")
 
     # 3. the plan's L3 weight total is the graph's, and fits L3
     if p.l3_weight_bytes != total_w:
         problems.append(f"weight totals disagree: plan {p.l3_weight_bytes}, graph {total_w}")
-    if total_w > p.mem.l3_bytes and "L3" not in flagged:
-        problems.append(f"L3: weights {total_w} > {p.mem.l3_bytes} not flagged by planner")
+    if total_w > p.mem.l3_bytes:
+        problems.append(f"L3: weights {total_w} > {p.mem.l3_bytes}")
 
     return AuditReport(ok=not problems, problems=problems)

@@ -164,17 +164,17 @@ def cmd_infer(args):
 
 def cmd_plan(args):
     if args.qgraph:
-        src = Q.load_qgraph(args.qgraph)
+        g = Q.load_qgraph(args.qgraph).graph
         inputs = [args.qgraph]
     else:
-        src = G.build_variant(args.net)
+        g = G.build_variant(args.net)
         inputs = []
     mem = P.GAP8
     if args.mem:
         mem = P.MemoryHierarchy(**_load_options(args.mem, P.MemoryHierarchy.__dataclass_fields__))
         inputs.append(args.mem)
     policy = {"streamed": P.STREAMED, "resident": P.RESIDENT}.get(args.policy, args.policy)
-    p = P.plan(src, mem, policy, fuse_pool=not args.no_fuse_pool)
+    p = P.plan(g, mem, policy, fuse_pool=not args.no_fuse_pool)
     rep = audit_plan(p)
     if not rep.ok:
         raise ConstraintError("plan failed its audit: " + "; ".join(rep.problems))
@@ -193,9 +193,6 @@ def cmd_sweep(args):
     rep = audit_plan(p)
     if not rep.ok:
         raise SchemaError(f"{args.plan}: plan failed its audit: " + "; ".join(rep.problems))
-    if p.violations:
-        raise ConstraintError(f"{args.plan}: plan cannot run on its memory hierarchy: "
-                              + "; ".join(p.violations))
     inputs, params = [args.plan], None
     if args.params:
         params = C.CostParams(**_load_options(args.params, C.CostParams.__dataclass_fields__))

@@ -57,12 +57,7 @@ class UntileableLayerError(ConstraintError):
 
 
 class PlanConstraintError(ConstraintError):
-    """A deployment plan violates the memory hierarchy. Carries the plan."""
-
-    def __init__(self, message, plan=None, violations=None):
-        self.plan = plan
-        self.violations = violations or []
-        super().__init__(message)
+    """A graph does not fit the memory hierarchy, so it has no deployment plan."""
 
 
 class FitError(NanoposeError):

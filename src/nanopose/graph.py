@@ -233,8 +233,8 @@ def to_doc(g: NetGraph) -> dict:
 
 def from_doc(doc: dict) -> NetGraph:
     """Decode a nanopose-graph document, on its own or embedded in a qgraph
-    or plan.  Layer shapes are derived again from the layer parameters, so
-    the stored ones are not read."""
+    or plan.  The stored layer channels, and shapes where present, must be
+    those the layer parameters give, or SchemaError."""
     with decoding("graph document"):
         check_format(doc, "graph document", "nanopose-graph")
         layers = [
@@ -243,6 +243,13 @@ def from_doc(doc: dict) -> NetGraph:
                       stride=as_ints(d["stride"], 2, 1), padding=as_ints(d["padding"], 2))
             for d in doc["layers"]
         ]
-        g = NetGraph(layers=layers, input_shape=as_ints(doc["input_shape"], 3, 1),
-                     variant=as_str(doc.get("variant", "")))
-    return infer_shapes(g)
+        g = infer_shapes(NetGraph(layers=layers, input_shape=as_ints(doc["input_shape"], 3, 1),
+                                  variant=as_str(doc.get("variant", ""))))
+        for d, l in zip(doc["layers"], layers):
+            derived = (l.in_ch, l.out_ch, l.in_shape, l.out_shape)
+            stored = (d["in_ch"], d["out_ch"], tuple(d.get("in_shape", l.in_shape)),
+                      tuple(d.get("out_shape", l.out_shape)))
+            if stored != derived:
+                raise SchemaError(f"graph document: {l.name} stores in_ch, out_ch, in_shape, "
+                                  f"out_shape {stored}, its parameters give {derived}")
+    return g

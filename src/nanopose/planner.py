@@ -1,7 +1,8 @@
 """Deployment planning against an explicit memory hierarchy.
 
 Layers are tiled so each tile's double-buffered working set fits the L1
-scratchpad, and execution stages get a per-stage L2 occupancy record.  Under
+scratchpad, and execution stages get a per-stage L2 occupancy record.  A
+graph that breaks a capacity gets no plan, only PlanConstraintError.  Under
 the streamed policy the weights of stage i+1 are transferred from external
 RAM during stage i (two-level double buffering); the resident policy
 pre-loads all weights into L2 once, when they fit beside code and the worst
@@ -10,7 +11,7 @@ activation pair.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import graph as G
@@ -165,19 +166,14 @@ class OccupancyRow:
 
 @dataclass
 class DeploymentPlan:
-    """Stages, tiles and violations of one graph on one memory hierarchy;
-    the L2 occupancy rows and the L3 weight total are derived from them."""
+    """Stages and tiles of one graph that fits one memory hierarchy; the L2
+    occupancy rows and the L3 weight total are derived from them."""
 
     graph: G.NetGraph
     mem: MemoryHierarchy
     policy: str
     nodes: list
     schedule: dict            # layer name -> list[Tile]
-    violations: list = field(default_factory=list)
-
-    @property
-    def feasible(self) -> bool:
-        return not self.violations
 
     @property
     def l3_weight_bytes(self) -> int:
@@ -232,11 +228,10 @@ def _resident_l2_bytes(nodes: list, mem: MemoryHierarchy) -> int:
     return mem.code_budget_l2 + sum(n.weight_bytes for n in nodes) + worst_pair
 
 
-def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
+def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
          fuse_pool: bool = True) -> DeploymentPlan:
-    """Produce a complete deployment plan, or raise PlanConstraintError with
-    the plan and its violations (weights beyond L3, a stage beyond L2)."""
-    g = getattr(qg_or_graph, "graph", qg_or_graph)
+    """Produce a complete deployment plan, or raise PlanConstraintError
+    naming every capacity it breaks (weights beyond L3, a stage beyond L2)."""
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
     G.infer_shapes(g)
@@ -256,12 +251,13 @@ def plan(qg_or_graph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
         if tiles:
             p.schedule[l.name] = tiles
 
+    violations = []
     if p.l3_weight_bytes > mem.l3_bytes:
-        p.violations.append(f"L3: weights {p.l3_weight_bytes} > {mem.l3_bytes}")
-    p.violations += [f"{row.node}: L2 occupancy {row.total} > {mem.l2_bytes}"
-                     for row in p.occupancy if row.total > mem.l2_bytes]
-    if p.violations:
-        raise PlanConstraintError("; ".join(p.violations), plan=p, violations=p.violations)
+        violations.append(f"L3: weights {p.l3_weight_bytes} > {mem.l3_bytes}")
+    violations += [f"{row.node}: L2 occupancy {row.total} > {mem.l2_bytes}"
+                   for row in p.occupancy if row.total > mem.l2_bytes]
+    if violations:
+        raise PlanConstraintError("; ".join(violations))
     return p
 
 
@@ -313,7 +309,7 @@ def _head_doc(p: DeploymentPlan) -> dict:
         "nodes": [dict(vars(n), layer_names=list(n.layer_names)) for n in p.nodes],
         "occupancy": memory_report(p),
         "l3_weight_bytes": p.l3_weight_bytes,
-        "violations": p.violations,
+        "violations": [],   # every plan `plan` returns fits its memory hierarchy
     }
 
 
@@ -406,7 +402,8 @@ def plan_from_json(text) -> DeploymentPlan:
     rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not
     trusted: each must equal what the stages, tiles, policy and memory
     sizes give, or SchemaError.  `audit.audit_plan` checks the rest against
-    the graph."""
+    the graph.  A document that lists violations describes no plan: it
+    raises PlanConstraintError naming each one."""
     doc = parse_doc(text, "plan document", "nanopose-plan")
     with decoding("plan document"):
         policy = doc["policy"]
@@ -424,9 +421,12 @@ def plan_from_json(text) -> DeploymentPlan:
             for name, tiles in doc["schedule"].items()
         }
         p = DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
-                           policy=policy, nodes=nodes, schedule=schedule,
-                           violations=[as_str(v) for v in doc.get("violations", [])])
+                           policy=policy, nodes=nodes, schedule=schedule)
         if (doc["occupancy"], doc["l3_weight_bytes"]) != (memory_report(p), p.l3_weight_bytes):
             raise SchemaError("plan document: occupancy rows differ from those the stages, "
                               "policy and memory sizes give, or l3_weight_bytes from their sum")
+        violations = [as_str(v) for v in doc.get("violations", [])]
+    if violations:
+        raise PlanConstraintError("plan document lists violations; the plan cannot run on "
+                                  "its memory hierarchy: " + "; ".join(violations))
     return p

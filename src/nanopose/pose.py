@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def wrap_angle(a: float) -> float:
     """Wrap to [-pi, pi]; values already inside pass through unchanged."""

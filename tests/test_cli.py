@@ -136,6 +136,18 @@ def _pool_3x3(doc):
     next(d for d in doc["graph"]["layers"] if d["kind"] == "maxpool")["kernel"] = [3, 3]
 
 
+def _graph_layer(doc, name):
+    return next(d for d in doc["graph"]["layers"] if d["name"] == name)
+
+
+def _conv1_out_shape_33(doc):
+    _graph_layer(doc, "conv1")["out_shape"][0] = 33
+
+
+def _b3a1_in_ch_129(doc):
+    _graph_layer(doc, "b3a1")["in_ch"] = 129
+
+
 def _double_out_eps(doc):
     doc["out_eps"] = [2 * v for v in doc["out_eps"]]
 
@@ -150,14 +162,16 @@ def _change_acc_eps(doc):
 
 class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
-    whose embedded graph is not marked a version 1 nanopose-graph document,
+    whose embedded graph is not marked a version 1 nanopose-graph document
+    or stores a layer channel count or shape its parameters do not give,
     that lacks its weights, whose pooling is not 2x2, that has a negative
     requant multiplier, a requant shift outside [0, 31] or a requant vector
     beyond int32, or whose stored scales differ from the ones its weight
     scales and alphas give is rejected when loaded: exit 4 with a one-line
     message, no traceback."""
 
-    @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps, _drop_weights, _pool_3x3])
+    @pytest.mark.parametrize("tamper", [_cut_mult, _cut_bias, _cut_out_eps, _drop_weights, _pool_3x3,
+                                        _conv1_out_shape_33, _b3a1_in_ch_129])
     def test_infer_exit_4(self, tmp_path, qgraph_file, tamper):
         doc = json.loads(qgraph_file.read_text())
         tamper(doc)
@@ -291,6 +305,8 @@ PLAN_TAMPERS = {
     "graph-format-x": lambda d: d["graph"].update(format="x"),
     "graph-version-2": lambda d: d["graph"].update(version=2),
     "graph-unmarked": lambda d: (d["graph"].pop("format"), d["graph"].pop("version")),
+    "graph-conv1-out-shape-33": _conv1_out_shape_33,
+    "graph-b3a1-in-ch-129": _b3a1_in_ch_129,
 }
 
 
@@ -386,38 +402,28 @@ class TestPlanSweep:
         assert not out.exists()
 
     def test_sweep_rejects_unflagged_l3_overflow(self, tmp_path, capsys):
-        import nanopose.graph as G
         from nanopose import planner as P
-        from nanopose.errors import PlanConstraintError
+        from test_planner import over_budget_plan
 
-        with pytest.raises(PlanConstraintError) as ei:
-            P.plan(G.build_variant("160x32"), P.MemoryHierarchy(**self.SMALL_L3))
-        p = ei.value.plan
-        p.violations = []
         plan_json = tmp_path / "plan.json"
-        plan_json.write_text(P.plan_to_json(p))
+        plan_json.write_text(P.plan_to_json(over_budget_plan("160x32", P.MemoryHierarchy(**self.SMALL_L3))))
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(out)]) == EXIT_SCHEMA
-        assert "L3: weights 303392 > 262144 not flagged" in capsys.readouterr().err
+        assert "L3: weights 303392 > 262144" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_rejects_listed_violations_exit_5(self, tmp_path, capsys):
-        import nanopose.graph as G
-        from nanopose import planner as P
-        from nanopose.errors import PlanConstraintError
-
-        with pytest.raises(PlanConstraintError) as ei:
-            P.plan(G.build_variant("160x32"), P.MemoryHierarchy(l2_bytes=150 * 1024,
-                                                                code_budget_l2=80 * 1024))
-        p = ei.value.plan
-        assert len(p.violations) == 3
         plan_json = tmp_path / "plan.json"
-        plan_json.write_text(P.plan_to_json(p))
+        assert run_cli(["plan", "--net", "80x32", "--out", str(plan_json)]) == 0
+        doc = json.loads(plan_json.read_text())
+        violations = ["L3: weights 1 > 0", "conv1: L2 occupancy 2 > 1"]
+        doc["violations"] = violations
+        plan_json.write_text(json.dumps(doc))
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--plan", str(plan_json), "--out", str(out)]) == EXIT_CONSTRAINT
         err = capsys.readouterr().err
         assert "error[constraint]" in err and "Traceback" not in err
-        assert all(v in err for v in p.violations)
+        assert all(v in err for v in violations)
         assert not out.exists()
 
     def test_calibrate_cost_feeds_sweep(self, tmp_path, capsys):

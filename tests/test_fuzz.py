@@ -6,12 +6,13 @@ null, a string, a list or an object, and runs the subcommand that reads it
 through `cli.main` in-process.  Each binary example truncates a valid PGM
 frame or QTNS weight file, or flips bits of one header byte.  No exception
 may escape and the exit code must be a documented one.  Exit 0 stays
-allowed: a layer's stored shapes are derived again on load, not read, some
-keys are optional (a plan's `violations`, a graph's `variant`), and a
-flipped digit can leave a valid header.  A plan's other derived copies (tile
-`l1_bytes`, occupancy rows, `l3_weight_bytes`) are read and must match, and
-so must each tile's `in_bytes`, `weight_bytes` and `out_bytes`, which the
-audit `sweep` runs derives again from the layer geometry.
+allowed: some keys are optional (a layer's `in_shape` and `out_shape`, a
+plan's `violations`, a graph's `variant`), and a flipped digit can leave a
+valid header.  Derived copies that are present are read and must match: a
+layer's channels and shapes, a plan's tile `l1_bytes`, occupancy rows and
+`l3_weight_bytes`, and each tile's `in_bytes`, `weight_bytes` and
+`out_bytes`, which the audit `sweep` runs derives again from the layer
+geometry.  A plan that lists any violation exits 5.
 """
 
 import json

@@ -207,9 +207,17 @@ class TestJson:
         ("b1c1", "kernel", "3x3"),
         ("b1c1", "in_ch", None),
         ("b2c1", "name", "b1c1"),
+        ("conv1", "out_shape", [33, 24, 40]),
+        ("b3a1", "in_ch", 129),
     ])
     def test_bad_layer_rejected(self, name, field, value):
         doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
         next(d for d in doc["layers"] if d["name"] == name)[field] = value
         with pytest.raises(SchemaError):
             G.from_doc(doc)
+
+    def test_stored_shapes_optional(self):
+        doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
+        for d in doc["layers"]:
+            del d["in_shape"], d["out_shape"]
+        assert G.analyze(G.from_doc(doc)) == G.analyze(G.build_variant("80x32"))

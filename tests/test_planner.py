@@ -11,6 +11,7 @@ from nanopose.planner import (
     GAP8,
     RESIDENT,
     STREAMED,
+    DeploymentPlan,
     MemoryHierarchy,
     _worst_ws,
     build_nodes,
@@ -26,6 +27,15 @@ from nanopose.planner import (
 
 def layer_of(tag, name):
     return G.build_variant(tag).layer(name)
+
+
+def over_budget_plan(tag, mem):
+    """The streamed plan of a variant on `mem`, built from its stages and
+    tiles without the capacity checks, so it may break L2 or L3: the plan
+    `plan` refuses to return."""
+    g = G.build_variant(tag)
+    return DeploymentPlan(graph=g, mem=mem, policy=STREAMED, nodes=build_nodes(g),
+                          schedule={l.name: t for l in g.layers if (t := tile_layer(l, mem.l1_bytes))})
 
 
 def linear_scan_slices(layer, budget):
@@ -148,7 +158,6 @@ class TestPlan:
     @pytest.mark.parametrize("tag", G.VARIANTS)
     def test_streamed_within_l2(self, tag):
         p = plan(G.build_variant(tag), GAP8, STREAMED)
-        assert p.feasible
         for row in p.occupancy:
             assert row.total <= GAP8.l2_bytes
 
@@ -164,7 +173,6 @@ class TestPlan:
         assert total_w == 77_968
         worst = max(n.in_bytes + n.out_bytes for n in p.nodes)
         assert total_w + GAP8.code_budget_l2 + worst <= GAP8.l2_bytes
-        assert p.feasible
 
     def test_resident_infeasible_raises(self):
         small = MemoryHierarchy(l2_bytes=256 * 1024)
@@ -188,14 +196,10 @@ class TestPlan:
     def test_weights_beyond_l3_are_a_violation(self):
         # every stage of 160x32 fits this L2, so L3 is the only capacity it breaks
         mem = MemoryHierarchy(l1_bytes=65536, l2_bytes=245760, l3_bytes=262144, code_budget_l2=1024)
-        with pytest.raises(PlanConstraintError) as ei:
+        with pytest.raises(PlanConstraintError, match=r"^L3: weights 303392 > 262144$"):
             plan(G.build_variant("160x32"), mem, STREAMED)
-        p = ei.value.plan
-        assert p.violations == ["L3: weights 303392 > 262144"]
-        assert audit_plan(p).ok
-        p.violations = []   # the audit repeats the check
-        rep = audit_plan(p)
-        assert rep.problems == ["L3: weights 303392 > 262144 not flagged by planner"]
+        # the audit repeats the check
+        assert audit_plan(over_budget_plan("160x32", mem)).problems == ["L3: weights 303392 > 262144"]
 
     def test_bad_policy(self):
         with pytest.raises(SchemaError):
@@ -216,24 +220,24 @@ class TestPlan:
 
     def test_l2_violation_reported_with_layer(self):
         tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
+        violations = ["b2c2: L2 occupancy 200192 > 153600", "b3c1: L2 occupancy 308864 > 153600",
+                      "b3c2: L2 occupancy 240896 > 153600"]
         with pytest.raises(PlanConstraintError) as ei:
             plan(G.build_variant("160x32"), tiny, STREAMED)
-        assert ei.value.plan is not None
-        assert ei.value.violations
-        assert not ei.value.plan.feasible
+        assert str(ei.value) == "; ".join(violations)
+        # the audit repeats the check and names the same stages
+        assert audit_plan(over_budget_plan("160x32", tiny)).problems == violations
 
     def test_feasibility_monotone_in_memory(self):
         g = G.build_variant("80x32")
         base = MemoryHierarchy(l1_bytes=24 * 1024, l2_bytes=400 * 1024)
-        p0 = plan(g, base, STREAMED)
+        plan(g, base, STREAMED)   # fits, so each larger hierarchy below must too
         for grow in (
             MemoryHierarchy(l1_bytes=64 * 1024, l2_bytes=400 * 1024),
             MemoryHierarchy(l1_bytes=24 * 1024, l2_bytes=512 * 1024),
             MemoryHierarchy(l1_bytes=128 * 1024, l2_bytes=1024 * 1024, l3_bytes=16 * 2**20),
         ):
-            p = plan(g, grow, STREAMED)
-            assert p.feasible
-            assert audit_plan(p).ok
+            assert audit_plan(plan(g, grow, STREAMED)).ok
 
 
 class TestMemoryReport:
@@ -361,15 +365,6 @@ class TestAudit:
             f"{(grid > 1).sum()} overlapped)"]
         assert found == want
 
-    def test_violations_matched_by_exact_name(self):
-        tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
-        with pytest.raises(PlanConstraintError) as ei:
-            plan(G.build_variant("160x32"), tiny, STREAMED)
-        p = ei.value.plan
-        assert audit_plan(p).ok
-        p.violations = ["x" + v for v in p.violations]   # "xconv1: ..." names no stage
-        assert not audit_plan(p).ok
-
 
 class TestPlanJson:
     def test_roundtrip(self):
@@ -404,13 +399,6 @@ class TestPlanJson:
             written += 1
             split += any(t.out_ch[0] > 0 for tiles in p.schedule.values() for t in tiles)
         assert split or not written, "no L1 budget split a layer's channels"
-
-    def test_writer_violations(self):
-        tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
-        with pytest.raises(PlanConstraintError) as ei:
-            plan(G.build_variant("160x32"), tiny, STREAMED)
-        text = self.written(ei.value.plan)
-        assert plan_to_json(plan_from_json(text)) == text
 
     def test_writer_escapes_names(self):
         g = G.build_variant("80x32")
