@@ -6,7 +6,8 @@ subject's estimated velocity; heading control points the camera at the
 subject.  Commands are clamped per axis at 1 m/s and 0.8 rad/s.  The
 low-level attitude cascade is proxied by first-order velocity tracking
 whose horizontal acceleration is limited by the 12-degree pitch ceiling
-(g*sin(12deg) ~= 2.04 m/s^2).
+(g*sin(12deg) ~= 2.04 m/s^2).  Poses are (x, y, z, theta) and velocities
+(vx, vy, vz, omega) tuples; the drone's integrated state is a `DroneState`.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_positive
-from .pose import Pose, wrap_angle, wrap_angles
+from .pose import wrap_angle, wrap_angles
 
 G_ACCEL = 9.81
 PITCH_LIMIT_DEG = 12.0
@@ -35,45 +36,49 @@ class ControlConfig:
         require_positive(self, *self.__dataclass_fields__)
 
 
-@dataclass(slots=True)
-class SubjectEstimate:
-    pose: Pose
-    vel: tuple   # (vx, vy, vz, omega)
-
-
 def _clamp(v, lim):
     return lim if v > lim else (-lim if v < -lim else v)
 
 
-def target_pose(subject: Pose, delta: float) -> Pose:
-    """The pose delta ahead of the subject along its facing axis, facing
-    back at it: where the controller sends the drone.  The subject's fields
-    may be arrays, one entry per instant."""
-    th = subject.theta
-    if isinstance(th, np.ndarray):
-        c, s, back = np.cos(th), np.sin(th), wrap_angles(th + math.pi)
-    else:
-        c, s, back = math.cos(th), math.sin(th), wrap_angle(th + math.pi)
-    return Pose(subject.x + delta * c, subject.y + delta * s, subject.z, back)
+def _standoff(x, y, th, delta):
+    """The point delta ahead of (x, y) along the heading th, which may be
+    an array: the horizontal part of the standoff rule."""
+    cos, sin = (np.cos, np.sin) if isinstance(th, np.ndarray) else (math.cos, math.sin)
+    return x + delta * cos(th), y + delta * sin(th)
 
 
-def velocity_command(drone: Pose, subject: SubjectEstimate, cfg: ControlConfig):
-    """Target linear velocity and yaw rate for the current estimates."""
-    tgt = target_pose(subject.pose, cfg.delta)
-    vx = _clamp((tgt.x - drone.x) / cfg.tau + subject.vel[0], cfg.v_max)
-    vy = _clamp((tgt.y - drone.y) / cfg.tau + subject.vel[1], cfg.v_max)
-    vz = _clamp((tgt.z - drone.z) / cfg.tau + subject.vel[2], cfg.v_max)
-    dx = subject.pose.x - drone.x
-    dy = subject.pose.y - drone.y
+def target_pose(subject, delta: float) -> tuple:
+    """The pose delta ahead of the subject (x, y, z, theta) along its facing
+    axis, facing back at it: where the controller sends the drone.  The
+    fields may be arrays, one entry per instant."""
+    x, y, z, th = subject
+    back = wrap_angles(th + math.pi) if isinstance(th, np.ndarray) else wrap_angle(th + math.pi)
+    return (*_standoff(x, y, th, delta), z, back)
+
+
+def velocity_command(drone, est_pose, est_vel, cfg: ControlConfig):
+    """Target linear velocity and yaw rate for the drone pose and the
+    subject's estimated pose, all (x, y, z, theta), and its estimated
+    velocity (vx, vy, vz, omega).  Only the target's position enters: the
+    yaw command points the camera at the subject itself."""
+    x, y, z, th = drone
+    sx, sy, sz, sth = est_pose
+    svx, svy, svz, _ = est_vel
+    tx, ty = _standoff(sx, sy, sth, cfg.delta)
+    vx = _clamp((tx - x) / cfg.tau + svx, cfg.v_max)
+    vy = _clamp((ty - y) / cfg.tau + svy, cfg.v_max)
+    vz = _clamp((sz - z) / cfg.tau + svz, cfg.v_max)
+    dx = sx - x
+    dy = sy - y
     if dx * dx + dy * dy < 1e-12:
         omega = 0.0   # bearing undefined, hold the current heading
     else:
         heading_to_subject = math.atan2(dy, dx)
-        omega = _clamp(wrap_angle(heading_to_subject - drone.theta) / cfg.tau, cfg.omega_max)
+        omega = _clamp(wrap_angle(heading_to_subject - th) / cfg.tau, cfg.omega_max)
     return (vx, vy, vz), omega
 
 
-@dataclass
+@dataclass(slots=True)
 class DroneState:
     x: float = 0.0
     y: float = 0.0

@@ -234,7 +234,7 @@ def to_doc(g: NetGraph) -> dict:
 def from_doc(doc: dict) -> NetGraph:
     """Decode a nanopose-graph document, on its own or embedded in a qgraph
     or plan.  The stored layer channels, and shapes where present, must be
-    those the layer parameters give, or SchemaError."""
+    the integers the layer parameters give, or SchemaError."""
     with decoding("graph document"):
         check_format(doc, "graph document", "nanopose-graph")
         layers = [
@@ -252,4 +252,8 @@ def from_doc(doc: dict) -> NetGraph:
             if stored != derived:
                 raise SchemaError(f"graph document: {l.name} stores in_ch, out_ch, in_shape, "
                                   f"out_shape {stored}, its parameters give {derived}")
+        # the channels went through as_int; a float or bool shape entry equals an int by value
+        if not {type(x) for d in doc["layers"] for k in ("in_shape", "out_shape")
+                for x in d.get(k, ())} <= {int}:
+            raise SchemaError("graph document: a stored in_shape or out_shape holds a non-integer")
     return g

@@ -15,7 +15,7 @@ from .pose import wrap_angle
 R_FLOOR = 1e-8  # keeps the update well-posed for noise-free observations
 
 
-@dataclass
+@dataclass(slots=True)
 class Kalman1D:
     q: float                 # acceleration variance
     r: float                 # observation variance

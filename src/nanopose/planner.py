@@ -391,7 +391,7 @@ def _tile(name: str, t: dict) -> Tile:
     if not (len(r) == len(c) == len(i) == 2 and all(type(x) is int for x in v) and min(v) >= 0):
         raise ValueError(f"tile of {name} is not made of non-negative integers: {t!r}")
     tile = Tile(name, v[0:2], v[2:4], v[4:6], *v[6:])
-    if t["l1_bytes"] != tile.l1_bytes:
+    if type(t["l1_bytes"]) is not int or t["l1_bytes"] != tile.l1_bytes:
         raise SchemaError(f"plan document: a tile of {name} stores l1_bytes {t['l1_bytes']!r}, "
                           f"its buffers give {tile.l1_bytes}")
     return tile
@@ -400,10 +400,11 @@ def _tile(name: str, t: dict) -> Tile:
 def plan_from_json(text) -> DeploymentPlan:
     """Decode a plan document.  The derived copies it holds (occupancy
     rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not
-    trusted: each must equal what the stages, tiles, policy and memory
-    sizes give, or SchemaError.  `audit.audit_plan` checks the rest against
-    the graph.  A document that lists violations describes no plan: it
-    raises PlanConstraintError naming each one."""
+    trusted: each must be the integer the stages, tiles, policy and memory
+    sizes give, or SchemaError; a float or bool copy is no copy.
+    `audit.audit_plan` checks the rest against the graph.  A document that
+    lists violations describes no plan: it raises PlanConstraintError
+    naming each one."""
     doc = parse_doc(text, "plan document", "nanopose-plan")
     with decoding("plan document"):
         policy = doc["policy"]
@@ -422,9 +423,14 @@ def plan_from_json(text) -> DeploymentPlan:
         }
         p = DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
                            policy=policy, nodes=nodes, schedule=schedule)
-        if (doc["occupancy"], doc["l3_weight_bytes"]) != (memory_report(p), p.l3_weight_bytes):
+        occupancy, l3_weight_bytes = doc["occupancy"], doc["l3_weight_bytes"]
+        # equal values, then integer types: 7200.0 or True equals an int by value
+        if ((occupancy, l3_weight_bytes) != (memory_report(p), p.l3_weight_bytes)
+                or type(l3_weight_bytes) is not int
+                or not {type(v) for row in occupancy for v in row.values()} <= {int, str}):
             raise SchemaError("plan document: occupancy rows differ from those the stages, "
-                              "policy and memory sizes give, or l3_weight_bytes from their sum")
+                              "policy and memory sizes give, or l3_weight_bytes from their sum "
+                              "(a float or bool copy of an integer differs too)")
         violations = [as_str(v) for v in doc.get("violations", [])]
     if violations:
         raise PlanConstraintError("plan document lists violations; the plan cannot run on "

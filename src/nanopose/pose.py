@@ -1,6 +1,9 @@
 """Poses on R^3 x S^1 and frame transforms about the shared gravity axis.
 
-Angle differences are always real values in [-pi, pi].
+`Pose` names the four fields of a label or a sampled path; the frame
+transforms take and return plain (x, y, z, theta) tuples, so the
+simulator's event loop builds no object per event.  Angle differences are
+always real values in [-pi, pi].
 """
 
 import math
@@ -32,26 +35,20 @@ class Pose:
         return (self.x, self.y, self.z, self.theta)
 
 
-def to_odometry(pred_in_drone: Pose, drone_pose: Pose) -> Pose:
-    """Express a drone-relative pose in the world-fixed odometry frame."""
-    c, s = math.cos(drone_pose.theta), math.sin(drone_pose.theta)
-    return Pose(
-        x=drone_pose.x + c * pred_in_drone.x - s * pred_in_drone.y,
-        y=drone_pose.y + s * pred_in_drone.x + c * pred_in_drone.y,
-        z=drone_pose.z + pred_in_drone.z,
-        theta=wrap_angle(pred_in_drone.theta + drone_pose.theta),
-    )
+def to_odometry(pred_in_drone, drone_pose) -> tuple:
+    """Express a drone-relative pose in the world-fixed odometry frame.
+    Both poses, and the result, are (x, y, z, theta) sequences of floats."""
+    px, py, pz, pth = pred_in_drone
+    x, y, z, th = drone_pose
+    c, s = math.cos(th), math.sin(th)
+    return (x + c * px - s * py, y + s * px + c * py, z + pz, wrap_angle(pth + th))
 
 
-def to_drone(pose_in_odom: Pose, drone_pose: Pose) -> Pose:
-    """Inverse of to_odometry.  drone_pose may be anything with x, y, z and
-    theta, such as the simulator's drone state."""
-    dx = pose_in_odom.x - drone_pose.x
-    dy = pose_in_odom.y - drone_pose.y
-    c, s = math.cos(drone_pose.theta), math.sin(drone_pose.theta)
-    return Pose(
-        x=c * dx + s * dy,
-        y=-s * dx + c * dy,
-        z=pose_in_odom.z - drone_pose.z,
-        theta=wrap_angle(pose_in_odom.theta - drone_pose.theta),
-    )
+def to_drone(pose_in_odom, drone_pose) -> tuple:
+    """Inverse of to_odometry, on the same (x, y, z, theta) sequences."""
+    px, py, pz, pth = pose_in_odom
+    x, y, z, th = drone_pose
+    dx = px - x
+    dy = py - y
+    c, s = math.cos(th), math.sin(th)
+    return (c * dx + s * dy, -s * dx + c * dy, pz - z, wrap_angle(pth - th))

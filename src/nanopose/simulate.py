@@ -7,10 +7,12 @@ past (captured with the drone pose of that instant), is disturbed by the
 per-component noise model, transformed to the odometry frame with the
 current 100 Hz drone readout, fused by the per-component Kalman filters,
 and turned into a velocity set-point that holds until the next observation.
-Only that feedback runs in the Python event loop, on plain floats.  The
-subject's path at every capture and log time, the scaled noise, and the
-log's subject, target and tracking-error columns do not depend on it and
-are computed as arrays before and after the loop.
+Only that feedback runs in the Python event loop, on plain floats: poses
+pass between `pose`, `kalman` and `control` as (x, y, z, theta) tuples, so
+no object is built per event or capture.  The subject's path at every
+capture and log time, the scaled noise, and the log's subject, target and
+tracking-error columns do not depend on it and are computed as arrays
+before and after the loop.
 """
 
 import math
@@ -19,11 +21,10 @@ from itertools import chain
 
 import numpy as np
 
-from .control import (ControlConfig, DroneState, SubjectEstimate, step_dynamics, target_pose,
-                      velocity_command)
+from .control import ControlConfig, DroneState, step_dynamics, target_pose, velocity_command
 from .errors import SchemaError, finite_real, require_positive
 from .kalman import Kalman1D
-from .pose import Pose, to_drone, to_odometry, wrap_angle, wrap_angles
+from .pose import to_drone, to_odometry, wrap_angle, wrap_angles
 from .scenario import ScenarioScript, default_script, subject_state_at
 
 DYNAMICS_HZ = 500.0
@@ -172,10 +173,11 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     max_accel = 0.0
 
     def capture(k):
-        rel = to_drone(Pose(*subject[k]), drone)     # the drone state carries x, y, z, theta
-        e = disturb[k]
-        obs = (rel.x + e[0], rel.y + e[1], rel.z + e[2], wrap_angle(rel.theta + e[3]))
-        captured.append(obs + rel.as_tuple())
+        rel = to_drone(subject[k], (drone.x, drone.y, drone.z, drone.theta))
+        x, y, z, th = rel
+        ex, ey, ez, eth = disturb[k]
+        obs = (x + ex, y + ey, z + ez, wrap_angle(th + eth))
+        captured.append(obs + rel)
         return obs
 
     pending = capture(0)                        # measurement captured one period ago
@@ -184,25 +186,24 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
         # observation/control events due by now
         while next_obs_t <= t + EVENT_SLACK:
             t_ev = next_obs_t
-            readout_pose = Pose(*readout)
-            o = to_odometry(Pose(*pending), readout_pose)
+            o = to_odometry(pending, readout)
             if kf_time is None:
-                for f, v in zip(filters, o.as_tuple()):
+                for f, v in zip(filters, o):
                     f.start(v)
             else:
+                ox, oy, oz, oth = o
                 step = t_ev - kf_time
                 try:
-                    kx.step(step, o.x)
-                    ky.step(step, o.y)
-                    kz.step(step, o.z)
-                    kth.step(step, o.theta)
+                    kx.step(step, ox)
+                    ky.step(step, oy)
+                    kz.step(step, oz)
+                    kth.step(step, oth)
                 except FloatingPointError as e:
                     raise SchemaError(f"the tracking filters cannot run with SimConfig.q_accel_var = "
                                       f"{sim.q_accel_var!r} and noise std {noise.std}: {e}") from None
             kf_time = t_ev
             p = (kx.p, ky.p, kz.p, kth.p)
-            est = SubjectEstimate(Pose(*p), (kx.v, ky.v, kz.v, kth.v))
-            cmd_v, cmd_w = velocity_command(readout_pose, est, cfg)
+            cmd_v, cmd_w = velocity_command(readout, p, (kx.v, ky.v, kz.v, kth.v), cfg)
             est_cmd = p + cmd_v + (cmd_w,)
             for v in cmd_v:
                 if abs(v) > max_cmd_speed:
@@ -221,14 +222,14 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
     # the subject, its target and the tracking errors at every log row
     t_log = np.arange(0, n_ticks + 1, readout_every) * dt
-    sub = subject_state_at(t_log, script)[0]
-    tgt = target_pose(sub, cfg.delta)
+    sub = subject_state_at(t_log, script)[0].as_tuple()
+    tgt_x, tgt_y, _, tgt_theta = target_pose(sub, cfg.delta)
     rows = np.empty((len(logged), len(LOG_COLUMNS)))
     rows[:, 0] = t_log
-    rows[:, 1:5] = np.column_stack(sub.as_tuple())
+    rows[:, 1:5] = np.column_stack(sub)
     rows[:, 5:17] = _table(logged, 12)
-    rows[:, 17] = np.hypot(rows[:, 5] - tgt.x, rows[:, 6] - tgt.y)
-    rows[:, 18] = np.abs(wrap_angles(rows[:, 8] - tgt.theta))
+    rows[:, 17] = np.hypot(rows[:, 5] - tgt_x, rows[:, 6] - tgt_y)
+    rows[:, 18] = np.abs(wrap_angles(rows[:, 8] - tgt_theta))
     observations = np.empty((len(captured), 9))
     observations[:, 0] = t_capture[:len(captured)]
     observations[:, 1:] = _table(captured, 8)

@@ -307,6 +307,15 @@ PLAN_TAMPERS = {
     "graph-unmarked": lambda d: (d["graph"].pop("format"), d["graph"].pop("version")),
     "graph-conv1-out-shape-33": _conv1_out_shape_33,
     "graph-b3a1-in-ch-129": _b3a1_in_ch_129,
+    # a float or bool copy equal to the derived integer is no copy either
+    "tile-l1-bytes-float": lambda d: d["schedule"]["conv1"][0].update(
+        l1_bytes=float(d["schedule"]["conv1"][0]["l1_bytes"])),
+    "occupancy-total-float": lambda d: d["occupancy"][0].update(total=float(d["occupancy"][0]["total"])),
+    "occupancy-zero-as-false": lambda d: d["occupancy"][-1].update(weights_next=False),
+    "l3-weight-bytes-float": lambda d: d.update(l3_weight_bytes=float(d["l3_weight_bytes"])),
+    "graph-conv1-out-shape-float": lambda d: _graph_layer(d, "conv1").update(
+        out_shape=[float(x) for x in _graph_layer(d, "conv1")["out_shape"]]),
+    "graph-conv1-in-shape-true": lambda d: _graph_layer(d, "conv1")["in_shape"].__setitem__(0, True),
 }
 
 

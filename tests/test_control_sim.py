@@ -4,8 +4,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from nanopose.control import (ControlConfig, DroneState, SubjectEstimate, step_dynamics, target_pose,
-                              velocity_command)
+from nanopose.control import ControlConfig, DroneState, step_dynamics, target_pose, velocity_command
 from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
@@ -16,7 +15,8 @@ CFG = ControlConfig()
 
 
 def est(x, y, z, th, vel=(0, 0, 0, 0)):
-    return SubjectEstimate(pose=Pose(x, y, z, th), vel=vel)
+    """The subject's estimated pose and velocity, as velocity_command takes them."""
+    return (x, y, z, th), vel
 
 
 def state_at(t, script):
@@ -29,30 +29,30 @@ class TestVelocityCommand:
     def test_fixed_point_zero_command(self):
         # drone already at the target, facing the subject
         subj = est(0.0, 0.0, 0.0, 0.0)
-        drone = Pose(CFG.delta, 0.0, 0.0, math.pi)
-        (vx, vy, vz), w = velocity_command(drone, subj, CFG)
+        drone = (CFG.delta, 0.0, 0.0, math.pi)
+        (vx, vy, vz), w = velocity_command(drone, *subj, CFG)
         assert (vx, vy, vz) == (0.0, 0.0, 0.0)
         assert w == 0.0
 
     def test_forward_clamped_to_1(self):
         subj = est(0.0, 0.0, 0.0, 0.0)
-        drone = Pose(3.6, 0.0, 0.0, math.pi)
+        drone = (3.6, 0.0, 0.0, math.pi)
         cfg = ControlConfig(delta=1.3, tau=1.0)
-        (vx, _, _), _ = velocity_command(drone, subj, cfg)
+        (vx, _, _), _ = velocity_command(drone, *subj, cfg)
         # (3.6 - 1.3) / 1 = 2.3 clamps at 1; sign points back at the subject
         assert vx == -1.0
 
     def test_30_degree_bearing(self):
         subj = est(1.0, math.tan(math.radians(30.0)), 0.0, 0.0)
-        drone = Pose(0.0, 0.0, 0.0, 0.0)
+        drone = (0.0, 0.0, 0.0, 0.0)
         cfg = ControlConfig(tau=1.0)
-        _, w = velocity_command(drone, subj, cfg)
+        _, w = velocity_command(drone, *subj, cfg)
         assert w == pytest.approx(0.5236, abs=1e-4)
 
     def test_coincident_holds_heading(self):
         subj = est(0.0, 0.0, 0.0, 1.0)
-        drone = Pose(0.0, 0.0, 0.0, 0.4)
-        _, w = velocity_command(drone, subj, CFG)
+        drone = (0.0, 0.0, 0.0, 0.4)
+        _, w = velocity_command(drone, *subj, CFG)
         assert w == 0.0
 
     def test_clamps_always_hold(self):
@@ -60,10 +60,23 @@ class TestVelocityCommand:
         for _ in range(500):
             subj = est(*rng.uniform(-8, 8, 3), rng.uniform(-math.pi, math.pi),
                        vel=tuple(rng.uniform(-3, 3, 4)))
-            drone = Pose(*rng.uniform(-8, 8, 3), rng.uniform(-math.pi, math.pi))
-            (vx, vy, vz), w = velocity_command(drone, subj, CFG)
+            drone = (*rng.uniform(-8, 8, 3), rng.uniform(-math.pi, math.pi))
+            (vx, vy, vz), w = velocity_command(drone, *subj, CFG)
             assert max(abs(vx), abs(vy), abs(vz)) <= CFG.v_max
             assert abs(w) <= CFG.omega_max
+
+    def test_drives_toward_target_pose(self):
+        # unclamped, the linear command is the gap to target_pose's position
+        # over tau plus the subject's velocity: one standoff rule for both
+        rng = np.random.default_rng(3)
+        cfg = ControlConfig(tau=1.0, v_max=100.0)
+        for _ in range(200):
+            pose, vel = est(*rng.uniform(-8, 8, 3).tolist(), rng.uniform(-math.pi, math.pi),
+                            vel=tuple(rng.uniform(-1, 1, 4).tolist()))
+            drone = (*rng.uniform(-8, 8, 3).tolist(), rng.uniform(-math.pi, math.pi))
+            v, _ = velocity_command(drone, pose, vel, cfg)
+            tgt = target_pose(pose, cfg.delta)
+            assert v == tuple((tgt[i] - drone[i]) / cfg.tau + vel[i] for i in range(3))
 
 
 class TestDynamics:
@@ -161,9 +174,9 @@ class TestScenario:
         assert min(off, 2 * math.pi - off) == pytest.approx(math.radians(30.0))
 
     def test_target_pose_faces_subject(self):
-        tgt = target_pose(state_at(0.0, default_script())[0], 1.3)
-        assert tgt.x == pytest.approx(1.3)
-        assert abs(tgt.theta) == pytest.approx(math.pi)
+        x, _, _, theta = target_pose(state_at(0.0, default_script())[0].as_tuple(), 1.3)
+        assert x == pytest.approx(1.3)
+        assert abs(theta) == pytest.approx(math.pi)
 
 
 class TestRunExperiment:
@@ -278,7 +291,7 @@ class TestCustomScript:
         assert state_at(1.0, s)[0].x == 0.0
         p, v = state_at(4.0, s)
         assert p.x == pytest.approx(1.0) and v[0] == pytest.approx(0.5)
-        assert target_pose(p, 1.3).x == pytest.approx(2.3)
+        assert target_pose(p.as_tuple(), 1.3)[0] == pytest.approx(2.3)
 
     def test_rejects_empty_or_zero_length_phases(self):
         d = default_script()

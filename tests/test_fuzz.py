@@ -8,8 +8,9 @@ frame or QTNS weight file, or flips bits of one header byte.  No exception
 may escape and the exit code must be a documented one.  Exit 0 stays
 allowed: some keys are optional (a layer's `in_shape` and `out_shape`, a
 plan's `violations`, a graph's `variant`), and a flipped digit can leave a
-valid header.  Derived copies that are present are read and must match: a
-layer's channels and shapes, a plan's tile `l1_bytes`, occupancy rows and
+valid header.  Derived copies that are present are read and must match,
+integers as integers (a float or bool copy does not match): a layer's
+channels and shapes, a plan's tile `l1_bytes`, occupancy rows and
 `l3_weight_bytes`, and each tile's `in_bytes`, `weight_bytes` and
 `out_bytes`, which the audit `sweep` runs derives again from the layer
 geometry.  A plan that lists any violation exits 5.

@@ -1,7 +1,8 @@
 """Byte pins: the plan documents and the seeded float weights of the three
-reference variants, and a seeded augmentation stream, as sha256 digests of
-their bytes.  A change that moves any of them changes what `plan` writes,
-what every seeded net computes or what `augment` draws."""
+reference variants, a seeded augmentation stream and seeded closed-loop
+runs, as sha256 digests of their bytes.  A change that moves any of them
+changes what `plan` writes, what every seeded net computes, what `augment`
+draws or what the simulator flies."""
 
 import hashlib
 
@@ -13,6 +14,7 @@ from nanopose import graph as G
 from nanopose import planner as P
 from nanopose.floatnet import random_float_net
 from nanopose.pose import Pose
+from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
 
 L1_16K = P.MemoryHierarchy(l1_bytes=16 * 1024)   # splits channels in every variant
 
@@ -80,3 +82,35 @@ def test_augment_sample_bytes():
         h.update(out.pixels.tobytes())
         h.update(np.array(out.label.as_tuple() + (pitch,), dtype="<f8").tobytes())
     assert h.hexdigest() == AUGMENT_SHA256
+
+
+# run_experiment(noise_for(variant, seed), rate): the log rows, then the
+# observations, then float.hex of max_cmd_speed, max_cmd_omega and max_accel.
+# Full 50 s runs at each deployed rate, and 3 s runs at 1000 Hz (several
+# events per dynamics tick) and 7/3 Hz (periods that are no whole number of
+# ticks).
+# mocap draws no noise, so its two seeds share one digest.
+SIM_SHA256 = {
+    ("mocap", 0, RATE_HZ["mocap"], None): "bca697b19d1562ffe052af4819dc1aae86bea72428e319e5f5f21ce0f74793a9",
+    ("mocap", 1, RATE_HZ["mocap"], None): "bca697b19d1562ffe052af4819dc1aae86bea72428e319e5f5f21ce0f74793a9",
+    ("160x32", 0, RATE_HZ["160x32"], None): "e1bc22a3e38ef0df7fa430f59dcc46dcab0766c6871e3a12f7619e0f74c17cfc",
+    ("160x32", 1, RATE_HZ["160x32"], None): "eb43f1a4494e0a0596d84e84714cc7558fb3851fb1d2e86b499c1f3af4e944ec",
+    ("160x16", 0, RATE_HZ["160x16"], None): "5c3374a79d96cdded68d42bf2739504c78b9a09759ee2673c0eaec46b4a74694",
+    ("160x16", 1, RATE_HZ["160x16"], None): "b5bd21b332375b4c091f1dc856ebb98ac5663ba0bde8f6cdb3585b96f1395f56",
+    ("80x32", 0, RATE_HZ["80x32"], None): "7fcac7b18e11725f1f6a3cc3577e2806bdc3731ef7474d1d6253499234d645dc",
+    ("80x32", 1, RATE_HZ["80x32"], None): "e4253cd54dfd4dfd2a3a6b1538c5144ade512f5303892d7b23519388bf27e4c2",
+    ("80x32", 0, 1000.0, 3.0): "4e5dfad015cd9e55e3b60c572d6139323fe8a584c09017964c7abb0f1b733d76",
+    ("80x32", 0, 7.0 / 3.0, 3.0): "0129ff0a245bb218050b472ab8ae9a3fe6316c7b6a90fa03e62e646bea643a5e",
+}
+
+
+@pytest.mark.parametrize("variant, seed, rate, duration", list(SIM_SHA256),
+                         ids=[f"{v}-{s}-{r:g}Hz-{d or 'script'}" for v, s, r, d in SIM_SHA256])
+def test_run_experiment_bytes(variant, seed, rate, duration):
+    log = run_experiment(noise_for(variant, seed), rate, sim_cfg=SimConfig(duration=duration))
+    h = hashlib.sha256()
+    h.update(log.rows.tobytes())
+    h.update(log.observations.tobytes())
+    h.update(" ".join(v.hex() for v in (log.max_cmd_speed, log.max_cmd_omega,
+                                        log.max_accel)).encode())
+    assert h.hexdigest() == SIM_SHA256[variant, seed, rate, duration]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nanopose.kalman import Kalman1D
-from nanopose.pose import Pose, to_drone, to_odometry, wrap_angle
+from nanopose.pose import to_drone, to_odometry, wrap_angle
 
 
 def kf_step(kf: Kalman1D, obs: float, dt: float):
@@ -14,26 +14,24 @@ def kf_step(kf: Kalman1D, obs: float, dt: float):
 
 class TestPose:
     def test_identity_at_origin(self):
-        p = Pose(1.2, -0.4, 0.3, 0.7)
-        out = to_odometry(p, Pose(0, 0, 0, 0))
+        p = (1.2, -0.4, 0.3, 0.7)
+        out = to_odometry(p, (0.0, 0.0, 0.0, 0.0))
         assert out == p
 
     def test_quarter_turn(self):
-        out = to_odometry(Pose(1, 0, 0, 0), Pose(0, 0, 0, math.pi / 2))
-        assert out.x == pytest.approx(0.0, abs=1e-12)
-        assert out.y == pytest.approx(1.0)
-        assert out.theta == pytest.approx(math.pi / 2)
+        x, y, _, theta = to_odometry((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, math.pi / 2))
+        assert x == pytest.approx(0.0, abs=1e-12)
+        assert y == pytest.approx(1.0)
+        assert theta == pytest.approx(math.pi / 2)
 
     def test_roundtrip_inverse(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            rel = Pose(*rng.uniform(-5, 5, 3), rng.uniform(-math.pi, math.pi))
-            drone = Pose(*rng.uniform(-5, 5, 3), rng.uniform(-math.pi, math.pi))
+            rel = (*rng.uniform(-5, 5, 3).tolist(), rng.uniform(-math.pi, math.pi))
+            drone = (*rng.uniform(-5, 5, 3).tolist(), rng.uniform(-math.pi, math.pi))
             back = to_drone(to_odometry(rel, drone), drone)
-            assert back.x == pytest.approx(rel.x, abs=1e-12)
-            assert back.y == pytest.approx(rel.y, abs=1e-12)
-            assert back.z == pytest.approx(rel.z, abs=1e-12)
-            assert abs(wrap_angle(back.theta - rel.theta)) < 1e-12
+            assert back[:3] == pytest.approx(rel[:3], abs=1e-12)
+            assert abs(wrap_angle(back[3] - rel[3])) < 1e-12
 
     def test_wrap_stays_in_range(self):
         for a in np.linspace(-20, 20, 1001):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import nanopose
 
@@ -55,6 +56,17 @@ def test_weight_layout_stated_in_graph_only():
     spelled = {path.name for path in sorted(SRC.glob("*.py"))
                if ".kernel[0] *" in path.read_text() or "*l.kernel" in path.read_text()}
     assert spelled <= {"graph.py", "audit.py"}, spelled
+
+
+def test_pose_rules_stated_once():
+    # the standoff point (x + delta * cos(theta), ...) lives in control.py
+    # and the drone/odometry frame rotation (c * x - s * y, ...) in pose.py;
+    # the simulator calls them instead of inlining a faster copy
+    rules = {"control.py": re.compile(r"delta \* (np\.|math\.)?(cos|sin)\("),
+             "pose.py": re.compile(r"\b[cs] \* \w+ [-+] [cs] \* \w+")}
+    for home, rule in rules.items():
+        spelled = {path.name for path in sorted(SRC.glob("*.py")) if rule.search(path.read_text())}
+        assert spelled == {home}, (rule.pattern, spelled)
 
 
 def test_code_kind_stated_by_dtype_only():
