@@ -298,25 +298,24 @@ def report_table(p: DeploymentPlan) -> str:
     return "\n".join(out)
 
 
-def _head_doc(p: DeploymentPlan) -> dict:
-    """Every key of the plan document but the schedule, which comes last."""
+def plan_doc(p: DeploymentPlan) -> dict:
+    """The plan as a nanopose-plan document (a dict ready for json)."""
     return {
         "format": "nanopose-plan",
         "version": 1,
         "policy": p.policy,
         "mem": asdict(p.mem),
         "graph": G.to_doc(p.graph),
-        "nodes": [dict(vars(n), layer_names=list(n.layer_names)) for n in p.nodes],
+        "nodes": [_node_doc(n) for n in p.nodes],
         "occupancy": memory_report(p),
         "l3_weight_bytes": p.l3_weight_bytes,
         "violations": [],   # every plan `plan` returns fits its memory hierarchy
+        "schedule": {name: [_tile_doc(t) for t in tiles] for name, tiles in p.schedule.items()},
     }
 
 
-def plan_doc(p: DeploymentPlan) -> dict:
-    """The plan as a nanopose-plan document (a dict ready for json)."""
-    return dict(_head_doc(p), schedule={name: [_tile_doc(t) for t in tiles]
-                                        for name, tiles in p.schedule.items()})
+def _node_doc(n: PlanNode) -> dict:
+    return dict(vars(n), layer_names=list(n.layer_names))
 
 
 def _tile_doc(t: Tile) -> dict:
@@ -353,12 +352,105 @@ def _indented(obj, indent: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _slots(v):
+    # a placeholder field's template slots: %d per int, %s per str or list
+    if type(v) is tuple:
+        return [_slots(x) for x in v]
+    return "%d" if type(v) is int else "%s"
+
+
+def _template(doc: dict, indent: str) -> str:
+    """`_indented(doc, indent)` with every int field, and every element of a
+    tuple field, written as %d, and every str or list field as %s: filled
+    in field order, with strings and lists already written as JSON, it is
+    the text of a record of that layout."""
+    text = _indented({k: _slots(v) for k, v in doc.items()}, indent)
+    return text.replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+class _Record:
+    """One record layout of the plan document, written by one %-template.
+
+    The layout is that of a placeholder record made by the document's own
+    builders: a tuple field has the placeholder's length, and a list field
+    holds any number of strings."""
+
+    def __init__(self, doc: dict, indent: str):
+        self.indent = indent
+        self.template = _template(doc, indent)
+        fields = list(doc.values())
+        # spliced from the last, so each index still holds when its turn comes
+        self.tuples = [(i, len(v)) for i, v in enumerate(fields) if type(v) is tuple][::-1]
+        types = []
+        for v in fields:
+            types += map(type, v) if type(v) is tuple else [type(v)]
+        self.types = tuple(types)
+        self.strs = [i for i, t in enumerate(types) if t is str]
+        self.lists = [i for i, t in enumerate(types) if t is list]
+
+    def write(self, doc: dict) -> str:
+        """`_indented(doc, indent)`: the template filled when each field is a
+        plain int or str (or list of str) of the template's arity, since %d
+        writes 3.5 as 3 and True as 1."""
+        v = [*doc.values()]
+        for i, n in self.tuples:
+            t = v[i]
+            if type(t) is not tuple or len(t) != n:
+                return _indented(doc, self.indent)
+            v[i:i + 1] = t
+        if tuple(map(type, v)) != self.types:
+            return _indented(doc, self.indent)
+        for i in self.strs:
+            v[i] = _json_str(v[i])
+        for i in self.lists:
+            if not {*map(type, v[i])} <= _STR:
+                return _indented(doc, self.indent)
+            v[i] = _list_json([*map(_json_str, v[i])], self.indent + "  ")
+        return self.template % tuple(v)
+
+    def json(self, docs) -> str:
+        """The list of records `docs` at its place in the plan document."""
+        return _list_json([*map(self.write, docs)], self.indent[:-2])
+
+
+_STR = {str}
+
+
+def _list_json(items: list, indent: str) -> str:
+    """`_indented` of a list whose items are written already."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _placeholder_doc(policy: str) -> dict:
+    """The document of a plan with one graph layer, stage and tile, every
+    str "" and every int 0: the layouts the templates write."""
+    layer = G.LayerSpec("", "", 0, 0, (0, 0), (0, 0), (0, 0), (0, 0, 0), (0, 0, 0))
+    node = PlanNode("", "", [""], 0, 0, 0, 0, 0, 0)
+    tile = Tile("", (0, 0), (0, 0), (0, 0), 0, 0, 0)
+    return plan_doc(DeploymentPlan(G.NetGraph([layer], (0, 0, 0)), GAP8, policy, [node], {"": [tile]}))
+
+
+def _frame(doc: dict) -> str:
+    """`_indented(doc)` with a %s for each value a plan sets, to be filled
+    with that value already written: the text around the records."""
+    graph = dict(doc["graph"], variant="%s", input_shape="%s", layers="%s")
+    return _indented(dict(doc, policy="%s", mem="%s", graph=graph, nodes="%s", occupancy="%s",
+                          l3_weight_bytes="%s", schedule="%s")).replace('"%s"', "%s")
+
+
+_STREAMED_DOC, _RESIDENT_DOC = map(_placeholder_doc, (STREAMED, RESIDENT))
+_PLAN_JSON = _frame(_STREAMED_DOC)
+_LAYER = _Record(_STREAMED_DOC["graph"]["layers"][0], "\n      ")
+_NODE = _Record(_STREAMED_DOC["nodes"][0], "\n    ")
+# memory_report's row, keyed like its choice of weight columns
+_ROW = {True: _Record(_STREAMED_DOC["occupancy"][0], "\n    "),
+        False: _Record(_RESIDENT_DOC["occupancy"][0], "\n    ")}
 _TILE_INDENT = "\n      "   # a tile sits in a list in the schedule in the plan
+_TILE_JSON = _template(_STREAMED_DOC["schedule"][""][0], _TILE_INDENT)
 _INT_FIELDS = (int,) * 10
-# `_indented(_tile_doc(t), _TILE_INDENT)` for a tile of plain ints
-_TILE_JSON = _indented(
-    {"out_rows": ["%d"] * 2, "out_ch": ["%d"] * 2, "in_rows": ["%d"] * 2, "in_bytes": "%d",
-     "weight_bytes": "%d", "out_bytes": "%d", "l1_bytes": "%d"}, _TILE_INDENT).replace('"%d"', "%d")
 
 
 def _tile_json(t: Tile) -> str:
@@ -371,17 +463,23 @@ def _tile_json(t: Tile) -> str:
 
 
 def _tiles_json(tiles: list) -> str:
-    if not tiles:
-        return "[]"
-    return "[" + _TILE_INDENT + ("," + _TILE_INDENT).join(map(_tile_json, tiles)) + "\n    ]"
+    return _list_json([*map(_tile_json, tiles)], "\n    ")
 
 
 def plan_to_json(p: DeploymentPlan) -> str:
-    """`json.dumps(plan_doc(p), indent=2)`: the head through `_indented`,
-    the schedule, most of a plan's bytes, one template per tile."""
+    """`json.dumps(plan_doc(p), indent=2)`, byte for byte, without the
+    standard library's pure-Python encoder: each graph layer, stage,
+    occupancy row and tile is one template fill.  The head (graph, stages
+    and occupancy) is most of a plan's bytes unless its L1 is small."""
+    g = p.graph
     items = [_json_str(name) + ": " + _tiles_json(tiles) for name, tiles in p.schedule.items()]
     schedule = "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"
-    return _indented(_head_doc(p))[:-2] + ',\n  "schedule": ' + schedule + "\n}"
+    return _PLAN_JSON % (
+        _indented(p.policy, "\n  "), _indented(vars(p.mem), "\n  "),
+        _indented(g.variant, "\n    "), _indented(list(g.input_shape), "\n    "),
+        _LAYER.json(map(vars, g.layers)), _NODE.json(map(_node_doc, p.nodes)),
+        _ROW[p.policy == STREAMED].json(memory_report(p)),
+        _indented(p.l3_weight_bytes, "\n  "), schedule)
 
 
 def _tile(name: str, t: dict) -> Tile:

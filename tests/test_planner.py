@@ -9,6 +9,7 @@ from nanopose.audit import audit_plan
 from nanopose.errors import PlanConstraintError, SchemaError, UntileableLayerError
 from nanopose.planner import (
     GAP8,
+    POLICIES,
     RESIDENT,
     STREAMED,
     DeploymentPlan,
@@ -383,6 +384,18 @@ class TestPlanJson:
         assert text == json.dumps(plan_doc(p), indent=2)
         return text
 
+    @staticmethod
+    def writes_like_json_dumps(p):
+        """plan_to_json writes what json.dumps(indent=2) writes, or raises
+        the TypeError it raises."""
+        try:
+            want = json.dumps(plan_doc(p), indent=2)
+        except TypeError:
+            with pytest.raises(TypeError):
+                plan_to_json(p)
+        else:
+            assert plan_to_json(p) == want
+
     @pytest.mark.parametrize("fuse_pool", [True, False])
     @pytest.mark.parametrize("policy", [STREAMED, RESIDENT])
     @pytest.mark.parametrize("tag", G.VARIANTS)
@@ -401,14 +414,16 @@ class TestPlanJson:
         assert split or not written, "no L1 budget split a layer's channels"
 
     def test_writer_escapes_names(self):
+        # the names reach the layer, stage and occupancy templates too
         g = G.build_variant("80x32")
-        names = ['quote "ä"', "back\\slash", "tab\t\u00e9", "drone \U0001f681", "del\x7f"]
+        names = ['quote "ä"', "back\\slash", "tab\t\u00e9", "drone \U0001f681", "del\x7f", "100%s %d"]
         g.layers = [dataclasses.replace(l, name=names[i] if i < len(names) else l.name)
                     for i, l in enumerate(g.layers)]
-        p = plan(g, GAP8, STREAMED)
-        text = self.written(p)
-        assert text.isascii()
-        assert plan_to_json(plan_from_json(text)) == text
+        g.variant = 'variant "%s" \\ \u00e9 \U0001f681'
+        for policy in POLICIES:
+            text = self.written(plan(g, GAP8, policy))
+            assert text.isascii()
+            assert plan_to_json(plan_from_json(text)) == text
 
     @pytest.mark.parametrize("fields", [
         {"in_bytes": 3.5}, {"weight_bytes": True}, {"out_rows": (np.int64(0), 22)},
@@ -418,13 +433,36 @@ class TestPlanJson:
     def test_writer_non_int_tile_field(self, fields):
         p = plan(G.build_variant("80x32"), GAP8, STREAMED)
         p.schedule["conv1"][0] = dataclasses.replace(p.schedule["conv1"][0], **fields)
-        try:
-            want = json.dumps(plan_doc(p), indent=2)
-        except TypeError:
-            with pytest.raises(TypeError):
-                plan_to_json(p)
-        else:
-            assert plan_to_json(p) == want
+        self.writes_like_json_dumps(p)
+
+    @pytest.mark.parametrize("policy, record, fields", [
+        (STREAMED, "layer", {"kernel": [5, 5]}),
+        (STREAMED, "layer", {"in_shape": (np.int64(1), 48, 80)}),
+        (STREAMED, "layer", {"stride": (2, 2, 2)}),
+        (STREAMED, "layer", {"stride": (2, 2, 2), "padding": (2,)}),
+        (STREAMED, "layer", {"kernel": range(5, 7)}),
+        (STREAMED, "layer", {"in_ch": True}),
+        (STREAMED, "layer", {"out_ch": 32.0}),
+        (STREAMED, "layer", {"name": 7}),
+        (STREAMED, "node", {"macs": np.int64(10)}),
+        (STREAMED, "node", {"layer_names": ("conv1", "act1")}),
+        (STREAMED, "node", {"layer_names": []}),
+        (STREAMED, "node", {"layer_names": ["conv1", 1]}),
+        (STREAMED, "node", {"in_bytes": np.int64(7680)}),
+        (STREAMED, "node", {"weight_bytes": True}),
+        (RESIDENT, "node", {"out_bytes": 3.5}),
+        (RESIDENT, "node", {"name": None}),
+    ], ids=["list-kernel", "int64-shape", "three-stride",
+            "sixteen-ints-misplaced", "range-kernel", "bool-ch", "float-ch", "int-name",
+            "int64-macs", "tuple-names", "no-names", "int-in-names", "int64-in-bytes",
+            "bool-weights", "float-out-bytes-resident", "none-name-resident"])
+    def test_writer_non_plain_head_field(self, policy, record, fields):
+        # a field the layer, stage or occupancy-row template cannot write
+        # leaves that record to `_indented`, as a tile's does
+        p = plan(G.build_variant("80x32"), GAP8, policy)
+        objs = p.graph.layers if record == "layer" else p.nodes
+        objs[0] = dataclasses.replace(objs[0], **fields)
+        self.writes_like_json_dumps(p)
 
     def test_writer_empty_plan(self):
         # the planner rejects an empty graph, as the graph decoder does, so
