@@ -7,7 +7,7 @@ horizontal flip mirrors the label's lateral and heading components.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def augment_sample(li: LabeledImage, rng: np.random.Generator):
     offset = int(rng.integers(0, MAX_OFFSET + 1))
     img, pitch = pitch_crop(li.pixels, offset)
     img = photometric(img, rng)
-    out = LabeledImage(pixels=img, label=replace(li.label))
+    out = LabeledImage(pixels=img, label=li.label)
     if rng.random() < OP_PROBABILITY:
         out = hflip(out)
     return out, pitch

@@ -311,14 +311,16 @@ def _check_target(i, target):
             raise FitError(f"target {i}: measured {name} must be finite and > 0, got {v!r}")
 
 
-def calibrate_params(targets, base: CostParams = None) -> tuple:
+def calibrate_params(targets) -> tuple:
     """Least-squares fit of utilization, DMA, and power coefficients.
 
     targets: iterable of (plan, OperatingPoint, measured fps, measured mW).
+    The fit starts from the default CostParams, whose fitted fields lie
+    inside `_FIT_BOUNDS`; the fields it does not fit keep their defaults.
     Returns (CostParams, residuals, info dict).  Residuals are relative
     errors, fps and power interleaved per target.  Statics are fitted as one
     knob split evenly between domains.  Raises FitError for malformed
-    targets and for a base whose fitted fields lie outside `_FIT_BOUNDS`.
+    targets.
     """
     from scipy.optimize import least_squares   # only fits pay its import time
 
@@ -327,14 +329,10 @@ def calibrate_params(targets, base: CostParams = None) -> tuple:
         raise FitError(f"need at least 3 calibration targets, got {len(targets)}")
     for i, target in enumerate(targets):
         _check_target(i, target)
-    base = base or CostParams()
+    base = CostParams()
     x0 = [base.static_fc_w + base.static_cl_w if name == "static_fc_w" else getattr(base, name)
           for name in _FIT_FIELDS]
     lo, hi = (np.array([_FIT_BOUNDS[name][k] for name in _FIT_FIELDS]) for k in (0, 1))
-    for name, v, v_lo, v_hi in zip(_FIT_FIELDS, x0, lo, hi):
-        if not v_lo <= v <= v_hi:
-            field = "static_fc_w + static_cl_w" if name == "static_fc_w" else name
-            raise FitError(f"base {field} = {v:g} outside the fit bounds [{v_lo:g}, {v_hi:g}]")
     # CostParams requires each fitted field finite and > 0, so once both
     # corners pass, so does every point of the box, and the solver evaluates
     # only inside it: the evaluations update one scratch copy unchecked

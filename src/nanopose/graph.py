@@ -108,8 +108,9 @@ def infer_shapes(g: NetGraph) -> NetGraph:
     """Check the chain's structure and fill every layer's in/out shape."""
     if not g.layers:
         raise SchemaError("empty graph")
-    if len({l.name for l in g.layers}) != len(g.layers):
-        raise SchemaError("layer names are not unique")
+    names = [l.name for l in g.layers]
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise SchemaError(f"layer names must be unique strings, got {names}")
     shape = tuple(g.input_shape)
     prev = None
     for l in g.layers:

@@ -42,7 +42,6 @@ GAP8 = MemoryHierarchy()
 
 @dataclass
 class Tile:
-    layer: str
     out_rows: tuple          # [r0, r1)
     out_ch: tuple            # [c0, c1)
     in_rows: tuple           # [r0, r1) clamped input rows incl. halo
@@ -60,11 +59,9 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
     ic, ih, iw = layer.in_shape
     oc, oh, ow = layer.out_shape
     if layer.kind == G.FC:
-        return Tile(
-            layer=layer.name, out_rows=(0, 1), out_ch=(c0, c1), in_rows=(0, 1),
-            in_bytes=layer.in_ch, weight_bytes=(c1 - c0) * layer.taps(),
-            out_bytes=(c1 - c0) * layer.out_elem_bytes(),
-        )
+        return Tile(out_rows=(0, 1), out_ch=(c0, c1), in_rows=(0, 1), in_bytes=layer.in_ch,
+                    weight_bytes=(c1 - c0) * layer.taps(),
+                    out_bytes=(c1 - c0) * layer.out_elem_bytes())
     sh = layer.stride[0]
     kh = layer.kernel[0]
     ph = layer.padding[0]
@@ -72,7 +69,7 @@ def _tile_geometry(layer: G.LayerSpec, r0: int, r1: int, c0: int, c1: int) -> Ti
     hi = min(ih, (r1 - 1) * sh - ph + kh)
     in_bytes = ic * (hi - lo) * iw
     out_bytes = (c1 - c0) * (r1 - r0) * ow * layer.out_elem_bytes()
-    return Tile(layer=layer.name, out_rows=(r0, r1), out_ch=(c0, c1), in_rows=(lo, hi),
+    return Tile(out_rows=(r0, r1), out_ch=(c0, c1), in_rows=(lo, hi),
                 in_bytes=in_bytes, weight_bytes=(c1 - c0) * layer.taps(), out_bytes=out_bytes)
 
 
@@ -319,9 +316,7 @@ def _node_doc(n: PlanNode) -> dict:
 
 
 def _tile_doc(t: Tile) -> dict:
-    d = dict(vars(t), l1_bytes=t.l1_bytes)
-    del d["layer"]   # the schedule key names it
-    return d
+    return dict(vars(t), l1_bytes=t.l1_bytes)
 
 
 _int_repr = int.__repr__   # how json writes an int
@@ -429,7 +424,7 @@ def _placeholder_doc(policy: str) -> dict:
     str "" and every int 0: the layouts the templates write."""
     layer = G.LayerSpec("", "", 0, 0, (0, 0), (0, 0), (0, 0), (0, 0, 0), (0, 0, 0))
     node = PlanNode("", "", [""], 0, 0, 0, 0, 0, 0)
-    tile = Tile("", (0, 0), (0, 0), (0, 0), 0, 0, 0)
+    tile = Tile((0, 0), (0, 0), (0, 0), 0, 0, 0)
     return plan_doc(DeploymentPlan(G.NetGraph([layer], (0, 0, 0)), GAP8, policy, [node], {"": [tile]}))
 
 
@@ -488,7 +483,7 @@ def _tile(name: str, t: dict) -> Tile:
     v = (*r, *c, *i, t["in_bytes"], t["weight_bytes"], t["out_bytes"])
     if not (len(r) == len(c) == len(i) == 2 and all(type(x) is int for x in v) and min(v) >= 0):
         raise ValueError(f"tile of {name} is not made of non-negative integers: {t!r}")
-    tile = Tile(name, v[0:2], v[2:4], v[4:6], *v[6:])
+    tile = Tile(v[0:2], v[2:4], v[4:6], *v[6:])
     if type(t["l1_bytes"]) is not int or t["l1_bytes"] != tile.l1_bytes:
         raise SchemaError(f"plan document: a tile of {name} stores l1_bytes {t['l1_bytes']!r}, "
                           f"its buffers give {tile.l1_bytes}")

@@ -1,13 +1,13 @@
 """Poses on R^3 x S^1 and frame transforms about the shared gravity axis.
 
-`Pose` names the four fields of a label or a sampled path; the frame
-transforms take and return plain (x, y, z, theta) tuples, so the
-simulator's event loop builds no object per event.  Angle differences are
-always real values in [-pi, pi].
+A pose is an (x, y, z, theta) tuple.  `Pose` is that tuple with named
+fields, for labels and sampled paths; the frame transforms take either and
+return plain tuples, so the simulator's event loop builds no object per
+event.  Angle differences are always real values in [-pi, pi].
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +24,11 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where((-math.pi <= a) & (a <= math.pi), a, np.arctan2(np.sin(a), np.cos(a)))
 
 
-@dataclass(slots=True)
-class Pose:
+class Pose(NamedTuple):
     x: float
     y: float
     z: float
     theta: float
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z, self.theta)
 
 
 def to_odometry(pred_in_drone, drone_pose) -> tuple:

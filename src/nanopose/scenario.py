@@ -40,25 +40,24 @@ class Phase:
     left: float = 0.0       # m/s to the subject's left
     yaw_rate: float = 0.0   # rad/s
 
-    def state(self, start: Pose, tau):
-        """Pose and world-frame velocity (vx, vy, vz, omega) tau seconds
-        after starting from `start`.  tau may be an array of offsets; a
-        component that does not change along the phase stays a scalar."""
+    def state(self, start: Pose, tau) -> Pose:
+        """Pose tau seconds after starting from `start`.  tau may be an
+        array of offsets; a component that does not change along the phase
+        stays a scalar."""
         u, w, om = self.forward, self.left, self.yaw_rate
         th0 = start.theta
         c0, s0 = math.cos(th0), math.sin(th0)
         if om == 0.0:
-            vx, vy = u * c0 - w * s0, u * s0 + w * c0
-            return Pose(start.x + vx * tau, start.y + vy * tau, start.z, th0), (vx, vy, 0.0, 0.0)
+            return Pose(start.x + (u * c0 - w * s0) * tau, start.y + (u * s0 + w * c0) * tau,
+                        start.z, th0)
         th = th0 + om * tau
         if isinstance(th, np.ndarray):
             c, s, th = np.cos(th), np.sin(th), wrap_angles(th)
         else:
             c, s, th = math.cos(th), math.sin(th), wrap_angle(th)
-        pose = Pose(start.x + (u * (s - s0) + w * (c - c0)) / om,
+        return Pose(start.x + (u * (s - s0) + w * (c - c0)) / om,
                     start.y + (u * (c0 - c) + w * (s - s0)) / om,
                     start.z, th)
-        return pose, (u * c - w * s, u * s + w * c, 0.0, om)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class ScenarioScript:
             starts.append(t)
             start_poses.append(pose)
             t += p.duration
-            pose, _ = p.state(pose, p.duration)
+            pose = p.state(pose, p.duration)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "start_poses", tuple(start_poses))
@@ -114,23 +113,23 @@ def default_script() -> ScenarioScript:
                           subject_start=Pose(0.0, 0.0, 0.0, 0.0))
 
 
-def subject_state_at(t, script: ScenarioScript):
-    """Ground-truth subject pose and velocity at each time of the 1-D
-    ascending array t (a negative time reads as 0).
+def subject_state_at(t, script: ScenarioScript) -> Pose:
+    """Ground-truth subject pose at each time of the 1-D ascending array t
+    (a negative time reads as 0).
 
-    Returns (Pose, (vx, vy, vz, omega)), every field an array as long as t.
-    Motion is piecewise analytic, so sampling is exact at any instant; each
-    phase's closed form is evaluated once over the times it covers.
+    Returns a Pose whose every field is an array as long as t.  Motion is
+    piecewise analytic, so sampling is exact at any instant; each phase's
+    closed form is evaluated once over the times it covers.
     """
     ts = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
     if ts.ndim != 1 or np.any(ts[1:] < ts[:-1]):
         raise ValueError("sample times must be a 1-D array in ascending order")
     # phase i covers starts[i] <= t < starts[i + 1], as bisect_right decides
     edges = [0, *np.searchsorted(ts, script.starts[1:], side="left").tolist(), ts.size]
-    out = np.empty((8, ts.size))
+    out = np.empty((4, ts.size))
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         if lo < hi:
-            pose, vel = script.phases[i].state(script.start_poses[i], ts[lo:hi] - script.starts[i])
-            for row, v in zip(out[:, lo:hi], pose.as_tuple() + vel):
+            pose = script.phases[i].state(script.start_poses[i], ts[lo:hi] - script.starts[i])
+            for row, v in zip(out[:, lo:hi], pose):
                 row[:] = v
-    return Pose(*out[:4]), tuple(out[4:])
+    return Pose(*out)

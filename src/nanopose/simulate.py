@@ -149,9 +149,9 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     rng = np.random.default_rng(noise.seed)
     t_capture = np.arange(n_captures) * obs_period
     disturb = (rng.standard_normal((n_captures, 4)) * noise.std).tolist()
-    subject = np.column_stack(subject_state_at(t_capture, script)[0].as_tuple()).tolist()
+    subject = np.column_stack(subject_state_at(t_capture, script)).tolist()
 
-    drone = DroneState(*script.drone_start.as_tuple())
+    drone = DroneState(*script.drone_start)
     filters = [
         Kalman1D(q=sim.q_accel_var, r=s * s, angular=(i == 3))
         for i, s in enumerate(noise.std)
@@ -161,7 +161,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
     cmd_v = (0.0, 0.0, 0.0)
     cmd_w = 0.0
-    readout = script.drone_start.as_tuple()      # drone pose at the last 100 Hz readout
+    readout = script.drone_start                 # drone pose at the last 100 Hz readout
     est_cmd = (math.nan,) * 4 + cmd_v + (cmd_w,)  # filter estimate and command, as logged
     next_obs_t = obs_period
     obs_index = 1
@@ -222,7 +222,7 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
 
     # the subject, its target and the tracking errors at every log row
     t_log = np.arange(0, n_ticks + 1, readout_every) * dt
-    sub = subject_state_at(t_log, script)[0].as_tuple()
+    sub = subject_state_at(t_log, script)
     tgt_x, tgt_y, _, tgt_theta = target_pose(sub, cfg.delta)
     rows = np.empty((len(logged), len(LOG_COLUMNS)))
     rows[:, 0] = t_log

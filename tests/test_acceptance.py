@@ -233,7 +233,7 @@ def test_criterion_6_augmentation():
                 out, pitch = A.augment_sample(li, g)
                 h.update(out.pixels.tobytes())
                 h.update(np.float64(pitch).tobytes())
-                h.update(np.asarray(out.label.as_tuple()).tobytes())
+                h.update(np.asarray(tuple(out.label)).tobytes())
             return h.hexdigest()
 
         assert stream_digest(9) == stream_digest(9)

@@ -128,7 +128,7 @@ class TestPipelineDeterminism:
         for _ in range(10):
             out, pitch = A.augment_sample(li, rng)
             h.update(out.pixels.tobytes())
-            h.update(repr((out.label.as_tuple(), round(pitch, 12))).encode())
+            h.update(repr((tuple(out.label), round(pitch, 12))).encode())
         return h.hexdigest()
 
     def test_same_seed_same_stream(self):

@@ -20,9 +20,8 @@ def est(x, y, z, th, vel=(0, 0, 0, 0)):
 
 
 def state_at(t, script):
-    """The subject's pose and velocity at the single time t."""
-    pose, vel = subject_state_at([t], script)
-    return Pose(*(c[0] for c in pose.as_tuple())), tuple(c[0] for c in vel)
+    """The subject's pose at the single time t."""
+    return Pose(*(c[0] for c in subject_state_at([t], script)))
 
 
 class TestVelocityCommand:
@@ -119,34 +118,24 @@ class TestScenario:
 
     def test_phase_geometry(self):
         s = default_script()
-        p, v = state_at(0.0, s)
-        assert p.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-        p, _ = state_at(11.0, s)  # forward done
+        assert state_at(0.0, s) == (0.0, 0.0, 0.0, 0.0)
+        p = state_at(11.0, s)  # forward done
         assert p.x == pytest.approx(2.4)
-        p, _ = state_at(24.0, s)  # side-left done, orientation unchanged
+        p = state_at(24.0, s)  # side-left done, orientation unchanged
         assert (p.y, p.theta) == (pytest.approx(2.4), 0.0)
-        p, _ = state_at(37.0, s)  # quarter circle done, facing map-left
+        p = state_at(37.0, s)  # quarter circle done, facing map-left
         assert p.x == pytest.approx(2.4)
         assert p.y == pytest.approx(2.4)
         assert p.theta == pytest.approx(math.pi / 2)
-        p, _ = state_at(45.0, s)  # in-place 180 done, facing map-right
+        p = state_at(45.0, s)  # in-place 180 done, facing map-right
         assert p.theta == pytest.approx(-math.pi / 2)
-
-    def test_velocity_consistent_with_position(self):
-        s = default_script()
-        for t in (6.0, 14.0, 20.0, 27.0, 33.0, 40.0):
-            h = 1e-6
-            p0, v = state_at(t - h, s)
-            p1, _ = state_at(t + h, s)
-            assert (p1.x - p0.x) / (2 * h) == pytest.approx(v[0], abs=1e-4)
-            assert (p1.y - p0.y) / (2 * h) == pytest.approx(v[1], abs=1e-4)
 
     def test_pose_continuous_at_phase_boundaries(self):
         s = default_script()
         for i in range(len(s.phases) - 1):
             b = s.phase_end(i)
-            before, _ = state_at(math.nextafter(b, 0.0), s)
-            at, _ = state_at(b, s)
+            before = state_at(math.nextafter(b, 0.0), s)
+            at = state_at(b, s)
             assert abs(before.x - at.x) <= 1e-12 and abs(before.y - at.y) <= 1e-12
             assert abs(wrap_angle(before.theta - at.theta)) <= 1e-12
 
@@ -156,13 +145,12 @@ class TestScenario:
         s = default_script()
         ts = np.sort(np.concatenate([np.linspace(-1.0, 55.0, 401), s.starts,
                                      [math.nextafter(b, 0.0) for b in s.starts[1:]]]))
-        pose, vel = subject_state_at(ts, s)
+        pose = subject_state_at(ts, s)
         for i, t in enumerate(np.maximum(ts, 0.0).tolist()):
             k = bisect_right(s.starts, t) - 1
-            p, v = s.phases[k].state(s.start_poses[k], t - s.starts[k])
+            p = s.phases[k].state(s.start_poses[k], t - s.starts[k])
             assert (pose.x[i], pose.y[i], pose.z[i]) == pytest.approx((p.x, p.y, p.z), abs=1e-12)
             assert abs(wrap_angle(pose.theta[i] - p.theta)) <= 1e-12
-            assert tuple(c[i] for c in vel) == pytest.approx(v, abs=1e-12)
         for bad in (ts[::-1], ts.reshape(-1, 1), 1.0):
             with pytest.raises(ValueError):
                 subject_state_at(bad, s)
@@ -174,7 +162,7 @@ class TestScenario:
         assert min(off, 2 * math.pi - off) == pytest.approx(math.radians(30.0))
 
     def test_target_pose_faces_subject(self):
-        x, _, _, theta = target_pose(state_at(0.0, default_script())[0].as_tuple(), 1.3)
+        x, _, _, theta = target_pose(state_at(0.0, default_script()), 1.3)
         assert x == pytest.approx(1.3)
         assert abs(theta) == pytest.approx(math.pi)
 
@@ -288,10 +276,10 @@ class TestCustomScript:
     def test_motion_follows_script(self):
         s = self.script()
         assert s.total_duration == 5.0 and s.phase_end(0) == 2.0
-        assert state_at(1.0, s)[0].x == 0.0
-        p, v = state_at(4.0, s)
-        assert p.x == pytest.approx(1.0) and v[0] == pytest.approx(0.5)
-        assert target_pose(p.as_tuple(), 1.3)[0] == pytest.approx(2.3)
+        assert state_at(1.0, s).x == 0.0
+        p = state_at(4.0, s)
+        assert p.x == pytest.approx(1.0)
+        assert target_pose(p, 1.3)[0] == pytest.approx(2.3)
 
     def test_rejects_empty_or_zero_length_phases(self):
         d = default_script()

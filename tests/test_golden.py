@@ -80,7 +80,7 @@ def test_augment_sample_bytes():
     for _ in range(10):
         out, pitch = A.augment_sample(li, rng)
         h.update(out.pixels.tobytes())
-        h.update(np.array(out.label.as_tuple() + (pitch,), dtype="<f8").tobytes())
+        h.update(np.array(tuple(out.label) + (pitch,), dtype="<f8").tobytes())
     assert h.hexdigest() == AUGMENT_SHA256
 
 

@@ -219,6 +219,14 @@ class TestPlan:
         with pytest.raises(SchemaError, match="empty graph"):
             plan(g, GAP8, STREAMED)
 
+    def test_non_str_layer_name_rejected(self):
+        # a plan keys its schedule by layer name, and a plan document's keys
+        # are strings: the graph is refused before any plan exists
+        g = G.build_variant("80x32")
+        g.layer("conv1").name = 7
+        with pytest.raises(SchemaError, match="layer names must be unique strings"):
+            plan(g, GAP8, STREAMED)
+
     def test_l2_violation_reported_with_layer(self):
         tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
         violations = ["b2c2: L2 occupancy 200192 > 153600", "b3c1: L2 occupancy 308864 > 153600",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nanopose.kalman import Kalman1D
-from nanopose.pose import to_drone, to_odometry, wrap_angle
+from nanopose.pose import Pose, to_drone, to_odometry, wrap_angle
 
 
 def kf_step(kf: Kalman1D, obs: float, dt: float):
@@ -13,6 +13,14 @@ def kf_step(kf: Kalman1D, obs: float, dt: float):
 
 
 class TestPose:
+    def test_pose_is_a_tuple(self):
+        # labels, paths and the frame transforms share one (x, y, z, theta) type
+        rel, drone = Pose(1.2, -0.4, 0.3, 0.7), Pose(0.5, 2.0, 0.0, -2.9)
+        assert isinstance(rel, tuple) and rel == (1.2, -0.4, 0.3, 0.7)
+        x, y, z, theta = rel
+        assert (x, y, z, theta) == (rel.x, rel.y, rel.z, rel.theta)
+        assert to_odometry(rel, drone) == to_odometry(tuple(rel), tuple(drone))
+
     def test_identity_at_origin(self):
         p = (1.2, -0.4, 0.3, 0.7)
         out = to_odometry(p, (0.0, 0.0, 0.0, 0.0))
