@@ -15,7 +15,7 @@ from .planner import MemoryHierarchy, DeploymentPlan, plan, tile_layer, memory_r
 from .costmodel import OperatingPoint, CostParams, CostEstimate, estimate, sweep, calibrate_params
 from .pose import Pose, to_odometry, wrap_angle
 from .kalman import Kalman1D
-from .control import ControlConfig, velocity_command, step_dynamics
+from .control import ControlConfig, velocity_command
 from .simulate import NoiseModel, run_experiment
 from .metrics import metrics, rsquared
 
@@ -28,7 +28,7 @@ __all__ = [
     "OperatingPoint", "CostParams", "CostEstimate", "estimate", "sweep", "calibrate_params",
     "Pose", "to_odometry", "wrap_angle",
     "Kalman1D",
-    "ControlConfig", "velocity_command", "step_dynamics",
+    "ControlConfig", "velocity_command",
     "NoiseModel", "run_experiment",
     "metrics", "rsquared",
 ]

@@ -1,13 +1,14 @@
-"""Velocity-level tracking control and the drone dynamics proxy.
+"""Velocity-level tracking control.
 
 The high-level controller drives the drone toward a point a fixed distance
 in front of the subject within a time horizon tau, feeding forward the
 subject's estimated velocity; heading control points the camera at the
-subject.  Commands are clamped per axis at 1 m/s and 0.8 rad/s.  The
-low-level attitude cascade is proxied by first-order velocity tracking
-whose horizontal acceleration is limited by the 12-degree pitch ceiling
-(g*sin(12deg) ~= 2.04 m/s^2).  Poses are (x, y, z, theta) and velocities
-(vx, vy, vz, omega) tuples; the drone's integrated state is a `DroneState`.
+subject.  Commands are clamped per axis at 1 m/s and 0.8 rad/s.
+`ControlConfig` also holds the time constants and the acceleration bound
+of the drone's first-order response proxy, which `simulate.run_experiment`
+integrates in its tick loop: a_max is the 12-degree pitch ceiling's
+g*sin(12deg) ~= 2.04 m/s^2.  Poses are (x, y, z, theta) and velocities
+(vx, vy, vz, omega) tuples.
 """
 
 import math
@@ -76,43 +77,3 @@ def velocity_command(drone, est_pose, est_vel, cfg: ControlConfig):
         heading_to_subject = math.atan2(dy, dx)
         omega = _clamp(wrap_angle(heading_to_subject - th) / cfg.tau, cfg.omega_max)
     return (vx, vy, vz), omega
-
-
-@dataclass(slots=True)
-class DroneState:
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    theta: float = 0.0
-    vx: float = 0.0
-    vy: float = 0.0
-    vz: float = 0.0
-    omega: float = 0.0
-
-
-def step_dynamics(state: DroneState, v_cmd, omega_cmd: float, dt: float, cfg: ControlConfig):
-    """Integrate one tick of the first-order response proxy.
-
-    Returns the horizontal acceleration magnitude actually applied, which
-    the clamp below holds at or under the pitch-derived bound a_max.
-    """
-    if dt > 0.010:
-        raise ValueError(f"dynamics tick {dt} s exceeds 10 ms")
-    ax = (v_cmd[0] - state.vx) / cfg.t_v
-    ay = (v_cmd[1] - state.vy) / cfg.t_v
-    ah = math.hypot(ax, ay)
-    if ah > cfg.a_max:
-        scale = cfg.a_max / ah
-        ax *= scale
-        ay *= scale
-        ah = cfg.a_max
-    az = (v_cmd[2] - state.vz) / cfg.t_v
-    state.vx += ax * dt
-    state.vy += ay * dt
-    state.vz += az * dt
-    state.omega += (omega_cmd - state.omega) / cfg.t_omega * dt
-    state.x += state.vx * dt
-    state.y += state.vy * dt
-    state.z += state.vz * dt
-    state.theta = wrap_angle(state.theta + state.omega * dt)
-    return ah

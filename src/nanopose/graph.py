@@ -19,6 +19,16 @@ DROPOUT = "dropout_noop"
 
 VARIANTS = ("160x32", "160x16", "80x32")
 
+# (kernel, stride, padding) of every kind but the conv: pooling is 2x2 with
+# stride 2, the only window the engine and the oracles implement, and the
+# other kinds read no window, so they keep the LayerSpec defaults
+FIXED_WINDOW = {
+    POOL: ((2, 2), (2, 2), (0, 0)),
+    REQUANT: ((1, 1), (1, 1), (0, 0)),
+    DROPOUT: ((1, 1), (1, 1), (0, 0)),
+    FC: ((1, 1), (1, 1), (0, 0)),
+}
+
 
 @dataclass
 class LayerSpec:
@@ -120,6 +130,10 @@ def infer_shapes(g: NetGraph) -> NetGraph:
             raise SchemaError(f"{l.name}: each conv needs an activation stage right after it, "
                               f"and only a conv may precede one")
         prev = l.kind
+        window = (tuple(l.kernel), tuple(l.stride), tuple(l.padding))
+        if window != FIXED_WINDOW.get(l.kind, window):
+            raise SchemaError(f"{l.name}: a {l.kind} layer takes kernel, stride, padding "
+                              f"{FIXED_WINDOW[l.kind]}, got {window}")
         l.in_shape = shape
         c, h, w = shape
         if l.kind == CONV:
@@ -127,10 +141,6 @@ def infer_shapes(g: NetGraph) -> NetGraph:
                 raise SchemaError(f"{l.name}: in_ch {l.in_ch} != incoming channels {c}")
             shape = (l.out_ch, *conv_out_hw(h, w, l.kernel, l.stride, l.padding))
         elif l.kind == POOL:
-            # the engine and the oracles implement 2x2 / stride-2 pooling only
-            if tuple(l.kernel) != (2, 2) or tuple(l.stride) != (2, 2):
-                raise SchemaError(f"{l.name}: pooling must be 2x2 with stride 2, got "
-                                  f"kernel {tuple(l.kernel)} stride {tuple(l.stride)}")
             l.in_ch = l.out_ch = c
             shape = (c, h // 2, w // 2)
         elif l.kind in (REQUANT, DROPOUT):

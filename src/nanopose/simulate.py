@@ -7,12 +7,15 @@ past (captured with the drone pose of that instant), is disturbed by the
 per-component noise model, transformed to the odometry frame with the
 current 100 Hz drone readout, fused by the per-component Kalman filters,
 and turned into a velocity set-point that holds until the next observation.
-Only that feedback runs in the Python event loop, on plain floats: poses
-pass between `pose`, `kalman` and `control` as (x, y, z, theta) tuples, so
-no object is built per event or capture.  The subject's path at every
-capture and log time, the scaled noise, and the log's subject, target and
-tracking-error columns do not depend on it and are computed as arrays
-before and after the loop.
+Events due by a tick fire before its dynamics step, and the readout is
+taken after it.  Only the ticks and that feedback run in the Python loop,
+on plain floats: the drone's first-order proxy is stated once, in the tick
+loop of `run_experiment`, on eight local floats, and poses pass between
+`pose`, `kalman` and `control` as (x, y, z, theta) tuples, so no object is
+built per tick, event or capture.  The subject's path at every capture and log
+time, the scaled noise (none is drawn when every std is 0, as for mocap),
+and the log's subject, target and tracking-error columns do not depend on
+the loop and are computed as arrays before and after it.
 """
 
 import math
@@ -21,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .control import ControlConfig, DroneState, step_dynamics, target_pose, velocity_command
+from .control import ControlConfig, target_pose, velocity_command
 from .errors import SchemaError, finite_real, require_positive
 from .kalman import Kalman1D
 from .pose import to_drone, to_odometry, wrap_angle, wrap_angles
@@ -146,12 +149,14 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     if n_captures > MAX_EVENTS:
         raise SchemaError(f"inference rate {inference_rate!r} Hz over {n_ticks * dt:g} s needs "
                           f"more than {MAX_EVENTS:,} captures")
-    rng = np.random.default_rng(noise.seed)
     t_capture = np.arange(n_captures) * obs_period
-    disturb = (rng.standard_normal((n_captures, 4)) * noise.std).tolist()
     subject = np.column_stack(subject_state_at(t_capture, script)).tolist()
+    if any(noise.std):
+        rng = np.random.default_rng(noise.seed)
+        disturb = (rng.standard_normal((n_captures, 4)) * noise.std).tolist()
+    else:
+        disturb = None                          # mocap observes the relative pose exactly
 
-    drone = DroneState(*script.drone_start)
     filters = [
         Kalman1D(q=sim.q_accel_var, r=s * s, angular=(i == 3))
         for i, s in enumerate(noise.std)
@@ -159,8 +164,21 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     kx, ky, kz, kth = filters
     kf_time = None
 
+    # The drone's dynamics proxy: its attitude cascade tracks the held
+    # command as a first-order lag, the velocity with time constant t_v and
+    # the yaw rate with t_omega.  The horizontal acceleration (v_cmd - v) / t_v
+    # is scaled back to magnitude a_max, the 12-degree pitch ceiling's
+    # g * sin(12 deg) ~= 2.04 m/s^2, when it exceeds it; the largest magnitude
+    # applied is logged as max_accel.  Each tick steps the velocities and yaw
+    # rate first, then the position and heading with the new rates
+    # (semi-implicit Euler), the heading wrapped to [-pi, pi].  The state is
+    # eight floats and the held command four, locals of this loop.
+    x, y, z, th = script.drone_start
+    vx = vy = vz = w = 0.0
+    t_v, t_omega, a_max = cfg.t_v, cfg.t_omega, cfg.a_max
     cmd_v = (0.0, 0.0, 0.0)
     cmd_w = 0.0
+    cvx, cvy, cvz = cmd_v
     readout = script.drone_start                 # drone pose at the last 100 Hz readout
     est_cmd = (math.nan,) * 4 + cmd_v + (cmd_w,)  # filter estimate and command, as logged
     next_obs_t = obs_period
@@ -172,15 +190,18 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     max_cmd_omega = 0.0
     max_accel = 0.0
 
-    def capture(k):
-        rel = to_drone(subject[k], (drone.x, drone.y, drone.z, drone.theta))
-        x, y, z, th = rel
-        ex, ey, ez, eth = disturb[k]
-        obs = (x + ex, y + ey, z + ez, wrap_angle(th + eth))
+    def capture(k, drone):
+        rel = to_drone(subject[k], drone)
+        if disturb is None:
+            obs = rel
+        else:
+            rx, ry, rz, rth = rel
+            ex, ey, ez, eth = disturb[k]
+            obs = (rx + ex, ry + ey, rz + ez, wrap_angle(rth + eth))
         captured.append(obs + rel)
         return obs
 
-    pending = capture(0)                        # measurement captured one period ago
+    pending = capture(0, readout)               # measurement captured one period ago
     for tick in range(1, n_ticks + 1):
         t = tick * dt
         # observation/control events due by now
@@ -204,20 +225,38 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
             kf_time = t_ev
             p = (kx.p, ky.p, kz.p, kth.p)
             cmd_v, cmd_w = velocity_command(readout, p, (kx.v, ky.v, kz.v, kth.v), cfg)
+            cvx, cvy, cvz = cmd_v
             est_cmd = p + cmd_v + (cmd_w,)
             for v in cmd_v:
                 if abs(v) > max_cmd_speed:
                     max_cmd_speed = abs(v)
             if abs(cmd_w) > max_cmd_omega:
                 max_cmd_omega = abs(cmd_w)
-            pending = capture(obs_index)
+            pending = capture(obs_index, (x, y, z, th))
             obs_index += 1
             next_obs_t = obs_index * obs_period
-        ah = step_dynamics(drone, cmd_v, cmd_w, dt, cfg)
+        # one dynamics tick
+        ax = (cvx - vx) / t_v
+        ay = (cvy - vy) / t_v
+        ah = math.hypot(ax, ay)
+        if ah > a_max:
+            scale = a_max / ah
+            ax *= scale
+            ay *= scale
+            ah = a_max
+        az = (cvz - vz) / t_v
+        vx += ax * dt
+        vy += ay * dt
+        vz += az * dt
+        w += (cmd_w - w) / t_omega * dt
+        x += vx * dt
+        y += vy * dt
+        z += vz * dt
+        th = wrap_angle(th + w * dt)
         if ah > max_accel:
             max_accel = ah
         if tick % readout_every == 0:
-            readout = (drone.x, drone.y, drone.z, drone.theta)
+            readout = (x, y, z, th)
             logged.append(readout + est_cmd)
 
     # the subject, its target and the tracking errors at every log row

@@ -1,8 +1,12 @@
 """Independent reference implementations used only by tests.
 
 Everything here is written with explicit loops and unbounded Python ints so
-it shares no code paths with the package's vectorized executors.
+it shares no code paths with the package's vectorized executors.  The
+drone's dynamics proxy is restated from its description, on lists, apart
+from the simulator's tick loop.
 """
+
+import math
 
 import numpy as np
 
@@ -165,3 +169,44 @@ def make_chain_graph(spatial, channels, with_pool=False, n_blocks=1, kernel=3, n
     layers.append(G.LayerSpec(G.DROPOUT, "drop"))
     layers.append(G.LayerSpec(G.FC, "fc", in_ch=cf * hf * wf, out_ch=4))
     return G.infer_shapes(g)
+
+
+def _wrap(a):
+    """An angle in [-pi, pi]; one already inside is returned as is."""
+    return a if -math.pi <= a <= math.pi else math.atan2(math.sin(a), math.cos(a))
+
+
+def reference_proxy(start, commands, dt, cfg):
+    """The drone's first-order dynamics proxy, one tick at a time.
+
+    start is the (x, y, z, theta) pose at rest and commands holds one
+    (vx, vy, vz, omega) set-point per tick.  Each tick the acceleration
+    toward the commanded velocity is (command - velocity) / t_v per axis,
+    its horizontal part scaled back to magnitude a_max when longer; the
+    yaw rate moves by (command - rate) / t_omega * dt; then the position
+    and heading advance by the new rates times dt, the heading wrapped to
+    [-pi, pi].  Returns the pose after every tick and the largest
+    horizontal acceleration magnitude applied.
+    """
+    pos = list(start[:3])
+    theta = start[3]
+    vel = [0.0, 0.0, 0.0]
+    rate = 0.0
+    poses, largest = [], 0.0
+    for cmd in commands:
+        acc = [(cmd[i] - vel[i]) / cfg.t_v for i in range(3)]
+        horizontal = math.hypot(acc[0], acc[1])
+        if horizontal > cfg.a_max:
+            shrink = cfg.a_max / horizontal
+            acc[0] *= shrink
+            acc[1] *= shrink
+            horizontal = cfg.a_max
+        largest = max(largest, horizontal)
+        for i in range(3):
+            vel[i] += acc[i] * dt
+        rate += (cmd[3] - rate) / cfg.t_omega * dt
+        for i in range(3):
+            pos[i] += vel[i] * dt
+        theta = _wrap(theta + rate * dt)
+        poses.append((*pos, theta))
+    return poses, largest

@@ -164,7 +164,8 @@ class TestTamperedQgraph:
     """A qgraph whose requant vectors or output scales do not fit the graph,
     whose embedded graph is not marked a version 1 nanopose-graph document
     or stores a layer channel count or shape its parameters do not give,
-    that lacks its weights, whose pooling is not 2x2, that has a negative
+    that lacks its weights, whose pooling is not 2x2, that sets a window
+    field a requant, fc or pool layer does not use, that has a negative
     requant multiplier, a requant shift outside [0, 31] or a requant vector
     beyond int32, or whose stored scales differ from the ones its weight
     scales and alphas give is rejected when loaded: exit 4 with a one-line
@@ -200,6 +201,22 @@ class TestTamperedQgraph:
                         "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "error[schema]" in err and "differ from the scales" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("b3a1", "kernel", [2, 1]), ("fc", "stride", [3, 3]), ("pool1", "padding", [1, 1]),
+    ])
+    def test_unused_window_field_exit_4(self, tmp_path, capsys, qgraph_file, name, field, value):
+        doc = json.loads(qgraph_file.read_text())
+        _graph_layer(doc, name)[field] = value
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "takes kernel, stride, padding" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -307,6 +324,10 @@ PLAN_TAMPERS = {
     "graph-unmarked": lambda d: (d["graph"].pop("format"), d["graph"].pop("version")),
     "graph-conv1-out-shape-33": _conv1_out_shape_33,
     "graph-b3a1-in-ch-129": _b3a1_in_ch_129,
+    # a requant or fc layer reads no window and a pool pads nothing
+    "graph-b3a1-kernel-2x1": lambda d: _graph_layer(d, "b3a1").update(kernel=[2, 1]),
+    "graph-fc-stride-3x3": lambda d: _graph_layer(d, "fc").update(stride=[3, 3]),
+    "graph-pool1-padding-1x1": lambda d: _graph_layer(d, "pool1").update(padding=[1, 1]),
     # a float or bool copy equal to the derived integer is no copy either
     "tile-l1-bytes-float": lambda d: d["schedule"]["conv1"][0].update(
         l1_bytes=float(d["schedule"]["conv1"][0]["l1_bytes"])),

@@ -4,14 +4,18 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from nanopose.control import ControlConfig, DroneState, step_dynamics, target_pose, velocity_command
+from nanopose.control import ControlConfig, target_pose, velocity_command
 from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
 from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at
-from nanopose.simulate import EVENT_SLACK, RATE_HZ, SimConfig, noise_for, run_experiment
+from nanopose.simulate import (DYNAMICS_HZ, EVENT_SLACK, RATE_HZ, READOUT_HZ, SimConfig, noise_for,
+                               run_experiment)
+
+from oracles import reference_proxy
 
 CFG = ControlConfig()
+READOUT_TICKS = round(DYNAMICS_HZ / READOUT_HZ)   # dynamics ticks per 100 Hz readout
 
 
 def est(x, y, z, th, vel=(0, 0, 0, 0)):
@@ -79,37 +83,76 @@ class TestVelocityCommand:
 
 
 class TestDynamics:
-    def test_zero_command_from_rest(self):
-        s = DroneState()
-        for _ in range(100):
-            step_dynamics(s, (0.0, 0.0, 0.0), 0.0, 0.002, CFG)
-        assert s.x == 0.0 and s.vx == 0.0 and s.theta == 0.0
+    """The drone's dynamics proxy, which only run_experiment's tick loop
+    integrates, checked through the logs of whole runs."""
 
-    def test_first_order_step_response(self):
-        s = DroneState()
-        dt = 0.002
-        for k in range(int(CFG.t_v / dt)):
-            step_dynamics(s, (1.0, 0.0, 0.0), 0.0, dt, CFG)
-        # after one time constant: 1 - e^-1, modulo the acceleration clamp
-        assert s.vx == pytest.approx(1 - math.exp(-1), abs=0.12)
-        for _ in range(3000):
-            step_dynamics(s, (1.0, 0.0, 0.0), 0.0, dt, CFG)
-        assert s.vx == pytest.approx(1.0, abs=1e-3)
+    DT = 1.0 / DYNAMICS_HZ
 
-    def test_acceleration_never_exceeds_bound(self):
+    def replay(self, log, cfg):
+        """The reference proxy flown from the script's start under the
+        logged commands: events fire on readout ticks, so row k's command
+        holds from tick 5k (row 0's from tick 1) until the next row's."""
+        ticks = READOUT_TICKS * (len(log.rows) - 1)
+        cmd = log.rows[:, [log.columns.index(c) for c in ("cmd_vx", "cmd_vy", "cmd_vz", "cmd_omega")]]
+        commands = [tuple(cmd[tick // READOUT_TICKS].tolist()) for tick in range(1, ticks + 1)]
+        return reference_proxy(log.script.drone_start, commands, self.DT, cfg)
+
+    @pytest.mark.parametrize("variant,seed,cfg", [
+        ("80x32", 0, CFG),
+        ("160x16", 1, ControlConfig(tau=0.2, v_max=2.0, a_max=1.0, t_v=0.1, t_omega=0.05)),
+        ("mocap", 2, ControlConfig(delta=0.8, t_v=0.02, t_omega=0.9)),
+    ])
+    def test_replay_matches_reference_proxy(self, variant, seed, cfg):
+        # every event k at 100 Hz is due on the readout tick 5k, not before
+        period = 1.0 / 100.0
+        for k in range(1, 5001):
+            tick = READOUT_TICKS * k
+            assert (k * period <= tick * self.DT + EVENT_SLACK
+                    and not k * period <= (tick - 1) * self.DT + EVENT_SLACK), k
+        log = run_experiment(noise_for(variant, seed), 100.0, control_cfg=cfg)
+        poses, largest = self.replay(log, cfg)
+        drone = log.rows[:, [log.columns.index(c) for c in ("drone_x", "drone_y", "drone_z", "drone_theta")]]
+        assert drone[0].tolist() == list(log.script.drone_start)
+        assert drone[1:].tolist() == [list(p) for p in poses[READOUT_TICKS - 1::READOUT_TICKS]]
+        assert log.max_accel == largest
+
+    def test_reference_step_response(self):
+        # after one time constant 1 - e^-1 of a unit step, modulo the
+        # acceleration clamp, and the step reached after 6 s
+        poses, largest = reference_proxy((0.0, 0.0, 0.0, 0.0), [(1.0, 0.0, 0.0, 0.0)] * 3150, self.DT, CFG)
+        n = int(CFG.t_v / self.DT)
+        speed = [(b[0] - a[0]) / self.DT for a, b in zip(poses, poses[1:])]
+        assert speed[n - 2] == pytest.approx(1 - math.exp(-1), abs=0.12)
+        assert speed[-1] == pytest.approx(1.0, abs=1e-3)
+        assert largest == CFG.a_max
+
+    def test_still_at_standoff_never_moves(self):
+        # a drone that starts at the standoff pose of a still subject, under
+        # mocap noise, is commanded nothing and never leaves its start
+        sub = default_script().subject_start
+        start = Pose(*target_pose(sub, CFG.delta))
+        script = ScenarioScript(phases=(Phase("stand", 5.0),), drone_start=start, subject_start=sub)
+        for rate in (30.0, 48.0, 111.0):
+            log = run_experiment(noise_for("mocap"), rate, script=script)
+            for name in ("drone_x", "drone_y", "drone_z", "drone_theta"):
+                assert (log.column(name) == getattr(start, name.removeprefix("drone_"))).all(), name
+            for name in ("cmd_vx", "cmd_vy", "cmd_vz", "cmd_omega"):
+                assert (log.column(name) == 0.0).all(), name
+            assert log.max_accel == 0.0
+
+    def test_acceleration_bound_over_random_configs(self):
         rng = np.random.default_rng(1)
-        s = DroneState()
-        worst = 0.0
-        for _ in range(5000):
-            cmd = tuple(rng.uniform(-1, 1, 3))
-            worst = max(worst, step_dynamics(s, cmd, rng.uniform(-0.8, 0.8), 0.002, CFG))
-        assert worst <= CFG.a_max + 1e-12
+        for variant in ("160x32", "160x16", "80x32"):
+            for seed in range(4):
+                cfg = ControlConfig(delta=rng.uniform(0.5, 2.0), tau=rng.uniform(0.1, 2.0),
+                                    v_max=rng.uniform(0.2, 3.0), omega_max=rng.uniform(0.2, 2.0),
+                                    a_max=rng.uniform(0.1, 5.0), t_v=rng.uniform(0.002, 1.0),
+                                    t_omega=rng.uniform(0.002, 1.0))
+                log = run_experiment(noise_for(variant, seed), RATE_HZ[variant], control_cfg=cfg,
+                                     sim_cfg=SimConfig(duration=8.0))
+                assert 0.0 < log.max_accel <= cfg.a_max
         assert CFG.a_max == pytest.approx(9.81 * math.sin(math.radians(12.0)))
         assert CFG.a_max < 2.04 + 1e-3
-
-    def test_tick_limit(self):
-        with pytest.raises(ValueError):
-            step_dynamics(DroneState(), (0, 0, 0), 0.0, 0.02, CFG)
 
 
 class TestScenario:

@@ -209,6 +209,12 @@ class TestJson:
         ("b2c1", "name", "b1c1"),
         ("conv1", "out_shape", [33, 24, 40]),
         ("b3a1", "in_ch", 129),
+        # a kind that reads no window keeps the defaults, and a pool's padding is 0
+        ("b3a1", "kernel", [2, 1]),
+        ("drop", "stride", [2, 2]),
+        ("fc", "stride", [3, 3]),
+        ("fc", "padding", [0, 1]),
+        ("pool1", "padding", [1, 1]),
     ])
     def test_bad_layer_rejected(self, name, field, value):
         doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))

@@ -324,6 +324,17 @@ class TestAudit:
         with pytest.raises(SchemaError, match="occupancy rows differ"):
             plan_from_json(text)
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("b3a1", "kernel", [2, 1]), ("fc", "stride", [3, 3]), ("pool1", "padding", [1, 1]),
+    ])
+    def test_unused_window_field_rejected(self, name, field, value):
+        # a requant, dropout or fc layer reads no window and a pool pads
+        # nothing, so a document giving one is refused, not ignored
+        text = self.tampered_doc(
+            lambda d: next(l for l in d["graph"]["layers"] if l["name"] == name).update({field: value}))
+        with pytest.raises(SchemaError, match=f"{name}: a .* layer takes kernel, stride, padding"):
+            plan_from_json(text)
+
     def test_detects_unscheduled_layer(self):
         p = plan(G.build_variant("160x16"), GAP8, STREAMED)
         del p.schedule["b2c1"]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -357,6 +358,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="exceed signed 8-bit"):
             load_qgraph(str(path))
 
+
+    @pytest.mark.parametrize("kind, field, value", [
+        (G.REQUANT, "kernel", [2, 1]), (G.DROPOUT, "padding", [1, 0]),
+        (G.FC, "stride", [3, 3]), (G.POOL, "padding", [1, 1]),
+    ])
+    def test_unused_window_field_rejected(self, tmp_path, kind, field, value):
+        g, net, imgs, _ = toy_setup(13)
+        path = tmp_path / "q.json"
+        save_qgraph(convert(net, calibrate(net, CalibrationSet(imgs))), str(path))
+        doc = json.loads(path.read_text())
+        next(d for d in doc["graph"]["layers"] if d["kind"] == kind)[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="takes kernel, stride, padding"):
+            load_qgraph(str(path))
 
     def test_negated_multiplier_not_saved(self, tmp_path):
         g, net, imgs, _ = toy_setup(16)

@@ -18,26 +18,38 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def raise_sites(tree, exc_name, scope=()):
-    """The enclosing qualified name of every `raise exc_name(...)` in tree."""
+def sites(tree, match, scope=()):
+    """The enclosing qualified name of every node in tree that match accepts."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += raise_sites(node, exc_name, (*scope, node.name))
+            found += sites(node, match, (*scope, node.name))
             continue
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == exc_name:
-                found.append(".".join(scope))
-        found += raise_sites(node, exc_name, scope)
+        if match(node):
+            found.append(".".join(scope))
+        found += sites(node, match, scope)
     return found
+
+
+def package_sites(match):
+    """`file:qualified name` of every function in the package holding a node
+    that match accepts."""
+    return {f"{path.name}:{site}"
+            for path in sorted(SRC.glob("*.py"))
+            for site in sites(ast.parse(path.read_text(), str(path)), match)}
+
+
+def name_of(node):
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def package_raise_sites(exc_name):
     """`file:qualified name` of every function in the package raising exc_name."""
-    return {f"{path.name}:{site}"
-            for path in sorted(SRC.glob("*.py"))
-            for site in raise_sites(ast.parse(path.read_text(), str(path)), exc_name)}
+    def raises(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        return name_of(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == exc_name
+    return package_sites(raises)
 
 
 def test_requant_contract_stated_once():
@@ -48,6 +60,19 @@ def test_requant_contract_stated_once():
 def test_accumulator_range_checked_once():
     # the int32 accumulator rule lives in the one GEMM every layer runs
     assert package_raise_sites("AccumulatorOverflowError") == {"engine.py:_int_gemm"}
+
+
+def test_dynamics_proxy_stated_once():
+    # the drone's first-order lags, (command - rate) / t_v or / t_omega, are
+    # integrated in run_experiment's tick loop alone, on local floats; no
+    # second statement, such as the old step_dynamics on a DroneState, is left
+    def lag(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and name_of(node.right) in ("t_v", "t_omega"))
+    assert package_sites(lag) == {"simulate.py:run_experiment"}
+    left = {path.name for path in sorted(SRC.glob("*.py"))
+            if re.search(r"\b(step_dynamics|DroneState)\b", path.read_text())}
+    assert not left, left
 
 
 def test_weight_layout_stated_in_graph_only():
