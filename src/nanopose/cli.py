@@ -129,7 +129,8 @@ def cmd_quantize(args):
             if fn.endswith(".pgm"):
                 from .pgm import read_pgm
                 px = read_pgm(os.path.join(args.calib, fn))
-                imgs.append(px.reshape(1, *px.shape).astype(np.float64) * engine.IMAGE_EPS)
+                # the crop infer applies, so a camera frame calibrates what it will feed
+                imgs.append(engine.crop_center(px, g.input_shape[1:]).dequantize())
         if not imgs:
             raise SchemaError(f"no .pgm calibration images under {args.calib}")
     else:

@@ -89,7 +89,7 @@ def decoding(where: str):
     """Turn a missing key or a mistyped value met while decoding into SchemaError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
         raise SchemaError(f"{where}: missing or mistyped field: {e}") from e
 
 

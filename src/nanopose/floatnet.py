@@ -78,7 +78,7 @@ def realistic_random_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
     Batch-norm mean/var are set from the moments the conv outputs actually
     take on a probe batch of _N_PROBE images (keeping stage gains near
     one), the head is rescaled to unit RMS pose outputs, and all weights
-    are snapped onto their quantization grid so decomposition is exact.
+    are snapped onto their quantization grid so their 8-bit codes are exact.
     """
     from . import engine  # deferred: engine imports this module
 

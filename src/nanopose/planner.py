@@ -5,8 +5,8 @@ scratchpad, and execution stages get a per-stage L2 occupancy record.  A
 graph that breaks a capacity gets no plan, only PlanConstraintError.  Under
 the streamed policy the weights of stage i+1 are transferred from external
 RAM during stage i (two-level double buffering); the resident policy
-pre-loads all weights into L2 once, when they fit beside code and the worst
-activation pair.
+pre-loads all weights into L2 once, when they fit beside code and every
+stage's activations.
 """
 
 import json
@@ -15,8 +15,8 @@ from dataclasses import dataclass, asdict
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import graph as G
-from .errors import (PlanConstraintError, SchemaError, UntileableLayerError, as_int,
-                     as_str, decoding, parse_doc)
+from .errors import (PlanConstraintError, SchemaError, UntileableLayerError, as_str, decoding,
+                     parse_doc)
 
 STREAMED = "streamed_l3"
 RESIDENT = "resident_l2"
@@ -206,48 +206,31 @@ def build_nodes(g: G.NetGraph, fuse_pool: bool = True) -> list:
         elif l.kind != G.DROPOUT:
             groups.append([l])
         prev = l.kind
-    nodes = []
-    for group in groups:
-        first = group[0]
-        nodes.append(PlanNode(
-            name=first.name, kind=first.kind, layer_names=[l.name for l in group],
-            macs=sum(l.macs() for l in group), weight_bytes=first.weight_count(),
-            in_bytes=math.prod(first.in_shape), out_bytes=group[-1].out_bytes(),
-            out_rows=first.out_shape[1], dot_len=first.taps(),
-        ))
-    return nodes
+    return [_stage(group) for group in groups]
 
 
-def _resident_l2_bytes(nodes: list, mem: MemoryHierarchy) -> int:
-    """L2 an allocation holding every weight needs: code, all weights and
-    the largest input/output activation pair of any stage."""
-    worst_pair = max((n.in_bytes + n.out_bytes for n in nodes), default=0)
-    return mem.code_budget_l2 + sum(n.weight_bytes for n in nodes) + worst_pair
+def _stage(group: list) -> PlanNode:
+    """The stage that runs a group of shaped layers, its figures derived
+    from them: kind, name, weights, input and compute geometry from the
+    first layer, output from the last."""
+    first = group[0]
+    return PlanNode(name=first.name, kind=first.kind, layer_names=[l.name for l in group],
+                    macs=sum(l.macs() for l in group), weight_bytes=first.weight_count(),
+                    in_bytes=math.prod(first.in_shape), out_bytes=group[-1].out_bytes(),
+                    out_rows=first.out_shape[1], dot_len=first.taps())
 
 
 def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
          fuse_pool: bool = True) -> DeploymentPlan:
     """Produce a complete deployment plan, or raise PlanConstraintError
-    naming every capacity it breaks (weights beyond L3, a stage beyond L2)."""
+    naming every capacity it breaks (weights beyond L3, a stage beyond L2).
+    Capacity depends on the stages alone, so it is decided before any layer
+    is tiled; a layer that no L1 tile fits then raises UntileableLayerError."""
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
     G.infer_shapes(g)
     p = DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=build_nodes(g, fuse_pool=fuse_pool),
                        schedule={})
-
-    if policy == RESIDENT:
-        need = _resident_l2_bytes(p.nodes, mem)
-        if need > mem.l2_bytes:
-            raise PlanConstraintError(
-                f"resident_l2 infeasible: code, weights {p.l3_weight_bytes} and the worst "
-                f"activation pair need {need} > L2 {mem.l2_bytes}"
-            )
-
-    for l in g.layers:
-        tiles = tile_layer(l, mem.l1_bytes)
-        if tiles:
-            p.schedule[l.name] = tiles
-
     violations = []
     if p.l3_weight_bytes > mem.l3_bytes:
         violations.append(f"L3: weights {p.l3_weight_bytes} > {mem.l3_bytes}")
@@ -255,13 +238,20 @@ def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
                    for row in p.occupancy if row.total > mem.l2_bytes]
     if violations:
         raise PlanConstraintError("; ".join(violations))
+
+    for l in g.layers:
+        tiles = tile_layer(l, mem.l1_bytes)
+        if tiles:
+            p.schedule[l.name] = tiles
     return p
 
 
 def naive_l2_bytes(g: G.NetGraph, mem: MemoryHierarchy = GAP8) -> int:
-    """L2 needed by a no-tiling allocation on `mem`: the resident need of
-    the unfused stages."""
-    return _resident_l2_bytes(build_nodes(g, fuse_pool=False), mem)
+    """L2 needed by a no-tiling allocation on `mem`: the largest resident
+    occupancy of the unfused stages."""
+    p = DeploymentPlan(graph=g, mem=mem, policy=RESIDENT, nodes=build_nodes(g, fuse_pool=False),
+                       schedule={})
+    return max(row.total for row in p.occupancy)
 
 
 def memory_report(p: DeploymentPlan):
@@ -491,39 +481,39 @@ def _tile(name: str, t: dict) -> Tile:
 
 
 def plan_from_json(text) -> DeploymentPlan:
-    """Decode a plan document.  The derived copies it holds (occupancy
-    rows with their totals, `l3_weight_bytes`, tile L1 bytes) are not
-    trusted: each must be the integer the stages, tiles, policy and memory
-    sizes give, or SchemaError; a float or bool copy is no copy.
-    `audit.audit_plan` checks the rest against the graph.  A document that
-    lists violations describes no plan: it raises PlanConstraintError
-    naming each one."""
+    """Decode a plan document.  Its stages are derived again from their
+    `layer_names` and the graph, and the copies it holds (stage figures,
+    occupancy rows with their totals, `l3_weight_bytes`, tile L1 bytes) are
+    not trusted: each must be the integer or string that the graph, tiles,
+    policy and memory sizes give, or SchemaError; a float or bool copy is no
+    copy.  `audit.audit_plan` checks the rest against the graph.  A
+    document that lists violations describes no plan: it raises
+    PlanConstraintError naming each one."""
     doc = parse_doc(text, "plan document", "nanopose-plan")
     with decoding("plan document"):
         policy = doc["policy"]
         if policy not in POLICIES:
             raise SchemaError(f"plan document: unknown policy {policy!r}")
-        nodes = [
-            PlanNode(name=as_str(d["name"]), kind=as_str(d["kind"]),
-                     layer_names=[as_str(x) for x in d["layer_names"]],
-                     **{k: as_int(d[k]) for k in ("macs", "weight_bytes", "in_bytes", "out_bytes",
-                                                  "out_rows", "dot_len")})
-            for d in doc["nodes"]
-        ]
+        graph = G.from_doc(doc["graph"])
+        layers = {l.name: l for l in graph.layers}
+        stages = doc["nodes"]
+        nodes = [_stage([layers[x] for x in d["layer_names"]]) for d in stages]
         schedule = {
             name: [_tile(name, t) for t in tiles]
             for name, tiles in doc["schedule"].items()
         }
-        p = DeploymentPlan(graph=G.from_doc(doc["graph"]), mem=MemoryHierarchy(**doc["mem"]),
+        p = DeploymentPlan(graph=graph, mem=MemoryHierarchy(**doc["mem"]),
                            policy=policy, nodes=nodes, schedule=schedule)
         occupancy, l3_weight_bytes = doc["occupancy"], doc["l3_weight_bytes"]
         # equal values, then integer types: 7200.0 or True equals an int by value
-        if ((occupancy, l3_weight_bytes) != (memory_report(p), p.l3_weight_bytes)
+        if ((stages, occupancy, l3_weight_bytes)
+                != ([*map(vars, nodes)], memory_report(p), p.l3_weight_bytes)
                 or type(l3_weight_bytes) is not int
-                or not {type(v) for row in occupancy for v in row.values()} <= {int, str}):
+                or not {type(v) for d in (*stages, *occupancy) for v in d.values()} <= {int, str, list}):
             raise SchemaError("plan document: occupancy rows differ from those the stages, "
-                              "policy and memory sizes give, or l3_weight_bytes from their sum "
-                              "(a float or bool copy of an integer differs too)")
+                              "policy and memory sizes give, stage figures from those their "
+                              "layers give, or l3_weight_bytes from their sum (a float or bool "
+                              "copy of an integer differs too)")
         violations = [as_str(v) for v in doc.get("violations", [])]
     if violations:
         raise PlanConstraintError("plan document lists violations; the plan cannot run on "

@@ -337,6 +337,10 @@ PLAN_TAMPERS = {
     "graph-conv1-out-shape-float": lambda d: _graph_layer(d, "conv1").update(
         out_shape=[float(x) for x in _graph_layer(d, "conv1")["out_shape"]]),
     "graph-conv1-in-shape-true": lambda d: _graph_layer(d, "conv1")["in_shape"].__setitem__(0, True),
+    # stage figures are derived again from the stage's layers
+    "stage-macs-plus-1": lambda d: d["nodes"][1].update(macs=d["nodes"][1]["macs"] + 1),
+    "stage-dot-len-float": lambda d: d["nodes"][1].update(dot_len=float(d["nodes"][1]["dot_len"])),
+    "stage-without-layers": lambda d: d["nodes"][1].update(layer_names=[]),
 }
 
 
@@ -581,6 +585,32 @@ class TestQuantizeWithArtifacts:
         doc = json.loads(out.read_text())
         assert doc["format"] == "nanopose-qgraph"
         assert "_provenance" in doc and doc["_provenance"]["inputs"]
+
+    def test_calib_frames_cropped_like_infer(self, tmp_path):
+        # a 96x160 camera frame calibrates on the crop infer feeds the
+        # network, the same codes as the cropped 48x80 frame itself
+        from nanopose.engine import crop_center
+        from nanopose.pgm import read_pgm
+
+        rng = np.random.default_rng(5)
+        frames = [rng.integers(0, 256, (96, 160)).astype(np.uint8) for _ in range(2)]
+        docs = []
+        for name, imgs in [("camera", frames),
+                           ("cropped", [crop_center(f, (48, 80)).data[0] for f in frames])]:
+            calib = tmp_path / name
+            calib.mkdir()
+            for k, img in enumerate(imgs):
+                write_pgm(calib / f"f{k}.pgm", img)
+            out = tmp_path / f"q_{name}" / "q.json"
+            assert run_cli(["quantize", "--net", "80x32", "--calib", str(calib), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            doc.pop("_provenance")
+            docs.append((doc, sorted(path.read_bytes() for path in out.parent.glob("*.qtns"))))
+        assert docs[0] == docs[1]
+        camera = tmp_path / "camera" / "f0.pgm"
+        assert read_pgm(camera).shape == (96, 160)
+        assert run_cli(["infer", "--qgraph", str(tmp_path / "q_camera" / "q.json"), "--image",
+                        str(camera), "--out", str(tmp_path / "pose.csv")]) == 0
 
     def test_weights_of_wrong_size_exit_4(self, tmp_path, capsys):
         from nanopose import tensorfile

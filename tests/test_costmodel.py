@@ -6,8 +6,8 @@ import pytest
 
 from nanopose import costmodel as C, graph as G
 from nanopose.errors import FitError, SchemaError
-from nanopose.planner import (GAP8, RESIDENT, STREAMED, DeploymentPlan, plan, plan_from_json,
-                              plan_to_json)
+from nanopose.planner import (GAP8, RESIDENT, STREAMED, DeploymentPlan, MemoryHierarchy, plan,
+                              plan_from_json, plan_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,25 @@ class TestEstimate:
     def test_idle_zero_when_compute_dominates(self, plans):
         e = C.estimate(plans["80x32"], C.operating_point(250.0, 25.0))
         assert all(l.idle_cycles == 0 for l in e.per_layer)
+
+    @pytest.mark.parametrize("tag", G.VARIANTS)
+    @pytest.mark.parametrize("policy", [STREAMED, RESIDENT])
+    @pytest.mark.parametrize("l1_kb", [16, 64])
+    def test_stage_time_identities(self, tag, policy, l1_kb):
+        # per stage, at every grid point: idle plus compute cycles on the
+        # cluster clock are the wall time, the cluster idles exactly when
+        # the stream outlasts the compute, and the frame is its stages' walls
+        p = plan(G.build_variant(tag), MemoryHierarchy(l1_bytes=l1_kb * 1024), policy)
+        idled = False
+        for op in C.DEFAULT_GRID:
+            f_fc, f_cl = op.f_fc * 1e6, op.f_cl * 1e6
+            e = C.estimate(p, op)
+            for s in e.per_layer:
+                assert (s.idle_cycles + s.compute_cycles) / f_cl == pytest.approx(s.wall_s, rel=1e-12)
+                assert (s.idle_cycles > 0) == (s.dma_cycles / f_fc > s.compute_cycles / f_cl)
+                idled |= s.idle_cycles > 0
+            assert e.latency_s == pytest.approx(sum(s.wall_s for s in e.per_layer), rel=1e-12)
+        assert idled == (policy == STREAMED)
 
     def test_resident_orders_by_mac_count(self):
         lat = {}

@@ -10,7 +10,8 @@ allowed: some keys are optional (a layer's `in_shape` and `out_shape`, a
 plan's `violations`, a graph's `variant`), and a flipped digit can leave a
 valid header.  Derived copies that are present are read and must match,
 integers as integers (a float or bool copy does not match): a layer's
-channels and shapes, a plan's tile `l1_bytes`, occupancy rows and
+channels and shapes, a plan's stage figures (each stage is derived again
+from its `layer_names`), tile `l1_bytes`, occupancy rows and
 `l3_weight_bytes`, and each tile's `in_bytes`, `weight_bytes` and
 `out_bytes`, which the audit `sweep` runs derives again from the layer
 geometry.  A plan that lists any violation exits 5.

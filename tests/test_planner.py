@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanopose import graph as G
 from nanopose.audit import audit_plan
@@ -177,7 +178,7 @@ class TestPlan:
 
     def test_resident_infeasible_raises(self):
         small = MemoryHierarchy(l2_bytes=256 * 1024)
-        with pytest.raises(PlanConstraintError, match="resident_l2 infeasible"):
+        with pytest.raises(PlanConstraintError, match="^conv1: L2 occupancy 431392 > 262144; "):
             plan(G.build_variant("160x32"), small, RESIDENT)
 
     @pytest.mark.parametrize("conv_out,fc_out", [(0, 4), (2, 0)], ids=["conv", "fc"])
@@ -226,6 +227,16 @@ class TestPlan:
         g.layer("conv1").name = 7
         with pytest.raises(SchemaError, match="layer names must be unique strings"):
             plan(g, GAP8, STREAMED)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_capacity_decided_before_tiling(self, policy):
+        # no L1 tile of conv1 fits 1 kB, but the stages break L2 first
+        mem = MemoryHierarchy(l1_bytes=1024, l2_bytes=128 * 1024)
+        g = G.build_variant("160x32")
+        with pytest.raises(UntileableLayerError):
+            tile_layer(g.layer("conv1"), mem.l1_bytes)
+        with pytest.raises(PlanConstraintError, match="L2 occupancy"):
+            plan(g, mem, policy)
 
     def test_l2_violation_reported_with_layer(self):
         tiny = MemoryHierarchy(l2_bytes=150 * 1024, code_budget_l2=80 * 1024)
@@ -317,6 +328,16 @@ class TestAudit:
         text = self.tampered_doc(lambda d: d["occupancy"][2].update(
             weights_next=d["occupancy"][2]["weights_next"] + 7))
         with pytest.raises(SchemaError, match="occupancy rows differ"):
+            plan_from_json(text)
+
+    @pytest.mark.parametrize("field, value", [("macs", lambda v: v + 1), ("dot_len", float),
+                                              ("name", lambda v: v + "x"), ("layer_names", lambda v: [])],
+                             ids=["macs-plus-1", "float-dot-len", "renamed", "no-layers"])
+    def test_reader_derives_stage_figures(self, field, value):
+        # a stage is made again from its layers; a stored figure that differs
+        # by value or type, or a stage without layers, is refused
+        text = self.tampered_doc(lambda d: d["nodes"][2].update({field: value(d["nodes"][2][field])}))
+        with pytest.raises(SchemaError, match="stage figures|missing or mistyped"):
             plan_from_json(text)
 
     def test_detects_truncated_occupancy(self):
@@ -488,3 +509,44 @@ class TestPlanJson:
         # there is no empty plan to write
         with pytest.raises(SchemaError, match="empty graph"):
             plan(G.NetGraph(layers=[], input_shape=(1, 4, 4)), GAP8, STREAMED)
+
+
+@st.composite
+def chains(draw):
+    """A valid chain graph: 1-4 conv + requant blocks, each optionally
+    followed by a 2x2 pool, with kernels of 1-5 per axis, strides of 1-2,
+    padding below the kernel and 1-47 channels."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(6, 39)), draw(st.integers(6, 59))
+    g = G.NetGraph(layers=[], input_shape=(c, h, w))
+    for b in range(draw(st.integers(1, 4))):
+        # a kernel no larger than its input keeps every output dimension >= 1
+        kernel = (draw(st.integers(1, min(5, h))), draw(st.integers(1, min(5, w))))
+        padding = tuple(draw(st.integers(0, k - 1)) for k in kernel)
+        stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        out_ch = draw(st.integers(1, 47))
+        g.layers += [G.LayerSpec(G.CONV, f"c{b}", in_ch=c, out_ch=out_ch, kernel=kernel,
+                                 stride=stride, padding=padding),
+                     G.LayerSpec(G.REQUANT, f"a{b}")]
+        c, (h, w) = out_ch, G.conv_out_hw(h, w, kernel, stride, padding)
+        if min(h, w) >= 2 and draw(st.booleans()):
+            g.layers.append(G.LayerSpec(G.POOL, f"p{b}", kernel=(2, 2), stride=(2, 2)))
+            h, w = h // 2, w // 2
+    return G.infer_shapes(g)
+
+
+class TestGeneratedChains:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(g=chains(), l1_bytes=st.integers(1024, 63 * 1024))
+    def test_plan_audits_and_round_trips(self, g, l1_bytes):
+        # every chain gets a documented capacity error or a plan that passes
+        # its audit and comes back from its text byte for byte
+        mem = MemoryHierarchy(l1_bytes=l1_bytes)
+        for policy in POLICIES:
+            for fuse_pool in (True, False):
+                try:
+                    p = plan(g, mem, policy, fuse_pool=fuse_pool)
+                except (PlanConstraintError, UntileableLayerError):
+                    continue
+                assert audit_plan(p).ok, audit_plan(p).problems
+                text = plan_to_json(p)
+                assert plan_to_json(plan_from_json(text)) == text

@@ -75,6 +75,14 @@ def test_dynamics_proxy_stated_once():
     assert not left, left
 
 
+def test_code_budget_read_by_occupancy_only():
+    # the L2 code reservation enters capacity through the occupancy rows
+    # alone, which plan, naive_l2_bytes and the plan reader all derive
+    assert package_sites(lambda node: name_of(node) == "code_budget_l2") == {
+        "planner.py:MemoryHierarchy", "planner.py:MemoryHierarchy.__post_init__",
+        "planner.py:DeploymentPlan.occupancy"}
+
+
 def test_weight_layout_stated_in_graph_only():
     # LayerSpec.weight_shape and .taps own the conv/fc weight layout; audit
     # keeps its own derivation so that a planner bug cannot hide itself
