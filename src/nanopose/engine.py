@@ -199,41 +199,31 @@ def conv2d_float(x: np.ndarray, w: np.ndarray, stride, padding) -> np.ndarray:
     return (w.reshape(oc, -1) @ patches.T).reshape(oc, oh, ow)
 
 
-def infer_float(net: FloatNet, image: np.ndarray, collect: str = "none"):
+def infer_float(net: FloatNet, image: np.ndarray):
     """Float reference forward pass with the same layer semantics.
 
-    collect="relu_max" returns (pose, {requant layer -> max ReLU output});
-    collect="acts" returns (pose, {layer -> activation array});
-    collect="prebn" returns (pose, {requant layer -> pre-normalization conv output}).
-    """
+    Returns (pose, {layer name -> its output}); the outputs are the arrays
+    the pass computed, not copies, and a dropout's is its input."""
     g = net.graph
     if tuple(image.shape) != tuple(g.input_shape):
         raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
-    g.head()   # SchemaError for a graph without one
+    head = g.head()   # SchemaError for a graph without one
     x = np.asarray(image, dtype=np.float64)
-    collected = {}
+    outputs = {}
     for l in g.layers:
         if l.kind == G.CONV:
             x = conv2d_float(x, net.weights[l.name], l.stride, l.padding)
         elif l.kind == G.REQUANT:
-            if collect == "prebn":
-                collected[l.name] = np.array(x)
             bn = net.bn[l.name]
             sig = bn.sigma()
             x = bn.gamma[:, None, None] * (x - bn.mean[:, None, None]) / sig[:, None, None]
             x = np.maximum(x + bn.beta[:, None, None], 0.0)
-            if collect == "relu_max":
-                collected[l.name] = float(x.max())
         elif l.kind == G.POOL:
             x = maxpool2x2(x)
-        elif l.kind == G.DROPOUT:
-            continue
         elif l.kind == G.FC:
-            pose = net.weights[l.name] @ x.reshape(-1)
-            x = pose
-        if collect == "acts":
-            collected[l.name] = np.array(x)
-    return (pose, collected) if collect != "none" else (pose, None)
+            x = net.weights[l.name] @ x.reshape(-1)
+        outputs[l.name] = x
+    return outputs[head.name], outputs
 
 
 def downscale2x(img: np.ndarray) -> np.ndarray:

@@ -110,22 +110,8 @@ def require_positive(obj, *names):
             raise SchemaError(f"{type(obj).__name__}.{name} must be finite and > 0, got {v!r}")
 
 
-def as_int(v, lo: int = 0) -> int:
-    """A document integer >= lo; ValueError otherwise."""
-    if type(v) is not int or v < lo:   # bool is not an integer here
-        raise ValueError(f"expected an integer >= {lo}, got {v!r}")
-    return v
-
-
 def as_str(v) -> str:
     """A document string; ValueError otherwise."""
     if not isinstance(v, str):
         raise ValueError(f"expected a string, got {v!r}")
     return v
-
-
-def as_ints(v, n: int, lo: int = 0) -> tuple:
-    """A document list of n integers >= lo, as a tuple."""
-    if not (isinstance(v, (list, tuple)) and len(v) == n and all(type(x) is int and x >= lo for x in v)):
-        raise ValueError(f"expected {n} integers >= {lo}, got {v!r}")
-    return tuple(v)

@@ -89,11 +89,13 @@ def realistic_random_net(g: G.NetGraph, seed: int = 0) -> FloatNet:
         bn.beta = rng.uniform(0.05, 0.3, bn.beta.shape)
     probe = [rng.integers(0, 256, g.input_shape).astype(np.float64) / 255.0
              for _ in range(_N_PROBE)]
-    per_layer = {name: [] for name in net.bn}
+    # each activation stage normalizes the conv output right before it
+    pairs = [(conv.name, l.name) for conv, l in zip(g.layers, g.layers[1:]) if l.kind == G.REQUANT]
+    per_layer = {name: [] for _, name in pairs}
     for img in probe:
-        _, pre = engine.infer_float(net, img, collect="prebn")
-        for name, arr in pre.items():
-            per_layer[name].append(arr)
+        _, outputs = engine.infer_float(net, img)
+        for conv, name in pairs:
+            per_layer[name].append(outputs[conv])
     for name, chunks in per_layer.items():
         stacked = np.concatenate([a.reshape(a.shape[0], -1) for a in chunks], axis=1)
         net.bn[name].mean = stacked.mean(axis=1)

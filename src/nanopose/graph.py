@@ -9,7 +9,7 @@ and 80x32.
 import math
 from dataclasses import dataclass
 
-from .errors import SchemaError, as_int, as_ints, as_str, check_format, decoding
+from .errors import SchemaError, check_format, decoding
 
 CONV = "conv2d"
 POOL = "maxpool"
@@ -114,28 +114,53 @@ def conv_out_hw(h, w, kernel, stride, padding):
     return oh, ow
 
 
+def as_ints(v, n: int, lo: int, where: str, field: str) -> tuple:
+    """v as a tuple of n ints >= lo, or SchemaError; a bool, float or numpy
+    integer is no int here."""
+    if not (isinstance(v, (list, tuple)) and len(v) == n and all(type(x) is int and x >= lo for x in v)):
+        raise SchemaError(f"{where}: {field} must be {n} integers >= {lo}, got {v!r}")
+    return tuple(v)
+
+
 def infer_shapes(g: NetGraph) -> NetGraph:
-    """Check the chain's structure and fill every layer's in/out shape."""
+    """Check the graph's fields and chain structure and fill every layer's
+    in/out shape.  This is the one statement of the field rule, which every
+    graph meets before it is analysed, planned or decoded: the input shape
+    is 3 ints >= 1, the variant a str, the layer names unique strs, a conv
+    or fc layer's in_ch and out_ch ints >= 1, and every layer's kernel and
+    stride 2 ints >= 1 and its padding 2 ints >= 0, stored back as tuples.
+    A bool, float or numpy integer is no int.  Any other value raises
+    SchemaError, so each field of a shaped graph is a plain int or str."""
     if not g.layers:
         raise SchemaError("empty graph")
     names = [l.name for l in g.layers]
     if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
         raise SchemaError(f"layer names must be unique strings, got {names}")
-    shape = tuple(g.input_shape)
+    if not isinstance(g.variant, str):
+        raise SchemaError(f"variant must be a string, got {g.variant!r}")
+    shape = g.input_shape = as_ints(g.input_shape, 3, 1, "graph", "input_shape")
     prev = None
     for l in g.layers:
+        if not (isinstance(l.kind, str) and (l.kind == CONV or l.kind in FIXED_WINDOW)):
+            raise SchemaError(f"unknown layer kind {l.kind!r}")
         # quantization folds each conv's batch-norm into the activation
         # stage right after it
         if (l.kind == REQUANT) != (prev == CONV):
             raise SchemaError(f"{l.name}: each conv needs an activation stage right after it, "
                               f"and only a conv may precede one")
         prev = l.kind
-        window = (tuple(l.kernel), tuple(l.stride), tuple(l.padding))
+        window = (as_ints(l.kernel, 2, 1, l.name, "kernel"), as_ints(l.stride, 2, 1, l.name, "stride"),
+                  as_ints(l.padding, 2, 0, l.name, "padding"))
         if window != FIXED_WINDOW.get(l.kind, window):
             raise SchemaError(f"{l.name}: a {l.kind} layer takes kernel, stride, padding "
                               f"{FIXED_WINDOW[l.kind]}, got {window}")
+        l.kernel, l.stride, l.padding = window
         l.in_shape = shape
         c, h, w = shape
+        if l.kind in (CONV, FC):
+            # >= 1 as well: in_ch must match the incoming channels, and a
+            # zero out_ch collapses the output shape below
+            as_ints((l.in_ch, l.out_ch), 2, 0, l.name, "in_ch, out_ch")
         if l.kind == CONV:
             if l.in_ch != c:
                 raise SchemaError(f"{l.name}: in_ch {l.in_ch} != incoming channels {c}")
@@ -143,15 +168,13 @@ def infer_shapes(g: NetGraph) -> NetGraph:
         elif l.kind == POOL:
             l.in_ch = l.out_ch = c
             shape = (c, h // 2, w // 2)
-        elif l.kind in (REQUANT, DROPOUT):
-            l.in_ch = l.out_ch = c
         elif l.kind == FC:
             flat = c * h * w
             if l.in_ch != flat:
                 raise SchemaError(f"{l.name}: in features {l.in_ch} != flattened input {flat}")
             shape = (l.out_ch, 1, 1)
-        else:
-            raise SchemaError(f"unknown layer kind {l.kind!r}")
+        else:   # requant or dropout
+            l.in_ch = l.out_ch = c
         if min(shape) <= 0:
             raise SchemaError(f"{l.name}: output shape {shape} collapsed to an empty dimension")
         l.out_shape = shape
@@ -244,18 +267,16 @@ def to_doc(g: NetGraph) -> dict:
 
 def from_doc(doc: dict) -> NetGraph:
     """Decode a nanopose-graph document, on its own or embedded in a qgraph
-    or plan.  The stored layer channels, and shapes where present, must be
-    the integers the layer parameters give, or SchemaError."""
+    or plan.  Its fields meet `infer_shapes`' rule.  The stored layer
+    channels, and shapes where present, are copies: each must be the
+    integer the layer parameters give, or SchemaError."""
     with decoding("graph document"):
         check_format(doc, "graph document", "nanopose-graph")
-        layers = [
-            LayerSpec(kind=d["kind"], name=as_str(d["name"]), in_ch=as_int(d["in_ch"], 1),
-                      out_ch=as_int(d["out_ch"], 1), kernel=as_ints(d["kernel"], 2, 1),
-                      stride=as_ints(d["stride"], 2, 1), padding=as_ints(d["padding"], 2))
-            for d in doc["layers"]
-        ]
-        g = infer_shapes(NetGraph(layers=layers, input_shape=as_ints(doc["input_shape"], 3, 1),
-                                  variant=as_str(doc.get("variant", ""))))
+        layers = [LayerSpec(kind=d["kind"], name=d["name"], in_ch=d["in_ch"], out_ch=d["out_ch"],
+                            kernel=d["kernel"], stride=d["stride"], padding=d["padding"])
+                  for d in doc["layers"]]
+        g = infer_shapes(NetGraph(layers=layers, input_shape=doc["input_shape"],
+                                  variant=doc.get("variant", "")))
         for d, l in zip(doc["layers"], layers):
             derived = (l.in_ch, l.out_ch, l.in_shape, l.out_shape)
             stored = (d["in_ch"], d["out_ch"], tuple(d.get("in_shape", l.in_shape)),
@@ -263,8 +284,9 @@ def from_doc(doc: dict) -> NetGraph:
             if stored != derived:
                 raise SchemaError(f"graph document: {l.name} stores in_ch, out_ch, in_shape, "
                                   f"out_shape {stored}, its parameters give {derived}")
-        # the channels went through as_int; a float or bool shape entry equals an int by value
-        if not {type(x) for d in doc["layers"] for k in ("in_shape", "out_shape")
-                for x in d.get(k, ())} <= {int}:
-            raise SchemaError("graph document: a stored in_shape or out_shape holds a non-integer")
+        # a float or bool copy equals an int by value (32.0 == 32), and only
+        # a conv's or fc's channels went through the rule
+        if not {type(x) for d in doc["layers"]
+                for x in (d["in_ch"], d["out_ch"], *d.get("in_shape", ()), *d.get("out_shape", ()))} <= {int}:
+            raise SchemaError("graph document: a stored channel count or shape holds a non-integer")
     return g

@@ -249,6 +249,7 @@ def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
 def naive_l2_bytes(g: G.NetGraph, mem: MemoryHierarchy = GAP8) -> int:
     """L2 needed by a no-tiling allocation on `mem`: the largest resident
     occupancy of the unfused stages."""
+    G.infer_shapes(g)
     p = DeploymentPlan(graph=g, mem=mem, policy=RESIDENT, nodes=build_nodes(g, fuse_pool=False),
                        schedule={})
     return max(row.total for row in p.occupancy)
@@ -365,40 +366,27 @@ class _Record:
         self.template = _template(doc, indent)
         fields = list(doc.values())
         # spliced from the last, so each index still holds when its turn comes
-        self.tuples = [(i, len(v)) for i, v in enumerate(fields) if type(v) is tuple][::-1]
+        self.tuples = [i for i, v in enumerate(fields) if type(v) is tuple][::-1]
         types = []
         for v in fields:
             types += map(type, v) if type(v) is tuple else [type(v)]
-        self.types = tuple(types)
         self.strs = [i for i, t in enumerate(types) if t is str]
         self.lists = [i for i, t in enumerate(types) if t is list]
 
     def write(self, doc: dict) -> str:
-        """`_indented(doc, indent)`: the template filled when each field is a
-        plain int or str (or list of str) of the template's arity, since %d
-        writes 3.5 as 3 and True as 1."""
+        """`_indented(doc, indent)`: the template filled in field order."""
         v = [*doc.values()]
-        for i, n in self.tuples:
-            t = v[i]
-            if type(t) is not tuple or len(t) != n:
-                return _indented(doc, self.indent)
-            v[i:i + 1] = t
-        if tuple(map(type, v)) != self.types:
-            return _indented(doc, self.indent)
+        for i in self.tuples:
+            v[i:i + 1] = v[i]
         for i in self.strs:
             v[i] = _json_str(v[i])
         for i in self.lists:
-            if not {*map(type, v[i])} <= _STR:
-                return _indented(doc, self.indent)
             v[i] = _list_json([*map(_json_str, v[i])], self.indent + "  ")
         return self.template % tuple(v)
 
     def json(self, docs) -> str:
         """The list of records `docs` at its place in the plan document."""
         return _list_json([*map(self.write, docs)], self.indent[:-2])
-
-
-_STR = {str}
 
 
 def _list_json(items: list, indent: str) -> str:
@@ -433,18 +421,13 @@ _NODE = _Record(_STREAMED_DOC["nodes"][0], "\n    ")
 # memory_report's row, keyed like its choice of weight columns
 _ROW = {True: _Record(_STREAMED_DOC["occupancy"][0], "\n    "),
         False: _Record(_RESIDENT_DOC["occupancy"][0], "\n    ")}
-_TILE_INDENT = "\n      "   # a tile sits in a list in the schedule in the plan
-_TILE_JSON = _template(_STREAMED_DOC["schedule"][""][0], _TILE_INDENT)
-_INT_FIELDS = (int,) * 10
+# a tile sits in a list in the schedule in the plan
+_TILE_JSON = _template(_STREAMED_DOC["schedule"][""][0], "\n      ")
 
 
 def _tile_json(t: Tile) -> str:
-    r, c, i = t.out_rows, t.out_ch, t.in_rows
-    if len(r) == len(c) == len(i) == 2:
-        v = (*r, *c, *i, t.in_bytes, t.weight_bytes, t.out_bytes, t.l1_bytes)
-        if tuple(map(type, v)) == _INT_FIELDS:   # %d would write 3.5 as 3 and True as 1
-            return _TILE_JSON % v
-    return _indented(_tile_doc(t), _TILE_INDENT)
+    return _TILE_JSON % (*t.out_rows, *t.out_ch, *t.in_rows, t.in_bytes, t.weight_bytes,
+                         t.out_bytes, t.l1_bytes)
 
 
 def _tiles_json(tiles: list) -> str:
@@ -453,9 +436,12 @@ def _tiles_json(tiles: list) -> str:
 
 def plan_to_json(p: DeploymentPlan) -> str:
     """`json.dumps(plan_doc(p), indent=2)`, byte for byte, without the
-    standard library's pure-Python encoder: each graph layer, stage,
-    occupancy row and tile is one template fill.  The head (graph, stages
-    and occupancy) is most of a plan's bytes unless its L1 is small."""
+    standard library's pure-Python encoder, for a plan that `plan` or
+    `plan_from_json` returned: each graph layer, stage, occupancy row and
+    tile is one template fill.  Such a plan holds only plain ints and
+    strings (`graph.infer_shapes` states the rule for its graph), so no
+    field is checked here.  The head (graph, stages and occupancy) is most
+    of a plan's bytes unless its L1 is small."""
     g = p.graph
     items = [_json_str(name) + ": " + _tiles_json(tiles) for name, tiles in p.schedule.items()]
     schedule = "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"

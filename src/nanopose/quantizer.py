@@ -119,10 +119,11 @@ class QuantizedGraph:
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
     """Max ReLU output per activation stage over the calibration set."""
     alphas = {}
+    stages = [l.name for l in net.graph.layers if l.kind == G.REQUANT]
     for img in calib.inputs:
-        _, collected = engine.infer_float(net, img, collect="relu_max")
-        for name, m in collected.items():
-            alphas[name] = max(alphas.get(name, 0.0), m)
+        _, outputs = engine.infer_float(net, img)
+        for name in stages:
+            alphas[name] = max(alphas.get(name, 0.0), float(outputs[name].max()))
     dead = [n for n, a in alphas.items() if not a > 0.0]
     if dead:
         raise DeadActivationError(dead)

@@ -220,6 +220,21 @@ class TestTamperedQgraph:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("in_ch", True), ("out_ch", 32.0), ("stride", [2, 2, 2]), ("kernel", None), ("name", 7),
+    ])
+    def test_malformed_graph_field_exit_4(self, tmp_path, capsys, qgraph_file, field, value):
+        doc = json.loads(qgraph_file.read_text())
+        _graph_layer(doc, "conv1")[field] = value
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tamper", [
         lambda g: g.update(format="x"),
         lambda g: g.update(version=2),

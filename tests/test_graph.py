@@ -5,6 +5,7 @@ import pytest
 
 from nanopose import graph as G
 from nanopose.errors import SchemaError, parse_doc
+from nanopose.planner import naive_l2_bytes, plan
 
 
 def enumerate_stats(input_hw, c):
@@ -157,6 +158,53 @@ class TestInferShapes:
         )
         with pytest.raises(SchemaError, match="collapsed"):
             G.infer_shapes(g)
+
+
+def zero_channel_input(g):
+    g.input_shape = (0, 48, 80)
+    g.layer("conv1").in_ch = 0
+
+
+# graphs built in code that break the field rule, each the 80x32 variant
+# with one change
+MALFORMED = {
+    "zero-channel-input": zero_channel_input,
+    "bool-channel": lambda g: setattr(g.layer("conv1"), "in_ch", True),
+    "float-channel": lambda g: setattr(g.layer("conv1"), "out_ch", 32.0),
+    "int64-channel": lambda g: setattr(g.layer("conv1"), "out_ch", np.int64(32)),
+    "int-variant": lambda g: setattr(g, "variant", 7),
+    "three-stride": lambda g: setattr(g.layer("b1c1"), "stride", (2, 2, 2)),
+    "none-kernel": lambda g: setattr(g.layer("b1c1"), "kernel", None),
+}
+
+
+def malformed(case):
+    g = G.build_variant("80x32")
+    MALFORMED[case](g)
+    return g
+
+
+class TestFieldRule:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_built_graph_refused(self, case):
+        # every entry point runs the rule, so no plan exists that the plan
+        # reader would refuse or the writer could not write
+        for run in (G.infer_shapes, plan, G.analyze, naive_l2_bytes):
+            with pytest.raises(SchemaError):
+                run(malformed(case))
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_document_refused(self, case):
+        with pytest.raises(SchemaError):
+            G.from_doc(G.to_doc(malformed(case)))
+
+    def test_windows_stored_as_tuples(self):
+        g = G.build_variant("80x32")
+        conv = g.layer("b1c1")
+        conv.kernel, conv.stride, conv.padding = [3, 3], [2, 2], [1, 1]
+        g.input_shape = [1, 48, 80]
+        G.infer_shapes(g)
+        assert (conv.kernel, conv.stride, conv.padding, g.input_shape) == ((3, 3), (2, 2), (1, 1), (1, 48, 80))
 
 
 class TestAnalyze:

@@ -39,7 +39,7 @@ class TestCalibrate:
     def test_alpha_matches_direct_forward(self):
         g, net, imgs, _ = toy_setup(0, n_calib=1)
         alphas = calibrate(net, CalibrationSet(imgs))
-        _, collected = engine.infer_float(net, imgs[0], collect="acts")
+        _, collected = engine.infer_float(net, imgs[0])
         for name, alpha in alphas.items():
             assert alpha == pytest.approx(float(collected[name].max()))
 

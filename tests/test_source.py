@@ -110,3 +110,19 @@ def test_code_kind_stated_by_dtype_only():
              for n, line in enumerate(path.read_text().splitlines(), 1)
              if "QuantParams" in line or "levels=" in line]
     assert not found, f"second statements of the code kind: {found}"
+
+
+def calls_to(*names):
+    return package_sites(lambda node: isinstance(node, ast.Call) and name_of(node.func) in names)
+
+
+def test_graph_field_rule_stated_once():
+    # the type rule for a graph's fields lives in infer_shapes alone, which
+    # every graph meets before it is analysed, planned or decoded
+    assert calls_to("as_int", "as_ints") == {"graph.py:infer_shapes"}
+
+
+def test_plan_records_written_by_templates_only():
+    # a plan holds only plain ints and strings, so no record falls back to
+    # the generic writer
+    assert not calls_to("_indented") & {"planner.py:_Record.write", "planner.py:_tile_json"}
