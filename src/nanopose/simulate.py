@@ -12,10 +12,15 @@ taken after it.  Only the ticks and that feedback run in the Python loop,
 on plain floats: the drone's first-order proxy is stated once, in the tick
 loop of `run_experiment`, on eight local floats, and poses pass between
 `pose`, `kalman` and `control` as (x, y, z, theta) tuples, so no object is
-built per tick, event or capture.  The subject's path at every capture and log
-time, the scaled noise (none is drawn when every std is 0, as for mocap),
-and the log's subject, target and tracking-error columns do not depend on
-the loop and are computed as arrays before and after it.
+built per tick, event or capture.  The filters' gains depend only on the
+event timeline, q and each component's r, so they come from
+`kalman.gain_schedule`, which computes them once per (period, q, r) in the
+process and serves every later run at that rate and noise preset; the loop
+keeps each component's mean (p, v) as locals and runs `kalman.fuse` on
+them.  The subject's path at every capture and log time, the scaled noise
+(none is drawn when every std is 0, as for mocap), and the log's subject,
+target and tracking-error columns do not depend on the loop and are
+computed as arrays before and after it.
 """
 
 import math
@@ -26,7 +31,7 @@ import numpy as np
 
 from .control import ControlConfig, target_pose, velocity_command
 from .errors import SchemaError, finite_real, require_positive
-from .kalman import Kalman1D
+from .kalman import fuse, gain_schedule
 from .pose import to_drone, to_odometry, wrap_angle, wrap_angles
 from .scenario import ScenarioScript, default_script, subject_state_at
 
@@ -55,6 +60,8 @@ class NoiseModel:
         if not (isinstance(self.std, (tuple, list)) and len(self.std) == 4
                 and all(finite_real(s) and s >= 0 for s in self.std)):
             raise SchemaError(f"noise std must be 4 finite values >= 0, got {self.std!r}")
+        if not (type(self.seed) is int and self.seed >= 0):    # a bool or float is no int
+            raise SchemaError(f"noise seed must be an int >= 0, got {self.seed!r}")
         self.std = tuple(self.std)
 
 
@@ -116,6 +123,17 @@ def _check_tick(cfg: ControlConfig, dt: float):
                               f"dynamics tick; it must exceed {dt / 2.0:g} s")
 
 
+def _events_due(t_end: float, period: float) -> int:
+    """The number of observation events k >= 1 due by t_end, those with
+    k * period <= t_end: the event loop's own test at its last tick."""
+    k = int(t_end / period)
+    while (k + 1) * period <= t_end:
+        k += 1
+    while k > 0 and k * period > t_end:
+        k -= 1
+    return k
+
+
 def run_experiment(noise: NoiseModel, inference_rate: float,
                    control_cfg: ControlConfig = None, sim_cfg: SimConfig = None,
                    script: ScenarioScript = None) -> TrajectoryLog:
@@ -157,11 +175,19 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
     else:
         disturb = None                          # mocap observes the relative pose exactly
 
-    filters = [
-        Kalman1D(q=sim.q_accel_var, r=s * s, angular=(i == 3))
-        for i, s in enumerate(noise.std)
-    ]
-    kx, ky, kz, kth = filters
+    # One gain schedule per component, sized for the events that fire:
+    # event 1 starts the filters at its observation and each later one
+    # steps them.  A schedule that loses positive definiteness fails here,
+    # before the loop, and only for an event that fires.
+    n_events = _events_due(n_ticks * dt + EVENT_SLACK, obs_period)
+    try:
+        schedules = [gain_schedule(obs_period, sim.q_accel_var, s * s, max(n_events - 1, 0))
+                     for s in noise.std]
+    except FloatingPointError as e:
+        raise SchemaError(f"the tracking filters cannot run with SimConfig.q_accel_var = "
+                          f"{sim.q_accel_var!r} and noise std {noise.std}: {e}") from None
+    gains = zip(*(k for pair in schedules for k in pair))
+    fx = fy = fz = fth = fvx = fvy = fvz = fw = 0.0
     kf_time = None
 
     # The drone's dynamics proxy: its attitude cascade tracks the held
@@ -209,22 +235,18 @@ def run_experiment(noise: NoiseModel, inference_rate: float,
             t_ev = next_obs_t
             o = to_odometry(pending, readout)
             if kf_time is None:
-                for f, v in zip(filters, o):
-                    f.start(v)
+                fx, fy, fz, fth = o
             else:
                 ox, oy, oz, oth = o
                 step = t_ev - kf_time
-                try:
-                    kx.step(step, ox)
-                    ky.step(step, oy)
-                    kz.step(step, oz)
-                    kth.step(step, oth)
-                except FloatingPointError as e:
-                    raise SchemaError(f"the tracking filters cannot run with SimConfig.q_accel_var = "
-                                      f"{sim.q_accel_var!r} and noise std {noise.std}: {e}") from None
+                gx0, gx1, gy0, gy1, gz0, gz1, gth0, gth1 = next(gains)
+                fx, fvx = fuse(fx, fvx, step, ox, gx0, gx1, False)
+                fy, fvy = fuse(fy, fvy, step, oy, gy0, gy1, False)
+                fz, fvz = fuse(fz, fvz, step, oz, gz0, gz1, False)
+                fth, fw = fuse(fth, fw, step, oth, gth0, gth1, True)
             kf_time = t_ev
-            p = (kx.p, ky.p, kz.p, kth.p)
-            cmd_v, cmd_w = velocity_command(readout, p, (kx.v, ky.v, kz.v, kth.v), cfg)
+            p = (fx, fy, fz, fth)
+            cmd_v, cmd_w = velocity_command(readout, p, (fvx, fvy, fvz, fw), cfg)
             cvx, cvy, cvz = cmd_v
             est_cmd = p + cmd_v + (cmd_w,)
             for v in cmd_v:

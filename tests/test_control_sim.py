@@ -9,8 +9,8 @@ from nanopose.errors import SchemaError
 from nanopose.metrics import metrics
 from nanopose.pose import Pose, wrap_angle
 from nanopose.scenario import Phase, ScenarioScript, default_script, subject_state_at
-from nanopose.simulate import (DYNAMICS_HZ, EVENT_SLACK, RATE_HZ, READOUT_HZ, SimConfig, noise_for,
-                               run_experiment)
+from nanopose.simulate import (DYNAMICS_HZ, EVENT_SLACK, NOISE_STD, RATE_HZ, READOUT_HZ, NoiseModel,
+                               SimConfig, _events_due, noise_for, run_experiment)
 
 from oracles import reference_proxy
 
@@ -262,6 +262,8 @@ class TestRunExperiment:
         duration = n_ticks * dt or dt / 4     # under half a tick runs 0 ticks
         log = run_experiment(noise_for("160x32", seed=0), rate, sim_cfg=SimConfig(duration=duration))
         assert len(log.observations) == k
+        # the filters' gain schedules are sized by the same rule
+        assert _events_due(n_ticks * dt + EVENT_SLACK, period) == k - 1
 
     def test_event_limit_is_inclusive(self, monkeypatch):
         # 2 s: 1000 dynamics ticks; at 500 Hz, 2 + 1000 captures
@@ -300,6 +302,16 @@ class TestRunExperiment:
         for variant in ("160x32", "160x16", "80x32"):
             noisy = metrics(run_experiment(noise_for(variant, seed=4), RATE_HZ[variant])).median_e_xy
             assert clean < noisy
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, False, np.int64(2), "1", None])
+    @pytest.mark.parametrize("std", [NOISE_STD["80x32"], NOISE_STD["mocap"]])
+    def test_noise_seed_must_be_an_int(self, std, seed):
+        # a bool, float or numpy integer is no int, and mocap's all-zero std,
+        # which never draws, takes no other seed either
+        with pytest.raises(SchemaError, match="seed"):
+            NoiseModel(std, seed=seed)
+        with pytest.raises(SchemaError, match="seed"):
+            noise_for("80x32", seed=seed)
 
     def test_theta_stays_wrapped(self):
         log = run_experiment(noise_for("80x32", seed=6), RATE_HZ["80x32"])

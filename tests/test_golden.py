@@ -12,6 +12,7 @@ import pytest
 from nanopose import augment as A
 from nanopose import graph as G
 from nanopose import planner as P
+from nanopose.errors import SchemaError
 from nanopose.floatnet import random_float_net
 from nanopose.pose import Pose
 from nanopose.simulate import RATE_HZ, SimConfig, noise_for, run_experiment
@@ -104,13 +105,48 @@ SIM_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("variant, seed, rate, duration", list(SIM_SHA256),
-                         ids=[f"{v}-{s}-{r:g}Hz-{d or 'script'}" for v, s, r, d in SIM_SHA256])
-def test_run_experiment_bytes(variant, seed, rate, duration):
-    log = run_experiment(noise_for(variant, seed), rate, sim_cfg=SimConfig(duration=duration))
+def sim_digest(variant, seed, rate, duration, q_accel_var=1.0):
+    log = run_experiment(noise_for(variant, seed), rate,
+                         sim_cfg=SimConfig(q_accel_var=q_accel_var, duration=duration))
     h = hashlib.sha256()
     h.update(log.rows.tobytes())
     h.update(log.observations.tobytes())
     h.update(" ".join(v.hex() for v in (log.max_cmd_speed, log.max_cmd_omega,
                                         log.max_accel)).encode())
-    assert h.hexdigest() == SIM_SHA256[variant, seed, rate, duration]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant, seed, rate, duration", list(SIM_SHA256),
+                         ids=[f"{v}-{s}-{r:g}Hz-{d or 'script'}" for v, s, r, d in SIM_SHA256])
+def test_run_experiment_bytes(variant, seed, rate, duration):
+    assert sim_digest(variant, seed, rate, duration) == SIM_SHA256[variant, seed, rate, duration]
+
+
+def test_shared_gain_schedules_keep_the_bytes(cold_schedules):
+    # cold, at a second rate, warm at the first rate, then warm again after
+    # the interleaved run: every run flies its pinned bytes
+    runs = [("80x32", 0, 1000.0, 3.0), ("160x32", 0, RATE_HZ["160x32"], None),
+            ("160x32", 1, RATE_HZ["160x32"], None), ("80x32", 0, 1000.0, 3.0)]
+    for run in runs:
+        assert sim_digest(*run) == SIM_SHA256[run], run
+    assert len(cold_schedules) == 8       # four observation variances at each of two rates
+
+
+def test_filter_failure_keeps_no_schedule(cold_schedules):
+    # a covariance that overflows and loses positive definiteness is a
+    # SimConfig error on a cold cache and beside a healthy schedule at the
+    # same rate, and leaves the healthy runs' bytes alone
+    healthy = ("mocap", 0, RATE_HZ["mocap"], None)
+    for _ in range(2):
+        with pytest.raises(SchemaError, match=r"SimConfig\.q_accel_var = 1e\+300 "):
+            sim_digest(*healthy, q_accel_var=1e300)
+        assert all(q == 1.0 for _, q, _ in cold_schedules)
+        assert sim_digest(*healthy) == SIM_SHA256[healthy]
+
+
+def test_filter_failure_only_at_an_event_that_fires():
+    # at 30 Hz event 1 (t = 1/30 s) only starts the filters; event 2 steps
+    # them first at t = 2/30 s, so a run that ends before it cannot fail
+    run_experiment(noise_for("mocap"), 30.0, sim_cfg=SimConfig(q_accel_var=1e300, duration=0.066))
+    with pytest.raises(SchemaError, match="q_accel_var"):
+        run_experiment(noise_for("mocap"), 30.0, sim_cfg=SimConfig(q_accel_var=1e300, duration=0.068))

@@ -126,3 +126,20 @@ def test_plan_records_written_by_templates_only():
     # a plan holds only plain ints and strings, so no record falls back to
     # the generic writer
     assert not calls_to("_indented") & {"planner.py:_Record.write", "planner.py:_tile_json"}
+
+
+def test_filter_halves_stated_once():
+    # the covariance recursion, with its dt**4 and dt**3 process-noise
+    # terms, lives in kalman.covariance_step alone and the mean update, the
+    # innovation obs - p, in kalman.fuse alone; the simulator runs the
+    # filters through the shared gain schedules and builds no Kalman1D
+    def noise_term(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and name_of(node.left) == "dt" and getattr(node.right, "value", None) in (3, 4))
+
+    def innovation(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and name_of(node.left) == "obs")
+    assert package_sites(noise_term) == {"kalman.py:covariance_step"}
+    assert package_sites(innovation) == {"kalman.py:fuse"}
+    assert not {site for site in calls_to("Kalman1D") if site.startswith("simulate.py:")}
