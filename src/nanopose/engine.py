@@ -33,11 +33,12 @@ a for every channel with m >= 0, so it commutes with max; `convert` never
 makes a negative multiplier, and `QuantizedGraph.check` rejects one.
 
 infer_int runs a QuantizedGraph as it is held: signed int8 weight codes
-in layer shape and int32 requant vectors, held to that contract by
-`QuantizedGraph.check` once per call.  Every other scale follows from the
-weight scales and requant alphas (`scale_chain`, walked per call).
-Nothing is cached, so an edit to a weight code, a weight scale or a
-requant parameter takes effect, and is checked, on the next frame.
+in layer shape and int32 requant vectors.  A QuantizedGraph is checked once
+when built (`QuantizedGraph.check`, run by its constructor) and cannot be
+edited: its graph, weight codes and requant parameters are frozen and its
+arrays read-only.  So a frame does no contract check, and infer_int refuses
+any other object.  Every other scale follows from the weight scales and
+requant alphas (`scale_chain`, walked per call); nothing is cached.
 """
 
 import functools
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph as G
+from . import graph as G, quantizer   # quantizer imports this module: attributes read at call time
 from .errors import AccumulatorOverflowError, SchemaError
 from .floatnet import FloatNet
 from .qtensor import INT32_MAX, INT32_MIN, QTensor, act_eps, requant_codes
@@ -147,12 +148,15 @@ def _requant(x: np.ndarray, rp) -> np.ndarray:
 
 
 def infer_int(qg, image: QTensor, record_activations: bool = False) -> InferenceResult:
-    """Run the quantized graph entirely in the integer domain, once it
-    passes `QuantizedGraph.check`, on a uint8 image of the graph's input."""
-    qg.check("infer_int")
+    """Run a QuantizedGraph entirely in the integer domain on a uint8 image
+    of the graph's input.  The graph was checked once, when it was built,
+    and cannot have been edited since, so nothing of it is checked here;
+    any object that is not a QuantizedGraph is a TypeError."""
+    if not isinstance(qg, quantizer.QuantizedGraph):
+        raise TypeError(f"infer_int runs a QuantizedGraph, got {type(qg).__name__}")
     g = qg.graph
-    if tuple(image.shape) != tuple(g.input_shape):
-        raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
+    if image.shape != g.input_shape:
+        raise SchemaError(f"image shape {image.shape} != graph input {g.input_shape}")
     if image.eps != IMAGE_EPS or image.data.dtype != np.uint8:
         raise SchemaError(f"image of {image.data.dtype} codes at eps {image.eps} != "
                           f"uint8 codes at eps {IMAGE_EPS}")
@@ -205,8 +209,8 @@ def infer_float(net: FloatNet, image: np.ndarray):
     Returns (pose, {layer name -> its output}); the outputs are the arrays
     the pass computed, not copies, and a dropout's is its input."""
     g = net.graph
-    if tuple(image.shape) != tuple(g.input_shape):
-        raise SchemaError(f"image shape {image.shape} != graph input {tuple(g.input_shape)}")
+    if image.shape != g.input_shape:
+        raise SchemaError(f"image shape {image.shape} != graph input {g.input_shape}")
     head = g.head()   # SchemaError for a graph without one
     x = np.asarray(image, dtype=np.float64)
     outputs = {}

@@ -4,6 +4,11 @@ analysis.
 Shapes are (channels, height, width) throughout.  The reference family has
 three variants named by input width and base channel count: 160x32, 160x16,
 and 80x32.
+
+A graph is checked once, when it is built: `NetGraph`'s constructor holds
+its fields to `infer_shapes`' rule and stores the shaped layers.  Layers and
+graphs are frozen, so a built graph cannot be edited and stays valid; a
+changed graph is a new one, built for example with `dataclasses.replace`.
 """
 
 import math
@@ -30,8 +35,12 @@ FIXED_WINDOW = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
+    """One layer's parameters.  A layer is shaped, its in/out shape and the
+    channels its kind takes from its input filled in, only inside a
+    `NetGraph`, whose constructor builds the shaped copy."""
+
     kind: str
     name: str
     in_ch: int = 0
@@ -78,11 +87,20 @@ class LayerSpec:
         return self.out_elem_bytes() * math.prod(self.out_shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetGraph:
-    layers: list
+    """A chain of layers on an input shape, valid and shaped once built:
+    the constructor runs `infer_shapes` on its fields, SchemaError for any
+    that breaks the rule, and holds the shaped layers as a tuple."""
+
+    layers: tuple
     input_shape: tuple
     variant: str = ""
+
+    def __post_init__(self):
+        layers, input_shape = infer_shapes(self.layers, self.input_shape, self.variant)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "input_shape", input_shape)
 
     def layer(self, name: str) -> LayerSpec:
         for l in self.layers:
@@ -122,25 +140,29 @@ def as_ints(v, n: int, lo: int, where: str, field: str) -> tuple:
     return tuple(v)
 
 
-def infer_shapes(g: NetGraph) -> NetGraph:
-    """Check the graph's fields and chain structure and fill every layer's
-    in/out shape.  This is the one statement of the field rule, which every
-    graph meets before it is analysed, planned or decoded: the input shape
-    is 3 ints >= 1, the variant a str, the layer names unique strs, a conv
-    or fc layer's in_ch and out_ch ints >= 1, and every layer's kernel and
-    stride 2 ints >= 1 and its padding 2 ints >= 0, stored back as tuples.
-    A bool, float or numpy integer is no int.  Any other value raises
-    SchemaError, so each field of a shaped graph is a plain int or str."""
-    if not g.layers:
+def infer_shapes(layers, input_shape, variant) -> tuple:
+    """Check a graph's fields and chain structure and shape its layers;
+    returns (the shaped layers as a tuple, the input shape as a tuple).
+    `NetGraph`'s constructor runs this, and nothing else does.  It is the
+    one statement of the field rule, which every graph meets when it is
+    built: the input shape is 3 ints >= 1, the variant a str, the layer
+    names unique strs, a conv or fc layer's in_ch and out_ch ints >= 1, and
+    every layer's kernel and stride 2 ints >= 1 and its padding 2 ints >= 0,
+    stored as tuples.  A bool, float or numpy integer is no int.  Any other
+    value raises SchemaError, so each field of a graph is a plain int or
+    str.  Each shaped layer is a new LayerSpec: the caller's are unchanged."""
+    layers = tuple(layers)
+    if not layers:
         raise SchemaError("empty graph")
-    names = [l.name for l in g.layers]
+    names = [l.name for l in layers]
     if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
         raise SchemaError(f"layer names must be unique strings, got {names}")
-    if not isinstance(g.variant, str):
-        raise SchemaError(f"variant must be a string, got {g.variant!r}")
-    shape = g.input_shape = as_ints(g.input_shape, 3, 1, "graph", "input_shape")
+    if not isinstance(variant, str):
+        raise SchemaError(f"variant must be a string, got {variant!r}")
+    shape = input_shape = as_ints(input_shape, 3, 1, "graph", "input_shape")
     prev = None
-    for l in g.layers:
+    shaped = []
+    for l in layers:
         if not (isinstance(l.kind, str) and (l.kind == CONV or l.kind in FIXED_WINDOW)):
             raise SchemaError(f"unknown layer kind {l.kind!r}")
         # quantization folds each conv's batch-norm into the activation
@@ -154,31 +176,28 @@ def infer_shapes(g: NetGraph) -> NetGraph:
         if window != FIXED_WINDOW.get(l.kind, window):
             raise SchemaError(f"{l.name}: a {l.kind} layer takes kernel, stride, padding "
                               f"{FIXED_WINDOW[l.kind]}, got {window}")
-        l.kernel, l.stride, l.padding = window
-        l.in_shape = shape
+        in_shape = shape
         c, h, w = shape
+        in_ch = out_ch = c
         if l.kind in (CONV, FC):
             # >= 1 as well: in_ch must match the incoming channels, and a
             # zero out_ch collapses the output shape below
-            as_ints((l.in_ch, l.out_ch), 2, 0, l.name, "in_ch, out_ch")
+            in_ch, out_ch = as_ints((l.in_ch, l.out_ch), 2, 0, l.name, "in_ch, out_ch")
         if l.kind == CONV:
-            if l.in_ch != c:
-                raise SchemaError(f"{l.name}: in_ch {l.in_ch} != incoming channels {c}")
-            shape = (l.out_ch, *conv_out_hw(h, w, l.kernel, l.stride, l.padding))
+            if in_ch != c:
+                raise SchemaError(f"{l.name}: in_ch {in_ch} != incoming channels {c}")
+            shape = (out_ch, *conv_out_hw(h, w, *window))
         elif l.kind == POOL:
-            l.in_ch = l.out_ch = c
             shape = (c, h // 2, w // 2)
         elif l.kind == FC:
             flat = c * h * w
-            if l.in_ch != flat:
-                raise SchemaError(f"{l.name}: in features {l.in_ch} != flattened input {flat}")
-            shape = (l.out_ch, 1, 1)
-        else:   # requant or dropout
-            l.in_ch = l.out_ch = c
+            if in_ch != flat:
+                raise SchemaError(f"{l.name}: in features {in_ch} != flattened input {flat}")
+            shape = (out_ch, 1, 1)
         if min(shape) <= 0:
             raise SchemaError(f"{l.name}: output shape {shape} collapsed to an empty dimension")
-        l.out_shape = shape
-    return g
+        shaped.append(LayerSpec(l.kind, l.name, in_ch, out_ch, *window, in_shape, shape))
+    return tuple(shaped), input_shape
 
 
 def build_variant(tag: str) -> NetGraph:
@@ -195,26 +214,30 @@ def build_variant(tag: str) -> NetGraph:
         raise SchemaError(f"unknown variant {tag!r}; expect one of {VARIANTS}")
     input_width, c = map(int, tag.split("x"))
     h = 96 if input_width == 160 else 48
+    stem = dict(kernel=(5, 5), stride=(2, 2), padding=(2, 2))
+    down = dict(kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    same = dict(kernel=(3, 3), stride=(1, 1), padding=(1, 1))
     layers = [
-        LayerSpec(CONV, "conv1", in_ch=1, out_ch=c, kernel=(5, 5), stride=(2, 2), padding=(2, 2)),
+        LayerSpec(CONV, "conv1", in_ch=1, out_ch=c, **stem),
         LayerSpec(REQUANT, "act1"),
         LayerSpec(POOL, "pool1", kernel=(2, 2), stride=(2, 2)),
     ]
+    # each stage's output size, up to the last block's, which the head flattens
+    oh, ow = conv_out_hw(h, input_width, **stem)
+    oh, ow = oh // 2, ow // 2
     ch = c
     for b, out0 in enumerate((c, 2 * c, 4 * c), start=1):
         layers += [
-            LayerSpec(CONV, f"b{b}c1", in_ch=ch, out_ch=out0, kernel=(3, 3), stride=(2, 2), padding=(1, 1)),
+            LayerSpec(CONV, f"b{b}c1", in_ch=ch, out_ch=out0, **down),
             LayerSpec(REQUANT, f"b{b}a1"),
-            LayerSpec(CONV, f"b{b}c2", in_ch=out0, out_ch=out0, kernel=(3, 3), stride=(1, 1), padding=(1, 1)),
+            LayerSpec(CONV, f"b{b}c2", in_ch=out0, out_ch=out0, **same),
             LayerSpec(REQUANT, f"b{b}a2"),
         ]
+        oh, ow = conv_out_hw(*conv_out_hw(oh, ow, **down), **same)
         ch = out0
-    g = NetGraph(layers=layers, input_shape=(1, h, input_width), variant=tag)
-    infer_shapes(g)
-    cf, hf, wf = g.layers[-1].out_shape
     layers.append(LayerSpec(DROPOUT, "drop"))
-    layers.append(LayerSpec(FC, "fc", in_ch=cf * hf * wf, out_ch=4))
-    return infer_shapes(g)
+    layers.append(LayerSpec(FC, "fc", in_ch=ch * oh * ow, out_ch=4))
+    return NetGraph(layers=layers, input_shape=(1, h, input_width), variant=tag)
 
 
 def _buffer_bytes(l: LayerSpec) -> int:
@@ -229,7 +252,6 @@ def analyze(g: NetGraph) -> GraphStats:
     the input image, all weights, and every intermediate activation buffer
     at one byte per element (four for the 32-bit head outputs).
     """
-    infer_shapes(g)
     macs = sum(l.macs() for l in g.layers)
     params = sum(l.weight_count() for l in g.layers)
     memory = math.prod(g.input_shape) + params + sum(_buffer_bytes(l) for l in g.layers)
@@ -272,12 +294,12 @@ def from_doc(doc: dict) -> NetGraph:
     integer the layer parameters give, or SchemaError."""
     with decoding("graph document"):
         check_format(doc, "graph document", "nanopose-graph")
-        layers = [LayerSpec(kind=d["kind"], name=d["name"], in_ch=d["in_ch"], out_ch=d["out_ch"],
-                            kernel=d["kernel"], stride=d["stride"], padding=d["padding"])
-                  for d in doc["layers"]]
-        g = infer_shapes(NetGraph(layers=layers, input_shape=doc["input_shape"],
-                                  variant=doc.get("variant", "")))
-        for d, l in zip(doc["layers"], layers):
+        g = NetGraph(layers=[LayerSpec(kind=d["kind"], name=d["name"], in_ch=d["in_ch"],
+                                       out_ch=d["out_ch"], kernel=d["kernel"], stride=d["stride"],
+                                       padding=d["padding"])
+                             for d in doc["layers"]],
+                     input_shape=doc["input_shape"], variant=doc.get("variant", ""))
+        for d, l in zip(doc["layers"], g.layers):
             derived = (l.in_ch, l.out_ch, l.in_shape, l.out_shape)
             stored = (d["in_ch"], d["out_ch"], tuple(d.get("in_shape", l.in_shape)),
                       tuple(d.get("out_shape", l.out_shape)))

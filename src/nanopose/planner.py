@@ -228,7 +228,6 @@ def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
     is tiled; a layer that no L1 tile fits then raises UntileableLayerError."""
     if policy not in POLICIES:
         raise SchemaError(f"unknown policy {policy!r}; expect one of {POLICIES}")
-    G.infer_shapes(g)
     p = DeploymentPlan(graph=g, mem=mem, policy=policy, nodes=build_nodes(g, fuse_pool=fuse_pool),
                        schedule={})
     violations = []
@@ -249,7 +248,6 @@ def plan(g: G.NetGraph, mem: MemoryHierarchy = GAP8, policy: str = STREAMED,
 def naive_l2_bytes(g: G.NetGraph, mem: MemoryHierarchy = GAP8) -> int:
     """L2 needed by a no-tiling allocation on `mem`: the largest resident
     occupancy of the unfused stages."""
-    G.infer_shapes(g)
     p = DeploymentPlan(graph=g, mem=mem, policy=RESIDENT, nodes=build_nodes(g, fuse_pool=False),
                        schedule={})
     return max(row.total for row in p.occupancy)
@@ -398,12 +396,14 @@ def _list_json(items: list, indent: str) -> str:
 
 
 def _placeholder_doc(policy: str) -> dict:
-    """The document of a plan with one graph layer, stage and tile, every
-    str "" and every int 0: the layouts the templates write."""
-    layer = G.LayerSpec("", "", 0, 0, (0, 0), (0, 0), (0, 0), (0, 0, 0), (0, 0, 0))
+    """The document of a plan with one graph layer, stage and tile: the
+    layouts the templates write, which depend on the field types alone.
+    The layer is the smallest valid graph, a 1-input head; every other str
+    is "" and every other int 0."""
+    graph = G.NetGraph([G.LayerSpec(G.FC, "", in_ch=1, out_ch=1)], (1, 1, 1))
     node = PlanNode("", "", [""], 0, 0, 0, 0, 0, 0)
     tile = Tile((0, 0), (0, 0), (0, 0), 0, 0, 0)
-    return plan_doc(DeploymentPlan(G.NetGraph([layer], (0, 0, 0)), GAP8, policy, [node], {"": [tile]}))
+    return plan_doc(DeploymentPlan(graph, GAP8, policy, [node], {"": [tile]}))
 
 
 def _frame(doc: dict) -> str:
@@ -439,9 +439,9 @@ def plan_to_json(p: DeploymentPlan) -> str:
     standard library's pure-Python encoder, for a plan that `plan` or
     `plan_from_json` returned: each graph layer, stage, occupancy row and
     tile is one template fill.  Such a plan holds only plain ints and
-    strings (`graph.infer_shapes` states the rule for its graph), so no
-    field is checked here.  The head (graph, stages and occupancy) is most
-    of a plan's bytes unless its L1 is small."""
+    strings (its graph met `graph.infer_shapes`' rule when it was built),
+    so no field is checked here.  The head (graph, stages and occupancy)
+    is most of a plan's bytes unless its L1 is small."""
     g = p.graph
     items = [_json_str(name) + ": " + _tiles_json(tiles) for name, tiles in p.schedule.items()]
     schedule = "{\n    " + ",\n    ".join(items) + "\n  }" if items else "{}"

@@ -29,10 +29,12 @@ CODE_DTYPES = (np.dtype(np.uint8), np.dtype(np.int8), np.dtype(np.int32))
 FLOOR_GUARD = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class QTensor:
     """Integer codes of one of the CODE_DTYPES plus the real value of one
-    step, eps (finite and > 0); anything else is a ValueError."""
+    step, eps (finite and > 0); anything else is a ValueError.  Frozen, so
+    it keeps the codes array and scale it was checked with; a
+    `QuantizedGraph` also makes its weight arrays read-only."""
 
     data: np.ndarray
     eps: float
@@ -133,8 +135,8 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
     subsumes the ReLU.  scale_num >= 0 makes the output non-decreasing in acc
     per channel, so the affine commutes with max-pooling.  Nothing is
-    checked here: `QuantizedGraph.check` holds the parameters to 32 bits, a
-    shift in [0, 31] and no negative multiplier.
+    checked here: a `QuantizedGraph` is held to 32-bit parameters, a shift
+    in [0, 31] and no negative multiplier when it is built.
     """
     per_channel = (-1,) + (1,) * (acc.ndim - 1)
     # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow

@@ -9,7 +9,9 @@ raw 32-bit output with a per-variable scale.
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from . import engine, graph as G, tensorfile
 from .errors import (ConversionError, DeadActivationError, RequantParameterError, SchemaError,
                      as_str, decoding, finite_real, parse_doc)
 from .floatnet import FloatNet
-from .qtensor import INT32_MAX, INT32_MIN, weight_codes
+from .qtensor import INT32_MAX, INT32_MIN, QTensor, weight_codes
 
 # round(scale * 2^shift) must keep at least this many counts so the fitted
 # ratio reproduces the float scale to a relative error of 2^-15.
@@ -33,7 +35,7 @@ class CalibrationSet:
             raise SchemaError("calibration set is empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequantParams:
     mult: np.ndarray   # int32 per channel
     shift: int
@@ -41,79 +43,101 @@ class RequantParams:
     alpha: float       # activation clipping bound; output eps = alpha / 255
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, which the caller has just made, locked against writes."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class QuantizedGraph:
     """An integer-deployable graph: weight codes with their scales and requant
-    parameters with their alphas.  `scales` derives every other scale."""
+    parameters with their alphas.  `scales` derives every other scale.
+
+    Checked once when built: the constructor holds its fields to `check`
+    and keeps its own read-only copies, so a quantized graph cannot be
+    edited and every frame `engine.infer_int` runs meets the contract.
+    `weights` and `requant` are read-only mappings of read-only arrays, the
+    requant vectors narrowed to int32; a changed graph is a new one, built
+    for example with `dataclasses.replace`."""
 
     graph: G.NetGraph
-    weights: dict = field(default_factory=dict)   # conv/fc name -> QTensor of signed int8 codes
-    requant: dict = field(default_factory=dict)   # requant name -> RequantParams
+    weights: Mapping   # conv/fc name -> QTensor of signed int8 codes
+    requant: Mapping   # requant name -> RequantParams
+
+    def __post_init__(self):
+        self.check()
+        # inside int32 now, so narrowing the requant vectors cannot wrap
+        object.__setattr__(self, "weights", MappingProxyType(
+            {k: QTensor(_read_only(qt.data.copy()), qt.eps) for k, qt in self.weights.items()}))
+        object.__setattr__(self, "requant", MappingProxyType(
+            {k: RequantParams(mult=_read_only(rp.mult.astype(np.int32)), shift=rp.shift,
+                              bias=_read_only(rp.bias.astype(np.int32)), alpha=rp.alpha)
+             for k, rp in self.requant.items()}))
 
     def scales(self) -> dict:
         """Output scale of every layer, by name (`engine.scale_chain`)."""
         return engine.scale_chain(self.graph, {k: qt.eps for k, qt in self.weights.items()},
                                   {k: rp.alpha for k, rp in self.requant.items()})
 
-    def check(self, where: str) -> None:
-        """The contract `engine.infer_int` is bit-exact under, or SchemaError.
+    def check(self) -> None:
+        """The contract `engine.infer_int` is bit-exact under, or SchemaError;
+        the constructor runs it, once, before keeping any field.
 
-        The graph ends in a fully connected head; every conv and fc layer,
-        and no other name, holds int8 codes in its layer's shape; every
-        activation stage, and no other name, holds 1-D integer `mult` and
-        `bias` of length 1 or its channel count inside int32, no negative
-        multiplier, an int `shift` in [0, 31] and a finite `alpha` > 0.  A
-        requant field that breaks it raises RequantParameterError.  A conv
-        or fc layer of more than `engine._INT32_SAFE_TAPS` taps also needs
-        255 * (max over output channels of sum|w|) inside int32, so every
-        accumulator fits before a frame runs.
+        The graph is a NetGraph, which cannot change either, and ends in a
+        fully connected head; every conv and fc layer, and no other name,
+        holds int8 codes in its layer's shape; every activation stage, and
+        no other name, holds 1-D integer `mult` and `bias` of length 1 or
+        its channel count inside int32, no negative multiplier, an int
+        `shift` in [0, 31] and a finite `alpha` > 0.  A requant field that
+        breaks it raises RequantParameterError.  A conv or fc layer of more
+        than `engine._INT32_SAFE_TAPS` taps also needs 255 * (max over
+        output channels of sum|w|) inside int32, so every accumulator fits
+        before a frame runs.
         """
+        if not isinstance(self.graph, G.NetGraph):
+            raise SchemaError(f"a quantized graph runs a NetGraph, got {type(self.graph).__name__}")
         layers = self.graph.layers
-        try:
-            self.graph.head()
-        except SchemaError as e:
-            raise SchemaError(f"{where}: {e}") from None
+        self.graph.head()   # SchemaError for a graph without one
         if (self.weights.keys() != {l.name for l in layers if l.kind in (G.CONV, G.FC)}
                 or self.requant.keys() != {l.name for l in layers if l.kind == G.REQUANT}):
-            raise SchemaError(f"{where}: weights or requant entries do not match the graph's "
-                              f"layers")
+            raise SchemaError("weights or requant entries do not match the graph's layers")
         for l in layers:
             if l.kind in (G.CONV, G.FC):
                 qt = self.weights[l.name]
                 shape = l.weight_shape()
                 if qt.data.dtype != np.int8 or qt.data.shape != shape:
-                    raise SchemaError(f"{where}: {l.name} needs an i8 weight payload of shape "
-                                      f"{shape}, got {qt.data.dtype} {qt.data.shape}")
+                    raise SchemaError(f"{l.name} needs an i8 weight payload of shape {shape}, "
+                                      f"got {qt.data.dtype} {qt.data.shape}")
                 # 255 * max_o sum|w[o]| bounds every accumulator and partial
                 # sum; up to the engine's safe tap count it cannot leave int32
                 if l.taps() > engine._INT32_SAFE_TAPS:
                     bound = 255 * int(np.abs(qt.data.reshape(l.out_ch, -1).astype(np.int64))
                                       .sum(axis=1).max())
                     if bound > INT32_MAX:
-                        raise SchemaError(f"{where}: {l.name} accumulators reach 255 * max "
-                                          f"sum|w| = {bound}, beyond 32-bit")
+                        raise SchemaError(f"{l.name} accumulators reach 255 * max sum|w| = "
+                                          f"{bound}, beyond 32-bit")
             elif l.kind == G.REQUANT:
                 rp = self.requant[l.name]
                 for key, v in (("mult", rp.mult), ("bias", rp.bias)):
                     if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "i"
                             and v.size in (1, l.out_ch)):
                         raise RequantParameterError(
-                            f"{where}: requant {l.name} {key} must be 1-D integers of length 1 "
+                            f"requant {l.name} {key} must be 1-D integers of length 1 "
                             f"or the channel count {l.out_ch}, got {type(v).__name__} "
                             f"{getattr(v, 'dtype', '')} {getattr(v, 'shape', '')}")
                     if key == "mult" and (lo := v.min()) < 0:
-                        raise RequantParameterError(
-                            f"{where}: requant {l.name} has a negative multiplier {int(lo)}")
+                        raise RequantParameterError(f"requant {l.name} has a negative "
+                                                    f"multiplier {int(lo)}")
                     # an integer dtype of at most 32 bits cannot leave int32
                     if v.dtype.itemsize > 4 and (v.min() < INT32_MIN or v.max() > INT32_MAX):
-                        raise RequantParameterError(
-                            f"{where}: requant {l.name} {key} does not fit 32-bit")
+                        raise RequantParameterError(f"requant {l.name} {key} does not fit 32-bit")
                 if type(rp.shift) is not int or not 0 <= rp.shift <= 31:
                     raise RequantParameterError(
-                        f"{where}: requant {l.name} shift {rp.shift!r} is not an int in [0, 31]")
+                        f"requant {l.name} shift {rp.shift!r} is not an int in [0, 31]")
                 if not (finite_real(rp.alpha) and rp.alpha > 0):
                     raise RequantParameterError(
-                        f"{where}: requant {l.name} alpha {rp.alpha!r} is not finite and > 0")
+                        f"requant {l.name} alpha {rp.alpha!r} is not finite and > 0")
 
 
 def calibrate(net: FloatNet, calib: CalibrationSet) -> dict:
@@ -159,10 +183,10 @@ def fit_requant_scale(scales: np.ndarray, offsets: np.ndarray, layer: str) -> tu
 def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
     """Transform a calibrated float net into an integer-deployable graph."""
     g = net.graph
-    g.head()   # SchemaError for a graph without one
-    qg = QuantizedGraph(graph=g, weights={l.name: weight_codes(net.weights[l.name])
-                                          for l in g.layers if l.kind in (G.CONV, G.FC)})
-    eps = engine.scale_chain(g, {k: qt.eps for k, qt in qg.weights.items()}, alphas)
+    weights = {l.name: weight_codes(net.weights[l.name]) for l in g.layers
+               if l.kind in (G.CONV, G.FC)}
+    eps = engine.scale_chain(g, {k: qt.eps for k, qt in weights.items()}, alphas)
+    requant = {}
     # the graph puts each activation stage right after its conv
     for conv, l in zip(g.layers, g.layers[1:]):
         if l.kind == G.REQUANT:
@@ -171,9 +195,8 @@ def convert(net: FloatNet, alphas: dict) -> QuantizedGraph:
             scales = bn.gamma / sig * eps[conv.name] / eps[l.name]
             offsets = (bn.beta - bn.gamma * bn.mean / sig) / eps[l.name]
             mult, shift, bias = fit_requant_scale(scales, offsets, l.name)
-            qg.requant[l.name] = RequantParams(mult=mult, shift=shift, bias=bias,
-                                               alpha=alphas[l.name])
-    return qg
+            requant[l.name] = RequantParams(mult=mult, shift=shift, bias=bias, alpha=alphas[l.name])
+    return QuantizedGraph(graph=g, weights=weights, requant=requant)
 
 
 def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
@@ -229,9 +252,8 @@ def _scale_copies(qg: QuantizedGraph) -> dict:
 
 def qgraph_doc(qg: QuantizedGraph, path: str) -> dict:
     """Write the weight payloads as QTNS files beside `path` and return the
-    nanopose-qgraph document that names them; SchemaError, and nothing
-    written, for a graph that fails `QuantizedGraph.check`."""
-    qg.check(path)
+    nanopose-qgraph document that names them.  A QuantizedGraph met
+    `QuantizedGraph.check` when it was built, so nothing is checked here."""
     scales = _scale_copies(qg)
     base = os.path.dirname(os.path.abspath(path))
     os.makedirs(base, exist_ok=True)
@@ -263,8 +285,9 @@ def save_qgraph(qg: QuantizedGraph, path: str) -> None:
 
 
 def load_qgraph(path: str) -> QuantizedGraph:
-    """Read a qgraph written by save_qgraph, with its QTNS payloads, and
-    hold it to `QuantizedGraph.check`.  The document's scale copies
+    """Read a qgraph written by save_qgraph, with its QTNS payloads, as one
+    `QuantizedGraph`, whose constructor holds it to `QuantizedGraph.check`;
+    a SchemaError names the file.  The document's scale copies
     (`input_eps`, `out_eps`, `acc_eps`) are not read: each must equal the
     value the weight scales and alphas give, or SchemaError.
     """
@@ -272,17 +295,18 @@ def load_qgraph(path: str) -> QuantizedGraph:
     with open(path, "rb") as f:
         doc = parse_doc(f.read(), path, "nanopose-qgraph")
     with decoding(path):
-        qg = QuantizedGraph(graph=G.from_doc(doc["graph"]))
+        graph = G.from_doc(doc["graph"])
         # an entry that names no conv or fc layer stays unread, for `check` to reject
-        layers = {l.name for l in qg.graph.layers if l.kind in (G.CONV, G.FC)}
-        qg.weights = {name: tensorfile.read_qtensor(os.path.join(base, as_str(fn)))
-                      if name in layers else fn for name, fn in doc["weights"].items()}
-        qg.requant = {name: RequantParams(mult=np.asarray(d["mult"]), shift=d["shift"],
-                                          bias=np.asarray(d["bias"]), alpha=d["alpha"])
-                      for name, d in doc["requant"].items()}
-        qg.check(path)
-        for rp in qg.requant.values():   # inside int32 now, so narrowing cannot wrap
-            rp.mult, rp.bias = rp.mult.astype(np.int32), rp.bias.astype(np.int32)
+        layers = {l.name for l in graph.layers if l.kind in (G.CONV, G.FC)}
+        weights = {name: tensorfile.read_qtensor(os.path.join(base, as_str(fn)))
+                   if name in layers else fn for name, fn in doc["weights"].items()}
+        requant = {name: RequantParams(mult=np.asarray(d["mult"]), shift=d["shift"],
+                                       bias=np.asarray(d["bias"]), alpha=d["alpha"])
+                   for name, d in doc["requant"].items()}
+        try:
+            qg = QuantizedGraph(graph=graph, weights=weights, requant=requant)
+        except SchemaError as e:   # RequantParameterError keeps its class
+            raise type(e)(f"{path}: {e}") from None
         wrong = [k for k, v in _scale_copies(qg).items() if doc[k] != v]
         if wrong:
             raise SchemaError(f"{path}: {', '.join(wrong)} differ from the scales the weights "

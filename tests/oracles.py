@@ -6,6 +6,7 @@ drone's dynamics proxy is restated from its description, on lists, apart
 from the simulator's tick loop.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,12 +164,25 @@ def make_chain_graph(spatial, channels, with_pool=False, n_blocks=1, kernel=3, n
         if with_pool and b == 0:
             layers.append(G.LayerSpec(G.POOL, f"{name_prefix}{b}p", kernel=(2, 2), stride=(2, 2)))
         cin = cout
-    g = G.NetGraph(layers=layers, input_shape=(1, h, w), variant="toy")
-    G.infer_shapes(g)
-    cf, hf, wf = g.layers[-1].out_shape
-    layers.append(G.LayerSpec(G.DROPOUT, "drop"))
-    layers.append(G.LayerSpec(G.FC, "fc", in_ch=cf * hf * wf, out_ch=4))
-    return G.infer_shapes(g)
+    # the prefix graph gives the size the head flattens
+    prefix = G.NetGraph(layers=layers, input_shape=(1, h, w), variant="toy")
+    cf, hf, wf = prefix.layers[-1].out_shape
+    return dataclasses.replace(prefix, layers=[*prefix.layers, G.LayerSpec(G.DROPOUT, "drop"),
+                                               G.LayerSpec(G.FC, "fc", in_ch=cf * hf * wf, out_ch=4)])
+
+
+def with_layer(g, name, /, **changes):
+    """g with the fields of layer `name` changed: a new graph, which its
+    constructor checks and shapes like any other."""
+    return dataclasses.replace(g, layers=[dataclasses.replace(l, **changes) if l.name == name else l
+                                          for l in g.layers])
+
+
+def with_requant(qg, name, /, **changes):
+    """qg with the requant parameters of stage `name` changed: a new
+    quantized graph, which its constructor checks like any other."""
+    return dataclasses.replace(qg, requant={**qg.requant,
+                                            name: dataclasses.replace(qg.requant[name], **changes)})
 
 
 def _wrap(a):

@@ -271,7 +271,7 @@ class TestTamperedQgraph:
         assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
                         "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert "error[schema]" in err and message in err
+        assert "error[schema]" in err and f"{bad}: requant b2a1 {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -284,7 +284,21 @@ class TestTamperedQgraph:
         assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
                         "--out", str(out)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert "error[schema]" in err and "act1 has a negative multiplier" in err
+        assert "error[schema]" in err and f"{bad}: requant act1 has a negative multiplier" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_extra_weights_entry_exit_4(self, tmp_path, capsys, qgraph_file):
+        doc = json.loads(qgraph_file.read_text())
+        doc["weights"]["ghost"] = doc["weights"]["conv1"]
+        bad = qgraph_file.parent / "tampered.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "pose.csv"
+        assert run_cli(["infer", "--qgraph", str(bad), "--image", str(frame_pgm(tmp_path)),
+                        "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "error[schema]" in err
+        assert f"{bad}: weights or requant entries do not match the graph's layers" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -302,24 +316,50 @@ def _rewrite_as(dtype):
     return tamper
 
 
-class TestTamperedWeightFile:
-    """A weight file that is not 7-bit offsets in an i8 payload is rejected
-    when loaded rather than read as other codes."""
+def _int16_payload(path):
+    # QTNS has no int16 code: the file's dtype byte names none it knows
+    data, eps, _ = tensorfile.read_tensor(path)
+    raw = bytearray(path.read_bytes())
+    start = 6 + 4 * raw[5]
+    raw[4] = 4
+    raw[start:start + data.size] = data.astype("<i2").tobytes()
+    path.write_bytes(bytes(raw))
 
-    @pytest.mark.parametrize("tamper,message", [
-        (_offset_byte_0x80, "offset -128 is below 0"),
-        (_rewrite_as(np.uint8), "i8 weight payload"),
-        (_rewrite_as(np.int32), "i8 weight payload"),
-    ], ids=["offset-0x80", "u8", "i32"])
-    def test_infer_exit_4(self, tmp_path, capsys, qgraph_file, tamper, message):
+
+def _flattened(path):
+    # the right codes in the wrong shape: (out, in * kh * kw)
+    data, eps, base = tensorfile.read_tensor(path)
+    tensorfile.write_tensor(path, data.reshape(data.shape[0], -1), eps=eps, base=base)
+
+
+class TestTamperedWeightFile:
+    """A weight file that is not 7-bit offsets in an i8 payload of its
+    layer's shape is rejected when loaded rather than read as other codes,
+    with a message naming the file at fault: the weight file when it cannot
+    be read, else the qgraph whose contract it breaks."""
+
+    @pytest.mark.parametrize("tamper,message,names", [
+        (_offset_byte_0x80, "offset -128 is below 0", "weights"),
+        (_rewrite_as(np.uint8), "i8 weight payload", "qgraph"),
+        (_rewrite_as(np.int32), "i8 weight payload", "qgraph"),
+        (_int16_payload, "unknown dtype code 4", "weights"),
+        (_flattened, "conv1 needs an i8 weight payload of shape (32, 1, 5, 5), got int8 (32, 25)",
+         "qgraph"),
+    ], ids=["offset-0x80", "u8", "i32", "i16", "wrong-shape"])
+    def test_infer_exit_4(self, tmp_path, capsys, qgraph_file, tamper, message, names):
         doc = json.loads(qgraph_file.read_text())
-        tamper(qgraph_file.parent / next(iter(doc["weights"].values())))
+        weights = qgraph_file.parent / doc["weights"]["conv1"]
+        tamper(weights)
         img = frame_pgm(tmp_path)
+        out = tmp_path / "pose.csv"
         code = run_cli(["infer", "--qgraph", str(qgraph_file), "--image", str(img),
-                        "--out", str(tmp_path / "pose.csv")])
+                        "--out", str(out)])
         assert code == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "error[schema]" in err and message in err
+        assert f"{qgraph_file if names == 'qgraph' else weights}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 PLAN_TAMPERS = {

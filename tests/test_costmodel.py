@@ -127,9 +127,10 @@ class TestEstimate:
         assert lat["160x32"] > lat["160x16"] > lat["80x32"]
 
     def test_empty_plan_has_no_latency(self):
-        # planner.plan rejects an empty graph, but a plan can be built by hand
-        p = DeploymentPlan(graph=G.NetGraph(layers=[], input_shape=(1, 4, 4)), mem=GAP8,
-                           policy=STREAMED, nodes=[], schedule={})
+        # no graph is empty, so no plan from `plan` lacks stages, but such a
+        # plan can be built by hand
+        p = DeploymentPlan(graph=G.build_variant("80x32"), mem=GAP8, policy=STREAMED, nodes=[],
+                           schedule={})
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no divide-by-zero warning on the array path
             with pytest.raises(SchemaError, match="empty plan has no latency"):

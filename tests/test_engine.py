@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     naive_float_forward,
     naive_pool2x2,
     run_int_reference,
+    with_requant,
 )
 
 
@@ -179,8 +181,8 @@ class TestConvKernel:
 class TestInferInt:
     def test_zero_image_zero_bias_is_zero(self):
         g, net, qg, _ = converted_toy(0)
-        for rp in qg.requant.values():
-            rp.bias = np.zeros_like(rp.bias)
+        qg = dataclasses.replace(qg, requant={k: dataclasses.replace(rp, bias=np.zeros_like(rp.bias))
+                                              for k, rp in qg.requant.items()})
         img = QTensor(np.zeros(g.input_shape, dtype=np.uint8), engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         assert (res.raw == 0).all()
@@ -204,14 +206,12 @@ class TestInferInt:
             G.LayerSpec(G.DROPOUT, "d"),
             G.LayerSpec(G.FC, "fc", in_ch=9, out_ch=4),
         ]
-        g = G.infer_shapes(G.NetGraph(layers, (1, 3, 3)))
-        from nanopose.quantizer import QuantizedGraph, RequantParams
-
-        qg = QuantizedGraph(graph=g)
-        qg.weights["c"] = QTensor(np.array([[[[3]]]], dtype=np.int8), 0.5)
-        qg.requant["a"] = RequantParams(
-            mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
-        qg.weights["fc"] = QTensor(np.full((4, 9), 2, dtype=np.int8), 1.0)
+        qg = QuantizedGraph(
+            graph=G.NetGraph(layers, (1, 3, 3)),
+            weights={"c": QTensor(np.array([[[[3]]]], dtype=np.int8), 0.5),
+                     "fc": QTensor(np.full((4, 9), 2, dtype=np.int8), 1.0)},
+            requant={"a": RequantParams(mult=np.array([1 << 15]), shift=15, bias=np.array([0]),
+                                        alpha=255.0)})
         codes = np.arange(9, dtype=np.uint8).reshape(1, 3, 3)
         res = engine.infer_int(qg, QTensor(codes, engine.IMAGE_EPS), record_activations=True)
         # conv: acc = 3 * code; requant multiplies by 1 (clamped at 255)
@@ -236,14 +236,14 @@ class TestInferInt:
             G.LayerSpec(G.DROPOUT, "d"),
             G.LayerSpec(G.FC, "fc", in_ch=h * w, out_ch=4),
         ]
-        g = G.infer_shapes(G.NetGraph(layers, (1, h, w)))
-        qg = QuantizedGraph(graph=g)
-        qg.weights["c"] = QTensor(np.ones((1, 1, 1, 1), dtype=np.int8), 1.0)
-        qg.requant["a"] = RequantParams(
-            mult=np.array([1 << 15]), shift=15, bias=np.array([0]), alpha=255.0)
         fc = np.random.default_rng(h).integers(-128, 128, (4, h * w)).astype(np.int8)
         fc[0], fc[1] = -128, 127
-        qg.weights["fc"] = QTensor(fc, 1.0)
+        qg = QuantizedGraph(
+            graph=G.NetGraph(layers, (1, h, w)),
+            weights={"c": QTensor(np.ones((1, 1, 1, 1), dtype=np.int8), 1.0),
+                     "fc": QTensor(fc, 1.0)},
+            requant={"a": RequantParams(mult=np.array([1 << 15]), shift=15, bias=np.array([0]),
+                                        alpha=255.0)})
         img = QTensor(np.full((1, h, w), 255, dtype=np.uint8), engine.IMAGE_EPS)
         res = engine.infer_int(qg, img, record_activations=True)
         acts = res.activations["a"].data.reshape(-1)
@@ -266,22 +266,24 @@ class TestInferInt:
                 engine.infer_int(qg, qt)
 
     def test_wide_image_payload_rejected(self):
-        # int64 codes of the same values, swapped in after construction
+        # wider codes of the same values: int64 cannot be swapped into a
+        # built QTensor, and int32 accumulator codes are no image
         g, net, qg, rng = converted_toy(4)
         img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
-        img.data = img.data.astype(np.int64)
-        with pytest.raises(SchemaError, match="int64 codes"):
-            engine.infer_int(qg, img)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            img.data = img.data.astype(np.int64)
+        with pytest.raises(SchemaError, match="int32 codes"):
+            engine.infer_int(qg, QTensor(img.data.astype(np.int32), img.eps))
 
     def test_negative_multiplier_rejected(self):
+        # before any frame: no quantized graph holds one, pooled first stage
+        # included, and a built one cannot be given one
         g, net, qg, rng = converted_toy(4)
-        img = QTensor(random_image_codes(rng, g.input_shape), engine.IMAGE_EPS)
-        for name in qg.requant:   # the first stage is pooled before it is requantized
-            rp = qg.requant[name]
-            rp.mult = -rp.mult
+        for name, rp in qg.requant.items():
             with pytest.raises(RequantParameterError, match="negative"):
-                engine.infer_int(qg, img)
-            rp.mult = -rp.mult
+                with_requant(qg, name, mult=-rp.mult)
+            with pytest.raises(ValueError, match="read-only"):
+                np.negative(rp.mult, out=rp.mult)
 
     def test_repeat_determinism(self):
         g, net, qg, rng = converted_toy(5, spatial=(16, 16))
@@ -323,19 +325,19 @@ def odd_pool_qgraph(seed):
         G.LayerSpec(G.DROPOUT, "d"),
         G.LayerSpec(G.FC, "fc", in_ch=3 * 3 * 4, out_ch=4),
     ]
-    g = G.infer_shapes(G.NetGraph(layers, (1, 7, 9)))
+    g = G.NetGraph(layers, (1, 7, 9))
     rng = np.random.default_rng(seed)
-    qg = QuantizedGraph(graph=g)
+    weights, requant = {}, {}
     for l in g.layers:
         if l.kind in (G.CONV, G.FC):
             shape = (l.out_ch, l.in_ch, *l.kernel) if l.kind == G.CONV else (l.out_ch, l.in_ch)
-            qg.weights[l.name] = QTensor(rng.integers(-128, 128, shape).astype(np.int8), 0.01)
+            weights[l.name] = QTensor(rng.integers(-128, 128, shape).astype(np.int8), 0.01)
         elif l.kind == G.REQUANT:
             mult = rng.integers(0, 400, l.out_ch)
             mult[1] = 0
             bias = rng.integers(-(2**14) * 200, 2**14 * 40, l.out_ch)
-            qg.requant[l.name] = RequantParams(mult=mult, shift=14, bias=bias, alpha=1.0)
-    return g, qg, rng
+            requant[l.name] = RequantParams(mult=mult, shift=14, bias=bias, alpha=1.0)
+    return g, QuantizedGraph(graph=g, weights=weights, requant=requant), rng
 
 
 class TestPoolBeforeRequant:
@@ -424,7 +426,7 @@ class TestFootprint:
 
 class TestHeldCodes:
     """The graph holds the full weight codes the engine runs; nothing is
-    prepared or cached between calls."""
+    prepared or cached between calls, and an edited graph is a new one."""
 
     def test_inference_decodes_no_weights(self, monkeypatch):
         g, net, qg, rng = converted_toy(7)
@@ -446,23 +448,31 @@ class TestHeldCodes:
         before = engine.infer_int(qg, img).raw
         name = next(iter(qg.requant))
         rp = qg.requant[name]
-        rp.bias = rp.bias + (1 << rp.shift) * 40
+        qg = with_requant(qg, name, bias=rp.bias + (1 << rp.shift) * 40)
         res = engine.infer_int(qg, img, record_activations=True)
         ref = run_int_reference(qg, codes)
         for layer, qt in res.activations.items():
             assert (qt.data.astype(np.int64) == ref[layer]).all(), layer
         assert not (res.raw == before).all()
 
-    def test_in_place_edits_take_effect(self):
+    def test_edited_copies_take_effect(self):
+        # the held arrays refuse an in-place write; edited copies, built
+        # into a new graph, run on its first frame
         g, net, qg, rng = converted_toy(8)
         codes = random_image_codes(rng, g.input_shape)
         img = QTensor(codes, engine.IMAGE_EPS)
         before = engine.infer_int(qg, img, record_activations=True).activations
         conv, act = (l.name for l in g.layers[:2])
-        w = qg.weights[conv].data
+        qt, rp = qg.weights[conv], qg.requant[act]
+        with pytest.raises(ValueError, match="read-only"):
+            qt.data[(0,) * qt.data.ndim] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            rp.bias[-1] += 1
+        w, bias = qt.data.copy(), rp.bias.copy()
         w[(0,) * w.ndim] = 127 if w[(0,) * w.ndim] != 127 else -128
-        rp = qg.requant[act]
-        rp.bias[-1] += (1 << rp.shift) * 40
+        bias[-1] += (1 << rp.shift) * 40
+        qg = dataclasses.replace(qg, weights={**qg.weights, conv: QTensor(w, qt.eps)},
+                                 requant={**qg.requant, act: dataclasses.replace(rp, bias=bias)})
         res = engine.infer_int(qg, img, record_activations=True)
         ref = run_int_reference(qg, codes)
         for layer, qt in res.activations.items():

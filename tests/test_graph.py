@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from nanopose import graph as G
 from nanopose.errors import SchemaError, parse_doc
-from nanopose.planner import naive_l2_bytes, plan
+
+from oracles import with_layer
 
 
 def enumerate_stats(input_hw, c):
@@ -119,27 +121,32 @@ class TestWeightLayout:
         assert g.head() is g.layer("fc")
 
     def test_head_is_the_last_fc(self):
-        g = G.infer_shapes(G.NetGraph(layers=[
+        g = G.NetGraph(layers=[
             G.LayerSpec(G.FC, "hidden", in_ch=16, out_ch=8),
             G.LayerSpec(G.FC, "out", in_ch=8, out_ch=4),
-        ], input_shape=(1, 4, 4)))
+        ], input_shape=(1, 4, 4))
         assert g.head() is g.layer("out")
 
     def test_headless_graph_rejected(self):
-        g = G.infer_shapes(G.NetGraph(layers=[
+        g = G.NetGraph(layers=[
             G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=2, kernel=(3, 3), padding=(1, 1)),
             G.LayerSpec(G.REQUANT, "a"),
-        ], input_shape=(1, 4, 4)))
+        ], input_shape=(1, 4, 4))
         with pytest.raises(SchemaError, match="no fully connected head"):
             g.head()
 
 
 class TestInferShapes:
     def test_idempotent(self):
+        # a graph rebuilt from shaped layers is the same graph, and the
+        # layers it was built from are left as they were
         g = G.build_variant("160x32")
-        before = [l.out_shape for l in g.layers]
-        G.infer_shapes(g)
-        assert [l.out_shape for l in g.layers] == before
+        again = G.NetGraph(g.layers, g.input_shape, g.variant)
+        assert again == g and again.layers == G.infer_shapes(g.layers, g.input_shape, g.variant)[0]
+        unshaped = [G.LayerSpec(l.kind, l.name, l.in_ch, l.out_ch, l.kernel, l.stride, l.padding)
+                    for l in g.layers]
+        assert G.NetGraph(unshaped, g.input_shape, g.variant) == g
+        assert all(l.in_shape is l.out_shape is None for l in unshaped)
 
     def test_pool_output(self):
         g = G.build_variant("160x32")
@@ -152,59 +159,70 @@ class TestInferShapes:
         assert heights == [24, 12, 6, 6, 3, 3, 2, 2]
 
     def test_collapse_error(self):
-        g = G.NetGraph(
-            layers=[G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=2, kernel=(5, 5), stride=(2, 2))],
-            input_shape=(1, 3, 3),
-        )
         with pytest.raises(SchemaError, match="collapsed"):
-            G.infer_shapes(g)
+            G.NetGraph(
+                layers=[G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=2, kernel=(5, 5), stride=(2, 2))],
+                input_shape=(1, 3, 3),
+            )
 
 
-def zero_channel_input(g):
-    g.input_shape = (0, 48, 80)
-    g.layer("conv1").in_ch = 0
-
-
-# graphs built in code that break the field rule, each the 80x32 variant
-# with one change
+# graphs that break the field rule, each the 80x32 variant with one change:
+# (graph fields, {layer name: layer fields})
 MALFORMED = {
-    "zero-channel-input": zero_channel_input,
-    "bool-channel": lambda g: setattr(g.layer("conv1"), "in_ch", True),
-    "float-channel": lambda g: setattr(g.layer("conv1"), "out_ch", 32.0),
-    "int64-channel": lambda g: setattr(g.layer("conv1"), "out_ch", np.int64(32)),
-    "int-variant": lambda g: setattr(g, "variant", 7),
-    "three-stride": lambda g: setattr(g.layer("b1c1"), "stride", (2, 2, 2)),
-    "none-kernel": lambda g: setattr(g.layer("b1c1"), "kernel", None),
+    "zero-channel-input": ({"input_shape": (0, 48, 80)}, {"conv1": {"in_ch": 0}}),
+    "bool-channel": ({}, {"conv1": {"in_ch": True}}),
+    "float-channel": ({}, {"conv1": {"out_ch": 32.0}}),
+    "int64-channel": ({}, {"conv1": {"out_ch": np.int64(32)}}),
+    "int-variant": ({"variant": 7}, {}),
+    "three-stride": ({}, {"b1c1": {"stride": (2, 2, 2)}}),
+    "none-kernel": ({}, {"b1c1": {"kernel": None}}),
 }
 
 
 def malformed(case):
+    """Build the 80x32 variant with the change of `case`."""
+    graph_fields, layer_fields = MALFORMED[case]
     g = G.build_variant("80x32")
-    MALFORMED[case](g)
-    return g
+    return dataclasses.replace(g, layers=[dataclasses.replace(l, **layer_fields.get(l.name, {}))
+                                          for l in g.layers], **graph_fields)
 
 
 class TestFieldRule:
     @pytest.mark.parametrize("case", MALFORMED)
     def test_built_graph_refused(self, case):
-        # every entry point runs the rule, so no plan exists that the plan
-        # reader would refuse or the writer could not write
-        for run in (G.infer_shapes, plan, G.analyze, naive_l2_bytes):
-            with pytest.raises(SchemaError):
-                run(malformed(case))
+        # the constructor runs the rule, so no such graph exists to be
+        # planned, analysed or written, and no plan that the plan reader
+        # would refuse
+        with pytest.raises(SchemaError):
+            malformed(case)
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_document_refused(self, case):
+        graph_fields, layer_fields = MALFORMED[case]
+        doc = G.to_doc(G.build_variant("80x32"))
+        doc.update(graph_fields)
+        for d in doc["layers"]:
+            d.update(layer_fields.get(d["name"], {}))
         with pytest.raises(SchemaError):
-            G.from_doc(G.to_doc(malformed(case)))
+            G.from_doc(doc)
 
     def test_windows_stored_as_tuples(self):
         g = G.build_variant("80x32")
+        g = dataclasses.replace(with_layer(g, "b1c1", kernel=[3, 3], stride=[2, 2], padding=[1, 1]),
+                                input_shape=[1, 48, 80])
         conv = g.layer("b1c1")
-        conv.kernel, conv.stride, conv.padding = [3, 3], [2, 2], [1, 1]
-        g.input_shape = [1, 48, 80]
-        G.infer_shapes(g)
         assert (conv.kernel, conv.stride, conv.padding, g.input_shape) == ((3, 3), (2, 2), (1, 1), (1, 48, 80))
+        assert g == G.build_variant("80x32")
+
+    def test_built_graph_cannot_be_edited(self):
+        g = G.build_variant("80x32")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.layer("conv1").in_ch = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.variant = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.input_shape = (0, 48, 80)
+        assert isinstance(g.layers, tuple)
 
 
 class TestAnalyze:

@@ -26,6 +26,8 @@ from nanopose.planner import (
     tile_layer,
 )
 
+from oracles import with_layer
+
 
 def layer_of(tag, name):
     return G.build_variant(tag).layer(name)
@@ -146,7 +148,6 @@ class TestBuildNodes:
             G.LayerSpec(G.POOL, "p", kernel=(2, 2), stride=(2, 2)),
             G.LayerSpec(G.FC, "f", in_ch=3 * 4 * 4, out_ch=4),
         ], input_shape=(1, 8, 8))
-        G.infer_shapes(g)
         got = [(n.name, n.kind, n.layer_names, n.macs, n.weight_bytes, n.in_bytes, n.out_bytes,
                 n.out_rows, n.dot_len) for n in build_nodes(g, fuse_pool=fuse_pool)]
         assert got == [
@@ -183,13 +184,13 @@ class TestPlan:
 
     @pytest.mark.parametrize("conv_out,fc_out", [(0, 4), (2, 0)], ids=["conv", "fc"])
     def test_empty_channel_dimension_rejected(self, conv_out, fc_out):
-        g = G.NetGraph(layers=[
-            G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=conv_out, kernel=(3, 3), padding=(1, 1)),
-            G.LayerSpec(G.REQUANT, "a"),
-            G.LayerSpec(G.FC, "f", in_ch=conv_out * 64, out_ch=fc_out),
-        ], input_shape=(1, 8, 8))
+        # refused when the graph is built, so no plan of it can be asked for
         with pytest.raises(SchemaError, match="empty dimension"):
-            plan(g)
+            G.NetGraph(layers=[
+                G.LayerSpec(G.CONV, "c", in_ch=1, out_ch=conv_out, kernel=(3, 3), padding=(1, 1)),
+                G.LayerSpec(G.REQUANT, "a"),
+                G.LayerSpec(G.FC, "f", in_ch=conv_out * 64, out_ch=fc_out),
+            ], input_shape=(1, 8, 8))
 
     def test_l3_total_is_parameter_count(self):
         p = plan(G.build_variant("160x32"), GAP8, STREAMED)
@@ -214,19 +215,29 @@ class TestPlan:
             MemoryHierarchy(**mem)
 
     def test_empty_graph_empty_plan(self):
-        # rejected like every decoder rejects it, so no plan exists that
-        # plan_from_json could not read back
-        g = G.NetGraph(layers=[], input_shape=(1, 4, 4))
+        # rejected when built, as every decoder rejects it, so no plan exists
+        # that plan_from_json could not read back
         with pytest.raises(SchemaError, match="empty graph"):
-            plan(g, GAP8, STREAMED)
+            G.NetGraph(layers=[], input_shape=(1, 4, 4))
 
     def test_non_str_layer_name_rejected(self):
         # a plan keys its schedule by layer name, and a plan document's keys
-        # are strings: the graph is refused before any plan exists
-        g = G.build_variant("80x32")
-        g.layer("conv1").name = 7
+        # are strings: the graph is refused when built, before any plan exists
         with pytest.raises(SchemaError, match="layer names must be unique strings"):
-            plan(g, GAP8, STREAMED)
+            with_layer(G.build_variant("80x32"), "conv1", name=7)
+
+    def test_plan_does_not_share_an_editable_graph(self):
+        # a plan holds its caller's graph, which can no longer be edited
+        # under it, so the plan's document still reads back
+        g = G.build_variant("80x32")
+        p = plan(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.graph.layer("conv1").padding = (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.layer("conv1").padding = (0, 0)
+        text = plan_to_json(p)
+        assert plan_to_json(plan_from_json(text)) == text
+
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_capacity_decided_before_tiling(self, policy):
@@ -459,9 +470,9 @@ class TestPlanJson:
         # the names reach the layer, stage and occupancy templates too
         g = G.build_variant("80x32")
         names = ['quote "ä"', "back\\slash", "tab\t\u00e9", "drone \U0001f681", "del\x7f", "100%s %d"]
-        g.layers = [dataclasses.replace(l, name=names[i] if i < len(names) else l.name)
-                    for i, l in enumerate(g.layers)]
-        g.variant = 'variant "%s" \\ \u00e9 \U0001f681'
+        g = G.NetGraph([dataclasses.replace(l, name=names[i] if i < len(names) else l.name)
+                        for i, l in enumerate(g.layers)], g.input_shape,
+                       variant='variant "%s" \\ \u00e9 \U0001f681')
         for policy in POLICIES:
             text = self.written(plan(g, GAP8, policy))
             assert text.isascii()
@@ -507,10 +518,10 @@ class TestPlanJson:
         self.read_back_or_refused(doc)
 
     def test_writer_empty_plan(self):
-        # the planner rejects an empty graph, as the graph decoder does, so
-        # there is no empty plan to write
+        # no empty graph is built, as the graph decoder reads none, so there
+        # is no empty plan to write
         with pytest.raises(SchemaError, match="empty graph"):
-            plan(G.NetGraph(layers=[], input_shape=(1, 4, 4)), GAP8, STREAMED)
+            G.NetGraph(layers=[], input_shape=(1, 4, 4))
 
 
 @st.composite
@@ -519,21 +530,21 @@ def chains(draw):
     followed by a 2x2 pool, with kernels of 1-5 per axis, strides of 1-2,
     padding below the kernel and 1-47 channels."""
     c, h, w = draw(st.integers(1, 3)), draw(st.integers(6, 39)), draw(st.integers(6, 59))
-    g = G.NetGraph(layers=[], input_shape=(c, h, w))
+    input_shape, layers = (c, h, w), []
     for b in range(draw(st.integers(1, 4))):
         # a kernel no larger than its input keeps every output dimension >= 1
         kernel = (draw(st.integers(1, min(5, h))), draw(st.integers(1, min(5, w))))
         padding = tuple(draw(st.integers(0, k - 1)) for k in kernel)
         stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
         out_ch = draw(st.integers(1, 47))
-        g.layers += [G.LayerSpec(G.CONV, f"c{b}", in_ch=c, out_ch=out_ch, kernel=kernel,
-                                 stride=stride, padding=padding),
-                     G.LayerSpec(G.REQUANT, f"a{b}")]
+        layers += [G.LayerSpec(G.CONV, f"c{b}", in_ch=c, out_ch=out_ch, kernel=kernel,
+                               stride=stride, padding=padding),
+                   G.LayerSpec(G.REQUANT, f"a{b}")]
         c, (h, w) = out_ch, G.conv_out_hw(h, w, kernel, stride, padding)
         if min(h, w) >= 2 and draw(st.booleans()):
-            g.layers.append(G.LayerSpec(G.POOL, f"p{b}", kernel=(2, 2), stride=(2, 2)))
+            layers.append(G.LayerSpec(G.POOL, f"p{b}", kernel=(2, 2), stride=(2, 2)))
             h, w = h // 2, w // 2
-    return G.infer_shapes(g)
+    return G.NetGraph(layers=layers, input_shape=input_shape)
 
 
 class TestGeneratedChains:

@@ -21,7 +21,7 @@ from nanopose.quantizer import (
     save_qgraph,
 )
 
-from oracles import make_chain_graph
+from oracles import make_chain_graph, with_requant
 
 
 def toy_setup(seed, spatial=(12, 12), channels=(4, 6), n_blocks=2, n_calib=5):
@@ -174,11 +174,12 @@ class TestCrossEngine:
 
 
 class TestCheck:
-    """`QuantizedGraph.check` states what `engine.infer_int` runs on."""
+    """`QuantizedGraph.check` states what `engine.infer_int` runs on; the
+    constructor runs it, so a graph that breaks it is never built."""
 
     def test_converted_graph_passes(self):
         g, net, imgs, _ = toy_setup(13)
-        convert(net, calibrate(net, CalibrationSet(imgs))).check("toy")
+        convert(net, calibrate(net, CalibrationSet(imgs))).check()
 
     def test_requant_parameters_checked(self, tmp_path):
         g, net, imgs, _ = toy_setup(14)
@@ -203,18 +204,15 @@ class TestCheck:
             ({"alpha": 10**400}, "alpha 10000"),   # beyond the float range
         ]
         for change, message in cases:
-            qg.requant[name] = dataclasses.replace(good, **change)
             with pytest.raises(RequantParameterError, match=message):
-                qg.check("toy")
-        qg.requant[name] = good
-        qg.check("toy")
-        # the int32 ends themselves pass, in any integer dtype
+                with_requant(qg, name, **change)
+        # the int32 ends themselves pass, in any integer dtype, and are kept
+        # as int32
         for dtype in (np.int32, np.int64):
-            qg.requant[name] = dataclasses.replace(
-                good, mult=np.full(channels, 2**31 - 1, dtype=dtype),
-                bias=np.full(channels, -(2**31), dtype=dtype))
-            qg.check("toy")
-        qg.requant[name] = good
+            ends = with_requant(qg, name, mult=np.full(channels, 2**31 - 1, dtype=dtype),
+                                bias=np.full(channels, -(2**31), dtype=dtype)).requant[name]
+            assert ends.mult.dtype == ends.bias.dtype == np.int32
+            assert (ends.mult == 2**31 - 1).all() and (ends.bias == -(2**31)).all()
         save_qgraph(qg, str(tmp_path / "q.json"))
         for rp in load_qgraph(str(tmp_path / "q.json")).requant.values():
             assert rp.mult.dtype == rp.bias.dtype == np.int32
@@ -224,25 +222,125 @@ class TestCheck:
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         conv = next(iter(qg.weights))
         qt = qg.weights[conv]
-        qg.weights[conv] = bad = QTensor(qt.data, qt.eps)
-        bad.data = qt.data.astype(np.int16)   # QTensor itself rejects int16
-        with pytest.raises(SchemaError, match="i8 weight payload"):
-            qg.check("toy")
-        qg.weights[conv] = QTensor(qt.data[:1], qt.eps)
-        with pytest.raises(SchemaError, match="i8 weight payload"):
-            qg.check("toy")
-        del qg.weights[conv]
+
+        def with_weights(weights):
+            return dataclasses.replace(qg, weights=weights)
+
+        with pytest.raises(ValueError, match="uint8, int8 or int32"):
+            QTensor(qt.data.astype(np.int16), qt.eps)   # QTensor itself rejects int16
+        for data in (qt.data.astype(np.int32), qt.data[:1]):
+            with pytest.raises(SchemaError, match="i8 weight payload"):
+                with_weights({**qg.weights, conv: QTensor(data, qt.eps)})
         with pytest.raises(SchemaError, match="do not match the graph's layers"):
-            qg.check("toy")
-        headless = QuantizedGraph(graph=G.NetGraph(g.layers[:-1], g.input_shape))
+            with_weights({k: v for k, v in qg.weights.items() if k != conv})
+        with pytest.raises(SchemaError, match="do not match the graph's layers"):
+            with_weights({**qg.weights, "extra": qt})
         with pytest.raises(SchemaError, match="no fully connected head"):
-            headless.check("toy")
+            QuantizedGraph(graph=G.NetGraph(g.layers[:-1], g.input_shape),
+                           weights={k: v for k, v in qg.weights.items() if k != "fc"},
+                           requant=qg.requant)
+        with pytest.raises(SchemaError, match="runs a NetGraph"):
+            dataclasses.replace(qg, graph=G.to_doc(g))
+
+
+def converted_and_loaded(tmp_path):
+    """A converted toy qgraph and the one save_qgraph and load_qgraph give
+    back from it."""
+    g, net, imgs, _ = toy_setup(17)
+    qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+    save_qgraph(qg, str(tmp_path / "q.json"))
+    return {"converted": qg, "loaded": load_qgraph(str(tmp_path / "q.json"))}
+
+
+class TestFrozen:
+    """A quantized graph cannot be edited once built: every edit the
+    per-frame check used to catch fails at the edit, and the same change
+    made through the constructor fails its check."""
+
+    @pytest.mark.parametrize("source", ["converted", "loaded"])
+    def test_edits_fail_at_the_edit(self, tmp_path, source):
+        qg = converted_and_loaded(tmp_path)[source]
+        conv, rq = next(iter(qg.weights)), next(iter(qg.requant))
+        qt, rp = qg.weights[conv], qg.requant[rq]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qg.weights = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qg.requant = {}
+        with pytest.raises(TypeError):
+            qg.weights[conv] = QTensor(np.zeros_like(qt.data), qt.eps)
+        with pytest.raises(TypeError):
+            qg.requant[rq] = rp
+        for array in (qt.data, rp.mult, rp.bias):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rp.mult = -rp.mult
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qt.data = qt.data.astype(np.int16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qg.graph.layer(conv).padding = (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qg.graph.layers = qg.graph.layers[:-1]
+
+    @pytest.mark.parametrize("source", ["converted", "loaded"])
+    def test_edits_fail_at_construction(self, tmp_path, source):
+        qg = converted_and_loaded(tmp_path)[source]
+        conv, rq = next(iter(qg.weights)), next(iter(qg.requant))
+        qt, rp = qg.weights[conv], qg.requant[rq]
+        with pytest.raises(RequantParameterError, match="negative multiplier"):
+            with_requant(qg, rq, mult=-rp.mult)
+        with pytest.raises(SchemaError, match="i8 weight payload"):
+            dataclasses.replace(qg, weights={**qg.weights, conv: QTensor(qt.data[:1], qt.eps)})
+        with pytest.raises(SchemaError, match="needs an activation stage"):
+            dataclasses.replace(qg.graph, layers=[l for l in qg.graph.layers if l.name != rq])
+
+    def test_constructor_keeps_its_own_arrays(self):
+        # the caller's arrays stay writable, and an edit to them after the
+        # graph is built does not reach it
+        g, net, imgs, rng = toy_setup(18)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        weights = {k: QTensor(qt.data.copy(), qt.eps) for k, qt in qg.weights.items()}
+        requant = {k: dataclasses.replace(rp, mult=rp.mult.astype(np.int64),
+                                          bias=rp.bias.astype(np.int64))
+                   for k, rp in qg.requant.items()}
+        built = QuantizedGraph(graph=g, weights=weights, requant=requant)
+        img = QTensor(rng.integers(0, 256, g.input_shape).astype(np.uint8), engine.IMAGE_EPS)
+        before = engine.infer_int(built, img).raw
+        for qt in weights.values():
+            qt.data[...] = 0
+        for rp in requant.values():
+            rp.mult[...] = -1
+        assert (engine.infer_int(built, img).raw == before).all()
+        assert (before == engine.infer_int(qg, img).raw).all()
+
+    def test_shares_the_float_nets_graph_safely(self, tmp_path):
+        # convert keeps the FloatNet's graph; neither holder can edit it
+        g, net, imgs, rng = toy_setup(19)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        assert qg.graph is net.graph
+        conv = next(iter(qg.weights))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.graph.layer(conv).padding = (0, 0)
+        img = QTensor(rng.integers(0, 256, g.input_shape).astype(np.uint8), engine.IMAGE_EPS)
+        save_qgraph(qg, str(tmp_path / "q.json"))
+        back = load_qgraph(str(tmp_path / "q.json"))
+        assert [vars(l) for l in back.graph.layers] == [vars(l) for l in qg.graph.layers]
+        assert (engine.infer_int(back, img).raw == engine.infer_int(qg, img).raw).all()
+
+    def test_infer_int_refuses_other_objects(self):
+        g, net, imgs, rng = toy_setup(20)
+        qg = convert(net, calibrate(net, CalibrationSet(imgs)))
+        img = QTensor(rng.integers(0, 256, g.input_shape).astype(np.uint8), engine.IMAGE_EPS)
+        lookalike = type("Lookalike", (), dict(graph=qg.graph, weights=dict(qg.weights),
+                                              requant=dict(qg.requant), scales=qg.scales))()
+        with pytest.raises(TypeError, match="runs a QuantizedGraph, got Lookalike"):
+            engine.infer_int(lookalike, img)
 
 
 def wide_head_qgraph(taps, codes):
     """A graph that is one fc head of `taps` inputs, with weight codes `codes`."""
-    g = G.infer_shapes(G.NetGraph([G.LayerSpec(G.FC, "fc", in_ch=taps, out_ch=2)], (1, 1, taps)))
-    return QuantizedGraph(graph=g, weights={"fc": QTensor(codes, 0.01)})
+    g = G.NetGraph([G.LayerSpec(G.FC, "fc", in_ch=taps, out_ch=2)], (1, 1, taps))
+    return QuantizedGraph(graph=g, weights={"fc": QTensor(codes, 0.01)}, requant={})
 
 
 class TestAccumulatorHeadroom:
@@ -253,30 +351,33 @@ class TestAccumulatorHeadroom:
         k = engine._INT32_SAFE_TAPS + 1
         codes = np.full((2, k), -128, dtype=np.int8)
         with pytest.raises(SchemaError, match="fc accumulators reach .* = 2147516160"):
-            wide_head_qgraph(k, codes).check("wide")
+            wide_head_qgraph(k, codes)
         # one zero code in every row leaves 255 * 128 * 65,793 <= int32 max
         codes[:, 0] = 0
-        wide_head_qgraph(k, codes).check("wide")
+        wide_head_qgraph(k, codes)
         # one channel over the bound is enough
         codes[1, 0] = 1
         with pytest.raises(SchemaError, match="beyond 32-bit"):
-            wide_head_qgraph(k, codes).check("wide")
+            wide_head_qgraph(k, codes)
 
     def test_wide_conv_bound_checked(self):
         k = engine._INT32_SAFE_TAPS + 1
         layers = [G.LayerSpec(G.CONV, "c", in_ch=k, out_ch=1, kernel=(1, 1)),
                   G.LayerSpec(G.REQUANT, "a"), G.LayerSpec(G.FC, "fc", in_ch=1, out_ch=4)]
-        g = G.infer_shapes(G.NetGraph(layers, (k, 1, 1)))
+        g = G.NetGraph(layers, (k, 1, 1))
         one = np.ones(1, dtype=np.int32)
-        qg = QuantizedGraph(graph=g, weights={
-            "c": QTensor(np.full((1, k, 1, 1), -128, dtype=np.int8), 0.01),
-            "fc": QTensor(np.ones((4, 1), dtype=np.int8), 0.01)},
-            requant={"a": RequantParams(mult=one, shift=0, bias=0 * one, alpha=1.0)})
-        qg.weights["c"].data[0, 0] = 0
-        qg.check("wide")   # 255 * 128 * 65,793 = 2,147,483,520 fits int32
-        qg.weights["c"].data[0, 0] = -1
+        codes = np.full((1, k, 1, 1), -128, dtype=np.int8)
+
+        def build():
+            return QuantizedGraph(graph=g, weights={
+                "c": QTensor(codes, 0.01), "fc": QTensor(np.ones((4, 1), dtype=np.int8), 0.01)},
+                requant={"a": RequantParams(mult=one, shift=0, bias=0 * one, alpha=1.0)})
+
+        codes[0, 0] = 0
+        build()   # 255 * 128 * 65,793 = 2,147,483,520 fits int32
+        codes[0, 0] = -1
         with pytest.raises(SchemaError, match="c accumulators reach .* = 2147483775"):
-            qg.check("wide")
+            build()
 
     def test_safe_tap_count_not_summed(self, monkeypatch):
         # against an int32 bound no layer meets, any summed layer raises: a
@@ -284,10 +385,10 @@ class TestAccumulatorHeadroom:
         g, net, imgs, _ = toy_setup(16)
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         monkeypatch.setattr(quantizer, "INT32_MAX", -1)
-        qg.check("toy")
+        dataclasses.replace(qg)
         monkeypatch.setattr(engine, "_INT32_SAFE_TAPS", 0)
         with pytest.raises(SchemaError, match="beyond 32-bit"):
-            qg.check("toy")
+            dataclasses.replace(qg)
 
     def test_load_rejects_bound_beyond_int32(self, tmp_path, capsys):
         k = engine._INT32_SAFE_TAPS + 1
@@ -342,7 +443,10 @@ class TestSerialization:
         g, net, imgs, _ = toy_setup(11)
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
         name = next(iter(qg.weights))
-        qg.weights[name].data.flat[:2] = (-100, 100)
+        qt = qg.weights[name]
+        wide = qt.data.copy()
+        wide.flat[:2] = (-100, 100)
+        qg = dataclasses.replace(qg, weights={**qg.weights, name: QTensor(wide, qt.eps)})
         with pytest.raises(ValueError, match="exceed range"):
             save_qgraph(qg, str(tmp_path / "q.json"))
 
@@ -374,10 +478,12 @@ class TestSerialization:
             load_qgraph(str(path))
 
     def test_negated_multiplier_not_saved(self, tmp_path):
+        # no quantized graph with a negative multiplier exists to be saved
         g, net, imgs, _ = toy_setup(16)
         qg = convert(net, calibrate(net, CalibrationSet(imgs)))
-        rp = next(iter(qg.requant.values()))
-        rp.mult = -rp.mult
+        name, rp = next(iter(qg.requant.items()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rp.mult = -rp.mult
         with pytest.raises(RequantParameterError, match="negative multiplier"):
-            save_qgraph(qg, str(tmp_path / "q" / "q.json"))
+            save_qgraph(with_requant(qg, name, mult=-rp.mult), str(tmp_path / "q" / "q.json"))
         assert not (tmp_path / "q").exists()

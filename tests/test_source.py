@@ -118,8 +118,21 @@ def calls_to(*names):
 
 def test_graph_field_rule_stated_once():
     # the type rule for a graph's fields lives in infer_shapes alone, which
-    # every graph meets before it is analysed, planned or decoded
+    # every graph meets when it is built
     assert calls_to("as_int", "as_ints") == {"graph.py:infer_shapes"}
+
+
+def test_graph_shaped_when_built_only():
+    # the field rule runs in NetGraph's constructor alone: a graph cannot
+    # change once built, so no planner, analysis or decoder step runs it again
+    assert calls_to("infer_shapes") == {"graph.py:NetGraph.__post_init__"}
+
+
+def test_quantized_graph_checked_when_built_only():
+    # QuantizedGraph.check runs in QuantizedGraph's constructor alone: the
+    # graph cannot change once built, so neither infer_int nor the qgraph
+    # reader or writer checks it again
+    assert calls_to("check") == {"quantizer.py:QuantizedGraph.__post_init__"}
 
 
 def test_plan_records_written_by_templates_only():
