@@ -1,9 +1,9 @@
 """Bit-exact integer inference executor and the float reference executor.
 
 The integer path runs convolutions over 8-bit activation codes and signed
-8-bit weight codes with 32-bit accumulators, requantizes through the fused
-per-channel integer affine, and leaves the head output as raw 32-bit fixed
-point.
+8-bit weight codes, keeps each layer's exact accumulators in the float form
+its GEMM computes them in, requantizes them through the fused per-channel
+integer affine, and leaves the head output as raw 32-bit fixed point.
 
 Each convolution is im2col plus a GEMM, and the head is a matrix-vector
 product; both go through `_int_gemm`.  `conv2d_int` copies its uint8 input
@@ -18,19 +18,27 @@ still exact: a float32 holds every integer below 2^24, and a sum of at most
 into ceil(K / 514) contiguous blocks of near-equal size (K = 576 ->
 2 x 288, 1152 -> 3 x 384, the 1920-input head -> 4 x 480), each block is
 one float32 GEMM, and the blocks are added in float64, exact below 2^53.
-The blocks follow from K alone; `_int_gemm` takes only int8 weights and
-uint8 codes (or the float32 columns holding them).  The same operands bound
-every accumulator by |acc| <= 255 * 128 * K, inside int32 for K <= 65,793,
-so the accumulators are scanned against the int32 range only for a longer
-K; `QuantizedGraph.check` holds a graph's longer layers to the tighter
-bound 255 * max sum|w| before any frame runs.
+The accumulators stay in that form: float32 for K <= 514 and float64 for
+a longer K, every value an integer.  The blocks follow from K alone;
+`_int_gemm` takes only int8 weights and uint8 codes (or the float32
+columns holding them).  The same operands bound every accumulator by
+|acc| <= 255 * 128 * K, inside int32 for K <= 65,793, so the accumulators
+are scanned against the int32 range only for a longer K;
+`QuantizedGraph.check` holds a graph's longer layers to the tighter bound
+255 * max sum|w| before any frame runs.
+
+`requant_codes` maps the float accumulators to uint8 codes in float64,
+exactly (its docstring has the argument), so no accumulator is cast to an
+integer type on the way.  int32 is left in two places: the head's raw
+output and, with record_activations, the snapshot of each conv's
+accumulators.
 
 A requant layer followed directly by the 2x2 max-pool (conv1 -> act1 ->
 pool1, the largest activation) is applied after the pool: infer_int pools
-the int32 accumulator and requantizes a quarter of the elements.  That is
-exact because clamp(floor((m * a + b) / 2^s), 0, 255) is non-decreasing in
-a for every channel with m >= 0, so it commutes with max; `convert` never
-makes a negative multiplier, and `QuantizedGraph.check` rejects one.
+the float32 accumulators and requantizes a quarter of them.  That is exact
+because clamp(floor((m * a + b) / 2^s), 0, 255) is non-decreasing in a for
+every channel with m >= 0, so it commutes with max; `convert` never makes a
+negative multiplier, and `QuantizedGraph.check` rejects one.
 
 infer_int runs a QuantizedGraph as it is held: signed int8 weight codes
 in layer shape and int32 requant vectors.  A QuantizedGraph is checked once
@@ -92,10 +100,11 @@ def _k_blocks(taps: int) -> tuple:
 
 
 def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact int32 accumulators of int8 weight codes w (M, K) @ uint8 codes
-    x (K, N), one float32 GEMM per K block; raises if any leaves int32.
-    x may also be float32 columns that hold uint8 code values, as
-    `conv2d_int` builds them; they are used without a copy."""
+    """Exact accumulators of int8 weight codes w (M, K) @ uint8 codes x
+    (K, N), one float32 GEMM per K block, as integer-valued floats: float32
+    when K fits one block, float64 when the blocks are summed; raises if
+    any leaves int32.  x may also be float32 columns that hold uint8 code
+    values, as `conv2d_int` builds them; they are used without a copy."""
     if w.dtype != np.int8 or x.dtype not in (np.uint8, np.float32):
         raise TypeError(f"_int_gemm runs int8 weights on uint8 codes, got {w.dtype} and {x.dtype}")
     taps = w.shape[1]
@@ -111,12 +120,13 @@ def _int_gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         amin, amax = int(acc.min()), int(acc.max())
         if amin < INT32_MIN or amax > INT32_MAX:
             raise AccumulatorOverflowError(f"accumulator range [{amin}, {amax}] exceeds 32-bit")
-    return acc.astype(np.int32)
+    return acc
 
 
 def conv2d_int(x: np.ndarray, w_codes: np.ndarray, stride, padding) -> np.ndarray:
     """Integer convolution of uint8 codes x (C, H, W) as im2col plus one
-    blocked GEMM; returns int32 accumulators (C_out, H, W)."""
+    blocked GEMM; returns the exact accumulators (C_out, H, W) in `_int_gemm`'s
+    float form."""
     if x.dtype != np.uint8:
         raise TypeError(f"conv2d_int runs on uint8 codes, got {x.dtype}")
     c, h, wdt = x.shape
@@ -181,11 +191,12 @@ def infer_int(qg, image: QTensor, record_activations: bool = False) -> Inference
             if pooled is not None:
                 x, pooled = _requant(x, pooled), None
         elif l.kind == G.FC:
-            x = raw = _int_gemm(qg.weights[l.name].data, x.reshape(-1, 1)).reshape(-1)
+            x = raw = _int_gemm(qg.weights[l.name].data, x.reshape(-1, 1)).reshape(-1).astype(np.int32)
         else:
             continue
         if record_activations:
-            acts[l.name] = QTensor(x, scales[l.name])
+            # a conv's float accumulators are snapshot as the int32 codes they hold
+            acts[l.name] = QTensor(x.astype(np.int32) if l.kind == G.CONV else x, scales[l.name])
     return InferenceResult(raw=raw, pose=scales[g.head().name] * raw.astype(np.float64),
                            activations=acts)
 

@@ -13,6 +13,7 @@ changed graph is a new one, built for example with `dataclasses.replace`.
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .errors import SchemaError, check_format, decoding
 
@@ -91,7 +92,8 @@ class LayerSpec:
 class NetGraph:
     """A chain of layers on an input shape, valid and shaped once built:
     the constructor runs `infer_shapes` on its fields, SchemaError for any
-    that breaks the rule, and holds the shaped layers as a tuple."""
+    that breaks the rule, and holds the shaped layers as a tuple.  The
+    layers given may be LayerSpecs or a graph document's layer records."""
 
     layers: tuple
     input_shape: tuple
@@ -140,6 +142,19 @@ def as_ints(v, n: int, lo: int, where: str, field: str) -> tuple:
     return tuple(v)
 
 
+# the fields a layer is built from; the shapes and the channels of a kind
+# without weights follow from them
+_LAYER_FIELDS = ("kind", "name", "in_ch", "out_ch", "kernel", "stride", "padding")
+_spec_fields, _record_fields = attrgetter(*_LAYER_FIELDS), itemgetter(*_LAYER_FIELDS)
+
+
+def _layer_fields(l) -> tuple:
+    """The `_LAYER_FIELDS` of a LayerSpec, or of a graph document's layer
+    record: a dict holding them, where a missing one is a KeyError, which
+    `from_doc` reports as SchemaError like any missing document field."""
+    return (_record_fields if isinstance(l, dict) else _spec_fields)(l)
+
+
 def infer_shapes(layers, input_shape, variant) -> tuple:
     """Check a graph's fields and chain structure and shape its layers;
     returns (the shaped layers as a tuple, the input shape as a tuple).
@@ -150,11 +165,13 @@ def infer_shapes(layers, input_shape, variant) -> tuple:
     every layer's kernel and stride 2 ints >= 1 and its padding 2 ints >= 0,
     stored as tuples.  A bool, float or numpy integer is no int.  Any other
     value raises SchemaError, so each field of a graph is a plain int or
-    str.  Each shaped layer is a new LayerSpec: the caller's are unchanged."""
-    layers = tuple(layers)
+    str.  The layers are LayerSpecs or a graph document's layer records,
+    read through `_layer_fields`, so a decoded layer is built once, as its
+    shaped LayerSpec; the caller's layers are unchanged."""
+    layers = [_layer_fields(l) for l in layers]
     if not layers:
         raise SchemaError("empty graph")
-    names = [l.name for l in layers]
+    names = [l[1] for l in layers]
     if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
         raise SchemaError(f"layer names must be unique strings, got {names}")
     if not isinstance(variant, str):
@@ -162,41 +179,42 @@ def infer_shapes(layers, input_shape, variant) -> tuple:
     shape = input_shape = as_ints(input_shape, 3, 1, "graph", "input_shape")
     prev = None
     shaped = []
-    for l in layers:
-        if not (isinstance(l.kind, str) and (l.kind == CONV or l.kind in FIXED_WINDOW)):
-            raise SchemaError(f"unknown layer kind {l.kind!r}")
+    for kind, name, in_ch, out_ch, kernel, stride, padding in layers:
+        if not (isinstance(kind, str) and (kind == CONV or kind in FIXED_WINDOW)):
+            raise SchemaError(f"unknown layer kind {kind!r}")
         # quantization folds each conv's batch-norm into the activation
         # stage right after it
-        if (l.kind == REQUANT) != (prev == CONV):
-            raise SchemaError(f"{l.name}: each conv needs an activation stage right after it, "
+        if (kind == REQUANT) != (prev == CONV):
+            raise SchemaError(f"{name}: each conv needs an activation stage right after it, "
                               f"and only a conv may precede one")
-        prev = l.kind
-        window = (as_ints(l.kernel, 2, 1, l.name, "kernel"), as_ints(l.stride, 2, 1, l.name, "stride"),
-                  as_ints(l.padding, 2, 0, l.name, "padding"))
-        if window != FIXED_WINDOW.get(l.kind, window):
-            raise SchemaError(f"{l.name}: a {l.kind} layer takes kernel, stride, padding "
-                              f"{FIXED_WINDOW[l.kind]}, got {window}")
+        prev = kind
+        window = (as_ints(kernel, 2, 1, name, "kernel"), as_ints(stride, 2, 1, name, "stride"),
+                  as_ints(padding, 2, 0, name, "padding"))
+        if window != FIXED_WINDOW.get(kind, window):
+            raise SchemaError(f"{name}: a {kind} layer takes kernel, stride, padding "
+                              f"{FIXED_WINDOW[kind]}, got {window}")
         in_shape = shape
         c, h, w = shape
-        in_ch = out_ch = c
-        if l.kind in (CONV, FC):
+        if kind in (CONV, FC):
             # >= 1 as well: in_ch must match the incoming channels, and a
             # zero out_ch collapses the output shape below
-            in_ch, out_ch = as_ints((l.in_ch, l.out_ch), 2, 0, l.name, "in_ch, out_ch")
-        if l.kind == CONV:
+            in_ch, out_ch = as_ints((in_ch, out_ch), 2, 0, name, "in_ch, out_ch")
+        else:
+            in_ch = out_ch = c
+        if kind == CONV:
             if in_ch != c:
-                raise SchemaError(f"{l.name}: in_ch {in_ch} != incoming channels {c}")
+                raise SchemaError(f"{name}: in_ch {in_ch} != incoming channels {c}")
             shape = (out_ch, *conv_out_hw(h, w, *window))
-        elif l.kind == POOL:
+        elif kind == POOL:
             shape = (c, h // 2, w // 2)
-        elif l.kind == FC:
+        elif kind == FC:
             flat = c * h * w
             if in_ch != flat:
-                raise SchemaError(f"{l.name}: in features {in_ch} != flattened input {flat}")
+                raise SchemaError(f"{name}: in features {in_ch} != flattened input {flat}")
             shape = (out_ch, 1, 1)
         if min(shape) <= 0:
-            raise SchemaError(f"{l.name}: output shape {shape} collapsed to an empty dimension")
-        shaped.append(LayerSpec(l.kind, l.name, in_ch, out_ch, *window, in_shape, shape))
+            raise SchemaError(f"{name}: output shape {shape} collapsed to an empty dimension")
+        shaped.append(LayerSpec(kind, name, in_ch, out_ch, *window, in_shape, shape))
     return tuple(shaped), input_shape
 
 
@@ -289,16 +307,14 @@ def to_doc(g: NetGraph) -> dict:
 
 def from_doc(doc: dict) -> NetGraph:
     """Decode a nanopose-graph document, on its own or embedded in a qgraph
-    or plan.  Its fields meet `infer_shapes`' rule.  The stored layer
+    or plan.  Its fields meet `infer_shapes`' rule, which shapes the layer
+    records as they stand, so each layer is built once.  The stored layer
     channels, and shapes where present, are copies: each must be the
     integer the layer parameters give, or SchemaError."""
     with decoding("graph document"):
         check_format(doc, "graph document", "nanopose-graph")
-        g = NetGraph(layers=[LayerSpec(kind=d["kind"], name=d["name"], in_ch=d["in_ch"],
-                                       out_ch=d["out_ch"], kernel=d["kernel"], stride=d["stride"],
-                                       padding=d["padding"])
-                             for d in doc["layers"]],
-                     input_shape=doc["input_shape"], variant=doc.get("variant", ""))
+        g = NetGraph(layers=doc["layers"], input_shape=doc["input_shape"],
+                     variant=doc.get("variant", ""))
         for d, l in zip(doc["layers"], g.layers):
             derived = (l.in_ch, l.out_ch, l.in_shape, l.out_shape)
             stored = (d["in_ch"], d["out_ch"], tuple(d.get("in_shape", l.in_shape)),

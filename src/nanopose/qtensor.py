@@ -129,20 +129,30 @@ def requant_codes(acc: np.ndarray, scale_num, shift: int, bias) -> np.ndarray:
     """Fused integer batch-norm plus activation quantization of a
     channels-first accumulator array into uint8 codes.
 
-    out = clamp((scale_num * acc + bias) >> shift, 0, 255) per channel.  The
-    shift floors; truncation toward zero would differ only on negative
-    values, which the clamp at 0 maps to 0 either way.  scale_num and bias
-    are 32-bit per-channel parameters (scalars broadcast); the clamp at 0
-    subsumes the ReLU.  scale_num >= 0 makes the output non-decreasing in acc
-    per channel, so the affine commutes with max-pooling.  Nothing is
-    checked here: a `QuantizedGraph` is held to 32-bit parameters, a shift
-    in [0, 31] and no negative multiplier when it is built.
+    out = clamp(floor((scale_num * acc + bias) / 2^shift), 0, 255) per
+    channel.  scale_num and bias are 32-bit per-channel parameters (scalars
+    broadcast); the clamp at 0 subsumes the ReLU.  scale_num >= 0 makes the
+    output non-decreasing in acc per channel, so the affine commutes with
+    max-pooling.  Nothing is checked here: a `QuantizedGraph` is held to
+    32-bit parameters, a shift in [0, 31] and no negative multiplier when it
+    is built.  acc holds integers of magnitude below 2^31: int32 codes or the
+    exact float32 or float64 accumulators `engine._int_gemm` returns.
+
+    The affine runs in float64 as clip(acc * (m 2^-s) + b 2^-s, 0, 255)
+    cast to uint8, and is exact.  Scaling by 2^-s is exact (no product leaves
+    the normal range), so the value computed is fl(fl(m a) + b) 2^-s.  If
+    the true output floor((m a + b) / 2^s) lies in [0, 255], then
+    0 <= m a + b < 256 * 2^31 = 2^39 and |m a| < 2^39 + 2^31, so m a and the
+    sum are exact in float64.  If it lies outside, rounding is monotone and
+    0 and 256 * 2^s are floats, so while |m a| < 2^53 a negative sum stays
+    negative and one >= 256 * 2^s stays there; if |m a| >= 2^53, the sum
+    keeps m a's sign and a magnitude >= 2^53 - 2^31 >= 2^52, which scaled by
+    2^-s >= 2^-31 is >= 2^21: either way the clip lands on the same bound.
+    On the clipped value in [0, 255], truncation to uint8 is floor.
     """
-    per_channel = (-1,) + (1,) * (acc.ndim - 1)
-    # |scale * acc + bias| < 2^62 + 2^31: int64 cannot overflow
-    v = np.multiply(acc, np.asarray(scale_num, dtype=np.int64).reshape(per_channel))
-    v += np.asarray(bias, dtype=np.int64).reshape(per_channel)
-    v >>= shift
-    np.maximum(v, 0, out=v)
-    np.minimum(v, 255, out=v)
-    return v.astype(np.uint8)
+    step = 2.0 ** -shift
+    v = acc.reshape(len(acc), -1).astype(np.float64)
+    v *= np.multiply(scale_num, step).reshape(-1, 1)
+    v += np.multiply(bias, step).reshape(-1, 1)
+    np.clip(v, 0, 255, out=v)
+    return v.astype(np.uint8).reshape(acc.shape)

@@ -207,6 +207,14 @@ def quantization_error_bound(qg: QuantizedGraph, net: FloatNet) -> np.ndarray:
     incoming activation bound, incoming error passes through the dequantized
     weight mass, and each requantization adds its own code granularity plus
     the affine fitting slack.
+
+    The bound is sound but informative only for shallow graphs, such as
+    two-block chains.  The worst-case error passes the clip bound alpha by
+    the second activation stage and grows 25-40x per conv, so on the
+    eight-layer reference variants (`realistic_random_net(seed=3)`, 8
+    calibration frames) the largest bound is 1.3e11 to 5.5e12 m per pose
+    output, where the measured max |pose_int - pose_float| over 20 random
+    frames is 0.16 to 0.38 m.
     """
     g = qg.graph
     eps = qg.scales()

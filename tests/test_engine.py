@@ -25,6 +25,15 @@ def random_image_codes(rng, shape):
     return rng.integers(0, 256, shape).astype(np.uint8)
 
 
+def assert_exact_accumulators(got, want, taps):
+    """conv2d_int's documented output: float32 when K fits one 514-tap
+    block, float64 above, integer values equal to the int64 oracle's."""
+    assert got.dtype == (np.float32 if taps <= engine._BLOCK_TAPS else np.float64)
+    assert got.shape == want.shape
+    assert (got == np.trunc(got)).all()
+    assert (got.astype(np.int64) == want).all()
+
+
 def converted_toy(seed, spatial=(12, 12), channels=(4, 6), n_blocks=2, with_pool=True):
     rng = np.random.default_rng(seed)
     g = make_chain_graph(spatial, channels, with_pool=with_pool, n_blocks=n_blocks)
@@ -56,8 +65,7 @@ class TestConvKernel:
         wgt = np.full((2, 128, 3, 3), -128, dtype=np.int8)
         got = engine.conv2d_int(x, wgt, (1, 1), (1, 1))
         want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (1, 1))
-        assert got.dtype == np.int32
-        assert (got == want).all()
+        assert_exact_accumulators(got, want, 1152)
         assert got.min() == -255 * 128 * 1152
 
     def test_accumulator_overflow_checked(self):
@@ -77,8 +85,7 @@ class TestConvKernel:
         wgt = np.full((1, taps, 1, 1), -128, dtype=np.int8)
         got = engine.conv2d_int(x, wgt, (1, 1), (0, 0))
         want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (0, 0))
-        assert got.dtype == np.int32
-        assert (got == want).all()
+        assert_exact_accumulators(got, want, taps)
         assert got.min() == -2_147_483_520
 
     def test_range_scanned_only_beyond_safe_taps(self, monkeypatch):
@@ -145,9 +152,7 @@ class TestConvKernel:
         wgt = rng.integers(-128, 128, (4, 3, *kernel)).astype(np.int8)
         got = engine.conv2d_int(x, wgt, stride, padding)
         want = naive_conv2d_int(x, wgt, stride, padding)
-        assert got.dtype == np.int32
-        assert got.shape == want.shape
-        assert (got == want).all()
+        assert_exact_accumulators(got, want, 3 * kernel[0] * kernel[1])
 
     @pytest.mark.parametrize("kernel,padding", [((1, 1), (0, 0)), ((3, 3), (1, 1))])
     def test_input_untouched_and_unshared(self, kernel, padding):
@@ -173,8 +178,7 @@ class TestConvKernel:
         wgt[1:] = rng.integers(-128, 128, (2, channels, 1, 1))
         got = engine.conv2d_int(x, wgt, (1, 1), (0, 0))
         want = naive_conv2d_int(x.astype(np.int64), wgt.astype(np.int64), (1, 1), (0, 0))
-        assert got.dtype == np.int32
-        assert (got == want).all()
+        assert_exact_accumulators(got, want, channels)
         assert got.min() == -255 * 128 * channels
 
 
@@ -305,11 +309,14 @@ class TestInferInt:
 class TestMaxPool:
     @pytest.mark.parametrize("h,w", [(6, 8), (7, 9), (6, 9), (7, 8), (1, 5)])
     def test_matches_naive(self, h, w):
-        x = np.random.default_rng(h * 10 + w).integers(0, 256, (3, h, w)).astype(np.uint8)
-        got = engine.maxpool2x2(x)
-        want = naive_pool2x2(x)
-        assert got.dtype == np.uint8 and got.shape == want.shape
-        assert (got == want).all()
+        # uint8 codes, and the float32 accumulators of a conv, which a
+        # requant-then-pool pair pools as they are
+        codes = np.random.default_rng(h * 10 + w).integers(0, 256, (3, h, w)).astype(np.uint8)
+        for x in (codes, 1000.0 - 8 * codes.astype(np.float32)):
+            got = engine.maxpool2x2(x)
+            want = naive_pool2x2(x)
+            assert got.dtype == x.dtype and got.shape == want.shape
+            assert (got == want).all()
 
 
 def odd_pool_qgraph(seed):

@@ -288,6 +288,23 @@ class TestJson:
         with pytest.raises(SchemaError):
             G.from_doc(doc)
 
+    def test_each_decoded_layer_built_once(self, monkeypatch):
+        # the constructor shapes the document's layer records as they
+        # stand: one LayerSpec per layer, the shaped one
+        doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
+        built, real = [], G.LayerSpec
+        monkeypatch.setattr(G, "LayerSpec", lambda *a, **k: built.append(a) or real(*a, **k))
+        g = G.from_doc(doc)
+        assert len(built) == len(g.layers) == len(doc["layers"])
+        assert g == G.build_variant("80x32")
+
+    @pytest.mark.parametrize("field", ["kind", "name", "in_ch", "out_ch", "kernel", "stride", "padding"])
+    def test_missing_layer_field_refused(self, field):
+        doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
+        del doc["layers"][3][field]
+        with pytest.raises(SchemaError, match="missing or mistyped field"):
+            G.from_doc(doc)
+
     def test_stored_shapes_optional(self):
         doc = json.loads(json.dumps(G.to_doc(G.build_variant("80x32"))))
         for d in doc["layers"]:

@@ -5,6 +5,8 @@ from nanopose import qtensor
 from nanopose.errors import DegenerateLayerError
 from nanopose.qtensor import (
     FLOOR_GUARD,
+    INT32_MAX,
+    INT32_MIN,
     QTensor,
     act_eps,
     quantize,
@@ -13,6 +15,8 @@ from nanopose.qtensor import (
     weight_codes,
     weight_eps,
 )
+
+from oracles import naive_requant
 
 
 class TestQTensor:
@@ -197,6 +201,21 @@ def requant_oracle(acc, scale, shift, bias):
     return out
 
 
+# the 32-bit parameter range a QuantizedGraph admits, at its extremes
+REQUANT_MULTS = (0, 1, 2**14 + 1, INT32_MAX)
+REQUANT_BIASES = (INT32_MIN, 0, INT32_MAX)
+OUTPUT_STEPS = (0, 1, 255, 256)
+
+
+def accumulator_forms(acc):
+    """acc as int32 codes and as the exact float accumulators the engine
+    hands over: float64 always, float32 where it holds every value."""
+    forms = [acc.astype(np.int32), acc.astype(np.float64)]
+    if np.abs(acc).max() < 2**24:
+        forms.append(acc.astype(np.float32))
+    return forms
+
+
 class TestRequant:
     def test_identity_clamp_only(self):
         acc = np.arange(-4, 300, dtype=np.int32).reshape(1, -1, 1)
@@ -220,6 +239,58 @@ class TestRequant:
             got = requant_codes(acc, scale, shift, bias)
             want = requant_oracle(acc, scale, shift, bias)
             assert (got.astype(np.int64) == want).all()
+
+    @pytest.mark.parametrize("mult", REQUANT_MULTS)
+    def test_full_parameter_range(self, mult):
+        # every shift at the int32 extremes of the bias, on accumulators of
+        # +-(2^31 - 1) and on those either side of where m * a + b crosses
+        # each output step j * 2^s
+        bias = np.array(REQUANT_BIASES, dtype=np.int32)
+        mults = np.full(len(bias), mult, dtype=np.int32)
+        seen = set()
+        for shift in range(32):
+            rows = []
+            for b in REQUANT_BIASES:
+                acc = {-INT32_MAX, -1, 0, 1, INT32_MAX}
+                for j in OUTPUT_STEPS if mult else ():
+                    for t in ((j << shift) - 1, j << shift):
+                        a = (t - b) // mult
+                        acc |= {min(max(a + d, -INT32_MAX), INT32_MAX) for d in (-1, 0, 1, 2)}
+                rows.append(sorted(acc))
+            width = max(map(len, rows))
+            acc = np.array([r + r[-1:] * (width - len(r)) for r in rows], dtype=np.int64)
+            want = naive_requant(acc, mults, shift, bias)
+            for form in accumulator_forms(acc):
+                got = requant_codes(form, mults, shift, bias)
+                assert got.dtype == np.uint8
+                assert (got == want).all(), (form.dtype, shift)
+            seen |= set(want.ravel().tolist())
+        # the steps were reached: each side of the first and of the last code
+        assert mult == 0 or {0, 1, 254, 255} <= seen
+
+    @pytest.mark.parametrize("mult", REQUANT_MULTS[1:])
+    def test_output_steps_exact(self, mult):
+        # m * a + b placed exactly on j * 2^s - 1 and on j * 2^s, the last
+        # input of output j - 1 and the first of output j, with a bias that
+        # fits int32, for every shift
+        for shift in range(32):
+            accs, biases, codes = [], [], []
+            for j in OUTPUT_STEPS:
+                for t, code in (((j << shift) - 1, j - 1), (j << shift, j)):
+                    for a in (t // mult - 1, t // mult, t // mult + 1, INT32_MAX, -INT32_MAX):
+                        b = t - mult * a
+                        if INT32_MIN <= b <= INT32_MAX and abs(a) <= INT32_MAX:
+                            accs.append(a)
+                            biases.append(b)
+                            codes.append(min(max(code, 0), 255))
+            assert len(accs) >= 2 * len(OUTPUT_STEPS)
+            acc = np.array(accs, dtype=np.int64).reshape(-1, 1)
+            mults = np.full(len(accs), mult, dtype=np.int32)
+            bias = np.array(biases, dtype=np.int32)
+            want = naive_requant(acc, mults, shift, bias)
+            assert (want.ravel() == codes).all()
+            for form in accumulator_forms(acc):
+                assert (requant_codes(form, mults, shift, bias) == want).all(), (form.dtype, shift)
 
     def test_output_range(self):
         rng = np.random.default_rng(2)
